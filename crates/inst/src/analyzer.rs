@@ -2,17 +2,30 @@
 
 use emvolt_dsp::{dbm_to_watts, watts_to_dbm, SpectralBins};
 use rand::Rng;
-use rand_distr_normal::sample_normal;
+use rand_distr_normal::{sample_normal, skip_normals, NOISE_BOUND_SIGMAS};
 
 /// Gaussian sampling helper without an extra dependency.
 mod rand_distr_normal {
     use rand::Rng;
+
+    /// Bound on `|sample_normal(rng, sigma)| / |sigma|`. `u1 >= 1e-12`
+    /// caps the Box–Muller radius at `sqrt(-2 ln 1e-12) ≈ 7.434`; the
+    /// margin above that covers rounding in the products.
+    pub const NOISE_BOUND_SIGMAS: f64 = 7.5;
 
     /// Box–Muller standard-normal sample scaled to `sigma`.
     pub fn sample_normal<R: Rng>(rng: &mut R, sigma: f64) -> f64 {
         let u1: f64 = rng.gen_range(1e-12..1.0);
         let u2: f64 = rng.gen_range(0.0..1.0);
         (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos() * sigma
+    }
+
+    /// Advances `rng` past `count` [`sample_normal`] draws without
+    /// computing them: each `gen_range` above is exactly one `next_u64`.
+    pub fn skip_normals<R: Rng>(rng: &mut R, count: usize) {
+        for _ in 0..2 * count {
+            rng.next_u64();
+        }
     }
 }
 
@@ -63,17 +76,12 @@ pub struct SweepReading {
 impl SweepReading {
     /// The marker peak: highest-level point within `[lo, hi]` Hz.
     pub fn peak_in_band(&self, lo: f64, hi: f64) -> Option<(f64, f64)> {
-        peak_in_band_points(&self.points, lo, hi)
+        self.points
+            .iter()
+            .filter(|(f, _)| *f >= lo && *f <= hi)
+            .max_by(|a, b| a.1.total_cmp(&b.1))
+            .copied()
     }
-}
-
-/// Highest-level `(frequency, level)` point within `[lo, hi]` Hz.
-fn peak_in_band_points(points: &[(f64, f64)], lo: f64, hi: f64) -> Option<(f64, f64)> {
-    points
-        .iter()
-        .filter(|(f, _)| *f >= lo && *f <= hi)
-        .max_by(|a, b| a.1.total_cmp(&b.1))
-        .copied()
 }
 
 /// A swept spectrum analyzer measuring the voltage spectrum at its input.
@@ -88,17 +96,37 @@ impl SpectrumAnalyzer {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is non-physical (empty span, RBW or
-    /// points of zero).
+    /// Panics if the configuration is non-physical: an empty or
+    /// non-finite span, fewer than two points, a non-finite or
+    /// non-positive RBW or input impedance, a non-finite noise floor or
+    /// noise sigma, or a negative or non-finite sweep time.
     pub fn new(config: AnalyzerConfig) -> Self {
+        let c = &config;
         assert!(
-            config.stop_hz > config.start_hz && config.rbw_hz > 0.0 && config.points >= 2,
+            c.start_hz.is_finite()
+                && c.stop_hz.is_finite()
+                && c.stop_hz > c.start_hz
+                && c.rbw_hz.is_finite()
+                && c.rbw_hz > 0.0
+                && c.points >= 2
+                && c.noise_floor_dbm.is_finite()
+                && c.noise_sigma_db.is_finite()
+                && c.input_ohms.is_finite()
+                && c.input_ohms > 0.0
+                && c.sweep_time_s.is_finite()
+                && c.sweep_time_s >= 0.0,
             "invalid analyzer configuration"
         );
         SpectrumAnalyzer {
             config,
             elapsed_s: 0.0,
         }
+    }
+
+    /// Sweeps [`SpectrumAnalyzer::peak_metric`] takes for a request of
+    /// `n`: at least one, so a zero-sample request still reads the band.
+    pub fn metric_sweeps(n: usize) -> usize {
+        n.max(1)
     }
 
     /// The active configuration.
@@ -137,62 +165,78 @@ impl SpectrumAnalyzer {
     /// already skips zero-amplitude bins, and a band view reads zero
     /// outside its covered range.
     pub fn sweep<R: Rng, S: SpectralBins>(&mut self, input: &S, rng: &mut R) -> SweepReading {
-        let mut points = Vec::with_capacity(self.config.points);
-        self.sweep_into(input, rng, &mut points);
+        self.elapsed_s += self.config.sweep_time_s;
+        let (sigma, floor_w) = self.level_constants();
+        let points = (0..self.config.points)
+            .map(|i| {
+                let f_center = self.display_freq(i);
+                let level = self.noise_free_level(input, f_center, sigma, floor_w)
+                    + sample_normal(rng, self.config.noise_sigma_db);
+                (f_center, level)
+            })
+            .collect();
         SweepReading { points }
     }
 
-    /// Fills `points` with one displayed sweep, reusing the buffer's
-    /// capacity — lets [`SpectrumAnalyzer::peak_metric`] run its `n`
-    /// sweeps through one buffer instead of allocating per sweep.
-    fn sweep_into<R: Rng, S: SpectralBins>(
-        &mut self,
-        input: &S,
-        rng: &mut R,
-        points: &mut Vec<(f64, f64)>,
-    ) {
-        self.elapsed_s += self.config.sweep_time_s;
+    /// Frequency of display point `i`.
+    fn display_freq(&self, i: usize) -> f64 {
         let c = &self.config;
-        let n = c.points;
-        let span = c.stop_hz - c.start_hz;
-        let sigma = c.rbw_hz / 2.355; // FWHM -> sigma
-        let floor_w = dbm_to_watts(c.noise_floor_dbm);
+        c.start_hz + (c.stop_hz - c.start_hz) * i as f64 / (c.points - 1) as f64
+    }
 
-        points.clear();
-        points.reserve(n);
-        for i in 0..n {
-            let f_center = c.start_hz + span * i as f64 / (n - 1) as f64;
-            // Positive-peak detector through the Gaussian RBW filter: the
-            // displayed level is the strongest RBW-weighted component in
-            // view, which reads a narrowband spike at exactly its power
-            // without double-counting the analysis window's main lobe.
-            let lo = f_center - 4.0 * sigma;
-            let hi = f_center + 4.0 * sigma;
-            let mut power_w = 0.0f64;
-            if !input.is_empty() {
-                let k0 = ((lo / input.freq_step()).floor().max(0.0)) as usize;
-                let k1 = (((hi / input.freq_step()).ceil()) as usize).min(input.len() - 1);
-                for k in k0..=k1 {
-                    let a = input.amplitude_at(k);
-                    if a == 0.0 {
-                        continue;
-                    }
-                    let df = input.freq_at(k) - f_center;
-                    let w = (-0.5 * (df / sigma) * (df / sigma)).exp();
-                    // Sine of amplitude a into R: P = a^2 / (2R).
-                    power_w = power_w.max(w * a * a / (2.0 * c.input_ohms));
+    /// The RBW filter's Gaussian sigma in Hz and the noise floor in watts,
+    /// the inputs [`SpectrumAnalyzer::noise_free_level`] takes.
+    fn level_constants(&self) -> (f64, f64) {
+        let sigma = self.config.rbw_hz / 2.355; // FWHM -> sigma
+        (sigma, dbm_to_watts(self.config.noise_floor_dbm))
+    }
+
+    /// Displayed level in dBm at `f_center` before measurement noise is
+    /// added. It depends only on the input and the configuration, so it is
+    /// the same in every sweep of one input.
+    fn noise_free_level<S: SpectralBins>(
+        &self,
+        input: &S,
+        f_center: f64,
+        sigma: f64,
+        floor_w: f64,
+    ) -> f64 {
+        // Positive-peak detector through the Gaussian RBW filter: the
+        // displayed level is the strongest RBW-weighted component in
+        // view, which reads a narrowband spike at exactly its power
+        // without double-counting the analysis window's main lobe.
+        let lo = f_center - 4.0 * sigma;
+        let hi = f_center + 4.0 * sigma;
+        let mut power_w = 0.0f64;
+        if !input.is_empty() {
+            let k0 = ((lo / input.freq_step()).floor().max(0.0)) as usize;
+            let k1 = (((hi / input.freq_step()).ceil()) as usize).min(input.len() - 1);
+            for k in k0..=k1 {
+                let a = input.amplitude_at(k);
+                if a == 0.0 {
+                    continue;
                 }
+                let df = input.freq_at(k) - f_center;
+                let w = (-0.5 * (df / sigma) * (df / sigma)).exp();
+                // Sine of amplitude a into R: P = a^2 / (2R).
+                power_w = power_w.max(w * a * a / (2.0 * self.config.input_ohms));
             }
-            let total_w = power_w + floor_w;
-            let level = watts_to_dbm(total_w) + sample_normal(rng, c.noise_sigma_db);
-            points.push((f_center, level));
         }
+        watts_to_dbm(power_w + floor_w)
     }
 
     /// The paper's GA fitness metric: the *mean root square* of `n`
     /// max-amplitude marker readings in `[lo, hi]` Hz — `n` sweeps are
-    /// taken, each contributing its band peak in linear power; the metric
-    /// is the RMS of those peaks, reported in dBm.
+    /// taken (at least one, see [`SpectrumAnalyzer::metric_sweeps`]), each
+    /// contributing its band peak in linear power; the metric is the RMS
+    /// of those peaks, reported in dBm.
+    ///
+    /// Bit-identical to taking the sweeps one by one with
+    /// [`SpectrumAnalyzer::sweep`] and reading
+    /// [`SweepReading::peak_in_band`]: same readings, same elapsed time,
+    /// same RNG stream position afterwards. The noise-free levels are
+    /// computed once per call, and each sweep only adds noise to the
+    /// points that can still be the band peak.
     ///
     /// Returns `(metric_dbm, dominant_frequency_hz)`.
     pub fn peak_metric<R: Rng, S: SpectralBins>(
@@ -203,15 +247,57 @@ impl SpectrumAnalyzer {
         n: usize,
         rng: &mut R,
     ) -> (f64, f64) {
+        let (sigma, floor_w) = self.level_constants();
+        // `(display index, frequency, noise-free level)` of the in-band
+        // points, in display order.
+        let mut candidates: Vec<(usize, f64, f64)> = (0..self.config.points)
+            .filter_map(|i| {
+                let f = self.display_freq(i);
+                (f >= lo && f <= hi)
+                    .then(|| (i, f, self.noise_free_level(input, f, sigma, floor_w)))
+            })
+            .collect();
+        // Noise never moves a reading by more than `bound`, so a point
+        // whose highest possible reading is below the top point's lowest
+        // possible reading can never be the peak (not even on a tie, where
+        // the later point would win). Rounding is monotone, so the strict
+        // comparison survives it.
+        let bound = NOISE_BOUND_SIGMAS * self.config.noise_sigma_db.abs();
+        let top = candidates
+            .iter()
+            .map(|&(_, _, level)| level)
+            .fold(f64::NEG_INFINITY, f64::max);
+        if top.is_finite() && bound.is_finite() {
+            // `partial_cmp` keeps a NaN level, which `total_cmp` could rank
+            // as the peak.
+            candidates.retain(|&(_, _, level)| {
+                (level + bound).partial_cmp(&(top - bound)) != Some(std::cmp::Ordering::Less)
+            });
+        }
+
+        let c = &self.config;
         let mut acc = 0.0;
         let mut freq_votes: std::collections::BTreeMap<i64, usize> =
             std::collections::BTreeMap::new();
         let mut best_freq = lo;
         let mut hits = 0usize;
-        let mut points: Vec<(f64, f64)> = Vec::with_capacity(self.config.points);
-        for _ in 0..n.max(1) {
-            self.sweep_into(input, rng, &mut points);
-            if let Some((f, dbm)) = peak_in_band_points(&points, lo, hi) {
+        for _ in 0..Self::metric_sweeps(n) {
+            // One addition per sweep, as `sweep` does: a single
+            // `n * sweep_time_s` would round differently.
+            self.elapsed_s += c.sweep_time_s;
+            let mut peak: Option<(f64, f64)> = None;
+            let mut next = 0;
+            for &(i, f, level) in &candidates {
+                skip_normals(rng, i - next);
+                let reading = level + sample_normal(rng, c.noise_sigma_db);
+                // `>=` keeps the last of equal maxima, like `max_by`.
+                if peak.is_none_or(|(_, best)| reading.total_cmp(&best).is_ge()) {
+                    peak = Some((f, reading));
+                }
+                next = i + 1;
+            }
+            skip_normals(rng, c.points - next);
+            if let Some((f, dbm)) = peak {
                 let p = dbm_to_watts(dbm);
                 acc += p * p;
                 hits += 1;
@@ -222,7 +308,7 @@ impl SpectrumAnalyzer {
         if hits == 0 {
             // The requested band holds no displayed points (e.g. a marker
             // outside the sweep span): report the instrument floor.
-            return (self.config.noise_floor_dbm, best_freq);
+            return (c.noise_floor_dbm, best_freq);
         }
         if let Some((&key, _)) = freq_votes.iter().max_by_key(|(_, &v)| v) {
             best_freq = key as f64 * 1e6;
@@ -352,6 +438,82 @@ mod tests {
         }
         // The RNG streams stayed aligned across the whole sweep.
         assert_eq!(rng_dense.gen::<u64>(), rng_band.gen::<u64>());
+    }
+
+    /// The Box–Muller extremes, `u1` at its 1e-12 floor with `cos = ±1`,
+    /// stay inside the bound `peak_metric`'s skipping relies on, down to
+    /// subnormal sigmas.
+    #[test]
+    fn noise_extremes_stay_inside_the_bound() {
+        use rand::rngs::mock::StepRng;
+        for sigma in [0.7, -3.0, 1e-300, 5e-324] {
+            // Draws 0 then `u2_bits`: u1 = 1e-12, u2 = 0 or 0.5.
+            for u2_bits in [0, 1 << 63] {
+                let x = sample_normal(&mut StepRng::new(0, u2_bits), sigma);
+                assert!(
+                    x.abs() <= NOISE_BOUND_SIGMAS * sigma.abs(),
+                    "sigma {sigma:e}: |{x:e}| above the bound"
+                );
+            }
+        }
+        let worst = sample_normal(&mut StepRng::new(0, 0), 1.0);
+        assert!(worst > 7.43, "extreme {worst} should be the Box–Muller cap");
+    }
+
+    /// Builds an analyzer from the default configuration with one field
+    /// made hostile.
+    fn hostile(edit: impl FnOnce(&mut AnalyzerConfig)) {
+        let mut config = AnalyzerConfig::default();
+        edit(&mut config);
+        let _ = SpectrumAnalyzer::new(config);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid analyzer configuration")]
+    fn rejects_nan_noise_sigma() {
+        hostile(|c| c.noise_sigma_db = f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid analyzer configuration")]
+    fn rejects_infinite_noise_floor() {
+        hostile(|c| c.noise_floor_dbm = f64::NEG_INFINITY);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid analyzer configuration")]
+    fn rejects_nan_rbw() {
+        hostile(|c| c.rbw_hz = f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid analyzer configuration")]
+    fn rejects_infinite_rbw() {
+        hostile(|c| c.rbw_hz = f64::INFINITY);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid analyzer configuration")]
+    fn rejects_zero_input_impedance() {
+        hostile(|c| c.input_ohms = 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid analyzer configuration")]
+    fn rejects_negative_sweep_time() {
+        hostile(|c| c.sweep_time_s = -0.6);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid analyzer configuration")]
+    fn rejects_infinite_sweep_time() {
+        hostile(|c| c.sweep_time_s = f64::INFINITY);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid analyzer configuration")]
+    fn rejects_infinite_stop_frequency() {
+        hostile(|c| c.stop_hz = f64::INFINITY);
     }
 
     #[test]

@@ -476,8 +476,9 @@ impl SharedEmBench {
     }
 }
 
-/// Shared accounting for one in-band measurement: counters, the
-/// band-amplitude histogram and (for emitting handles) a `measure` span.
+/// Shared accounting for one in-band measurement of `n` requested
+/// samples: counters, the band-amplitude histogram and (for emitting
+/// handles) a `measure` span, all charged with the sweeps actually taken.
 fn record_measurement(
     telemetry: &Telemetry,
     lo: f64,
@@ -486,8 +487,9 @@ fn record_measurement(
     metric_dbm: f64,
     dominant_hz: f64,
 ) {
+    let sweeps = SpectrumAnalyzer::metric_sweeps(n);
     telemetry.count(CounterId::Measurements, 1);
-    telemetry.count(CounterId::AnalyzerSweeps, n as u64);
+    telemetry.count(CounterId::AnalyzerSweeps, sweeps as u64);
     telemetry.record_value(HistId::BandAmplitudeDbm, metric_dbm);
     telemetry.span(
         "measure",
@@ -495,7 +497,7 @@ fn record_measurement(
         &[
             ("lo_mhz", lo / 1e6),
             ("hi_mhz", hi / 1e6),
-            ("sweeps", n as f64),
+            ("sweeps", sweeps as f64),
             ("metric_dbm", metric_dbm),
             ("dominant_mhz", dominant_hz / 1e6),
         ],
@@ -737,6 +739,36 @@ mod tests {
                 "sweep-time accounting must not depend on batching"
             );
         }
+    }
+
+    /// A zero-sample request still takes one sweep; the sweep counter
+    /// must charge that sweep, just as the analyzer clock does.
+    #[test]
+    fn zero_sample_request_counts_the_sweep_taken() {
+        let d = domain();
+        let run = d
+            .run(&sweep_kernel(Isa::ArmV8), 1, &RunConfig::fast())
+            .unwrap();
+        let telemetry = Telemetry::new(std::sync::Arc::new(emvolt_obs::NoopRecorder));
+        let mut bench = EmBench::new(3);
+        bench.set_telemetry(telemetry.clone());
+        let _ = bench.measure(&run, 0);
+        assert_eq!(telemetry.counter(CounterId::AnalyzerSweeps), 1);
+        assert_eq!(bench.elapsed(), bench.analyzer.config().sweep_time_s);
+
+        let shared = bench.share();
+        let mut scratch = MeasureScratch::new();
+        scratch.set_telemetry(telemetry.clone());
+        let _ = shared.measure_in_band_batch_seeded_with(
+            &[&run, &run],
+            50e6,
+            200e6,
+            0,
+            &[1, 2],
+            &mut scratch,
+        );
+        assert_eq!(telemetry.counter(CounterId::AnalyzerSweeps), 3);
+        assert_eq!(shared.elapsed(), 2.0 * bench.analyzer.config().sweep_time_s);
     }
 
     #[test]
