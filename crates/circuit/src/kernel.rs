@@ -173,9 +173,10 @@ impl StateKernel {
     /// `inputs` is input-major `[n_inputs x lanes]` (`inputs[j*lanes + l]`
     /// is lane `l`'s weight for column `j`) and `xn` node-major
     /// `[n_nodes x lanes]` (`xn[i*lanes + l]` is lane `l`'s voltage at
-    /// node `i`). Each response column entry `c_ji` is loaded **once** and
-    /// FMAed into every lane's accumulator — the memory traffic of one
-    /// serial fold amortized over all lanes. Per lane the operation
+    /// node `i`). Each response column entry `c_ji` is broadcast once per
+    /// block of lane vectors and FMAed into register-resident
+    /// accumulators — the memory traffic of one serial fold amortized
+    /// over all lanes. Per lane the operation
     /// sequence (zero, then `x_i = w_j.mul_add(c_ji, x_i)` in `j` order)
     /// is exactly [`StateKernel::fold`]'s, so each lane's result is
     /// bit-identical to a serial fold of that lane alone — at every

@@ -149,16 +149,7 @@ impl Stimulus {
                 }
             }
             Stimulus::Samples { dt, values, repeat } => {
-                if values.is_empty() {
-                    return 0.0;
-                }
-                let raw = (t / dt).floor();
-                let idx = if raw < 0.0 { 0 } else { raw as usize };
-                if *repeat {
-                    values[idx % values.len()]
-                } else {
-                    values[idx.min(values.len() - 1)]
-                }
+                held_sample(values, *repeat, sample_index(*dt, t))
             }
         }
     }
@@ -173,6 +164,30 @@ impl Stimulus {
             Stimulus::Pwl(points) => points.first().map_or(0.0, |p| p.1),
             Stimulus::Samples { values, .. } => values.first().copied().unwrap_or(0.0),
         }
+    }
+}
+
+/// The zero-order-hold index of time `t` in a trace of spacing `dt`:
+/// `floor(t / dt)`, clamped at zero. Split out of
+/// [`Stimulus::value_at`] so a lane group whose loads share one `dt` can
+/// compute it once per step for every lane.
+pub(crate) fn sample_index(dt: f64, t: f64) -> usize {
+    let raw = (t / dt).floor();
+    if raw < 0.0 {
+        0
+    } else {
+        raw as usize
+    }
+}
+
+/// The sample held at index `idx` of a [`Stimulus::Samples`] trace:
+/// wrapped when `repeat`, else clamped to the final sample; zero for an
+/// empty trace.
+pub(crate) fn held_sample(values: &[f64], repeat: bool, idx: usize) -> f64 {
+    match values.len() {
+        0 => 0.0,
+        n if repeat => values[idx % n],
+        n => values[idx.min(n - 1)],
     }
 }
 

@@ -12,7 +12,7 @@ use crate::error::{CircuitError, Result};
 use crate::kernel::{KernelChoice, StateKernel};
 use crate::linalg::{LuFactors, Matrix};
 use crate::netlist::{Circuit, ISourceId, InductorId, NodeId};
-use crate::stimulus::Stimulus;
+use crate::stimulus::{held_sample, sample_index, Stimulus};
 use crate::trace::Trace;
 use emvolt_obs::{CounterId, Layer, Telemetry, WaveKind};
 
@@ -51,18 +51,44 @@ impl TransientConfig {
                 reason: format!("non-positive time step {}", self.dt),
             });
         }
-        if self.duration.is_nan() || self.duration <= 0.0 || self.duration < self.dt {
+        if !self.duration.is_finite() {
+            return Err(CircuitError::InvalidAnalysis {
+                reason: format!("non-finite duration {}", self.duration),
+            });
+        }
+        if self.duration <= 0.0 || self.duration < self.dt {
             return Err(CircuitError::InvalidAnalysis {
                 reason: format!("duration {} shorter than one step", self.duration),
             });
         }
-        if self.record_from < 0.0 || self.record_from >= self.duration {
+        // `!(a <= b)` also rejects a NaN `record_from`, which every plain
+        // comparison would let through as "record from t = 0".
+        if !(0.0 <= self.record_from && self.record_from < self.duration) {
             return Err(CircuitError::InvalidAnalysis {
                 reason: format!("record_from {} outside [0, duration)", self.record_from),
             });
         }
+        // The run records up to `n_steps + 1` samples per probe, so the
+        // step count must leave that sample buffer representable.
+        let n_steps = (self.duration / self.dt).round();
+        if n_steps > Self::MAX_STEPS as f64 {
+            return Err(CircuitError::InvalidAnalysis {
+                reason: format!(
+                    "duration {} / dt {} is {n_steps:e} steps, more than the {} a sample \
+                     buffer can hold",
+                    self.duration,
+                    self.dt,
+                    Self::MAX_STEPS
+                ),
+            });
+        }
         Ok(())
     }
+
+    /// Largest step count a run accepts: `n_steps + 1` recorded `f64`
+    /// samples must fit one `Vec`, whose size in bytes is capped at
+    /// `isize::MAX`.
+    const MAX_STEPS: usize = isize::MAX as usize / std::mem::size_of::<f64>() - 1;
 }
 
 /// Result of a transient analysis: one recorded waveform per probed node
@@ -736,19 +762,19 @@ impl Circuit {
                 self.transient_setup(plan, config, probes, lane, Some((source.index(), load)))?;
         }
 
-        // Lane-major SoA step loop, run in monomorphized groups of at
-        // most eight lanes. Within a group every per-step stage — the
-        // input gather (capacitor/inductor histories), the response-
-        // column fold, and the element-state update — operates on
-        // lane-contiguous rows of compile-time width, so the stages the
-        // serial path can only execute as scalar gathers (element node
-        // indices are arbitrary) become straight-line vector code across
-        // lanes. Lane-invariant stimuli (every source except the swept
-        // load) are sampled once per step and broadcast. Per lane the
+        // Lane-major SoA step loop, run in groups of at most eight lanes.
+        // Within a group every per-step stage — the input gather
+        // (capacitor/inductor histories), the response-column fold, and
+        // the element-state update — operates on lane-contiguous rows,
+        // so the stages the serial path can only execute as scalar
+        // gathers (element node indices are arbitrary) become vector code
+        // across lanes. Each group's rows are padded to a whole number of
+        // vectors, so a ragged group costs no more than a full one.
+        // Lane-invariant stimuli (every source except the swept load) are
+        // sampled once per step and broadcast. Per lane the
         // arithmetic sequence is exactly the single-run state-space
         // sequence, so every lane stays bit-identical to
         // `transient_scoped` with that load.
-        let n_lanes = loads.len();
         let BatchTransientScratch {
             lanes,
             lane_inputs,
@@ -771,87 +797,19 @@ impl Circuit {
             cap_rows,
             ind_rows,
         };
-        let mut start = 0;
-        while start < n_lanes {
-            let width = (n_lanes - start).min(8);
-            let group_loads = &loads[start..start + width];
-            let group_lanes = &mut lanes[start..start + width];
-            let src = source.index();
-            match width {
-                8 => self.batch_group_steps::<8>(
-                    plan,
-                    kernel,
-                    &sched,
-                    src,
-                    group_loads,
-                    group_lanes,
-                    &mut soa,
-                ),
-                7 => self.batch_group_steps::<7>(
-                    plan,
-                    kernel,
-                    &sched,
-                    src,
-                    group_loads,
-                    group_lanes,
-                    &mut soa,
-                ),
-                6 => self.batch_group_steps::<6>(
-                    plan,
-                    kernel,
-                    &sched,
-                    src,
-                    group_loads,
-                    group_lanes,
-                    &mut soa,
-                ),
-                5 => self.batch_group_steps::<5>(
-                    plan,
-                    kernel,
-                    &sched,
-                    src,
-                    group_loads,
-                    group_lanes,
-                    &mut soa,
-                ),
-                4 => self.batch_group_steps::<4>(
-                    plan,
-                    kernel,
-                    &sched,
-                    src,
-                    group_loads,
-                    group_lanes,
-                    &mut soa,
-                ),
-                3 => self.batch_group_steps::<3>(
-                    plan,
-                    kernel,
-                    &sched,
-                    src,
-                    group_loads,
-                    group_lanes,
-                    &mut soa,
-                ),
-                2 => self.batch_group_steps::<2>(
-                    plan,
-                    kernel,
-                    &sched,
-                    src,
-                    group_loads,
-                    group_lanes,
-                    &mut soa,
-                ),
-                _ => self.batch_group_steps::<1>(
-                    plan,
-                    kernel,
-                    &sched,
-                    src,
-                    group_loads,
-                    group_lanes,
-                    &mut soa,
-                ),
-            }
-            start += width;
+        for (group_loads, group_lanes) in loads
+            .chunks(MAX_GROUP_LANES)
+            .zip(lanes.chunks_mut(MAX_GROUP_LANES))
+        {
+            self.batch_group_steps(
+                plan,
+                kernel,
+                &sched,
+                source.index(),
+                group_loads,
+                group_lanes,
+                &mut soa,
+            );
         }
 
         let tel = &batch.telemetry;
@@ -1191,21 +1149,27 @@ impl Circuit {
         }
     }
 
-    /// The batched step loop for one lane group of compile-time width
-    /// `L`. Element state lives in lane-contiguous SoA rows
-    /// (`buf[k*L + l]` is lane `l`'s value for element `k`), so the
-    /// history gather and the post-fold element update become vector
+    /// The batched step loop for one lane group. Element state lives in
+    /// lane-contiguous SoA rows of `padded` lanes (`buf[k*padded + l]`
+    /// is lane `l`'s value for element `k`), so the history gather and
+    /// the post-fold element update become vector
     /// loops over the lane dimension — the serial path can only do them
     /// as scalar chains, because element node indices are arbitrary
     /// gathers there. Node voltages live in the node-major
-    /// `[node_count x L]` state (row 0 = ground, always zero) that
+    /// `[node_count x padded]` state (row 0 = ground, always zero) that
     /// [`StateKernel::fold_lanes`] writes, and recording reads the lane
     /// columns straight out of those rows in [`record_into`]'s order.
     /// Lane state is packed from / unpacked to each lane's
     /// [`TransientScratch`] around the loop, so a finished lane's
     /// scratch is indistinguishable from a serial run's.
+    ///
+    /// `padded` is the group's lane count rounded up to the dispatched
+    /// vector width, so every kernel call runs whole vectors and no
+    /// scalar tail. Each padding lane replays lane 0 — its state and its
+    /// load — and is never unpacked or recorded; lanes are independent,
+    /// so the padding cannot change a real lane's bits.
     #[allow(clippy::too_many_arguments)]
-    fn batch_group_steps<const L: usize>(
+    fn batch_group_steps(
         &self,
         plan: &TransientPlan,
         kernel: &StateKernel,
@@ -1215,46 +1179,51 @@ impl Circuit {
         lanes: &mut [TransientScratch],
         soa: &mut BatchSoa<'_>,
     ) {
-        debug_assert_eq!(loads.len(), L);
-        debug_assert_eq!(lanes.len(), L);
+        let width = loads.len();
+        debug_assert!(width <= MAX_GROUP_LANES);
+        debug_assert_eq!(lanes.len(), width);
+        let lv = emvolt_simd::level();
+        let padded = width.next_multiple_of(lv.vector_f64s());
         let h = plan.dt;
         let n_rows = self.node_count();
         debug_assert_eq!(n_rows, plan.n_nodes + 1);
         let cap_g = &plan.cap_g;
         let ind_g = &plan.ind_g;
         let n_inputs = kernel.n_inputs();
+        let group_loads = GroupLoads::new(loads);
 
-        resize_zeroed(soa.inputs, n_inputs * L);
-        resize_zeroed(soa.state, n_rows * L);
-        resize_zeroed(soa.cap_v, self.capacitors.len() * L);
-        resize_zeroed(soa.cap_i, self.capacitors.len() * L);
-        resize_zeroed(soa.ind_v, self.inductors.len() * L);
-        resize_zeroed(soa.ind_i, self.inductors.len() * L);
+        resize_zeroed(soa.inputs, n_inputs * padded);
+        resize_zeroed(soa.state, n_rows * padded);
+        resize_zeroed(soa.cap_v, self.capacitors.len() * padded);
+        resize_zeroed(soa.cap_i, self.capacitors.len() * padded);
+        resize_zeroed(soa.ind_v, self.inductors.len() * padded);
+        resize_zeroed(soa.ind_i, self.inductors.len() * padded);
         soa.cap_rows.clear();
         soa.cap_rows
             .extend(self.capacitors.iter().map(|c| [c.a as u32, c.b as u32]));
         soa.ind_rows.clear();
         soa.ind_rows
             .extend(self.inductors.iter().map(|l| [l.a as u32, l.b as u32]));
-        let lv = emvolt_simd::level();
 
-        // Pack the setup-seeded lane state into the SoA rows. The ground
-        // row comes from `v[0]`, which is zero by construction.
-        for (l, lane) in lanes.iter().enumerate() {
+        // Pack the setup-seeded lane state into the SoA rows, padding
+        // lanes from lane 0. The ground row comes from `v[0]`, which is
+        // zero by construction.
+        for l in 0..padded {
+            let lane = &lanes[if l < width { l } else { 0 }];
             for (i, &vi) in lane.v.iter().enumerate() {
-                soa.state[i * L + l] = vi;
+                soa.state[i * padded + l] = vi;
             }
             for (k, &x) in lane.cap_v.iter().enumerate() {
-                soa.cap_v[k * L + l] = x;
+                soa.cap_v[k * padded + l] = x;
             }
             for (k, &x) in lane.cap_i.iter().enumerate() {
-                soa.cap_i[k * L + l] = x;
+                soa.cap_i[k * padded + l] = x;
             }
             for (k, &x) in lane.ind_v.iter().enumerate() {
-                soa.ind_v[k * L + l] = x;
+                soa.ind_v[k * padded + l] = x;
             }
             for (k, &x) in lane.ind_i.iter().enumerate() {
-                soa.ind_i[k * L + l] = x;
+                soa.ind_i[k * padded + l] = x;
             }
         }
 
@@ -1266,21 +1235,27 @@ impl Circuit {
             // dispatched SIMD level vectorized across the lane rows.
             let nc = cap_g.len();
             let nl = ind_g.len();
-            lv.gather_hist(cap_g, soa.cap_v, soa.cap_i, L, &mut soa.inputs[..nc * L]);
+            lv.gather_hist(
+                cap_g,
+                soa.cap_v,
+                soa.cap_i,
+                padded,
+                &mut soa.inputs[..nc * padded],
+            );
             lv.gather_hist(
                 ind_g,
                 soa.ind_v,
                 soa.ind_i,
-                L,
-                &mut soa.inputs[nc * L..(nc + nl) * L],
+                padded,
+                &mut soa.inputs[nc * padded..(nc + nl) * padded],
             );
             let mut j = nc + nl;
             for (si, is) in self.isources.iter().enumerate() {
-                let out = &mut soa.inputs[j * L..j * L + L];
+                let out = &mut soa.inputs[j * padded..(j + 1) * padded];
                 if si == source_idx {
-                    for (o, load) in out.iter_mut().zip(loads) {
-                        *o = load.value_at(t_next);
-                    }
+                    group_loads.sample(t_next, &mut out[..width]);
+                    let lane0 = out[0];
+                    out[width..].fill(lane0);
                 } else {
                     // Lane-invariant source: sample once, broadcast.
                     out.fill(is.stimulus.value_at(t_next));
@@ -1288,27 +1263,27 @@ impl Circuit {
                 j += 1;
             }
             for vs in &self.vsources {
-                soa.inputs[j * L..j * L + L].fill(vs.stimulus.value_at(t_next));
+                soa.inputs[j * padded..(j + 1) * padded].fill(vs.stimulus.value_at(t_next));
                 j += 1;
             }
             debug_assert_eq!(j, n_inputs);
 
-            kernel.fold_lanes(soa.inputs, L, &mut soa.state[L..]);
+            kernel.fold_lanes(soa.inputs, padded, &mut soa.state[padded..]);
 
             // Element-state update: per lane the same arithmetic as the
             // serial kernel path, vectorized across the lane rows.
-            lv.cap_updates(cap_g, soa.cap_rows, soa.state, L, soa.cap_v, soa.cap_i);
-            lv.ind_updates(ind_g, soa.ind_rows, soa.state, L, soa.ind_v, soa.ind_i);
+            lv.cap_updates(cap_g, soa.cap_rows, soa.state, padded, soa.cap_v, soa.cap_i);
+            lv.ind_updates(ind_g, soa.ind_rows, soa.state, padded, soa.ind_v, soa.ind_i);
 
             if step >= sched.record_start_idx {
                 // Same per-lane push order as `record_into`, reading the
                 // lane columns of the SoA state.
                 for (l, lane) in lanes.iter_mut().enumerate() {
                     for (buf, &idx) in lane.node_bufs.iter_mut().zip(&lane.node_slots) {
-                        buf.push(soa.state[idx * L + l]);
+                        buf.push(soa.state[idx * padded + l]);
                     }
                     for (buf, &idx) in lane.ind_bufs.iter_mut().zip(&lane.ind_slots) {
-                        buf.push(soa.ind_i[idx * L + l]);
+                        buf.push(soa.ind_i[idx * padded + l]);
                     }
                     lane.len += 1;
                 }
@@ -1318,19 +1293,75 @@ impl Circuit {
         // Unpack so each lane's scratch ends exactly as a serial run's.
         for (l, lane) in lanes.iter_mut().enumerate() {
             for (i, vi) in lane.v.iter_mut().enumerate() {
-                *vi = soa.state[i * L + l];
+                *vi = soa.state[i * padded + l];
             }
             for (k, x) in lane.cap_v.iter_mut().enumerate() {
-                *x = soa.cap_v[k * L + l];
+                *x = soa.cap_v[k * padded + l];
             }
             for (k, x) in lane.cap_i.iter_mut().enumerate() {
-                *x = soa.cap_i[k * L + l];
+                *x = soa.cap_i[k * padded + l];
             }
             for (k, x) in lane.ind_v.iter_mut().enumerate() {
-                *x = soa.ind_v[k * L + l];
+                *x = soa.ind_v[k * padded + l];
             }
             for (k, x) in lane.ind_i.iter_mut().enumerate() {
-                *x = soa.ind_i[k * L + l];
+                *x = soa.ind_i[k * padded + l];
+            }
+        }
+    }
+}
+
+/// Widest lane group [`Circuit::transient_batch_scoped`] steps together:
+/// two 4-wide vectors per SoA row, the same budget as
+/// `emvolt_simd::preferred_lanes` on AVX2.
+const MAX_GROUP_LANES: usize = 8;
+
+/// How one lane group samples its swept loads each step.
+enum GroupLoads<'a> {
+    /// Every load is a [`Stimulus::Samples`] trace with the same `dt`
+    /// bits, so one `floor(t / dt)` per step indexes every lane's trace.
+    /// Each lane reads exactly the value [`Stimulus::value_at`] would.
+    Shared {
+        dt: f64,
+        traces: [(&'a [f64], bool); MAX_GROUP_LANES],
+    },
+    /// Any other mix: every lane evaluates its own stimulus.
+    Each(&'a [Stimulus]),
+}
+
+impl<'a> GroupLoads<'a> {
+    fn new(loads: &'a [Stimulus]) -> Self {
+        let Some(Stimulus::Samples { dt, .. }) = loads.first() else {
+            return GroupLoads::Each(loads);
+        };
+        let mut traces: [(&[f64], bool); MAX_GROUP_LANES] = [(&[], false); MAX_GROUP_LANES];
+        for (slot, load) in traces.iter_mut().zip(loads) {
+            match load {
+                Stimulus::Samples {
+                    dt: d,
+                    values,
+                    repeat,
+                } if d.to_bits() == dt.to_bits() => *slot = (values, *repeat),
+                _ => return GroupLoads::Each(loads),
+            }
+        }
+        GroupLoads::Shared { dt: *dt, traces }
+    }
+
+    /// Writes every lane's load value at time `t` into `out`.
+    #[inline]
+    fn sample(&self, t: f64, out: &mut [f64]) {
+        match self {
+            GroupLoads::Shared { dt, traces } => {
+                let idx = sample_index(*dt, t);
+                for (o, &(values, repeat)) in out.iter_mut().zip(traces) {
+                    *o = held_sample(values, repeat, idx);
+                }
+            }
+            GroupLoads::Each(loads) => {
+                for (o, load) in out.iter_mut().zip(*loads) {
+                    *o = load.value_at(t);
+                }
             }
         }
     }
@@ -1632,6 +1663,59 @@ mod tests {
         assert!(c.transient(&TransientConfig::new(1.0, 0.5)).is_err());
         let bad = TransientConfig::new(1e-9, 1e-6).with_warmup(2e-6);
         assert!(c.transient(&bad).is_err());
+    }
+
+    /// Hostile configurations fail fast with `InvalidAnalysis` instead of
+    /// running forever, recording from a silently substituted time, or
+    /// overflowing the sample-buffer size math.
+    #[test]
+    fn hostile_configs_are_rejected_with_invalid_analysis() {
+        let mut c = Circuit::new();
+        let n = c.node("n");
+        c.resistor(n, NodeId::GROUND, 1.0).unwrap();
+        let plan = c.plan_transient(1e-9).unwrap();
+        let cases = [
+            (
+                "infinite duration",
+                TransientConfig::new(1e-9, f64::INFINITY),
+            ),
+            ("NaN duration", TransientConfig::new(1e-9, f64::NAN)),
+            (
+                "NaN record_from",
+                TransientConfig::new(1e-9, 1e-6).with_warmup(f64::NAN),
+            ),
+            (
+                "infinite record_from",
+                TransientConfig::new(1e-9, 1e-6).with_warmup(f64::INFINITY),
+            ),
+            (
+                "negative infinite record_from",
+                TransientConfig::new(1e-9, 1e-6).with_warmup(f64::NEG_INFINITY),
+            ),
+            ("step count past usize", TransientConfig::new(1e-9, 1e12)),
+            (
+                "step count past the sample buffer",
+                TransientConfig::new(1.0, (TransientConfig::MAX_STEPS as f64) * 2.0),
+            ),
+            (
+                "subnormal step",
+                TransientConfig::new(f64::MIN_POSITIVE, 1.0),
+            ),
+        ];
+        for (what, cfg) in cases {
+            for result in [
+                c.transient(&cfg).map(|_| ()),
+                c.transient_with_plan(&plan, &cfg).map(|_| ()),
+            ] {
+                assert!(
+                    matches!(result, Err(CircuitError::InvalidAnalysis { .. })),
+                    "{what}: {result:?}"
+                );
+            }
+        }
+        // The largest accepted step count still validates.
+        let edge = TransientConfig::new(1.0, TransientConfig::MAX_STEPS as f64);
+        assert!(edge.validate().is_ok());
     }
 
     /// A reused plan must reproduce `transient` exactly, including across

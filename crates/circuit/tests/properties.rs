@@ -167,8 +167,13 @@ proptest! {
 
     /// The lane-major SoA batch fold must reproduce serial state-space
     /// runs `to_bits`-identically on random PDN-style ladders, for lane
-    /// counts exercising the 8/4/scalar lane blocks — the contract that
-    /// lets GA generations evaluate in lanes without changing fitness.
+    /// counts covering whole and padded groups of every width and
+    /// several groups per batch — the contract that lets GA generations
+    /// evaluate in lanes without changing fitness. Loads are sinusoids
+    /// or production-shaped `Samples` traces (wrapping or clamped, a
+    /// different length per lane), either sharing one `dt` (one sample
+    /// index per step serves the group) or with a `dt` per lane (every
+    /// lane indexes its own trace).
     #[test]
     fn batched_soa_fold_matches_serial_state_space_on_random_ladders(
         stages in 1usize..4,
@@ -178,7 +183,9 @@ proptest! {
         v_s in 0.5..1.5f64,
         amp in 0.1..2.0f64,
         freq in 2e7..2e8f64,
-        n_lanes in 1usize..10,
+        n_lanes in 1usize..=17,
+        load_kind in 0u8..3,
+        sample_dt in 0.3e-9..1.5e-9f64,
     ) {
         use emvolt_circuit::{
             BatchTransientScratch, KernelChoice, TransientProbes, TransientScratch,
@@ -203,11 +210,25 @@ proptest! {
         let load = c.current_source(die, NodeId::GROUND, Stimulus::Dc(0.0)).unwrap();
 
         let loads: Vec<Stimulus> = (0..n_lanes)
-            .map(|l| Stimulus::Sine {
-                offset: amp * 0.5,
-                amplitude: amp * (1.0 + l as f64 * 0.1),
-                freq: freq * (1.0 + l as f64 * 0.05),
-                phase: l as f64 * 0.2,
+            .map(|l| match load_kind {
+                0 => Stimulus::Sine {
+                    offset: amp * 0.5,
+                    amplitude: amp * (1.0 + l as f64 * 0.1),
+                    freq: freq * (1.0 + l as f64 * 0.05),
+                    phase: l as f64 * 0.2,
+                },
+                kind => {
+                    let len = 50 + 37 * l;
+                    let values: Vec<f64> = (0..len)
+                        .map(|k| amp * (0.5 + 0.5 * ((k * (l + 3)) as f64 * 0.7).sin()))
+                        .collect();
+                    let dt = if kind == 1 {
+                        sample_dt
+                    } else {
+                        sample_dt * (1.0 + l as f64 * 0.13)
+                    };
+                    Stimulus::Samples { dt, values: values.into(), repeat: l % 3 != 2 }
+                }
             })
             .collect();
 

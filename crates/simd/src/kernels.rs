@@ -1,12 +1,16 @@
 //! The shared kernel bodies, generic over a [`Vf64`] width.
 //!
 //! Each kernel vectorizes only across *independent* elements (nodes,
-//! lanes, bins): a block of `V::W` elements is advanced with one vector
-//! op per scalar op of the reference sequence, and the sub-`W` tail
-//! falls back to the literal scalar `mul_add` forms. Instantiated at
-//! `f64` (width 1) the block loop *is* the reference sequence, so the
-//! scalar dispatch level and the vector levels share one definition and
-//! cannot drift apart.
+//! lanes, bins): a vector of `V::W` elements is advanced with one vector
+//! op per scalar op of the reference sequence. Elements are walked in
+//! blocks of compile-time width ([`for_blocks`]); the sub-`W` remainder
+//! is one block of scalar register chains, the same body instantiated
+//! at `f64` (width 1). No block contains a short loop over independent
+//! elements, so none compiles to masked loads and stores. The folds keep
+//! their accumulators in registers across every response column and
+//! store each once. Instantiated at `f64` the whole kernel *is* the
+//! reference sequence, so the scalar dispatch level and the vector
+//! levels share one definition and cannot drift apart.
 //!
 //! All functions are `unsafe` only because [`Vf64::load`]/[`Vf64::store`]
 //! take raw pointers; every pointer passed stays inside the bounds of
@@ -137,7 +141,58 @@ macro_rules! target_kernels {
 
 pub(crate) use target_kernels;
 
+/// One kernel body, run on a block of `LV` vectors of `U::W`
+/// consecutive independent elements starting at element `e0`. The
+/// elements are lanes for the lane-major kernels, and nodes or array
+/// entries for the serial ones.
+trait Block {
+    /// # Safety
+    ///
+    /// `e0 + LV * U::W` must not exceed the element count the block walk
+    /// was started with, and `U`'s target features must be present.
+    unsafe fn run<U: Vf64, const LV: usize>(&mut self, e0: usize);
+}
+
+/// Walks `n` independent elements with no masked or ragged tail: pairs
+/// of `V` vectors, then at most one single vector, then the
+/// sub-vector remainder as one block of 1–3 scalar register chains
+/// (`f64` is the width-1 [`Vf64`]). Every block is straight-line code of
+/// compile-time width, so the compiler is never handed a short loop over
+/// independent elements that it could fold into masked loads and
+/// stores.
+///
+/// # Safety
+///
+/// `body` must accept every block inside `0..n`, and `V`'s target
+/// features must be present.
+#[inline(always)]
+unsafe fn for_blocks<V: Vf64, B: Block>(n: usize, body: &mut B) {
+    let mut e0 = 0;
+    while e0 + 2 * V::W <= n {
+        // SAFETY: the block ends at `e0 + 2 * V::W <= n`.
+        unsafe { body.run::<V, 2>(e0) };
+        e0 += 2 * V::W;
+    }
+    if e0 + V::W <= n {
+        // SAFETY: the block ends at `e0 + V::W <= n`.
+        unsafe { body.run::<V, 1>(e0) };
+        e0 += V::W;
+    }
+    // SAFETY: each scalar block ends exactly at `n`.
+    unsafe {
+        match n - e0 {
+            0 => {}
+            1 => body.run::<f64, 1>(e0),
+            2 => body.run::<f64, 2>(e0),
+            3 => body.run::<f64, 3>(e0),
+            _ => unreachable!("vector widths are at most 4"),
+        }
+    }
+}
+
 /// Serial response-column fold; see [`crate::SimdLevel::fold_cols`].
+/// Blocks run across the node dimension; each block's accumulators stay
+/// in registers over every column and are stored once.
 #[inline(always)]
 pub(crate) unsafe fn fold_cols<V: Vf64>(
     cols: &[f64],
@@ -145,27 +200,49 @@ pub(crate) unsafe fn fold_cols<V: Vf64>(
     inputs: &[f64],
     xn: &mut [f64],
 ) {
-    debug_assert_eq!(xn.len(), n_nodes);
-    debug_assert_eq!(cols.len(), n_nodes * inputs.len());
-    xn.fill(0.0);
-    for (col, &w) in cols.chunks_exact(n_nodes.max(1)).zip(inputs) {
-        let wv = V::splat(w);
-        let mut ci = col.chunks_exact(V::W);
-        let mut xi = xn.chunks_exact_mut(V::W);
-        for (c, x) in ci.by_ref().zip(xi.by_ref()) {
-            // SAFETY: both chunks hold exactly V::W elements.
-            unsafe {
-                wv.fmadd(V::load(c.as_ptr()), V::load(x.as_ptr()))
-                    .store(x.as_mut_ptr())
-            };
-        }
-        for (x, &c) in xi.into_remainder().iter_mut().zip(ci.remainder()) {
-            *x = w.mul_add(c, *x);
+    assert_eq!(xn.len(), n_nodes);
+    assert_eq!(Some(cols.len()), n_nodes.checked_mul(inputs.len()));
+    struct Nodes<'a> {
+        cols: &'a [f64],
+        n_nodes: usize,
+        inputs: &'a [f64],
+        xn: &'a mut [f64],
+    }
+    impl Block for Nodes<'_> {
+        #[inline(always)]
+        unsafe fn run<U: Vf64, const LV: usize>(&mut self, i0: usize) {
+            let mut acc = [U::splat(0.0); LV];
+            for (j, &w) in self.inputs.iter().enumerate() {
+                let wv = U::splat(w);
+                // SAFETY: column `j` holds `n_nodes` entries and the block
+                // covers nodes `i0 .. i0 + LV * U::W <= n_nodes`.
+                let col = unsafe { self.cols.as_ptr().add(j * self.n_nodes + i0) };
+                for (q, a) in acc.iter_mut().enumerate() {
+                    // SAFETY: as above.
+                    *a = wv.fmadd(unsafe { U::load(col.add(q * U::W)) }, *a);
+                }
+            }
+            let out = self.xn.as_mut_ptr();
+            for (q, a) in acc.into_iter().enumerate() {
+                // SAFETY: as above, within `xn` (length `n_nodes`).
+                unsafe { a.store(out.add(i0 + q * U::W)) };
+            }
         }
     }
+    let mut body = Nodes {
+        cols,
+        n_nodes,
+        inputs,
+        xn,
+    };
+    // SAFETY: forwarded target-feature contract; extents checked above.
+    unsafe { for_blocks::<V, _>(n_nodes, &mut body) }
 }
 
 /// Lane-major batched fold; see [`crate::SimdLevel::fold_cols_lanes`].
+/// Blocks run across the lane dimension; within a block, tiles of up to
+/// four nodes keep `4 x LV` independent accumulator chains in registers
+/// over every column, loading each column's lane weights once per tile.
 #[inline(always)]
 pub(crate) unsafe fn fold_cols_lanes<V: Vf64>(
     cols: &[f64],
@@ -174,31 +251,89 @@ pub(crate) unsafe fn fold_cols_lanes<V: Vf64>(
     lanes: usize,
     xn: &mut [f64],
 ) {
-    debug_assert!(lanes > 0);
-    debug_assert_eq!(xn.len(), n_nodes * lanes);
-    debug_assert_eq!(inputs.len() * n_nodes, cols.len() * lanes);
-    xn.fill(0.0);
-    for (col, w) in cols
-        .chunks_exact(n_nodes.max(1))
-        .zip(inputs.chunks_exact(lanes))
-    {
-        for (&ci, acc) in col.iter().zip(xn.chunks_exact_mut(lanes)) {
-            let cv = V::splat(ci);
-            let mut wl = w.chunks_exact(V::W);
-            let mut al = acc.chunks_exact_mut(V::W);
-            for (wc, ac) in wl.by_ref().zip(al.by_ref()) {
-                // SAFETY: both chunks hold exactly V::W elements.
-                unsafe {
-                    V::load(wc.as_ptr())
-                        .fmadd(cv, V::load(ac.as_ptr()))
-                        .store(ac.as_mut_ptr())
-                };
+    assert!(lanes > 0);
+    assert_eq!(Some(xn.len()), n_nodes.checked_mul(lanes));
+    assert_eq!(inputs.len() % lanes, 0);
+    assert_eq!(
+        Some(cols.len()),
+        (inputs.len() / lanes).checked_mul(n_nodes)
+    );
+    struct Lanes<'a> {
+        cols: &'a [f64],
+        n_nodes: usize,
+        inputs: &'a [f64],
+        lanes: usize,
+        xn: &'a mut [f64],
+    }
+    impl Lanes<'_> {
+        /// Folds nodes `i0 .. i0 + NB` for the block's lanes.
+        ///
+        /// # Safety
+        ///
+        /// As [`Block::run`], and `i0 + NB <= n_nodes`.
+        #[inline(always)]
+        unsafe fn tile<U: Vf64, const LV: usize, const NB: usize>(&mut self, i0: usize, l0: usize) {
+            let mut acc = [[U::splat(0.0); LV]; NB];
+            let n_inputs = self.inputs.len() / self.lanes;
+            for j in 0..n_inputs {
+                // SAFETY: input row `j` holds `lanes` weights and the block
+                // covers lanes `l0 .. l0 + LV * U::W <= lanes`; column `j`
+                // holds `n_nodes` entries and the tile covers nodes
+                // `i0 .. i0 + NB <= n_nodes`.
+                let w_row = unsafe { self.inputs.as_ptr().add(j * self.lanes + l0) };
+                // SAFETY: as above.
+                let c_row = unsafe { self.cols.as_ptr().add(j * self.n_nodes + i0) };
+                let mut w = [U::splat(0.0); LV];
+                for (q, wq) in w.iter_mut().enumerate() {
+                    // SAFETY: as above.
+                    *wq = unsafe { U::load(w_row.add(q * U::W)) };
+                }
+                for (b, row) in acc.iter_mut().enumerate() {
+                    // SAFETY: as above.
+                    let c = U::splat(unsafe { *c_row.add(b) });
+                    for (a, &wq) in row.iter_mut().zip(&w) {
+                        *a = wq.fmadd(c, *a);
+                    }
+                }
             }
-            for (a, &wv) in al.into_remainder().iter_mut().zip(wl.remainder()) {
-                *a = wv.mul_add(ci, *a);
+            let out = self.xn.as_mut_ptr();
+            for (b, row) in acc.into_iter().enumerate() {
+                for (q, a) in row.into_iter().enumerate() {
+                    // SAFETY: node `i0 + b < n_nodes`, lanes as above.
+                    unsafe { a.store(out.add((i0 + b) * self.lanes + l0 + q * U::W)) };
+                }
             }
         }
     }
+    impl Block for Lanes<'_> {
+        #[inline(always)]
+        unsafe fn run<U: Vf64, const LV: usize>(&mut self, l0: usize) {
+            let mut i0 = 0;
+            while i0 + 4 <= self.n_nodes {
+                // SAFETY: the tile ends at `i0 + 4 <= n_nodes`.
+                unsafe { self.tile::<U, LV, 4>(i0, l0) };
+                i0 += 4;
+            }
+            // SAFETY: each tile ends exactly at `n_nodes`.
+            unsafe {
+                match self.n_nodes - i0 {
+                    0 => {}
+                    1 => self.tile::<U, LV, 1>(i0, l0),
+                    2 => self.tile::<U, LV, 2>(i0, l0),
+                    _ => self.tile::<U, LV, 3>(i0, l0),
+                }
+            }
+        }
+    }
+    let mut body = Lanes {
+        cols,
+        n_nodes,
+        inputs,
+        lanes,
+        xn,
+    };
+    // SAFETY: forwarded target-feature contract; extents checked above.
+    unsafe { for_blocks::<V, _>(lanes, &mut body) }
 }
 
 /// Trapezoidal history gather; see [`crate::SimdLevel::gather_hist`].
@@ -210,60 +345,78 @@ pub(crate) unsafe fn gather_hist<V: Vf64>(
     lanes: usize,
     out: &mut [f64],
 ) {
-    debug_assert_eq!(out.len(), g.len() * lanes);
-    debug_assert_eq!(v.len(), out.len());
-    debug_assert_eq!(i.len(), out.len());
-    if lanes == 1 {
-        // Serial gather: vectorize across the element dimension.
-        let mut gc = g.chunks_exact(V::W);
-        let mut vc = v.chunks_exact(V::W);
-        let mut ic = i.chunks_exact(V::W);
-        let mut oc = out.chunks_exact_mut(V::W);
-        for (((gk, vk), ik), ok) in gc
-            .by_ref()
-            .zip(vc.by_ref())
-            .zip(ic.by_ref())
-            .zip(oc.by_ref())
-        {
-            // SAFETY: all chunks hold exactly V::W elements.
-            unsafe {
-                V::load(gk.as_ptr())
-                    .fmadd(V::load(vk.as_ptr()), V::load(ik.as_ptr()))
-                    .store(ok.as_mut_ptr())
-            };
-        }
-        for (((&gk, &vk), &ik), ok) in gc
-            .remainder()
-            .iter()
-            .zip(vc.remainder())
-            .zip(ic.remainder())
-            .zip(oc.into_remainder())
-        {
-            *ok = gk.mul_add(vk, ik);
-        }
-        return;
+    assert!(lanes > 0);
+    assert_eq!(Some(out.len()), g.len().checked_mul(lanes));
+    assert_eq!(v.len(), out.len());
+    assert_eq!(i.len(), out.len());
+    /// Serial gather (`lanes == 1`): blocks run across the elements.
+    struct Elems<'a> {
+        g: &'a [f64],
+        v: &'a [f64],
+        i: &'a [f64],
+        out: &'a mut [f64],
     }
-    // Batched gather: vectorize across the lane dimension per element.
-    for (k, &gk) in g.iter().enumerate() {
-        let row = k * lanes;
-        let gv = V::splat(gk);
-        let mut vc = v[row..row + lanes].chunks_exact(V::W);
-        let mut ic = i[row..row + lanes].chunks_exact(V::W);
-        let mut oc = out[row..row + lanes].chunks_exact_mut(V::W);
-        for ((vk, ik), ok) in vc.by_ref().zip(ic.by_ref()).zip(oc.by_ref()) {
-            // SAFETY: all chunks hold exactly V::W elements.
-            unsafe {
-                gv.fmadd(V::load(vk.as_ptr()), V::load(ik.as_ptr()))
-                    .store(ok.as_mut_ptr())
-            };
+    impl Block for Elems<'_> {
+        #[inline(always)]
+        unsafe fn run<U: Vf64, const LV: usize>(&mut self, e0: usize) {
+            for q in 0..LV {
+                let e = e0 + q * U::W;
+                // SAFETY: the block covers elements `< g.len()`, and every
+                // slice is `g.len()` long.
+                unsafe {
+                    U::load(self.g.as_ptr().add(e))
+                        .fmadd(
+                            U::load(self.v.as_ptr().add(e)),
+                            U::load(self.i.as_ptr().add(e)),
+                        )
+                        .store(self.out.as_mut_ptr().add(e))
+                };
+            }
         }
-        for ((&vk, &ik), ok) in vc
-            .remainder()
-            .iter()
-            .zip(ic.remainder())
-            .zip(oc.into_remainder())
-        {
-            *ok = gk.mul_add(vk, ik);
+    }
+    /// Batched gather: blocks run across the lanes of every element row.
+    struct Lanes<'a> {
+        g: &'a [f64],
+        v: &'a [f64],
+        i: &'a [f64],
+        lanes: usize,
+        out: &'a mut [f64],
+    }
+    impl Block for Lanes<'_> {
+        #[inline(always)]
+        unsafe fn run<U: Vf64, const LV: usize>(&mut self, l0: usize) {
+            for (k, &gk) in self.g.iter().enumerate() {
+                let gv = U::splat(gk);
+                for q in 0..LV {
+                    let e = k * self.lanes + l0 + q * U::W;
+                    // SAFETY: row `k` holds `lanes` entries and the block
+                    // covers lanes `< lanes`.
+                    unsafe {
+                        gv.fmadd(
+                            U::load(self.v.as_ptr().add(e)),
+                            U::load(self.i.as_ptr().add(e)),
+                        )
+                        .store(self.out.as_mut_ptr().add(e))
+                    };
+                }
+            }
+        }
+    }
+    // SAFETY: forwarded target-feature contract; extents checked above.
+    unsafe {
+        if lanes == 1 {
+            for_blocks::<V, _>(g.len(), &mut Elems { g, v, i, out });
+        } else {
+            for_blocks::<V, _>(
+                lanes,
+                &mut Lanes {
+                    g,
+                    v,
+                    i,
+                    lanes,
+                    out,
+                },
+            );
         }
     }
 }
@@ -271,6 +424,7 @@ pub(crate) unsafe fn gather_hist<V: Vf64>(
 /// Companion update shared by capacitors (`CAP = true`, history enters
 /// with a minus) and inductors (`CAP = false`, plus); see
 /// [`crate::SimdLevel::cap_updates`] / [`crate::SimdLevel::ind_updates`].
+/// Blocks run across the lanes of every element row.
 #[inline(always)]
 unsafe fn elem_updates<V: Vf64, const CAP: bool>(
     g: &[f64],
@@ -280,49 +434,62 @@ unsafe fn elem_updates<V: Vf64, const CAP: bool>(
     v: &mut [f64],
     i: &mut [f64],
 ) {
-    debug_assert!(lanes > 0);
-    debug_assert_eq!(rows.len(), g.len());
-    debug_assert_eq!(v.len(), g.len() * lanes);
-    debug_assert_eq!(i.len(), v.len());
-    for (k, (&gk, row)) in g.iter().zip(rows).enumerate() {
-        let a = row[0] as usize * lanes;
-        let b = row[1] as usize * lanes;
-        let base = k * lanes;
-        let gv = V::splat(gk);
-        let sa = &state[a..a + lanes];
-        let sb = &state[b..b + lanes];
-        let mut l = 0;
-        while l + V::W <= lanes {
-            // SAFETY: `l + V::W <= lanes` keeps every pointer within its
-            // slice's row.
-            unsafe {
-                let vn = V::load(sa.as_ptr().add(l)).sub(V::load(sb.as_ptr().add(l)));
-                let hist = gv.fmadd(
-                    V::load(v.as_ptr().add(base + l)),
-                    V::load(i.as_ptr().add(base + l)),
-                );
-                let next = if CAP {
-                    gv.fmsub(vn, hist)
-                } else {
-                    gv.fmadd(vn, hist)
-                };
-                next.store(i.as_mut_ptr().add(base + l));
-                vn.store(v.as_mut_ptr().add(base + l));
+    assert!(lanes > 0);
+    assert_eq!(rows.len(), g.len());
+    assert_eq!(Some(v.len()), g.len().checked_mul(lanes));
+    assert_eq!(i.len(), v.len());
+    let n_rows = state.len() / lanes;
+    assert!(rows.iter().flatten().all(|&r| (r as usize) < n_rows));
+    struct Lanes<'a, const CAP: bool> {
+        g: &'a [f64],
+        rows: &'a [[u32; 2]],
+        state: &'a [f64],
+        lanes: usize,
+        v: &'a mut [f64],
+        i: &'a mut [f64],
+    }
+    impl<const CAP: bool> Block for Lanes<'_, CAP> {
+        #[inline(always)]
+        unsafe fn run<U: Vf64, const LV: usize>(&mut self, l0: usize) {
+            for (k, (&gk, row)) in self.g.iter().zip(self.rows).enumerate() {
+                let gv = U::splat(gk);
+                let a = row[0] as usize * self.lanes + l0;
+                let b = row[1] as usize * self.lanes + l0;
+                let base = k * self.lanes + l0;
+                for q in 0..LV {
+                    let o = q * U::W;
+                    // SAFETY: the rows are inside `state` (checked above),
+                    // row `k` of `v`/`i` holds `lanes` entries, and the
+                    // block covers lanes `< lanes`.
+                    unsafe {
+                        let sp = self.state.as_ptr();
+                        let vn = U::load(sp.add(a + o)).sub(U::load(sp.add(b + o)));
+                        let hist = gv.fmadd(
+                            U::load(self.v.as_ptr().add(base + o)),
+                            U::load(self.i.as_ptr().add(base + o)),
+                        );
+                        let next = if CAP {
+                            gv.fmsub(vn, hist)
+                        } else {
+                            gv.fmadd(vn, hist)
+                        };
+                        next.store(self.i.as_mut_ptr().add(base + o));
+                        vn.store(self.v.as_mut_ptr().add(base + o));
+                    }
+                }
             }
-            l += V::W;
-        }
-        while l < lanes {
-            let vn = sa[l] - sb[l];
-            let hist = gk.mul_add(v[base + l], i[base + l]);
-            i[base + l] = if CAP {
-                gk.mul_add(vn, -hist)
-            } else {
-                gk.mul_add(vn, hist)
-            };
-            v[base + l] = vn;
-            l += 1;
         }
     }
+    let mut body = Lanes::<CAP> {
+        g,
+        rows,
+        state,
+        lanes,
+        v,
+        i,
+    };
+    // SAFETY: forwarded target-feature contract; extents checked above.
+    unsafe { for_blocks::<V, _>(lanes, &mut body) }
 }
 
 /// Capacitor companion update; see [`crate::SimdLevel::cap_updates`].
@@ -412,25 +579,27 @@ pub(crate) unsafe fn goertzel<V: Vf64>(
 /// Elementwise product; see [`crate::SimdLevel::mul`].
 #[inline(always)]
 pub(crate) unsafe fn mul<V: Vf64>(x: &[f64], y: &[f64], out: &mut [f64]) {
-    debug_assert_eq!(x.len(), out.len());
-    debug_assert_eq!(y.len(), out.len());
-    let mut xc = x.chunks_exact(V::W);
-    let mut yc = y.chunks_exact(V::W);
-    let mut oc = out.chunks_exact_mut(V::W);
-    for ((xk, yk), ok) in xc.by_ref().zip(yc.by_ref()).zip(oc.by_ref()) {
-        // SAFETY: all chunks hold exactly V::W elements.
-        unsafe {
-            V::load(xk.as_ptr())
-                .mul(V::load(yk.as_ptr()))
-                .store(ok.as_mut_ptr())
-        };
+    assert_eq!(x.len(), out.len());
+    assert_eq!(y.len(), out.len());
+    struct Elems<'a> {
+        x: &'a [f64],
+        y: &'a [f64],
+        out: &'a mut [f64],
     }
-    for ((&xk, &yk), ok) in xc
-        .remainder()
-        .iter()
-        .zip(yc.remainder())
-        .zip(oc.into_remainder())
-    {
-        *ok = xk * yk;
+    impl Block for Elems<'_> {
+        #[inline(always)]
+        unsafe fn run<U: Vf64, const LV: usize>(&mut self, e0: usize) {
+            for q in 0..LV {
+                let e = e0 + q * U::W;
+                // SAFETY: the block covers elements `< out.len()`.
+                unsafe {
+                    U::load(self.x.as_ptr().add(e))
+                        .mul(U::load(self.y.as_ptr().add(e)))
+                        .store(self.out.as_mut_ptr().add(e))
+                };
+            }
+        }
     }
+    // SAFETY: forwarded target-feature contract; extents checked above.
+    unsafe { for_blocks::<V, _>(out.len(), &mut Elems { x, y, out }) }
 }

@@ -307,14 +307,18 @@ dispatch_ops! {
     /// Serial response-column fold: zeroes `xn` (length `n_nodes`), then
     /// accumulates `xn[i] = inputs[j].mul_add(cols[j*n_nodes + i], xn[i])`
     /// in ascending `j` — the state-space kernel's per-step solve.
-    /// Vectorized across the node dimension; the `j` accumulation order
-    /// is preserved exactly.
+    /// Vectorized across the node dimension, with each block of node
+    /// accumulators held in registers across every `j` and written once;
+    /// the `j` accumulation order is preserved exactly.
     fn fold_cols(cols: &[f64], n_nodes: usize, inputs: &[f64], xn: &mut [f64]);
 
     /// Lane-major batched fold: `inputs` is `[n_inputs x lanes]`, `xn`
     /// `[n_nodes x lanes]`; per lane the operation sequence is exactly
-    /// [`SimdLevel::fold_cols`]'s. Vectorized across the lane dimension,
-    /// so each response-column entry is loaded once for all lanes.
+    /// [`SimdLevel::fold_cols`]'s. Vectorized across the lane dimension
+    /// in register-resident tiles of four nodes, so each response-column
+    /// entry is broadcast once per lane block and each output written
+    /// once. Any `lanes` is accepted; a multiple of
+    /// [`SimdLevel::vector_f64s`] runs whole vectors only.
     fn fold_cols_lanes(cols: &[f64], n_nodes: usize, inputs: &[f64], lanes: usize, xn: &mut [f64]);
 
     /// Trapezoidal history gather, `out[k*lanes + l] =
