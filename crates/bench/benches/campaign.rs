@@ -1,16 +1,12 @@
-//! Campaign-level benchmark: the full EM-driven GA measurement pipeline,
-//! serial closure vs. the batch path at several thread counts.
-//!
-//! The batch path reuses a pooled `DomainRunner` (netlist + LU built
-//! once) and a `SharedEmBench`, so even at one thread it beats the
-//! serial adapter, which pays PDN setup per individual. Record the
-//! numbers in EXPERIMENTS.md when they move.
+//! Campaign-level benchmark: the full EM-driven GA measurement pipeline
+//! at several thread counts, with and without the fitness cache. Record
+//! the numbers in EXPERIMENTS.md when they move.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use emvolt_backend::LiveBackend;
 use emvolt_bench::fixtures::a72_domain;
-use emvolt_core::{generate_em_virus, VirusGenConfig};
-use emvolt_ga::{GaConfig, GaEngine, KernelRepresentation};
-use emvolt_isa::{InstructionPool, Kernel};
+use emvolt_core::{generate_em_virus_on, VirusGenConfig};
+use emvolt_ga::GaConfig;
 use emvolt_platform::EmBench;
 
 /// Reduced campaign: 8 individuals x 5 generations, 3 spectrum samples
@@ -32,54 +28,10 @@ fn campaign_config(threads: usize, cache_fitness: bool) -> VirusGenConfig {
     }
 }
 
-/// The pre-batch pipeline: a serial `FnMut` fitness that rebuilds the
-/// PDN and pays full setup on every `VoltageDomain::run` call.
-fn serial_baseline() -> f64 {
-    let domain = a72_domain();
-    let mut bench = EmBench::new(0xBE7C);
-    let config = campaign_config(1, false);
-    let pool = InstructionPool::default_for(domain.core_model().isa);
-    let repr = KernelRepresentation::new(pool, config.kernel_len);
-    let mut engine = GaEngine::new(repr, config.ga.clone());
-    let result = engine.run(
-        |kernel: &Kernel| match domain.run(kernel, config.loaded_cores, &config.run) {
-            Ok(run) => {
-                bench
-                    .measure_in_band(
-                        &run,
-                        config.band.0,
-                        config.band.1,
-                        config.samples_per_individual,
-                    )
-                    .metric_dbm
-            }
-            Err(_) => -200.0,
-        },
-        |_| {},
-    );
-    // The pre-batch pipeline's post-processing: re-run every generation
-    // best for its dominant frequency, then re-measure the winner.
-    for k in &result.generation_best {
-        let run = domain.run(k, config.loaded_cores, &config.run).unwrap();
-        let _ = bench.measure_in_band(&run, config.band.0, config.band.1, 5);
-    }
-    let final_run = domain
-        .run(&result.best, config.loaded_cores, &config.run)
-        .unwrap();
-    let _ = bench.measure_in_band(
-        &final_run,
-        config.band.0,
-        config.band.1,
-        config.samples_per_individual,
-    );
-    result.best_fitness
-}
-
 fn batch_campaign(threads: usize, cache_fitness: bool) -> f64 {
-    let domain = a72_domain();
-    let mut bench = EmBench::new(0xBE7C);
     let config = campaign_config(threads, cache_fitness);
-    generate_em_virus("bench", &domain, &mut bench, &config)
+    let mut live = LiveBackend::single(a72_domain(), EmBench::new(0xBE7C), config.run.clone());
+    generate_em_virus_on("bench", &mut live, "A72", &config, |_| {})
         .expect("campaign runs")
         .fitness
 }
@@ -88,7 +40,6 @@ fn bench_campaign(c: &mut Criterion) {
     let mut g = c.benchmark_group("campaign");
     g.sample_size(10);
 
-    g.bench_function("em_serial_adapter", |b| b.iter(serial_baseline));
     g.bench_function("em_batch_1_thread", |b| b.iter(|| batch_campaign(1, false)));
     g.bench_function("em_batch_4_threads", |b| {
         b.iter(|| batch_campaign(4, false))

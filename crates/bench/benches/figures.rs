@@ -4,14 +4,15 @@
 //! per-figure.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use emvolt_backend::LiveBackend;
 use emvolt_bench::fixtures::{a72_domain, arm_kernel};
 use emvolt_circuit::{Stimulus, TransientConfig};
 use emvolt_core::monitor::{capture_multi_domain, detect_signatures};
-use emvolt_core::{fast_resonance_sweep, FastSweepConfig};
+use emvolt_core::{fast_resonance_sweep_on, FastSweepConfig};
 use emvolt_cpu::CoreModel;
 use emvolt_dsp::{Spectrum, Window};
 use emvolt_em::LoopAntenna;
-use emvolt_ga::{GaConfig, GaEngine, KernelRepresentation};
+use emvolt_ga::{GaConfig, GaState, KernelRepresentation};
 use emvolt_inst::Vna;
 use emvolt_isa::{kernels::padded_sweep_kernel, InstructionPool, Isa};
 use emvolt_pdn::{log_freqs, Pdn, PdnParams};
@@ -96,25 +97,29 @@ fn figures(c: &mut Criterion) {
     // evaluation dominates).
     g.bench_function("fig07_ga_generation", |b| {
         let domain = a72_domain();
+        let config = GaConfig {
+            population: 4,
+            generations: 2,
+            ..GaConfig::default()
+        };
+        let tel = emvolt_obs::Telemetry::noop();
         b.iter(|| {
             let pool = InstructionPool::default_for(Isa::ArmV8);
             let repr = KernelRepresentation::new(pool, 50);
-            let mut engine = GaEngine::new(
-                repr,
-                GaConfig {
-                    population: 4,
-                    generations: 2,
-                    ..GaConfig::default()
-                },
-            );
+            let mut state = GaState::new(&repr, &config).expect("valid GA config");
             let mut bench = EmBench::new(7);
-            engine.run(
-                |k| match domain.run(k, 2, &RunConfig::fast()) {
-                    Ok(run) => bench.measure(&run, 2).metric_dbm,
-                    Err(_) => -200.0,
-                },
-                |_| {},
-            )
+            while !state.is_done(&config) {
+                let scores: Vec<f64> = state
+                    .population
+                    .iter()
+                    .map(|k| match domain.run(k, 2, &RunConfig::fast()) {
+                        Ok(run) => bench.measure(&run, 2).metric_dbm,
+                        Err(_) => -200.0,
+                    })
+                    .collect();
+                state.absorb_scores(&repr, &config, &tel, &scores, |_| {});
+            }
+            state.into_result()
         });
     });
 
@@ -162,8 +167,8 @@ fn figures(c: &mut Criterion) {
             ..FastSweepConfig::for_domain(&domain)
         };
         b.iter(|| {
-            let mut bench = EmBench::new(11);
-            fast_resonance_sweep(&domain, &mut bench, &cfg).expect("sweep")
+            let mut live = LiveBackend::single(domain.clone(), EmBench::new(11), cfg.run.clone());
+            fast_resonance_sweep_on(&mut live, domain.name(), &cfg).expect("sweep")
         });
     });
 

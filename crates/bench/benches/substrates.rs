@@ -5,7 +5,7 @@ use emvolt_bench::fixtures::{a72_domain, arm_kernel, x86_kernel};
 use emvolt_circuit::{Stimulus, TransientConfig};
 use emvolt_cpu::{CoreModel, Cpu, SimConfig};
 use emvolt_dsp::{fft_real, Spectrum, Window};
-use emvolt_ga::{GaConfig, GaEngine, KernelRepresentation};
+use emvolt_ga::{GaConfig, GaState, KernelRepresentation};
 use emvolt_isa::{InstructionPool, Isa, OpClass};
 use emvolt_pdn::{log_freqs, Pdn, PdnParams};
 use emvolt_platform::RunConfig;
@@ -86,18 +86,25 @@ fn bench_ga(c: &mut Criterion) {
     let mut g = c.benchmark_group("ga");
     g.sample_size(10);
     g.bench_function("ga_10_generations_toy_fitness", |b| {
+        let config = GaConfig {
+            population: 20,
+            generations: 10,
+            ..GaConfig::default()
+        };
+        let tel = emvolt_obs::Telemetry::noop();
         b.iter(|| {
             let pool = InstructionPool::default_for(Isa::ArmV8);
             let repr = KernelRepresentation::new(pool, 50);
-            let mut engine = GaEngine::new(
-                repr,
-                GaConfig {
-                    population: 20,
-                    generations: 10,
-                    ..GaConfig::default()
-                },
-            );
-            engine.run(|k| k.class_fraction(OpClass::Simd), |_| {})
+            let mut state = GaState::new(&repr, &config).expect("valid GA config");
+            while !state.is_done(&config) {
+                let scores: Vec<f64> = state
+                    .population
+                    .iter()
+                    .map(|k| k.class_fraction(OpClass::Simd))
+                    .collect();
+                state.absorb_scores(&repr, &config, &tel, &scores, |_| {});
+            }
+            state.into_result()
         });
     });
     g.finish();

@@ -34,7 +34,7 @@
 
 use emvolt_backend::LiveBackend;
 use emvolt_bench::fixtures::{a72_domain, arm_kernel};
-use emvolt_core::{generate_em_virus, generate_em_virus_resumable, VirusGenConfig};
+use emvolt_core::{generate_em_virus_on, generate_em_virus_resumable, VirusGenConfig};
 use emvolt_engine::DriveOptions;
 use emvolt_ga::GaConfig;
 use emvolt_obs::{JsonlRecorder, NoopRecorder, Telemetry, WaveDb};
@@ -369,7 +369,7 @@ fn ga_records() -> Vec<Stats> {
 
     // Engine-driven campaign snapshotting its state to disk after every
     // absorbed batch: the price of `--checkpoint PATH:1`, the tightest
-    // cadence the CLI accepts. The legacy one-shot entry
+    // cadence the CLI accepts. The one-shot entry
     // (`ga_campaign_noop_recorder`) is a thin driver over the same
     // engine with checkpointing off, so the ratio of the two floors —
     // sampled in alternating rounds — isolates the snapshot stash +
@@ -389,10 +389,10 @@ fn ga_records() -> Vec<Stats> {
         WARMUP,
         PAIR_SAMPLES,
         || {
-            let mut bench = EmBench::new(11);
             let cfg = ga_config(Telemetry::noop());
+            let mut live = LiveBackend::single(domain.clone(), EmBench::new(11), cfg.run.clone());
             std::hint::black_box(
-                generate_em_virus("bench", &domain, &mut bench, &cfg)
+                generate_em_virus_on("bench", &mut live, "A72", &cfg, |_| {})
                     .unwrap()
                     .fitness,
             );
@@ -421,11 +421,11 @@ fn ga_records() -> Vec<Stats> {
         WARMUP,
         SAMPLES,
         || {
-            let mut bench = EmBench::new(11);
             let tel = Telemetry::new(Arc::new(JsonlRecorder::new(std::io::sink())));
             let cfg = ga_config(tel);
+            let mut live = LiveBackend::single(domain.clone(), EmBench::new(11), cfg.run.clone());
             std::hint::black_box(
-                generate_em_virus("bench", &domain, &mut bench, &cfg)
+                generate_em_virus_on("bench", &mut live, "A72", &cfg, |_| {})
                     .unwrap()
                     .fitness,
             );

@@ -82,7 +82,7 @@ impl KernelChoice {
 /// The precomputed response columns: node voltages per unit input, flat
 /// row-major `[n_inputs x n_nodes]`. Input order is capacitors,
 /// inductors, current sources, voltage sources — the same order
-/// [`StateKernel::fold`] consumers fill the input vector in, fixed so
+/// `StateKernel::fold` consumers fill the input vector in, fixed so
 /// the floating-point summation order (and therefore the result) is
 /// deterministic.
 #[derive(Debug, Clone)]

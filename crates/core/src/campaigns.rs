@@ -10,18 +10,16 @@
 //! mid-stream, dominant-frequency memo, campaign clock — snapshots to a
 //! checkpoint and restores bit-identically.
 //!
-//! The legacy entry points ([`generate_em_virus_on`] /
-//! [`fast_resonance_sweep_on`]) are thin drivers over these campaigns
-//! with no checkpointing configured; their stdout, telemetry and results
-//! are byte-identical to the pre-engine implementations.
+//! [`generate_em_virus_on`] / [`fast_resonance_sweep_on`] are thin
+//! drivers over these campaigns with no checkpointing configured.
 //!
 //! [`generate_em_virus_on`]: crate::generate_em_virus_on
 //! [`fast_resonance_sweep_on`]: crate::fast_resonance_sweep_on
 
 use crate::fast_sweep::{FastSweepConfig, FastSweepResult, SweepPoint};
 use crate::ga_virus::{
-    kernel_identity, resolve_lanes, resolve_threads, GenerationProgress, GenerationRecord, Virus,
-    VirusGenConfig,
+    ga_config_error, kernel_identity, resolve_lanes, resolve_threads, GenerationProgress,
+    GenerationRecord, Virus, VirusGenConfig,
 };
 use emvolt_backend::{
     run_config_fingerprint, BackendError, BandSpec, CachingBackend, EmObservation,
@@ -162,6 +160,10 @@ impl<F: FnMut(&GenerationProgress)> VirusCampaign<F> {
     ///
     /// `lanes` must be the resolved lane width the driver will dispatch
     /// with — the lane-bookkeeping counters are a function of it.
+    ///
+    /// # Errors
+    ///
+    /// [`DomainError::InvalidConfig`] for a degenerate GA configuration.
     pub fn new(
         name: &str,
         domain_name: &str,
@@ -169,10 +171,10 @@ impl<F: FnMut(&GenerationProgress)> VirusCampaign<F> {
         config: &VirusGenConfig,
         lanes: usize,
         on_generation: F,
-    ) -> Self {
+    ) -> Result<Self, DomainError> {
         let pool = InstructionPool::default_for(isa);
         let repr = KernelRepresentation::new(pool, config.kernel_len);
-        let state = GaState::new(&repr, &config.ga);
+        let state = GaState::new(&repr, &config.ga).map_err(ga_config_error)?;
         // 0.6 s per spectrum sample plus orchestration overhead (the
         // paper's 30-sample measurement costs ~18 s).
         let per_individual_s =
@@ -196,7 +198,7 @@ impl<F: FnMut(&GenerationProgress)> VirusCampaign<F> {
             .f64(config.band.1)
             .u64(u64::from(config.cache_fitness))
             .finish();
-        VirusCampaign {
+        Ok(VirusCampaign {
             name: name.to_owned(),
             domain_name: domain_name.to_owned(),
             tel: config.telemetry.clone(),
@@ -211,7 +213,7 @@ impl<F: FnMut(&GenerationProgress)> VirusCampaign<F> {
             final_obs: None,
             fingerprint,
             on_generation,
-        }
+        })
     }
 
     /// The serial rig re-measurement request (stateful analyzer RNG).
@@ -689,9 +691,9 @@ impl<F: FnMut(&GenerationProgress)> Campaign for VirusCampaign<F> {
 /// `opts`. Returns `None` when the batch limit interrupted the campaign
 /// (its state is in the checkpoint file, ready to resume).
 ///
-/// `opts.threads == 0` / `opts.lanes == 0` resolve exactly as the legacy
-/// entry point resolved [`VirusGenConfig::threads`] /
-/// [`VirusGenConfig::lanes`].
+/// `opts.threads == 0` / `opts.lanes == 0` fall back to
+/// [`VirusGenConfig::threads`] / [`VirusGenConfig::lanes`], resolved as
+/// [`generate_em_virus_on`](crate::generate_em_virus_on) resolves them.
 ///
 /// # Errors
 ///
@@ -751,7 +753,7 @@ fn run_virus_engine<B: MeasurementBackend + ?Sized>(
         config,
         opts.lanes,
         on_generation,
-    );
+    )?;
     match drive(backend, &mut campaign, opts)? {
         DriveOutcome::Complete => campaign.into_virus(backend).map(Some),
         DriveOutcome::Interrupted => Ok(None),

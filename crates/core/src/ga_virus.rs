@@ -9,22 +9,20 @@
 //! provided.
 
 use crate::campaigns::generate_em_virus_resumable;
-use emvolt_backend::{LiveBackend, MeasurementBackend};
+use emvolt_backend::MeasurementBackend;
 use emvolt_engine::DriveOptions;
-use emvolt_ga::{derive_eval_seed, EvalContext, GaConfig, GaEngine, KernelRepresentation};
+use emvolt_ga::{map_parallel, EvalContext, GaConfig, GaState, KernelRepresentation};
 use emvolt_inst::Oscilloscope;
 use emvolt_isa::{InstructionPool, Kernel};
 use emvolt_obs::{CounterId, Telemetry};
 use emvolt_platform::{
-    DomainError, DomainRun, DomainRunner, EmBench, RunConfig, SimClock, VoltageDomain,
+    DomainError, DomainRun, DomainRunner, RunConfig, SimClock, VoltageDomain,
     INDIVIDUAL_OVERHEAD_SECONDS, RESONANCE_BAND,
 };
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Which scope statistic drives the voltage-feedback GA (§3.1(b): "the
 /// target metric is either maximum voltage droop or peak to peak").
@@ -69,13 +67,14 @@ pub struct VirusGenConfig {
     /// unchanged — so `lanes` (like `threads`) is purely a performance
     /// knob.
     pub lanes: usize,
-    /// Opt-in genome-keyed fitness cache (off by default). When enabled,
-    /// a kernel already measured in this campaign is not re-simulated or
-    /// re-measured: its recorded reading is reused, and the campaign
-    /// clock only advances for actual measurements. Measurement seeds
-    /// then derive from the genome itself so duplicated individuals read
-    /// identically. This trades the paper's "re-measure everything"
-    /// realism for speed.
+    /// Opt-in genome-keyed fitness cache for the EM-driven GA (off by
+    /// default). When enabled, a kernel already measured in this campaign
+    /// is not re-simulated or re-measured: its recorded reading is
+    /// reused, and the campaign clock only advances for actual
+    /// measurements. Measurement seeds then derive from the genome itself
+    /// so duplicated individuals read identically. This trades the
+    /// paper's "re-measure everything" realism for speed. The
+    /// voltage-feedback GA has no cache and rejects this flag.
     pub cache_fitness: bool,
     /// Telemetry handle charged across the whole campaign: counters and
     /// histogram values accumulate from worker threads (order-independent
@@ -107,8 +106,8 @@ impl Default for VirusGenConfig {
 /// A stable identity hash for a kernel: ISA plus every instruction's
 /// operation and operand bindings. Two kernels with equal bodies on the
 /// same architecture collapse to the same key regardless of how they were
-/// produced, which is exactly the equivalence the fitness cache and the
-/// dominant-frequency memoization need.
+/// produced, which is exactly the equivalence the cache-mode measurement
+/// seeds and the dominant-frequency memoization need.
 pub(crate) fn kernel_identity(kernel: &Kernel) -> u64 {
     let mut h = std::collections::hash_map::DefaultHasher::new();
     kernel.arch().isa().hash(&mut h);
@@ -235,7 +234,7 @@ pub struct GenerationRecord {
 }
 
 /// Per-generation progress snapshot handed to the observer callback of
-/// [`generate_em_virus_observed`] (and printed by `emvolt virus
+/// [`generate_em_virus_on`] (and printed by `emvolt virus
 /// --progress`). All figures describe the generation that just finished.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GenerationProgress {
@@ -286,69 +285,35 @@ pub struct Virus {
     pub campaign: SimClock,
 }
 
-/// Runs the EM-driven GA (the paper's §5.1 flow) on `domain`.
-///
-/// Fitness evaluation fans out over [`VirusGenConfig::threads`] workers,
-/// each drawing a warm [`DomainRunner`] from a pool and measuring through
-/// a [`SharedEmBench`](emvolt_platform::SharedEmBench) with a seed
-/// derived from `(ga.seed, generation, index)` — campaigns are
-/// bit-identical for every thread count. Analyzer sweep time accumulated
-/// by the workers is folded back into `bench`, and the campaign clock
-/// advances exactly as the serial flow did (~18 s + 2 s per individual).
-///
-/// # Errors
-///
-/// Returns the first simulation error encountered; individuals that fail
-/// to simulate (e.g. exotic kernels hitting the cycle cap) are scored at
-/// the noise floor instead of aborting the campaign, so errors surface
-/// only from the final re-measurement.
-pub fn generate_em_virus(
-    name: &str,
-    domain: &VoltageDomain,
-    bench: &mut EmBench,
-    config: &VirusGenConfig,
-) -> Result<Virus, DomainError> {
-    generate_em_virus_observed(name, domain, bench, config, |_| {})
-}
-
-/// [`generate_em_virus`] with a per-generation observer: `on_generation`
-/// receives a [`GenerationProgress`] at every generation barrier (after
-/// telemetry for that generation has been emitted). The observer runs on
-/// the coordinator thread, in generation order.
-///
-/// # Errors
-///
-/// As for [`generate_em_virus`].
-pub fn generate_em_virus_observed(
-    name: &str,
-    domain: &VoltageDomain,
-    bench: &mut EmBench,
-    config: &VirusGenConfig,
-    on_generation: impl FnMut(&GenerationProgress),
-) -> Result<Virus, DomainError> {
-    // Re-home the caller's rig behind a live backend for the duration of
-    // the campaign, then hand it back with its analyzer time folded in.
-    let rig = std::mem::replace(bench, EmBench::new(0));
-    let mut backend = LiveBackend::single(domain.clone(), rig, config.run.clone());
-    let result = generate_em_virus_on(name, &mut backend, domain.name(), config, on_generation);
-    *bench = backend.into_bench();
-    result
-}
-
-/// [`generate_em_virus_observed`] over any [`MeasurementBackend`]: the GA
-/// never touches a domain or a bench directly — every observation flows
-/// through `backend`, so the same campaign runs against the live chain, a
+/// Runs the EM-driven GA (the paper's §5.1 flow) over any
+/// [`MeasurementBackend`]: the GA never touches a domain or a bench
+/// directly — every observation flows through `backend`, so the same
+/// campaign runs against the live chain
+/// ([`LiveBackend::single`](emvolt_backend::LiveBackend::single)), a
 /// recording wrapper, or a replayed trace with byte-identical telemetry.
 ///
+/// Each generation is measured in lane groups of
+/// [`VirusGenConfig::lanes`] spread over [`VirusGenConfig::threads`]
+/// workers, with measurement seeds derived from `(ga.seed, generation,
+/// index)`, so campaigns are bit-identical for every thread count and
+/// lane width. The campaign clock advances ~18 s + 2 s per measured
+/// individual. `on_generation` receives a [`GenerationProgress`] at
+/// every generation barrier, on the coordinator thread, in generation
+/// order.
+///
 /// When [`VirusGenConfig::cache_fitness`] is set the backend is wrapped
-/// in a [`CachingBackend`] for the duration of the campaign, so repeated
-/// genomes are served from memory exactly as the old genome-keyed cache
-/// did (including cached failures).
+/// in a [`CachingBackend`](emvolt_backend::CachingBackend) for the
+/// duration of the campaign, so repeated genomes are served from memory
+/// (including cached failures).
 ///
 /// # Errors
 ///
-/// As for [`generate_em_virus`]; backend-layer failures (missing replay
-/// entries, trace I/O) surface as [`DomainError::Backend`].
+/// [`DomainError::InvalidConfig`] for a degenerate GA configuration.
+/// Individuals that fail to simulate (e.g. exotic kernels hitting the
+/// cycle cap) are scored at the noise floor instead of aborting the
+/// campaign, so simulation errors surface only from the final
+/// re-measurement; backend-layer failures (missing replay entries, trace
+/// I/O) surface as [`DomainError::Backend`].
 pub fn generate_em_virus_on<B: MeasurementBackend + ?Sized>(
     name: &str,
     backend: &mut B,
@@ -374,14 +339,17 @@ pub fn generate_em_virus_on<B: MeasurementBackend + ?Sized>(
 /// maximum voltage droop captured by a scope on the die rail (OC-DSO on
 /// the Juno, Kelvin pads + bench scope on the AMD).
 ///
-/// Evaluation parallelizes exactly like [`generate_em_virus`]; scope
-/// noise for each individual is drawn from a seed derived from
-/// `(scope_seed, generation, index)`, so campaigns are bit-identical for
-/// every [`VirusGenConfig::threads`] value.
+/// Each generation is scored over [`map_parallel`] with
+/// [`VirusGenConfig::threads`] workers; scope noise for each individual
+/// is drawn from a seed derived from `(scope_seed, generation, index)`,
+/// so campaigns are bit-identical for every thread count.
 ///
 /// # Errors
 ///
-/// As for [`generate_em_virus`].
+/// [`DomainError::InvalidConfig`] for a degenerate GA configuration or
+/// when [`VirusGenConfig::cache_fitness`] is set (this campaign has no
+/// fitness cache). Individuals that fail to simulate score zero droop;
+/// simulation errors surface only from the final re-run of the winner.
 pub fn generate_voltage_virus(
     name: &str,
     domain: &VoltageDomain,
@@ -389,10 +357,14 @@ pub fn generate_voltage_virus(
     config: &VirusGenConfig,
     scope_seed: u64,
 ) -> Result<Virus, DomainError> {
+    if config.cache_fitness {
+        return Err(DomainError::InvalidConfig(
+            "the voltage-feedback GA has no fitness cache; unset cache_fitness".to_string(),
+        ));
+    }
     let pool = InstructionPool::default_for(domain.core_model().isa);
     let repr = KernelRepresentation::new(pool, config.kernel_len);
-    let mut engine = GaEngine::new(repr, config.ga.clone());
-    engine.set_telemetry(config.telemetry.clone());
+    let mut state = GaState::new(&repr, &config.ga).map_err(ga_config_error)?;
     // Summary-only (host-dependent, never emitted into traces).
     config.telemetry.count(
         CounterId::SimdDispatchLevel,
@@ -403,47 +375,39 @@ pub fn generate_voltage_virus(
 
     let quiet = config.telemetry.quiet();
     let runners = RunnerPool::new(domain, &config.run, quiet.clone());
-    let fitness_cache: Mutex<HashMap<u64, f64>> = Mutex::new(HashMap::new());
-    let measured = AtomicUsize::new(0);
     let nominal_v = domain.voltage();
+    let indices: Vec<usize> = (0..config.ga.population).collect();
 
-    let result = {
-        let fitness = |kernel: &Kernel, ctx: EvalContext| -> f64 {
-            let key = config.cache_fitness.then(|| kernel_identity(kernel));
-            if let Some(k) = key {
-                if let Some(&cached) = fitness_cache.lock().get(&k) {
-                    quiet.count(CounterId::FitnessCacheHits, 1);
-                    return cached;
-                }
-                quiet.count(CounterId::FitnessCacheMisses, 1);
-            }
-            measured.fetch_add(1, Ordering::Relaxed);
-            let seed = match key {
-                Some(k) => derive_eval_seed(scope_seed ^ k, 0, 0),
-                None => derive_eval_seed(scope_seed, ctx.generation, ctx.index),
-            };
-            let score = runners
-                .with(|slot| {
-                    slot.runner
-                        .run_into(kernel, config.loaded_cores, &mut slot.run)?;
-                    let mut rng = StdRng::seed_from_u64(seed);
-                    let shot = scope.capture(&slot.run.v_die, &mut rng);
-                    Ok(match config.voltage_metric {
-                        VoltageMetric::MaxDroop => shot.max_droop_below(nominal_v),
-                        VoltageMetric::PeakToPeak => shot.peak_to_peak(),
+    while !state.is_done(&config.ga) {
+        let generation = state.generation;
+        let population = &state.population;
+        let scores = map_parallel(
+            &indices,
+            |&index| {
+                let ctx = EvalContext::new(scope_seed, generation, index);
+                runners
+                    .with(|slot| {
+                        slot.runner.run_into(
+                            &population[index],
+                            config.loaded_cores,
+                            &mut slot.run,
+                        )?;
+                        let mut rng = StdRng::seed_from_u64(ctx.seed);
+                        let shot = scope.capture(&slot.run.v_die, &mut rng);
+                        Ok(match config.voltage_metric {
+                            VoltageMetric::MaxDroop => shot.max_droop_below(nominal_v),
+                            VoltageMetric::PeakToPeak => shot.peak_to_peak(),
+                        })
                     })
-                })
-                .unwrap_or(0.0);
-            if let Some(k) = key {
-                fitness_cache.lock().insert(k, score);
-            }
-            score
-        };
-        engine.run_batch(&fitness, threads, |_| {
-            let evaluated = measured.swap(0, Ordering::Relaxed);
-            clock.advance(evaluated as f64 * (INDIVIDUAL_OVERHEAD_SECONDS + 2.0));
-        })
-    };
+                    .unwrap_or(0.0)
+            },
+            threads,
+        );
+        state.absorb_scores(&repr, &config.ga, &config.telemetry, &scores, |_| {
+            clock.advance(scores.len() as f64 * (INDIVIDUAL_OVERHEAD_SECONDS + 2.0));
+        });
+    }
+    let result = state.into_result();
 
     let history = result
         .history
@@ -473,6 +437,11 @@ pub fn generate_voltage_virus(
         generation_best: result.generation_best,
         campaign: clock,
     })
+}
+
+/// Maps a rejected GA configuration into the domain error space.
+pub(crate) fn ga_config_error(e: emvolt_ga::GaConfigError) -> DomainError {
+    DomainError::InvalidConfig(e.to_string())
 }
 
 /// Re-measures each generation-best kernel's droop through a scope —
@@ -512,8 +481,9 @@ pub fn dominant_from_run(run: &DomainRun) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use emvolt_backend::LiveBackend;
     use emvolt_cpu::CoreModel;
-    use emvolt_platform::a72_pdn;
+    use emvolt_platform::{a72_pdn, EmBench};
 
     fn small_config() -> VirusGenConfig {
         VirusGenConfig {
@@ -534,9 +504,9 @@ mod tests {
 
     #[test]
     fn em_ga_improves_and_tracks_resonance() {
-        let domain = a72();
-        let mut bench = EmBench::new(11);
-        let virus = generate_em_virus("a72em-test", &domain, &mut bench, &small_config()).unwrap();
+        let mut live = LiveBackend::single(a72(), EmBench::new(11), RunConfig::fast());
+        let virus =
+            generate_em_virus_on("a72em-test", &mut live, "A72", &small_config(), |_| {}).unwrap();
         assert_eq!(virus.history.len(), 6);
         // Fitness improves (or at least does not regress) overall.
         let first = virus.history.first().unwrap().best_fitness;
@@ -585,5 +555,84 @@ mod tests {
             generate_voltage_virus("a72ocdso-test", &domain, &scope, &small_config(), 3).unwrap();
         assert!(virus.fitness > 0.0, "droop {}", virus.fitness);
         assert!(virus.history.iter().all(|r| r.droop_v.is_some()));
+    }
+
+    /// Every degenerate GA shape, each with the message it must carry.
+    fn degenerate_configs() -> Vec<(GaConfig, &'static str)> {
+        let base = small_config().ga;
+        vec![
+            (
+                GaConfig {
+                    population: 1,
+                    elitism: 0,
+                    ..base.clone()
+                },
+                "population",
+            ),
+            (
+                GaConfig {
+                    tournament_k: 0,
+                    ..base.clone()
+                },
+                "tournament",
+            ),
+            (
+                GaConfig {
+                    elitism: base.population,
+                    ..base.clone()
+                },
+                "elitism",
+            ),
+            (
+                GaConfig {
+                    generations: 0,
+                    ..base
+                },
+                "generations",
+            ),
+        ]
+    }
+
+    #[test]
+    fn em_ga_rejects_degenerate_configs() {
+        for (ga, what) in degenerate_configs() {
+            let cfg = VirusGenConfig {
+                ga,
+                ..small_config()
+            };
+            let mut live = LiveBackend::single(a72(), EmBench::new(1), RunConfig::fast());
+            match generate_em_virus_on("bad", &mut live, "A72", &cfg, |_| {}) {
+                Err(DomainError::InvalidConfig(msg)) => assert!(msg.contains(what), "{msg}"),
+                other => panic!("{what}: expected InvalidConfig, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn voltage_ga_rejects_degenerate_configs() {
+        let scope = Oscilloscope::new(emvolt_inst::ScopeConfig::oc_dso());
+        for (ga, what) in degenerate_configs() {
+            let cfg = VirusGenConfig {
+                ga,
+                ..small_config()
+            };
+            match generate_voltage_virus("bad", &a72(), &scope, &cfg, 1) {
+                Err(DomainError::InvalidConfig(msg)) => assert!(msg.contains(what), "{msg}"),
+                other => panic!("{what}: expected InvalidConfig, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn voltage_ga_rejects_the_fitness_cache_flag() {
+        let scope = Oscilloscope::new(emvolt_inst::ScopeConfig::oc_dso());
+        let cfg = VirusGenConfig {
+            cache_fitness: true,
+            ..small_config()
+        };
+        match generate_voltage_virus("cached", &a72(), &scope, &cfg, 1) {
+            Err(DomainError::InvalidConfig(msg)) => assert!(msg.contains("cache_fitness")),
+            other => panic!("expected InvalidConfig, got {other:?}"),
+        }
     }
 }

@@ -8,9 +8,9 @@
 //! from outside the case. This module captures a golden fingerprint and
 //! compares later measurements against it.
 
-use crate::fast_sweep::{fast_resonance_sweep, fast_resonance_sweep_on, FastSweepConfig};
+use crate::fast_sweep::{fast_resonance_sweep_on, FastSweepConfig};
 use emvolt_backend::MeasurementBackend;
-use emvolt_platform::{DomainError, EmBench, VoltageDomain};
+use emvolt_platform::DomainError;
 
 /// A PDN fingerprint: where the first-order resonance sits and how
 /// strongly it radiates under the reference sweep loop.
@@ -45,28 +45,15 @@ impl TamperVerdict {
     }
 }
 
-/// Captures a golden fingerprint of `domain` using the §5.3 fast sweep.
+/// Captures a golden fingerprint with the §5.3 fast sweep over any
+/// [`MeasurementBackend`] — a replayed trace of the golden sweep
+/// fingerprints the board without re-simulation.
 ///
 /// # Errors
 ///
-/// Propagates simulation failures.
-pub fn fingerprint(
-    domain: &VoltageDomain,
-    bench: &mut EmBench,
-    config: &FastSweepConfig,
-) -> Result<PdnFingerprint, DomainError> {
-    let sweep = fast_resonance_sweep(domain, bench, config)?;
-    Ok(fingerprint_of(&sweep))
-}
-
-/// [`fingerprint`] over any [`MeasurementBackend`] — a replayed trace of
-/// the golden sweep fingerprints the board without re-simulation.
-///
-/// # Errors
-///
-/// As for [`fingerprint`]; backend-layer failures surface as
+/// Propagates simulation failures; backend-layer failures surface as
 /// [`DomainError::Backend`].
-pub fn fingerprint_on<B: MeasurementBackend + ?Sized>(
+pub fn fingerprint<B: MeasurementBackend + ?Sized>(
     backend: &mut B,
     domain_name: &str,
     config: &FastSweepConfig,
@@ -109,8 +96,9 @@ pub fn compare(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use emvolt_backend::LiveBackend;
     use emvolt_cpu::CoreModel;
-    use emvolt_platform::a72_pdn;
+    use emvolt_platform::{a72_pdn, EmBench, VoltageDomain};
 
     fn sparse_config(domain: &VoltageDomain) -> FastSweepConfig {
         let mut cfg = FastSweepConfig::for_domain(domain);
@@ -119,28 +107,32 @@ mod tests {
         cfg
     }
 
+    /// Fingerprints `domain` through a fresh live rig seeded `seed`.
+    fn fingerprint_live(domain: &VoltageDomain, seed: u64) -> PdnFingerprint {
+        let cfg = sparse_config(domain);
+        let mut live = LiveBackend::single(domain.clone(), EmBench::new(seed), cfg.run.clone());
+        fingerprint(&mut live, domain.name(), &cfg).unwrap()
+    }
+
     #[test]
     fn untampered_board_reads_clean() {
         let domain = VoltageDomain::new("A72", CoreModel::cortex_a72(), a72_pdn(), 1.2e9);
-        let cfg = sparse_config(&domain);
-        let golden = fingerprint(&domain, &mut EmBench::new(31), &cfg).unwrap();
-        let fresh = fingerprint(&domain, &mut EmBench::new(32), &cfg).unwrap();
+        let golden = fingerprint_live(&domain, 31);
+        let fresh = fingerprint_live(&domain, 32);
         assert_eq!(compare(&golden, &fresh, 0.08), TamperVerdict::Clean);
     }
 
     #[test]
     fn removed_decap_is_detected() {
         let domain = VoltageDomain::new("A72", CoreModel::cortex_a72(), a72_pdn(), 1.2e9);
-        let cfg = sparse_config(&domain);
-        let golden = fingerprint(&domain, &mut EmBench::new(33), &cfg).unwrap();
+        let golden = fingerprint_live(&domain, 33);
 
         // Tamper: 35% of the shared die/package decap slice is removed
         // (e.g. a reworked package), raising the resonance.
         let mut params = a72_pdn();
         params.die_capacitance.cluster_farads *= 0.50;
         let tampered = VoltageDomain::new("A72*", CoreModel::cortex_a72(), params, 1.2e9);
-        let cfg_t = sparse_config(&tampered);
-        let fresh = fingerprint(&tampered, &mut EmBench::new(33), &cfg_t).unwrap();
+        let fresh = fingerprint_live(&tampered, 33);
 
         let verdict = compare(&golden, &fresh, 0.08);
         assert!(verdict.is_tampered(), "verdict {verdict:?}");

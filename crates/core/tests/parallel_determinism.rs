@@ -6,7 +6,10 @@
 //! evaluation order can leak into fitness, history, or the evolved
 //! winner.
 
-use emvolt_core::{generate_em_virus, generate_voltage_virus, GenerationRecord, VirusGenConfig};
+use emvolt_backend::LiveBackend;
+use emvolt_core::{
+    generate_em_virus_on, generate_voltage_virus, GenerationRecord, Virus, VirusGenConfig,
+};
 use emvolt_cpu::CoreModel;
 use emvolt_ga::GaConfig;
 use emvolt_inst::{Oscilloscope, ScopeConfig};
@@ -29,6 +32,12 @@ fn reduced_config(threads: usize) -> VirusGenConfig {
 
 fn a72() -> VoltageDomain {
     VoltageDomain::new("A72", CoreModel::cortex_a72(), a72_pdn(), 1.2e9)
+}
+
+/// Runs the EM GA on the live A72 chain behind a fresh bench.
+fn em_virus(name: &str, config: &VirusGenConfig) -> Virus {
+    let mut live = LiveBackend::single(a72(), EmBench::new(21), config.run.clone());
+    generate_em_virus_on(name, &mut live, "A72", config, |_| {}).unwrap()
 }
 
 fn assert_histories_identical(a: &[GenerationRecord], b: &[GenerationRecord], what: &str) {
@@ -63,11 +72,7 @@ fn assert_histories_identical(a: &[GenerationRecord], b: &[GenerationRecord], wh
 
 #[test]
 fn em_campaign_is_bit_identical_across_thread_counts() {
-    let domain = a72();
-    let run = |threads: usize| {
-        let mut bench = EmBench::new(21);
-        generate_em_virus("det", &domain, &mut bench, &reduced_config(threads)).unwrap()
-    };
+    let run = |threads: usize| em_virus("det", &reduced_config(threads));
     let serial = run(1);
     for threads in [2, 8] {
         let parallel = run(threads);
@@ -109,14 +114,12 @@ fn em_campaign_is_bit_identical_across_thread_counts() {
 /// `(threads, lanes)` combination evolves the same virus.
 #[test]
 fn em_campaign_is_bit_identical_across_lane_widths_and_threads() {
-    let domain = a72();
     let run = |threads: usize, lanes: usize| {
-        let mut bench = EmBench::new(21);
         let config = VirusGenConfig {
             lanes,
             ..reduced_config(threads)
         };
-        generate_em_virus("det-l", &domain, &mut bench, &config).unwrap()
+        em_virus("det-l", &config)
     };
     let reference = run(1, 1);
     for lanes in [1, 3, 8] {
@@ -170,18 +173,16 @@ fn em_campaign_is_bit_identical_across_simd_levels_and_lanes() {
         }
     }
 
-    let domain = a72();
     let run = |level: Option<emvolt_simd::SimdLevel>, lanes: usize| {
         emvolt_simd::force_level(level);
         let buf = Arc::new(Mutex::new(Vec::new()));
         let tel = Telemetry::new(Arc::new(JsonlRecorder::new(SharedBuf(buf.clone()))));
-        let mut bench = EmBench::new(21);
         let config = VirusGenConfig {
             lanes,
             telemetry: tel.clone(),
             ..reduced_config(1)
         };
-        let virus = generate_em_virus("det-s", &domain, &mut bench, &config).unwrap();
+        let virus = em_virus("det-s", &config);
         tel.flush();
         emvolt_simd::force_level(None);
         let bytes = buf.lock().unwrap().clone();
@@ -239,14 +240,12 @@ fn voltage_campaign_is_bit_identical_across_thread_counts() {
 
 #[test]
 fn fitness_cache_changes_seeds_but_not_determinism() {
-    let domain = a72();
     let run = |threads: usize| {
-        let mut bench = EmBench::new(21);
         let config = VirusGenConfig {
             cache_fitness: true,
             ..reduced_config(threads)
         };
-        generate_em_virus("det-c", &domain, &mut bench, &config).unwrap()
+        em_virus("det-c", &config)
     };
     let serial = run(1);
     let parallel = run(4);

@@ -3,7 +3,8 @@
 //! identical campaigns produce byte-identical traces — at any thread
 //! count.
 
-use emvolt_core::{generate_em_virus, VirusGenConfig};
+use emvolt_backend::LiveBackend;
+use emvolt_core::{generate_em_virus_on, VirusGenConfig};
 use emvolt_cpu::CoreModel;
 use emvolt_ga::GaConfig;
 use emvolt_obs::{Event, EventKind, JsonlRecorder, Layer, Telemetry};
@@ -55,15 +56,9 @@ fn traced_campaign(threads: usize) -> Vec<u8> {
 fn traced_campaign_with_lanes(threads: usize, lanes: usize) -> Vec<u8> {
     let buf = Arc::new(Mutex::new(Vec::new()));
     let tel = Telemetry::new(Arc::new(JsonlRecorder::new(SharedBuf(buf.clone()))));
-    let domain = a72();
-    let mut bench = EmBench::new(11);
-    generate_em_virus(
-        "det-test",
-        &domain,
-        &mut bench,
-        &campaign_config(tel, threads, lanes),
-    )
-    .unwrap();
+    let cfg = campaign_config(tel, threads, lanes);
+    let mut live = LiveBackend::single(a72(), EmBench::new(11), cfg.run.clone());
+    generate_em_virus_on("det-test", &mut live, "A72", &cfg, |_| {}).unwrap();
     let bytes = buf.lock().clone();
     bytes
 }

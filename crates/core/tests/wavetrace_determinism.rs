@@ -3,7 +3,8 @@
 //! resulting VCD is byte-identical at any worker-thread count and any
 //! lane width.
 
-use emvolt_core::{generate_em_virus, VirusGenConfig};
+use emvolt_backend::LiveBackend;
+use emvolt_core::{generate_em_virus_on, VirusGenConfig};
 use emvolt_cpu::CoreModel;
 use emvolt_ga::GaConfig;
 use emvolt_obs::{validate_vcd_text, NoopRecorder, Telemetry, WaveDb};
@@ -32,9 +33,8 @@ fn traced_vcd(threads: usize, lanes: usize, stride: usize) -> String {
         telemetry: tel,
         ..VirusGenConfig::default()
     };
-    let domain = a72();
-    let mut bench = EmBench::new(11);
-    generate_em_virus("wave-test", &domain, &mut bench, &cfg).unwrap();
+    let mut live = LiveBackend::single(a72(), EmBench::new(11), cfg.run.clone());
+    generate_em_virus_on("wave-test", &mut live, "A72", &cfg, |_| {}).unwrap();
     db.to_vcd_string()
 }
 

@@ -19,8 +19,8 @@
 //!
 //! The driver never emits telemetry events of its own from worker
 //! threads: lane batches run against a quiet clone of the campaign's
-//! handle, exactly as the legacy `run_batch_lanes` path did, so a
-//! campaign driven through the engine produces byte-identical traces.
+//! handle, so a campaign's trace is byte-identical at any thread count
+//! and lane width.
 
 pub mod checkpoint;
 pub mod snap;
@@ -412,11 +412,10 @@ impl<'a, B: MeasurementBackend + ?Sized> StepDriver<'a, B> {
         }
     }
 
-    /// Lane-grouped dispatch, bit-identical to the legacy
-    /// `run_batch_lanes` hot path: requests are chunked into lane
-    /// groups, groups fan out over the scoped worker pool, and every
-    /// group is a single `measure_batch` call against a quiet
-    /// telemetry clone (workers never emit events).
+    /// Lane-grouped dispatch: requests are chunked into lane groups,
+    /// groups fan out over the scoped worker pool, and every group is a
+    /// single `measure_batch` call against a quiet telemetry clone
+    /// (workers never emit events).
     fn execute_lanes<C: Campaign + ?Sized>(
         &mut self,
         campaign: &C,

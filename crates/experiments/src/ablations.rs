@@ -4,15 +4,18 @@
 use crate::output::{mhz, section, table, write_csv};
 use crate::viruses::{self, VirusTag};
 use crate::Options;
-use emvolt_core::tamper::{compare, fingerprint, TamperVerdict};
+use emvolt_backend::LiveBackend;
+use emvolt_core::tamper::{compare, fingerprint, PdnFingerprint, TamperVerdict};
 use emvolt_core::{
-    fast_resonance_sweep, generate_em_virus, FastSweepConfig, MarginPredictor, VirusGenConfig,
+    fast_resonance_sweep_on, generate_em_virus_on, FastSweepConfig, MarginPredictor, VirusGenConfig,
 };
 use emvolt_cpu::CoreModel;
 use emvolt_ga::GaConfig;
 use emvolt_isa::kernels::{padded_sweep_kernel, resonant_stress_kernel};
 use emvolt_isa::{Isa, Kernel};
-use emvolt_platform::{a72_pdn, spec2006_suite, EmBench, GpuCard, RunConfig, VoltageDomain};
+use emvolt_platform::{
+    a72_pdn, spec2006_suite, DomainError, EmBench, GpuCard, RunConfig, VoltageDomain,
+};
 use std::error::Error;
 
 fn a72() -> VoltageDomain {
@@ -32,7 +35,6 @@ pub fn ablation_band(opts: &Options) -> Result<String, Box<dyn Error>> {
         ("full 50-200 MHz, 5 samples", (50e6, 200e6), 5),
         ("narrowed 59-79 MHz, 5 samples", (59e6, 79e6), 5),
     ] {
-        let mut bench = EmBench::new(0xAB1);
         let cfg = VirusGenConfig {
             ga: GaConfig {
                 population: pop,
@@ -45,7 +47,8 @@ pub fn ablation_band(opts: &Options) -> Result<String, Box<dyn Error>> {
             band,
             ..VirusGenConfig::default()
         };
-        let virus = generate_em_virus("ablation", &domain, &mut bench, &cfg)?;
+        let mut live = LiveBackend::single(domain.clone(), EmBench::new(0xAB1), cfg.run.clone());
+        let virus = generate_em_virus_on("ablation", &mut live, domain.name(), &cfg, |_| {})?;
         rows.push(vec![
             label.to_owned(),
             format!("{:.1}", virus.fitness),
@@ -104,12 +107,12 @@ pub fn ablation_q(opts: &Options) -> Result<String, Box<dyn Error>> {
         params.r_pkg *= r_scale;
         params.r_die *= r_scale;
         let domain = VoltageDomain::new("A72", CoreModel::cortex_a72(), params, 1.2e9);
-        let mut bench = EmBench::new(0xAB3);
         let mut cfg = FastSweepConfig::for_domain(&domain);
         if opts.quick {
             cfg.cpu_freqs_hz = cfg.cpu_freqs_hz.iter().step_by(2).copied().collect();
         }
-        let sweep = fast_resonance_sweep(&domain, &mut bench, &cfg)?;
+        let mut live = LiveBackend::single(domain.clone(), EmBench::new(0xAB3), cfg.run.clone());
+        let sweep = fast_resonance_sweep_on(&mut live, domain.name(), &cfg)?;
         let mut amps: Vec<f64> = sweep.points.iter().map(|p| p.amplitude_dbm).collect();
         amps.sort_by(f64::total_cmp);
         let peak = amps.last().copied().unwrap_or(f64::NAN);
@@ -239,15 +242,16 @@ pub fn ext_tamper(opts: &Options) -> Result<String, Box<dyn Error>> {
         }
         cfg
     };
-    let golden = fingerprint(
-        &golden_domain,
-        &mut EmBench::new(0xE2),
-        &sparse(&golden_domain),
-    )?;
+    let fingerprint_live = |d: &VoltageDomain| -> Result<PdnFingerprint, DomainError> {
+        let cfg = sparse(d);
+        let mut live = LiveBackend::single(d.clone(), EmBench::new(0xE2), cfg.run.clone());
+        fingerprint(&mut live, d.name(), &cfg)
+    };
+    let golden = fingerprint_live(&golden_domain)?;
 
     let mut rows = Vec::new();
     let mut check = |label: &str, domain: &VoltageDomain| -> Result<(), Box<dyn Error>> {
-        let fp = fingerprint(domain, &mut EmBench::new(0xE2), &sparse(domain))?;
+        let fp = fingerprint_live(domain)?;
         let verdict = compare(&golden, &fp, 0.05);
         rows.push(vec![
             label.to_owned(),
@@ -300,12 +304,13 @@ pub fn ext_gpu(opts: &Options) -> Result<String, Box<dyn Error>> {
     ));
 
     // Fast sweep finds the GPU resonance.
-    let mut bench = EmBench::new(0xE3);
     let mut cfg = FastSweepConfig::for_domain(&card.domain);
     if opts.quick {
         cfg.cpu_freqs_hz = cfg.cpu_freqs_hz.iter().step_by(2).copied().collect();
     }
-    let sweep = fast_resonance_sweep(&card.domain, &mut bench, &cfg)?;
+    let name = card.domain.name();
+    let mut live = LiveBackend::single(card.domain.clone(), EmBench::new(0xE3), cfg.run.clone());
+    let sweep = fast_resonance_sweep_on(&mut live, name, &cfg)?;
     out.push_str(&format!(
         "fast sweep resonance: {} MHz\n",
         mhz(sweep.resonance_hz)
@@ -324,7 +329,7 @@ pub fn ext_gpu(opts: &Options) -> Result<String, Box<dyn Error>> {
         samples_per_individual: if opts.quick { 2 } else { 5 },
         ..VirusGenConfig::default()
     };
-    let virus = generate_em_virus("gpuEm", &card.domain, &mut bench, &ga_cfg)?;
+    let virus = generate_em_virus_on("gpuEm", &mut live, name, &ga_cfg, |_| {})?;
     out.push_str(&format!(
         "GA-evolved GPU virus: {:.1} dBm at {} MHz dominant\n",
         virus.fitness,

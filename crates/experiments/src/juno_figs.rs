@@ -3,7 +3,8 @@
 use crate::output::{mhz, mv, section, table, write_csv};
 use crate::viruses::{self, VirusTag};
 use crate::Options;
-use emvolt_core::{annotate_droop, fast_resonance_sweep, FastSweepConfig};
+use emvolt_backend::LiveBackend;
+use emvolt_core::{annotate_droop, fast_resonance_sweep_on, FastSweepConfig};
 use emvolt_dsp::{Spectrum, Window};
 use emvolt_inst::{Oscilloscope, ScopeConfig};
 use emvolt_platform::{
@@ -115,7 +116,7 @@ pub fn fig08(opts: &Options) -> Result<String, Box<dyn Error>> {
     };
     let scl = Scl::default();
     let sweep2 = scl.sweep(&board.a72, &freqs, &cfg)?;
-    board.a72.power_gate(1);
+    board.a72.try_power_gate(1)?;
     let sweep1 = scl.sweep(&board.a72, &freqs, &cfg)?;
 
     let headers = ["freq (MHz)", "p2p C0C1 (mV)", "p2p C0 (mV)"];
@@ -312,17 +313,20 @@ pub fn fig10(opts: &Options) -> Result<String, Box<dyn Error>> {
 /// Fig. 11: fast EM loop-frequency sweep on the A72 with both gating
 /// states.
 pub fn fig11(opts: &Options) -> Result<String, Box<dyn Error>> {
-    let mut board = JunoBoard::new();
-    let mut bench = EmBench::new(0x1111);
+    let board = JunoBoard::new();
     let mut cfg = FastSweepConfig::for_domain(&board.a72);
     if opts.quick {
         cfg.cpu_freqs_hz
             .retain(|f| ((f / 20e6).round() as u64).is_multiple_of(2));
         cfg.samples_per_point = 3;
     }
-    let sweep2 = fast_resonance_sweep(&board.a72, &mut bench, &cfg)?;
-    board.a72.power_gate(1);
-    let sweep1 = fast_resonance_sweep(&board.a72, &mut bench, &cfg)?;
+    let name = board.a72.name();
+    let mut live = LiveBackend::single(board.a72.clone(), EmBench::new(0x1111), cfg.run.clone());
+    let sweep2 = fast_resonance_sweep_on(&mut live, name, &cfg)?;
+    live.domain_mut(name)
+        .expect("the backend serves the A72")
+        .try_power_gate(1)?;
+    let sweep1 = fast_resonance_sweep_on(&mut live, name, &cfg)?;
 
     let headers = [
         "cpu clock (MHz)",

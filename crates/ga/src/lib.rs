@@ -5,10 +5,12 @@
 //! population of instruction-sequence individuals, driven by an arbitrary
 //! (typically noisy) fitness function such as measured EM amplitude.
 //!
-//! The engine is generic: [`Representation`] supplies the genome
-//! operators and the fitness closure the objective.
-//! [`KernelRepresentation`] binds the engine to [`emvolt_isa`]
-//! instruction pools.
+//! The driver is [`GaState`]: the caller scores its `population`, however
+//! it likes (serially, over [`map_parallel`], or as one batched backend
+//! call), and feeds the scores to [`GaState::absorb_scores`].
+//! [`Representation`] supplies the genome operators;
+//! [`KernelRepresentation`] binds them to [`emvolt_isa`] instruction
+//! pools.
 //!
 //! # Examples
 //!
@@ -16,18 +18,27 @@
 //! (a toy fitness):
 //!
 //! ```
-//! use emvolt_ga::{GaConfig, GaEngine, KernelRepresentation};
+//! use emvolt_ga::{GaConfig, GaState, KernelRepresentation};
 //! use emvolt_isa::{InstructionPool, Isa, OpClass};
+//! use emvolt_obs::Telemetry;
 //!
+//! # fn main() -> Result<(), emvolt_ga::GaConfigError> {
 //! let pool = InstructionPool::default_for(Isa::ArmV8);
 //! let repr = KernelRepresentation::new(pool, 20);
 //! let config = GaConfig { generations: 15, population: 20, ..GaConfig::default() };
-//! let mut engine = GaEngine::new(repr, config);
-//! let result = engine.run(
-//!     |kernel| kernel.class_fraction(OpClass::IntShort),
-//!     |_stats| {},
-//! );
+//! let mut state = GaState::new(&repr, &config)?;
+//! while !state.is_done(&config) {
+//!     let scores: Vec<f64> = state
+//!         .population
+//!         .iter()
+//!         .map(|kernel| kernel.class_fraction(OpClass::IntShort))
+//!         .collect();
+//!     state.absorb_scores(&repr, &config, &Telemetry::noop(), &scores, |_stats| {});
+//! }
+//! let result = state.into_result();
 //! assert!(result.best_fitness > 0.5);
+//! # Ok(())
+//! # }
 //! ```
 
 #![warn(missing_docs)]
@@ -81,6 +92,73 @@ pub struct GaConfig {
     pub seed: u64,
 }
 
+impl GaConfig {
+    /// Checks that the configuration can run: at least two individuals,
+    /// a non-empty tournament, room for offspring beside the elites, and
+    /// at least one generation.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first [`GaConfigError`] found.
+    pub fn validate(&self) -> Result<(), GaConfigError> {
+        if self.population < 2 {
+            return Err(GaConfigError::PopulationTooSmall(self.population));
+        }
+        if self.tournament_k == 0 {
+            return Err(GaConfigError::EmptyTournament);
+        }
+        if self.elitism >= self.population {
+            return Err(GaConfigError::NoRoomForOffspring {
+                elitism: self.elitism,
+                population: self.population,
+            });
+        }
+        if self.generations == 0 {
+            return Err(GaConfigError::NoGenerations);
+        }
+        Ok(())
+    }
+}
+
+/// A degenerate [`GaConfig`], rejected by [`GaConfig::validate`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum GaConfigError {
+    /// Fewer than two individuals (the value given).
+    PopulationTooSmall(usize),
+    /// A tournament of size zero selects no parent.
+    EmptyTournament,
+    /// The elites fill the whole population.
+    NoRoomForOffspring {
+        /// Configured elite count.
+        elitism: usize,
+        /// Configured population.
+        population: usize,
+    },
+    /// Zero generations: no individual is ever scored.
+    NoGenerations,
+}
+
+impl std::fmt::Display for GaConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            GaConfigError::PopulationTooSmall(n) => {
+                write!(f, "population must be at least 2 (got {n})")
+            }
+            GaConfigError::EmptyTournament => write!(f, "tournament size must be at least 1"),
+            GaConfigError::NoRoomForOffspring {
+                elitism,
+                population,
+            } => write!(
+                f,
+                "elitism {elitism} must be below the population {population}"
+            ),
+            GaConfigError::NoGenerations => write!(f, "generations must be at least 1"),
+        }
+    }
+}
+
+impl std::error::Error for GaConfigError {}
+
 impl Default for GaConfig {
     fn default() -> Self {
         GaConfig {
@@ -121,214 +199,14 @@ pub struct GaResult<G> {
     pub generation_best: Vec<G>,
 }
 
-/// The GA engine: owns the representation and configuration.
-#[derive(Debug)]
-pub struct GaEngine<R: Representation> {
-    repr: R,
-    config: GaConfig,
-    telemetry: emvolt_obs::Telemetry,
-}
-
-impl<R: Representation> GaEngine<R> {
-    /// Creates an engine.
-    ///
-    /// # Panics
-    ///
-    /// Panics on degenerate configurations (population < 2, zero
-    /// tournament, elitism >= population).
-    pub fn new(repr: R, config: GaConfig) -> Self {
-        assert!(config.population >= 2, "population must be at least 2");
-        assert!(config.tournament_k >= 1, "tournament size must be >= 1");
-        assert!(
-            config.elitism < config.population,
-            "elitism must leave room for offspring"
-        );
-        GaEngine {
-            repr,
-            config,
-            telemetry: emvolt_obs::Telemetry::noop(),
-        }
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &GaConfig {
-        &self.config
-    }
-
-    /// Attaches a telemetry handle; the engine then charges the
-    /// evaluation and generation counters as it runs. Counter updates
-    /// are order-independent atomics, so this is safe for batch runs at
-    /// any thread count. The default handle is inert.
-    pub fn set_telemetry(&mut self, telemetry: emvolt_obs::Telemetry) {
-        self.telemetry = telemetry;
-    }
-
-    /// Runs the GA to completion.
-    ///
-    /// `fitness` is called once per individual per generation (it may be
-    /// noisy — the engine re-evaluates elites each generation rather than
-    /// caching, matching how a physical measurement behaves).
-    /// `on_generation` observes each generation's statistics.
-    ///
-    /// Evaluation is strictly serial in population order; stateful
-    /// (`FnMut`) fitness closures — e.g. one drawing noise from its own
-    /// RNG — behave exactly as in prior releases. For thread-safe fitness
-    /// functions, [`GaEngine::run_batch`] evaluates each generation as a
-    /// batch instead.
-    pub fn run<F, C>(&mut self, mut fitness: F, on_generation: C) -> GaResult<R::Genome>
-    where
-        F: FnMut(&R::Genome) -> f64,
-        C: FnMut(&GenerationStats),
-    {
-        self.run_inner(
-            |population, _generation| population.iter().map(&mut fitness).collect(),
-            on_generation,
-        )
-    }
-
-    /// Runs the GA evaluating each generation as a batch across `threads`
-    /// worker threads (via [`evaluate_parallel`]).
-    ///
-    /// Each individual's evaluation receives an [`EvalContext`] carrying a
-    /// seed derived from `(config.seed, generation, index)` — not from any
-    /// shared mutable RNG — so the full run (scores, history, evolution
-    /// path) is bit-identical for every `threads` value, including 1.
-    /// `threads <= 1` skips thread spawning entirely.
-    pub fn run_batch<F, C>(
-        &mut self,
-        fitness: &F,
-        threads: usize,
-        on_generation: C,
-    ) -> GaResult<R::Genome>
-    where
-        R::Genome: Sync,
-        F: BatchFitness<R::Genome>,
-        C: FnMut(&GenerationStats),
-    {
-        let campaign_seed = self.config.seed;
-        self.run_inner(
-            |population, generation| {
-                if threads <= 1 {
-                    population
-                        .iter()
-                        .enumerate()
-                        .map(|(index, genome)| {
-                            fitness.evaluate(
-                                genome,
-                                EvalContext::new(campaign_seed, generation, index),
-                            )
-                        })
-                        .collect()
-                } else {
-                    let indexed: Vec<(usize, &R::Genome)> = population.iter().enumerate().collect();
-                    evaluate_parallel(
-                        &indexed,
-                        |&(index, genome)| {
-                            fitness.evaluate(
-                                genome,
-                                EvalContext::new(campaign_seed, generation, index),
-                            )
-                        },
-                        threads,
-                    )
-                }
-            },
-            on_generation,
-        )
-    }
-
-    /// Runs the GA evaluating each generation in lane groups of `lanes`
-    /// individuals, dispatching whole groups across `threads` worker
-    /// threads — the entry point for batched (SIMD-style lane-major)
-    /// fitness pipelines.
-    ///
-    /// Each group receives the same `(config.seed, generation, index)`-
-    /// derived [`EvalContext`]s that [`GaEngine::run_batch`] would hand
-    /// the individuals one at a time, and groups are formed by contiguous
-    /// population order regardless of thread count. A [`LaneFitness`]
-    /// whose lane `l` result depends only on `(genomes[l], ctxs[l])` —
-    /// the contract the batched measurement chain satisfies bit-for-bit —
-    /// therefore yields runs that are bit-identical at any
-    /// `(threads, lanes)` combination, including `(1, 1)`.
-    ///
-    /// `lanes == 0` is treated as 1; `threads <= 1` skips thread spawning.
-    pub fn run_batch_lanes<F, C>(
-        &mut self,
-        fitness: &F,
-        threads: usize,
-        lanes: usize,
-        on_generation: C,
-    ) -> GaResult<R::Genome>
-    where
-        R::Genome: Sync,
-        F: LaneFitness<R::Genome>,
-        C: FnMut(&GenerationStats),
-    {
-        let campaign_seed = self.config.seed;
-        let lanes = lanes.max(1);
-        self.run_inner(
-            |population, generation| {
-                let groups: Vec<(usize, &[R::Genome])> = population
-                    .chunks(lanes)
-                    .enumerate()
-                    .map(|(gi, chunk)| (gi * lanes, chunk))
-                    .collect();
-                let eval_group = |&(start, chunk): &(usize, &[R::Genome])| -> Vec<f64> {
-                    let genomes: Vec<&R::Genome> = chunk.iter().collect();
-                    let ctxs: Vec<EvalContext> = (0..chunk.len())
-                        .map(|l| EvalContext::new(campaign_seed, generation, start + l))
-                        .collect();
-                    let scores = fitness.evaluate_lanes(&genomes, &ctxs);
-                    assert_eq!(
-                        scores.len(),
-                        chunk.len(),
-                        "lane fitness must score every lane of its group"
-                    );
-                    scores
-                };
-                let grouped: Vec<Vec<f64>> = if threads <= 1 {
-                    groups.iter().map(eval_group).collect()
-                } else {
-                    map_parallel(&groups, eval_group, threads)
-                };
-                grouped.into_iter().flatten().collect()
-            },
-            on_generation,
-        )
-    }
-
-    /// The generation loop shared by [`GaEngine::run`] and
-    /// [`GaEngine::run_batch`]: `evaluate` scores a whole generation,
-    /// everything else (selection, crossover, mutation, elitism) is
-    /// serial and driven by the engine RNG, held in a [`GaState`].
-    fn run_inner<E, C>(&mut self, mut evaluate: E, mut on_generation: C) -> GaResult<R::Genome>
-    where
-        E: FnMut(&[R::Genome], usize) -> Vec<f64>,
-        C: FnMut(&GenerationStats),
-    {
-        let mut state = GaState::new(&self.repr, &self.config);
-        while !state.is_done(&self.config) {
-            let scores: Vec<f64> = evaluate(&state.population, state.generation);
-            state.absorb_scores(
-                &self.repr,
-                &self.config,
-                &self.telemetry,
-                &scores,
-                &mut on_generation,
-            );
-        }
-        state.into_result()
-    }
-}
-
 /// The complete mid-run state of a GA campaign: everything the breeding
 /// loop carries between generations, with public fields so a checkpointed
 /// campaign can serialize it mid-stream and resume bit-identically.
 ///
-/// [`GaEngine::run`]-family methods are thin loops over this state:
-/// construct with [`GaState::new`], score `population` externally, feed
-/// the scores to [`GaState::absorb_scores`] until [`GaState::is_done`],
-/// then take the result with [`GaState::into_result`].
+/// A run is a loop over this state: construct with [`GaState::new`],
+/// score `population` externally, feed the scores to
+/// [`GaState::absorb_scores`] until [`GaState::is_done`], then take the
+/// result with [`GaState::into_result`].
 #[derive(Debug, Clone)]
 pub struct GaState<G> {
     /// The engine RNG mid-stream: population init consumed from it first,
@@ -350,28 +228,27 @@ pub struct GaState<G> {
 impl<G: Clone> GaState<G> {
     /// Seeds the engine RNG and samples the initial population.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on degenerate configurations, like [`GaEngine::new`].
-    pub fn new<R: Representation<Genome = G>>(repr: &R, config: &GaConfig) -> Self {
-        assert!(config.population >= 2, "population must be at least 2");
-        assert!(config.tournament_k >= 1, "tournament size must be >= 1");
-        assert!(
-            config.elitism < config.population,
-            "elitism must leave room for offspring"
-        );
+    /// Returns the [`GaConfigError`] of a degenerate `config` (see
+    /// [`GaConfig::validate`]).
+    pub fn new<R: Representation<Genome = G>>(
+        repr: &R,
+        config: &GaConfig,
+    ) -> Result<Self, GaConfigError> {
+        config.validate()?;
         let mut rng = StdRng::seed_from_u64(config.seed);
         let population: Vec<G> = (0..config.population)
             .map(|_| repr.random(&mut rng))
             .collect();
-        GaState {
+        Ok(GaState {
             rng,
             population,
             generation: 0,
             best: None,
             history: Vec::with_capacity(config.generations),
             generation_best: Vec::with_capacity(config.generations),
-        }
+        })
     }
 
     /// Whether every configured generation has been absorbed.
@@ -484,7 +361,9 @@ fn tournament<'a, G>(
     &population[best_idx]
 }
 
-/// Per-individual evaluation context handed to a [`BatchFitness`].
+/// Per-individual evaluation context: which individual of which
+/// generation is being scored, and the seed its measurement noise draws
+/// from.
 ///
 /// The `seed` is a pure function of `(campaign seed, generation, index)`
 /// (see [`derive_eval_seed`]), so any measurement noise drawn from it is
@@ -509,49 +388,6 @@ impl EvalContext {
             index,
             seed: derive_eval_seed(campaign_seed, generation, index),
         }
-    }
-}
-
-/// A thread-safe fitness function evaluating one genome per call, used by
-/// [`GaEngine::run_batch`].
-///
-/// Implemented for any `Fn(&G, EvalContext) -> f64 + Sync` closure.
-/// Unlike the `FnMut` closure taken by [`GaEngine::run`], implementations
-/// take `&self` and must draw any randomness from [`EvalContext::seed`]
-/// rather than captured mutable state.
-pub trait BatchFitness<G>: Sync {
-    /// Scores one genome.
-    fn evaluate(&self, genome: &G, ctx: EvalContext) -> f64;
-}
-
-impl<G, F> BatchFitness<G> for F
-where
-    F: Fn(&G, EvalContext) -> f64 + Sync,
-{
-    fn evaluate(&self, genome: &G, ctx: EvalContext) -> f64 {
-        self(genome, ctx)
-    }
-}
-
-/// A thread-safe fitness function scoring a whole lane group per call,
-/// used by [`GaEngine::run_batch_lanes`].
-///
-/// Implemented for any `Fn(&[&G], &[EvalContext]) -> Vec<f64> + Sync`
-/// closure. The engine's determinism contract requires lane `l`'s score
-/// to depend only on `(genomes[l], ctxs[l])` — batching may amortize the
-/// physics across lanes, but must not couple their results.
-pub trait LaneFitness<G>: Sync {
-    /// Scores `genomes[l]` under `ctxs[l]` for every lane `l`, returning
-    /// exactly one score per lane.
-    fn evaluate_lanes(&self, genomes: &[&G], ctxs: &[EvalContext]) -> Vec<f64>;
-}
-
-impl<G, F> LaneFitness<G> for F
-where
-    F: Fn(&[&G], &[EvalContext]) -> Vec<f64> + Sync,
-{
-    fn evaluate_lanes(&self, genomes: &[&G], ctxs: &[EvalContext]) -> Vec<f64> {
-        self(genomes, ctxs)
     }
 }
 
@@ -587,37 +423,10 @@ pub fn one_point_crossover<T: Clone>(a: &[T], b: &[T], rng: &mut StdRng) -> (Vec
     (c1, c2)
 }
 
-/// Evaluates an entire population in parallel using scoped threads; used
-/// when fitness evaluation is CPU-bound simulation rather than a shared
-/// instrument session.
-pub fn evaluate_parallel<G, F>(population: &[G], fitness: F, threads: usize) -> Vec<f64>
-where
-    G: Sync,
-    F: Fn(&G) -> f64 + Sync,
-{
-    let threads = threads.max(1);
-    let mut scores = vec![0.0f64; population.len()];
-    let chunk = population.len().div_ceil(threads).max(1);
-    crossbeam::thread::scope(|s| {
-        for (genomes, out) in population.chunks(chunk).zip(scores.chunks_mut(chunk)) {
-            let fitness = &fitness;
-            s.spawn(move |_| {
-                for (g, o) in genomes.iter().zip(out.iter_mut()) {
-                    *o = fitness(g);
-                }
-            });
-        }
-    })
-    .expect("worker thread panicked");
-    scores
-}
-
 /// Applies `eval` to every item across `threads` scoped worker threads,
-/// returning results in item order — the group-level analogue of
-/// [`evaluate_parallel`] for evaluators producing per-group vectors.
-/// Public so the step-engine driver can dispatch lane groups with exactly
-/// the same chunking (and therefore the same thread schedule) as
-/// [`GaEngine::run_batch_lanes`].
+/// returning results in item order. Items are split into `threads`
+/// contiguous chunks, one per thread, so the schedule is a pure function
+/// of `(items.len(), threads)`.
 pub fn map_parallel<T, U, F>(items: &[T], eval: F, threads: usize) -> Vec<U>
 where
     T: Sync,
@@ -678,17 +487,42 @@ mod tests {
         g.iter().filter(|&&b| b).count() as f64
     }
 
+    /// Runs `config` to completion, scoring each generation with `score`
+    /// (population, generation) and reporting every generation's stats to
+    /// `observe`.
+    fn run(
+        bits: usize,
+        config: &GaConfig,
+        mut score: impl FnMut(&[Vec<bool>], usize) -> Vec<f64>,
+        mut observe: impl FnMut(&GenerationStats),
+    ) -> GaResult<Vec<bool>> {
+        let repr = Bits(bits);
+        let mut state = GaState::new(&repr, config).expect("valid config");
+        while !state.is_done(config) {
+            let scores = score(&state.population, state.generation);
+            let tel = emvolt_obs::Telemetry::noop();
+            state.absorb_scores(&repr, config, &tel, &scores, &mut observe);
+        }
+        state.into_result()
+    }
+
+    fn run_ones(bits: usize, config: &GaConfig) -> GaResult<Vec<bool>> {
+        run(
+            bits,
+            config,
+            |pop, _| pop.iter().map(ones).collect(),
+            |_| {},
+        )
+    }
+
     #[test]
     fn solves_onemax() {
-        let mut engine = GaEngine::new(
-            Bits(64),
-            GaConfig {
-                population: 40,
-                generations: 60,
-                ..GaConfig::default()
-            },
-        );
-        let result = engine.run(ones, |_| {});
+        let config = GaConfig {
+            population: 40,
+            generations: 60,
+            ..GaConfig::default()
+        };
+        let result = run_ones(64, &config);
         assert!(
             result.best_fitness >= 60.0,
             "best {} of 64",
@@ -698,8 +532,7 @@ mod tests {
 
     #[test]
     fn best_so_far_is_monotone() {
-        let mut engine = GaEngine::new(Bits(32), GaConfig::default());
-        let result = engine.run(ones, |_| {});
+        let result = run_ones(32, &GaConfig::default());
         for w in result.history.windows(2) {
             assert!(w[1].best_so_far >= w[0].best_so_far);
         }
@@ -709,46 +542,48 @@ mod tests {
 
     #[test]
     fn deterministic_given_seed() {
-        let run = || {
-            let mut engine = GaEngine::new(
-                Bits(32),
-                GaConfig {
-                    generations: 10,
-                    ..GaConfig::default()
-                },
-            );
-            engine.run(ones, |_| {}).best
+        let config = GaConfig {
+            generations: 10,
+            ..GaConfig::default()
         };
-        assert_eq!(run(), run());
+        assert_eq!(run_ones(32, &config).best, run_ones(32, &config).best);
     }
 
     #[test]
     fn noisy_fitness_still_improves() {
-        let mut engine = GaEngine::new(
-            Bits(64),
-            GaConfig {
-                population: 40,
-                generations: 50,
-                seed: 7,
-                ..GaConfig::default()
-            },
-        );
+        let config = GaConfig {
+            population: 40,
+            generations: 50,
+            seed: 7,
+            ..GaConfig::default()
+        };
         let mut noise_rng = StdRng::seed_from_u64(99);
-        let result = engine.run(move |g| ones(g) + noise_rng.gen_range(-2.0..2.0), |_| {});
+        let result = run(
+            64,
+            &config,
+            |pop, _| {
+                pop.iter()
+                    .map(|g| ones(g) + noise_rng.gen_range(-2.0..2.0))
+                    .collect()
+            },
+            |_| {},
+        );
         assert!(result.best_fitness > 50.0);
     }
 
     #[test]
     fn callback_sees_every_generation() {
-        let mut engine = GaEngine::new(
-            Bits(16),
-            GaConfig {
-                generations: 12,
-                ..GaConfig::default()
-            },
-        );
+        let config = GaConfig {
+            generations: 12,
+            ..GaConfig::default()
+        };
         let mut seen = Vec::new();
-        let _ = engine.run(ones, |s| seen.push(s.index));
+        let _ = run(
+            16,
+            &config,
+            |pop, _| pop.iter().map(ones).collect(),
+            |s| seen.push(s.index),
+        );
         assert_eq!(seen, (0..12).collect::<Vec<_>>());
     }
 
@@ -766,161 +601,61 @@ mod tests {
     }
 
     #[test]
-    fn parallel_evaluation_matches_serial() {
-        let population: Vec<Vec<bool>> = {
-            let repr = Bits(24);
-            let mut rng = StdRng::seed_from_u64(1);
-            (0..37).map(|_| repr.random(&mut rng)).collect()
-        };
-        let serial: Vec<f64> = population.iter().map(ones).collect();
-        let parallel = evaluate_parallel(&population, ones, 4);
-        assert_eq!(serial, parallel);
+    fn map_parallel_keeps_item_order() {
+        let items: Vec<usize> = (0..37).collect();
+        let serial: Vec<usize> = items.iter().map(|i| i * i).collect();
+        for threads in [1, 4, 64] {
+            assert_eq!(map_parallel(&items, |i| i * i, threads), serial);
+        }
     }
 
-    /// A batch fitness with seed-derived noise, exercising the property
-    /// the measurement pipeline depends on: noise comes from the context
-    /// seed, not shared mutable state.
-    fn noisy_batch(g: &Vec<bool>, ctx: EvalContext) -> f64 {
+    /// Seed-derived noise: the property the measurement pipeline depends
+    /// on is that noise comes from the context seed, not shared mutable
+    /// state.
+    fn noisy(g: &Vec<bool>, ctx: EvalContext) -> f64 {
         let mut rng = StdRng::seed_from_u64(ctx.seed);
         ones(g) + rng.gen_range(-0.5..0.5)
     }
 
+    /// Scoring each generation over `map_parallel` with context-derived
+    /// seeds reproduces the serial run bit for bit at any thread count.
     #[test]
-    fn batch_run_is_bit_identical_across_thread_counts() {
-        let run = |threads: usize| {
-            let mut engine = GaEngine::new(
-                Bits(32),
-                GaConfig {
-                    population: 20,
-                    generations: 15,
-                    seed: 31,
-                    ..GaConfig::default()
+    fn threaded_scoring_is_bit_identical_across_thread_counts() {
+        let config = GaConfig {
+            population: 20,
+            generations: 15,
+            seed: 31,
+            ..GaConfig::default()
+        };
+        let run_with = |threads: usize| {
+            let mut history = Vec::new();
+            let result = run(
+                32,
+                &config,
+                |pop, generation| {
+                    let indexed: Vec<(usize, &Vec<bool>)> = pop.iter().enumerate().collect();
+                    map_parallel(
+                        &indexed,
+                        |&(index, g)| noisy(g, EvalContext::new(config.seed, generation, index)),
+                        threads,
+                    )
                 },
+                |s| history.push(s.clone()),
             );
-            let mut history = Vec::new();
-            let result = engine.run_batch(&noisy_batch, threads, |s| history.push(s.clone()));
-            (
-                result.best,
-                result.best_fitness,
-                result.generation_best,
-                history,
-            )
+            (result, history)
         };
-        let serial = run(1);
+        let (serial, serial_history) = run_with(1);
         for threads in [2, 3, 8] {
-            let parallel = run(threads);
-            assert_eq!(serial.0, parallel.0, "{threads} threads: best genome");
+            let (parallel, history) = run_with(threads);
+            assert_eq!(serial.best, parallel.best, "{threads} threads");
             assert_eq!(
-                serial.1.to_bits(),
-                parallel.1.to_bits(),
-                "{threads} threads: best fitness"
+                serial.best_fitness.to_bits(),
+                parallel.best_fitness.to_bits(),
+                "{threads} threads"
             );
-            assert_eq!(serial.2, parallel.2, "{threads} threads: generation bests");
-            assert_eq!(serial.3, parallel.3, "{threads} threads: history");
+            assert_eq!(serial.generation_best, parallel.generation_best);
+            assert_eq!(serial_history, history, "{threads} threads");
         }
-    }
-
-    /// Lane groups must not change a single bit of the run: the same
-    /// noisy fitness, evaluated through `run_batch_lanes` at any
-    /// `(threads, lanes)` combination, reproduces the `run_batch`
-    /// reference exactly.
-    #[test]
-    fn lane_run_is_bit_identical_across_threads_and_lanes() {
-        let config = GaConfig {
-            population: 21,
-            generations: 12,
-            seed: 77,
-            ..GaConfig::default()
-        };
-        let lane_fitness = |genomes: &[&Vec<bool>], ctxs: &[EvalContext]| -> Vec<f64> {
-            genomes
-                .iter()
-                .zip(ctxs)
-                .map(|(g, &ctx)| noisy_batch(g, ctx))
-                .collect()
-        };
-        let reference = {
-            let mut engine = GaEngine::new(Bits(32), config.clone());
-            let mut history = Vec::new();
-            let r = engine.run_batch(&noisy_batch, 1, |s| history.push(s.clone()));
-            (r.best, r.best_fitness, r.generation_best, history)
-        };
-        for threads in [1, 4] {
-            for lanes in [1, 3, 8, 64] {
-                let mut engine = GaEngine::new(Bits(32), config.clone());
-                let mut history = Vec::new();
-                let r = engine
-                    .run_batch_lanes(&lane_fitness, threads, lanes, |s| history.push(s.clone()));
-                assert_eq!(reference.0, r.best, "threads {threads}, lanes {lanes}");
-                assert_eq!(
-                    reference.1.to_bits(),
-                    r.best_fitness.to_bits(),
-                    "threads {threads}, lanes {lanes}"
-                );
-                assert_eq!(
-                    reference.2, r.generation_best,
-                    "threads {threads}, lanes {lanes}"
-                );
-                assert_eq!(reference.3, history, "threads {threads}, lanes {lanes}");
-            }
-        }
-    }
-
-    /// The lane evaluator sees contiguous population groups with the same
-    /// `(generation, index)`-derived contexts the per-individual path
-    /// uses, at every thread count.
-    #[test]
-    fn lane_groups_carry_the_per_individual_contexts() {
-        use std::sync::Mutex as StdMutex;
-        let config = GaConfig {
-            population: 10,
-            generations: 2,
-            seed: 3,
-            ..GaConfig::default()
-        };
-        for threads in [1, 4] {
-            let seen: StdMutex<Vec<(usize, usize, u64)>> = StdMutex::new(Vec::new());
-            let lane_fitness = |genomes: &[&Vec<bool>], ctxs: &[EvalContext]| -> Vec<f64> {
-                assert!(ctxs.len() <= 4, "group wider than the lane width");
-                let mut log = seen.lock().unwrap();
-                for ctx in ctxs {
-                    log.push((ctx.generation, ctx.index, ctx.seed));
-                }
-                genomes.iter().map(|g| ones(g)).collect()
-            };
-            let _ = GaEngine::new(Bits(16), config.clone()).run_batch_lanes(
-                &lane_fitness,
-                threads,
-                4,
-                |_| {},
-            );
-            let mut log = seen.into_inner().unwrap();
-            log.sort_unstable();
-            let mut expected: Vec<(usize, usize, u64)> = (0..2)
-                .flat_map(|g| (0..10).map(move |i| (g, i, derive_eval_seed(3, g, i))))
-                .collect();
-            expected.sort_unstable();
-            assert_eq!(log, expected, "threads {threads}");
-        }
-    }
-
-    #[test]
-    fn batch_run_with_pure_fitness_matches_serial_run() {
-        let config = GaConfig {
-            population: 24,
-            generations: 12,
-            seed: 5,
-            ..GaConfig::default()
-        };
-        let serial = GaEngine::new(Bits(32), config.clone()).run(ones, |_| {});
-        let batch = GaEngine::new(Bits(32), config).run_batch(
-            &|g: &Vec<bool>, _ctx: EvalContext| ones(g),
-            4,
-            |_| {},
-        );
-        assert_eq!(serial.best, batch.best);
-        assert_eq!(serial.best_fitness.to_bits(), batch.best_fitness.to_bits());
-        assert_eq!(serial.history, batch.history);
     }
 
     #[test]
@@ -941,15 +676,55 @@ mod tests {
         assert_ne!(derive_eval_seed(42, 3, 17), derive_eval_seed(42, 17, 3));
     }
 
+    fn rejected(config: GaConfig) -> GaConfigError {
+        GaState::new(&Bits(8), &config).expect_err("degenerate config must be rejected")
+    }
+
     #[test]
-    #[should_panic(expected = "population")]
     fn rejects_tiny_population() {
-        let _ = GaEngine::new(
-            Bits(8),
-            GaConfig {
-                population: 1,
-                ..GaConfig::default()
-            },
+        let config = GaConfig {
+            population: 1,
+            elitism: 0,
+            ..GaConfig::default()
+        };
+        assert_eq!(rejected(config), GaConfigError::PopulationTooSmall(1));
+    }
+
+    #[test]
+    fn rejects_empty_tournament() {
+        let config = GaConfig {
+            tournament_k: 0,
+            ..GaConfig::default()
+        };
+        assert_eq!(rejected(config), GaConfigError::EmptyTournament);
+    }
+
+    #[test]
+    fn rejects_elitism_filling_the_population() {
+        let config = GaConfig {
+            population: 4,
+            elitism: 4,
+            ..GaConfig::default()
+        };
+        assert_eq!(
+            rejected(config),
+            GaConfigError::NoRoomForOffspring {
+                elitism: 4,
+                population: 4
+            }
+        );
+    }
+
+    #[test]
+    fn rejects_zero_generations() {
+        let config = GaConfig {
+            generations: 0,
+            ..GaConfig::default()
+        };
+        assert_eq!(rejected(config), GaConfigError::NoGenerations);
+        assert_eq!(
+            GaConfigError::NoGenerations.to_string(),
+            "generations must be at least 1"
         );
     }
 }

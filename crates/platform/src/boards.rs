@@ -243,7 +243,10 @@ mod tests {
     #[test]
     fn juno_has_independent_domains() {
         let mut board = JunoBoard::new();
-        board.cluster_mut(JunoCluster::A53).power_gate(1);
+        board
+            .cluster_mut(JunoCluster::A53)
+            .try_power_gate(1)
+            .unwrap();
         assert_eq!(board.a53.active_cores(), 1);
         assert_eq!(board.a72.active_cores(), 2);
         assert_eq!(board.cluster(JunoCluster::A72).name(), "A72");

@@ -53,6 +53,10 @@ pub enum DomainError {
     /// (I/O failure, malformed snapshot, or a run-config fingerprint
     /// mismatch when resuming against a different chip/config).
     Checkpoint(String),
+    /// A campaign configuration was rejected before anything ran (e.g. a
+    /// degenerate GA population, or an option the campaign does not
+    /// support).
+    InvalidConfig(String),
 }
 
 impl fmt::Display for DomainError {
@@ -78,6 +82,7 @@ impl fmt::Display for DomainError {
             DomainError::EmptyPhaseList => write!(f, "run_sequence needs at least one phase"),
             DomainError::Backend(msg) => write!(f, "measurement backend error: {msg}"),
             DomainError::Checkpoint(msg) => write!(f, "checkpoint error: {msg}"),
+            DomainError::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
         }
     }
 }
@@ -268,21 +273,7 @@ impl VoltageDomain {
         self.max_freq_hz
     }
 
-    /// Sets the clock (DVFS).
-    ///
-    /// # Panics
-    ///
-    /// Panics for non-positive frequencies or above-maximum requests;
-    /// [`VoltageDomain::try_set_frequency`] is the fallible form for
-    /// requests that originate outside the program (CLI flags, traces).
-    pub fn set_frequency(&mut self, hz: f64) {
-        if let Err(e) = self.try_set_frequency(hz) {
-            panic!("{e}");
-        }
-    }
-
-    /// Fallible DVFS: rejects requests outside `(0, max]` instead of
-    /// panicking.
+    /// Sets the clock (DVFS), rejecting requests outside `(0, max]`.
     ///
     /// # Errors
     ///
@@ -303,20 +294,8 @@ impl VoltageDomain {
         self.supply_v
     }
 
-    /// Sets the supply voltage (undervolting for V_MIN tests).
-    ///
-    /// # Panics
-    ///
-    /// Panics for non-positive voltages;
-    /// [`VoltageDomain::try_set_voltage`] is the fallible form.
-    pub fn set_voltage(&mut self, volts: f64) {
-        if let Err(e) = self.try_set_voltage(volts) {
-            panic!("{e}");
-        }
-    }
-
-    /// Fallible undervolting: rejects non-positive supplies instead of
-    /// panicking.
+    /// Sets the supply voltage (undervolting for V_MIN tests), rejecting
+    /// non-positive and NaN supplies.
     ///
     /// # Errors
     ///
@@ -342,21 +321,8 @@ impl VoltageDomain {
     }
 
     /// Power-gates the cluster down to `active` cores (affects die
-    /// capacitance and therefore the first-order resonance, §6).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `active` is zero or exceeds the cluster size;
-    /// [`VoltageDomain::try_power_gate`] is the fallible form for
-    /// requests that originate outside the program (e.g. `--cores`).
-    pub fn power_gate(&mut self, active: usize) {
-        if let Err(e) = self.try_power_gate(active) {
-            panic!("{e}");
-        }
-    }
-
-    /// Fallible power gating: rejects counts outside `1..=core_count`
-    /// instead of panicking.
+    /// capacitance and therefore the first-order resonance, §6),
+    /// rejecting counts outside `1..=core_count`.
     ///
     /// # Errors
     ///
@@ -565,18 +531,6 @@ impl DomainRunner {
     /// refactoring its matrices — frequency only enters through the CPU
     /// timing model, so results stay bit-identical to a runner freshly
     /// built at the new frequency.
-    ///
-    /// # Panics
-    ///
-    /// Panics for non-positive frequencies or above-maximum requests;
-    /// [`DomainRunner::try_set_frequency`] is the fallible form.
-    pub fn set_frequency(&mut self, hz: f64) {
-        if let Err(e) = self.try_set_frequency(hz) {
-            panic!("{e}");
-        }
-    }
-
-    /// Fallible form of [`DomainRunner::set_frequency`].
     ///
     /// # Errors
     ///
@@ -940,7 +894,7 @@ mod tests {
     fn power_gating_raises_expected_resonance() {
         let mut d = domain();
         let f2 = d.expected_resonance_hz();
-        d.power_gate(1);
+        d.try_power_gate(1).unwrap();
         let f1 = d.expected_resonance_hz();
         assert!(f1 > f2);
     }
@@ -948,7 +902,7 @@ mod tests {
     #[test]
     fn loading_more_than_active_fails() {
         let mut d = domain();
-        d.power_gate(1);
+        d.try_power_gate(1).unwrap();
         let err = d.run(&sweep_kernel(Isa::ArmV8), 2, &RunConfig::fast());
         assert!(matches!(err, Err(DomainError::TooManyLoadedCores { .. })));
     }
@@ -956,19 +910,12 @@ mod tests {
     #[test]
     fn undervolting_shifts_dc_level() {
         let mut d = domain();
-        d.set_voltage(0.9);
+        d.try_set_voltage(0.9).unwrap();
         let run = d
             .run(&sweep_kernel(Isa::ArmV8), 1, &RunConfig::fast())
             .unwrap();
         assert!((run.v_die.mean() - 0.9).abs() < 0.02);
         assert_eq!(run.supply_v, 0.9);
-    }
-
-    #[test]
-    #[should_panic(expected = "outside")]
-    fn dvfs_respects_maximum() {
-        let mut d = domain();
-        d.set_frequency(2.0e9);
     }
 
     #[test]
@@ -1094,7 +1041,7 @@ mod tests {
     fn runner_snapshots_domain_control_state() {
         let mut d = domain();
         let runner = DomainRunner::new(&d, RunConfig::fast()).unwrap();
-        d.set_voltage(0.9);
+        d.try_set_voltage(0.9).unwrap();
         // The runner keeps the state it was built from.
         assert_eq!(runner.domain().voltage(), 1.0);
         assert_eq!(d.voltage(), 0.9);

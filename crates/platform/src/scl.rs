@@ -121,7 +121,7 @@ mod tests {
         let freqs: Vec<f64> = (40..=130).step_by(3).map(|m| m as f64 * 1e6).collect();
         let cfg = RunConfig::fast();
         let peak2 = Scl::peak(&scl.sweep(&d, &freqs, &cfg).unwrap()).unwrap();
-        d.power_gate(1);
+        d.try_power_gate(1).unwrap();
         let peak1 = Scl::peak(&scl.sweep(&d, &freqs, &cfg).unwrap()).unwrap();
         assert!(
             peak1.freq_hz > peak2.freq_hz,

@@ -105,7 +105,7 @@ impl VminCampaign {
     /// simulate once and slide the DC level down the ladder.
     fn absorb_anchor(&mut self) -> Result<(), DomainError> {
         let mut dom = self.domain.clone();
-        dom.set_voltage(self.config.start_v);
+        dom.try_set_voltage(self.config.start_v)?;
         let run = DomainRunner::new_with(&dom, self.config.run.clone(), self.telemetry.clone())?
             .run(&self.kernel, self.config.loaded_cores)?;
         self.anchor = Some(Anchor {

@@ -236,6 +236,31 @@ mod tests {
     }
 
     #[test]
+    fn bad_start_voltage_is_a_typed_error() {
+        let d = a72_domain();
+        let model = FailureModel::juno_a72();
+        for start_v in [f64::NAN, 0.0, -0.5] {
+            let cfg = VminConfig {
+                start_v,
+                ..quick_cfg()
+            };
+            let err = vmin_test_resumable(
+                &d,
+                &sweep_kernel(Isa::ArmV8),
+                &model,
+                &cfg,
+                Telemetry::noop(),
+                &DriveOptions::default(),
+            )
+            .expect_err("a non-positive start voltage must be rejected");
+            assert!(
+                matches!(err, DomainError::InvalidVoltage { requested_v } if requested_v.to_bits() == start_v.to_bits()),
+                "start_v {start_v}: {err}"
+            );
+        }
+    }
+
+    #[test]
     fn ladder_descends_until_crash() {
         let d = a72_domain();
         let model = FailureModel::juno_a72();

@@ -82,7 +82,7 @@ proptest! {
         let cfg = quick(seed);
         let res = vmin_test(&d, &kernel, &model, &cfg).unwrap();
         let mut dom = d.clone();
-        dom.set_voltage(cfg.start_v);
+        dom.try_set_voltage(cfg.start_v).unwrap();
         let run = dom.run(&kernel, cfg.loaded_cores, &cfg.run).unwrap();
         prop_assert!((res.max_droop_v - run.max_droop()).abs() < 1e-12);
         prop_assert!((res.peak_to_peak_v - run.peak_to_peak()).abs() < 1e-12);

@@ -8,9 +8,9 @@
 use emvolt::prelude::*;
 
 fn sweep(domain: &VoltageDomain, seed: u64) -> Result<f64, Box<dyn std::error::Error>> {
-    let mut bench = EmBench::new(seed);
     let cfg = FastSweepConfig::for_domain(domain);
-    let result = fast_resonance_sweep(domain, &mut bench, &cfg)?;
+    let mut live = LiveBackend::single(domain.clone(), EmBench::new(seed), cfg.run.clone());
+    let result = fast_resonance_sweep_on(&mut live, domain.name(), &cfg)?;
     Ok(result.resonance_hz)
 }
 
@@ -36,7 +36,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\nA53 power-gating scenarios:");
     for active in (1..=4).rev() {
         let mut a53 = juno.a53.clone();
-        a53.power_gate(active);
+        a53.try_power_gate(active)?;
         let f = sweep(&a53, 10 + active as u64)?;
         println!(
             "  {active} core(s) powered: analytic {:>5.1} MHz, measured {:>5.1} MHz",

@@ -7,15 +7,21 @@
 //! cargo run --release --example tamper_detection
 //! ```
 
-use emvolt::core::tamper::{compare, fingerprint, TamperVerdict};
-use emvolt::core::FastSweepConfig;
+use emvolt::core::tamper::{compare, fingerprint, PdnFingerprint, TamperVerdict};
+use emvolt::platform::DomainError;
 use emvolt::prelude::*;
+
+/// Fingerprints `board` with the fast sweep on a live rig seeded `seed`.
+fn fingerprint_live(board: &VoltageDomain, seed: u64) -> Result<PdnFingerprint, DomainError> {
+    let cfg = FastSweepConfig::for_domain(board);
+    let mut live = LiveBackend::single(board.clone(), EmBench::new(seed), cfg.run.clone());
+    fingerprint(&mut live, board.name(), &cfg)
+}
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Golden reference captured at manufacturing time.
     let golden_board = VoltageDomain::new("A72", CoreModel::cortex_a72(), a72_pdn(), 1.2e9);
-    let cfg = FastSweepConfig::for_domain(&golden_board);
-    let golden = fingerprint(&golden_board, &mut EmBench::new(1), &cfg)?;
+    let golden = fingerprint_live(&golden_board, 1)?;
     println!(
         "golden fingerprint: resonance {:.1} MHz, peak {:.1} dBm",
         golden.resonance_hz / 1e6,
@@ -23,8 +29,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let audit = |label: &str, board: &VoltageDomain| -> Result<(), Box<dyn std::error::Error>> {
-        let cfg = FastSweepConfig::for_domain(board);
-        let fp = fingerprint(board, &mut EmBench::new(2), &cfg)?;
+        let fp = fingerprint_live(board, 2)?;
         match compare(&golden, &fp, 0.05) {
             TamperVerdict::Clean => {
                 println!("{label:<32} {:.1} MHz  -> clean", fp.resonance_hz / 1e6)

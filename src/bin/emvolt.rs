@@ -356,8 +356,24 @@ fn backend_from(
     Ok(backend)
 }
 
-fn seed(flags: &HashMap<String, String>) -> u64 {
-    flags.get("seed").and_then(|s| s.parse().ok()).unwrap_or(42)
+/// Parses the numeric flag `--name` strictly: absent means `default`;
+/// anything that does not parse as `T` is a hard error naming the flag.
+fn parse_number<T: std::str::FromStr>(
+    flags: &HashMap<String, String>,
+    name: &str,
+    default: T,
+    expected: &str,
+) -> Result<T, Box<dyn Error>> {
+    match flags.get(name) {
+        None => Ok(default),
+        Some(raw) => raw
+            .parse()
+            .map_err(|_| format!("--{name} {raw}: expected {expected}").into()),
+    }
+}
+
+fn seed(flags: &HashMap<String, String>) -> Result<u64, Box<dyn Error>> {
+    parse_number(flags, "seed", 42, "a non-negative integer")
 }
 
 /// Largest accepted `--lanes` width. Far above any useful batch width
@@ -369,15 +385,15 @@ const MAX_LANES: usize = 64;
 /// detected SIMD level's preferred width"; anything non-numeric or above
 /// [`MAX_LANES`] is a hard error naming the accepted range.
 fn parse_lanes(flags: &HashMap<String, String>) -> Result<usize, Box<dyn Error>> {
-    let Some(raw) = flags.get("lanes") else {
-        return Ok(0);
-    };
-    let lanes: usize = raw
-        .parse()
-        .map_err(|_| format!("--lanes {raw}: expected an integer in 0..={MAX_LANES} (0 = auto)"))?;
+    let lanes: usize = parse_number(
+        flags,
+        "lanes",
+        0,
+        &format!("an integer in 0..={MAX_LANES} (0 = auto)"),
+    )?;
     if lanes > MAX_LANES {
         return Err(format!(
-            "--lanes {raw}: accepted range is 0..={MAX_LANES} (0 = auto; \
+            "--lanes {lanes}: accepted range is 0..={MAX_LANES} (0 = auto; \
              results are bit-identical at any width)"
         )
         .into());
@@ -388,15 +404,7 @@ fn parse_lanes(flags: &HashMap<String, String>) -> Result<usize, Box<dyn Error>>
 /// Parses `--threads` strictly: `0` (the default) means one worker per
 /// core; anything non-numeric is a hard error.
 fn parse_threads(flags: &HashMap<String, String>) -> Result<usize, Box<dyn Error>> {
-    flags
-        .get("threads")
-        .map(|s| {
-            s.parse::<usize>()
-                .map_err(|_| format!("--threads {s}: expected a non-negative integer (0 = auto)"))
-        })
-        .transpose()
-        .map(|t| t.unwrap_or(0))
-        .map_err(Into::into)
+    parse_number(flags, "threads", 0, "a non-negative integer (0 = auto)")
 }
 
 /// Builds the step-engine options from the shared campaign flag group:
@@ -510,7 +518,7 @@ fn cmd_sweep(flags: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
         ..FastSweepConfig::for_domain(&domain)
     };
     apply_solver_flags(flags, &mut cfg.run)?;
-    let mut backend = backend_from(flags, &domain, seed(flags), &cfg.run)?;
+    let mut backend = backend_from(flags, &domain, seed(flags)?, &cfg.run)?;
     eprintln!(
         "sweeping {} ({} powered cores) ...",
         domain.name(),
@@ -588,14 +596,9 @@ fn cmd_impedance(flags: &HashMap<String, String>) -> Result<(), Box<dyn Error>> 
 
 fn cmd_virus(flags: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
     let domain = build_platform(flags)?;
-    let population = flags
-        .get("population")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(20);
-    let generations = flags
-        .get("generations")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(15);
+    let population = parse_number(flags, "population", 20, "a non-negative integer")?;
+    let generations = parse_number(flags, "generations", 15, "a non-negative integer")?;
+    let seed = seed(flags)?;
     let (tel, trace) = telemetry_from(flags)?;
     let opts = drive_options_from(flags)?;
     let progress = flags.contains_key("progress");
@@ -603,7 +606,7 @@ fn cmd_virus(flags: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
         ga: GaConfig {
             population,
             generations,
-            seed: seed(flags),
+            seed,
             ..GaConfig::default()
         },
         loaded_cores: domain.active_cores(),
@@ -612,7 +615,7 @@ fn cmd_virus(flags: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
         ..VirusGenConfig::default()
     };
     apply_solver_flags(flags, &mut cfg.run)?;
-    let mut backend = backend_from(flags, &domain, seed(flags), &cfg.run)?;
+    let mut backend = backend_from(flags, &domain, seed, &cfg.run)?;
     eprintln!(
         "evolving a dI/dt virus on {} ({population} x {generations}) ...",
         domain.name()
@@ -859,6 +862,61 @@ mod tests {
             flags.insert("lanes".to_owned(), bad.to_owned());
             let err = parse_lanes(&flags).unwrap_err().to_string();
             assert!(err.contains("0..=64"), "{err}");
+        }
+    }
+
+    #[test]
+    fn numeric_flags_are_validated() {
+        let one = |name: &str, value: &str| {
+            let mut flags = HashMap::new();
+            flags.insert(name.to_owned(), value.to_owned());
+            flags
+        };
+        // Absent: the documented default.
+        assert_eq!(seed(&HashMap::new()).unwrap(), 42);
+        assert_eq!(parse_threads(&HashMap::new()).unwrap(), 0);
+        // Well-formed: honored as-is.
+        assert_eq!(seed(&one("seed", "9")).unwrap(), 9);
+        assert_eq!(parse_threads(&one("threads", "4")).unwrap(), 4);
+        let population: usize = parse_number(&one("population", "6"), "population", 20, "n")
+            .expect("six is a population");
+        assert_eq!(population, 6);
+        // Malformed: a hard error naming the flag, never the default.
+        for bad in ["abc", "-3", "1.5", ""] {
+            let err = seed(&one("seed", bad)).unwrap_err().to_string();
+            assert!(err.starts_with("--seed"), "{err}");
+            let err = parse_threads(&one("threads", bad)).unwrap_err().to_string();
+            assert!(err.starts_with("--threads"), "{err}");
+            for name in ["population", "generations"] {
+                let err = parse_number::<usize>(&one(name, bad), name, 20, "a count")
+                    .unwrap_err()
+                    .to_string();
+                assert!(err.starts_with(&format!("--{name} {bad}:")), "{err}");
+            }
+        }
+    }
+
+    #[test]
+    fn virus_rejects_malformed_counts_before_running() {
+        for (flag, bad) in [
+            ("--population", "abc"),
+            ("--generations", "x"),
+            ("--seed", "-1"),
+        ] {
+            let err = run("virus", &argv(&["--platform", "a53", flag, bad]))
+                .unwrap_err()
+                .to_string();
+            assert!(err.starts_with(&format!("{flag} {bad}:")), "{err}");
+        }
+        // Well-formed but degenerate GA shapes are typed errors too.
+        for (flag, value, what) in [
+            ("--population", "1", "population must be at least 2"),
+            ("--generations", "0", "generations must be at least 1"),
+        ] {
+            let err = run("virus", &argv(&["--platform", "a53", flag, value]))
+                .unwrap_err()
+                .to_string();
+            assert!(err.contains(what), "{err}");
         }
     }
 

@@ -2,7 +2,6 @@
 //! numbers live in EXPERIMENTS.md; these tests guard the *shape* of each
 //! result on every build.
 
-use emvolt::core::{fast_resonance_sweep, generate_em_virus, FastSweepConfig, VirusGenConfig};
 use emvolt::ga::GaConfig;
 use emvolt::prelude::*;
 
@@ -25,8 +24,9 @@ fn small_ga() -> VirusGenConfig {
 #[test]
 fn ga_improves_and_lands_in_band() {
     let domain = VoltageDomain::new("A72", CoreModel::cortex_a72(), a72_pdn(), 1.2e9);
-    let mut bench = EmBench::new(42);
-    let virus = generate_em_virus("test", &domain, &mut bench, &small_ga()).unwrap();
+    let cfg = small_ga();
+    let mut live = LiveBackend::single(domain, EmBench::new(42), cfg.run.clone());
+    let virus = generate_em_virus_on("test", &mut live, "A72", &cfg, |_| {}).unwrap();
     let first = virus.history.first().unwrap().best_so_far();
     let last = virus.history.last().unwrap().best_so_far();
     assert!(last >= first, "fitness regressed: {first} -> {last}");
@@ -44,12 +44,12 @@ fn fast_sweep_finds_resonance_on_all_three_cpus() {
     let juno = JunoBoard::new();
     let amd = AmdDesktop::new();
     for (domain, seed) in [(&juno.a72, 1u64), (&juno.a53, 2), (&amd.domain, 3)] {
-        let mut bench = EmBench::new(seed);
         let mut cfg = FastSweepConfig::for_domain(domain);
         cfg.samples_per_point = 3;
         // Halve the point count to keep the test quick.
         cfg.cpu_freqs_hz = cfg.cpu_freqs_hz.iter().step_by(2).copied().collect();
-        let result = fast_resonance_sweep(domain, &mut bench, &cfg).unwrap();
+        let mut live = LiveBackend::single(domain.clone(), EmBench::new(seed), cfg.run.clone());
+        let result = fast_resonance_sweep_on(&mut live, domain.name(), &cfg).unwrap();
         let expected = domain.expected_resonance_hz();
         assert!(
             (result.resonance_hz - expected).abs() / expected < 0.25,
@@ -69,7 +69,7 @@ fn power_gating_raises_resonance_monotonically() {
     let mut last = 0.0;
     for active in (1..=4).rev() {
         let mut a53 = board.a53.clone();
-        a53.power_gate(active);
+        a53.try_power_gate(active).unwrap();
         let f = a53.expected_resonance_hz();
         assert!(f > last, "resonance must rise as cores gate off");
         last = f;
