@@ -11,7 +11,11 @@
 //!
 //! - [`LiveBackend`] — the full simulated measurement chain (runner
 //!   pools + [`SharedEmBench`](emvolt_platform::SharedEmBench) seeded
-//!   measurements). Seeded campaigns through it are bit-identical to the
+//!   measurements). It has one evaluation path: its `measure_batch`
+//!   serves every request shape — idle loads, bands around the loop
+//!   frequency, mixed domains or clocks, LU-only plans, per-lane
+//!   failures — through lane groups, and `measure` is its one-request
+//!   call. Seeded campaigns through it are bit-identical to the
 //!   pre-trait code path.
 //! - [`RecordBackend`] / [`ReplayBackend`] — a JSONL trace store keyed
 //!   by `(kernel fingerprint, domain, frequency, band, samples, seed)`.
@@ -181,9 +185,9 @@ pub trait MeasurementBackend: Send + Sync {
     /// `reqs` in order, one result per request. The contract is strict —
     /// every implementation returns results bit-identical to the serial
     /// loop over [`MeasurementBackend::measure`] the default provides;
-    /// live backends override this to amortize the physics across lanes
-    /// (one lock-step transient, one multi-lane Goertzel pass) without
-    /// changing a single bit of any reading.
+    /// the live backend implements this as its only evaluation path
+    /// (one lock-step transient, one multi-lane Goertzel pass per lane
+    /// group) without changing a single bit of any reading.
     fn measure_batch(
         &self,
         reqs: &[MeasureRequest<'_>],

@@ -2,41 +2,39 @@
 //!
 //! This is the pre-trait measurement path, re-homed behind
 //! [`MeasurementBackend`]: per-worker [`EvalSlot`] pools keep warm
-//! [`DomainRunner`]s (netlist + LU factorizations built once), the
-//! parallel path measures through a [`SharedEmBench`] with explicit
-//! seeds, and the serial path drives the bench's own stateful RNG.
-//! Seeded campaigns through this backend are bit-identical to the code
-//! they replaced.
+//! [`DomainRunner`]s (netlist + LU factorizations built once), seeded
+//! requests measure through a [`SharedEmBench`] with explicit seeds, and
+//! the unseeded serial path drives the bench's own stateful RNG. Every
+//! seeded request is served by [`MeasurementBackend::measure_batch`]; a
+//! single request is a batch of one. Seeded campaigns through this
+//! backend are bit-identical to the code they replaced.
 
-use crate::request::{BandSpec, CombinedSource, DomainInfo, EmObservation, Load, MeasureRequest};
+use crate::request::{CombinedSource, DomainInfo, EmObservation, Load, MeasureRequest};
 use crate::{BackendError, MeasurementBackend};
 use emvolt_inst::SweepReading;
 use emvolt_obs::{CounterId, Telemetry};
 use emvolt_platform::{
-    BatchTransientScratch, DomainError, DomainRun, DomainRunner, EmBench, EmReading,
-    MeasureScratch, RunConfig, SessionCosts, SharedEmBench, VoltageDomain,
+    DomainError, DomainRun, DomainRunner, EmBench, EmReading, MeasureScratch, RunConfig,
+    SessionCosts, SharedEmBench, VoltageDomain,
 };
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// One worker's reusable evaluation state: a warm [`DomainRunner`]
-/// (netlist + LU factorizations already built), a recycled [`DomainRun`]
-/// and the spectrum [`MeasureScratch`]. Holding all three together means
-/// a steady-state evaluation allocates nothing transient-sized anywhere
-/// in the kernel → current → PDN → spectrum → metric chain.
+/// (netlist + LU factorizations already built), recycled per-lane
+/// [`DomainRun`]s and the spectrum [`MeasureScratch`]. Holding all three
+/// together means a steady-state evaluation allocates nothing
+/// transient-sized anywhere in the kernel → current → PDN → spectrum →
+/// metric chain.
 #[derive(Debug)]
 pub struct EvalSlot {
     /// The warm per-worker runner.
     pub runner: DomainRunner,
-    /// Recycled run buffers.
-    pub run: DomainRun,
     /// Recycled spectrum/measurement scratch.
     pub measure: MeasureScratch,
-    /// Recycled per-lane run buffers for the batched path.
+    /// Recycled per-lane run buffers.
     pub runs: Vec<DomainRun>,
-    /// Recycled lock-step transient state for the batched path.
-    pub batch: BatchTransientScratch,
 }
 
 impl EvalSlot {
@@ -56,10 +54,8 @@ impl EvalSlot {
         measure.set_telemetry(telemetry.clone());
         Ok(EvalSlot {
             runner,
-            run: DomainRun::empty(),
             measure,
             runs: Vec::new(),
-            batch: BatchTransientScratch::new(),
         })
     }
 }
@@ -156,7 +152,7 @@ impl LiveBackend {
         slot_runner: &mut DomainRunner,
         domain: &VoltageDomain,
         freq_hz: Option<f64>,
-    ) -> Result<(), BackendError> {
+    ) -> Result<(), DomainError> {
         let target = freq_hz.unwrap_or_else(|| domain.frequency());
         if slot_runner.domain().frequency() != target {
             slot_runner.try_set_frequency(target)?;
@@ -164,21 +160,132 @@ impl LiveBackend {
         Ok(())
     }
 
-    fn run_load(
-        slot_runner: &mut DomainRunner,
-        run: &mut DomainRun,
-        load: &Load<'_>,
-    ) -> Result<(), DomainError> {
-        match *load {
-            Load::Kernel {
-                kernel,
-                loaded_cores,
-            } => slot_runner.run_into(kernel, loaded_cores, run),
-            Load::Idle => {
-                *run = slot_runner.run_idle()?;
-                Ok(())
-            }
+    /// Runs `load` on the coordinator's warm runner for domain `idx`,
+    /// leaving the result in its serial slot. The slot takes over a
+    /// pooled runner on first use (the post-campaign path reuses a
+    /// worker's), or builds one cold.
+    fn serial_run(
+        &mut self,
+        idx: usize,
+        load: Load<'_>,
+        freq_hz: Option<f64>,
+        telemetry: &Telemetry,
+    ) -> Result<(), BackendError> {
+        if self.serial[idx].is_none() {
+            let runner = match self.pools[idx].lock().pop() {
+                Some(s) => s.runner,
+                None => DomainRunner::new_with(
+                    &self.domains[idx],
+                    self.run_config.clone(),
+                    telemetry.clone(),
+                )?,
+            };
+            self.serial[idx] = Some(SerialSlot {
+                runner,
+                run: DomainRun::empty(),
+            });
         }
+        let slot = self.serial[idx].as_mut().expect("slot installed");
+        slot.runner.set_telemetry(telemetry.clone());
+        Self::retune(&mut slot.runner, &self.domains[idx], freq_hz)?;
+        slot.runner
+            .run_batch_into(&[load], std::slice::from_mut(&mut slot.run))?;
+        Ok(())
+    }
+
+    /// Serves one group of seeded requests on one domain at one clock:
+    /// checks out a warm slot, retunes it, and runs the lanes. Checkout
+    /// accounting matches a loop of one-request calls: one checkout per
+    /// request, and a miss when a cold slot had to be built.
+    fn serve_group(
+        &self,
+        idx: usize,
+        reqs: &[MeasureRequest<'_>],
+        telemetry: &Telemetry,
+    ) -> Vec<Result<EmObservation, BackendError>> {
+        let domain = &self.domains[idx];
+        let fail = |e: DomainError| reqs.iter().map(|_| Err(e.clone().into())).collect();
+        telemetry.count(CounterId::ScratchCheckouts, reqs.len() as u64);
+        let mut slot = match self.pools[idx].lock().pop() {
+            Some(s) => s,
+            None => {
+                telemetry.count(CounterId::ScratchMisses, 1);
+                match EvalSlot::new(domain, &self.run_config, telemetry) {
+                    Ok(s) => s,
+                    Err(e) => return fail(e),
+                }
+            }
+        };
+        slot.runner.set_telemetry(telemetry.clone());
+        slot.measure.set_telemetry(telemetry.clone());
+        let results = match Self::retune(&mut slot.runner, domain, reqs[0].freq_hz) {
+            Ok(()) => self.run_lanes(&mut slot, reqs),
+            Err(e) => fail(e),
+        };
+        // The slot goes back whatever happened — a failed run leaves the
+        // runner's plan and netlist untouched.
+        self.pools[idx].lock().push(slot);
+        results
+    }
+
+    /// Runs every lane of `reqs` through one batched transient on `slot`,
+    /// then measures each run of consecutive lanes sharing a resolved band
+    /// and sweep count together, so measurement accounting follows
+    /// request order. A failed run is retried lane by lane, so each
+    /// request gets the outcome it would get alone (e.g. one lane loading
+    /// more cores than are powered fails only that lane).
+    fn run_lanes(
+        &self,
+        slot: &mut EvalSlot,
+        reqs: &[MeasureRequest<'_>],
+    ) -> Vec<Result<EmObservation, BackendError>> {
+        let n = reqs.len();
+        let loads: Vec<Load<'_>> = reqs.iter().map(|r| r.load).collect();
+        if slot.runs.len() < n {
+            slot.runs.resize_with(n, DomainRun::empty);
+        }
+        if let Err(e) = slot.runner.run_batch_into(&loads, &mut slot.runs[..n]) {
+            if n == 1 {
+                return vec![Err(e.into())];
+            }
+            return reqs
+                .chunks(1)
+                .flat_map(|one| self.run_lanes(slot, one))
+                .collect();
+        }
+        let runs = &slot.runs[..n];
+        let bands: Vec<(f64, f64)> = reqs
+            .iter()
+            .zip(runs)
+            .map(|(r, run)| r.band.resolve(run.loop_frequency))
+            .collect();
+        let key = |l: usize| (bands[l].0.to_bits(), bands[l].1.to_bits(), reqs[l].samples);
+        let mut results = Vec::with_capacity(n);
+        let mut start = 0;
+        while start < n {
+            let lanes = start..start + (start..n).take_while(|&m| key(m) == key(start)).count();
+            start = lanes.end;
+            let lane_runs: Vec<&DomainRun> = runs[lanes.clone()].iter().collect();
+            let seeds: Vec<u64> = reqs[lanes.clone()]
+                .iter()
+                .map(|r| r.seed.expect("measure_batch checked the seeds"))
+                .collect();
+            let (lo, hi) = bands[lanes.start];
+            let readings = self.shared.measure_in_band_batch_seeded_with(
+                &lane_runs,
+                lo,
+                hi,
+                reqs[lanes.start].samples,
+                &seeds,
+                &mut slot.measure,
+            );
+            results.extend(
+                lanes
+                    .zip(readings)
+                    .map(|(m, reading)| Ok(Self::observation(&runs[m], reading, bands[m]))),
+            );
+        }
+        results
     }
 
     fn observation(run: &DomainRun, reading: EmReading, band: (f64, f64)) -> EmObservation {
@@ -237,166 +344,52 @@ impl MeasurementBackend for LiveBackend {
         req: &MeasureRequest<'_>,
         telemetry: &Telemetry,
     ) -> Result<EmObservation, BackendError> {
-        let idx = self.index(req.domain)?;
-        let seed = req.seed.ok_or(BackendError::SeedRequired)?;
-        let domain = &self.domains[idx];
-        // Checkout accounting matches the old RunnerPool: every call is a
-        // checkout, a miss means a cold slot had to be built.
-        telemetry.count(CounterId::ScratchCheckouts, 1);
-        let mut slot = match self.pools[idx].lock().pop() {
-            Some(s) => s,
-            None => {
-                telemetry.count(CounterId::ScratchMisses, 1);
-                EvalSlot::new(domain, &self.run_config, telemetry)?
-            }
-        };
-        slot.runner.set_telemetry(telemetry.clone());
-        slot.measure.set_telemetry(telemetry.clone());
-        let result = (|| {
-            Self::retune(&mut slot.runner, domain, req.freq_hz)?;
-            Self::run_load(&mut slot.runner, &mut slot.run, &req.load)?;
-            let band = req.band.resolve(slot.run.loop_frequency);
-            let reading = self.shared.measure_in_band_seeded_with(
-                &slot.run,
-                band.0,
-                band.1,
-                req.samples,
-                seed,
-                &mut slot.measure,
-            );
-            Ok(Self::observation(&slot.run, reading, band))
-        })();
-        // The slot goes back whatever happened — a failed run leaves the
-        // runner's plan and netlist untouched.
-        self.pools[idx].lock().push(slot);
-        result
+        self.measure_batch(std::slice::from_ref(req), telemetry)
+            .pop()
+            .expect("one result per request")
     }
 
-    /// Amortized batch: when every request targets the same domain with
-    /// the same explicit band, clock, sweep count and a per-lane seed,
-    /// one warm slot serves the whole group through the lane-major chain
-    /// (one lock-step transient, one multi-lane Goertzel pass, shared
-    /// channel transfer). Reading `l` is bit-identical to the serial
-    /// `measure(&reqs[l], ..)` call it replaces, and trace-visible
-    /// counter totals are lane-count-invariant (`ScratchCheckouts` is
-    /// still charged once per request). Groups that mix domains, bands
-    /// or load shapes — or whose cached plan is LU-only — fall back to
-    /// the serial loop.
+    /// Serves every request shape through the lane-group chain. Each run
+    /// of consecutive requests on one domain at one effective clock is a
+    /// lane group: it checks out one warm slot, runs all its loads
+    /// (kernels and idle alike) through one batched transient, and
+    /// measures lanes that share a resolved band and sweep count in one
+    /// multi-lane pass. Reading `l` depends only on request `l`, so it is
+    /// bit-identical whatever the batch holds; groups are served in
+    /// request order and `ScratchCheckouts` is charged once per request.
     fn measure_batch(
         &self,
         reqs: &[MeasureRequest<'_>],
         telemetry: &Telemetry,
     ) -> Vec<Result<EmObservation, BackendError>> {
-        let serial =
-            |reqs: &[MeasureRequest<'_>]| reqs.iter().map(|r| self.measure(r, telemetry)).collect();
-        let Some(first) = reqs.first() else {
-            return Vec::new();
+        let group_of = |req: &MeasureRequest<'_>| -> Result<(usize, u64), BackendError> {
+            let idx = self.index(req.domain)?;
+            if req.seed.is_none() {
+                return Err(BackendError::SeedRequired);
+            }
+            let clock = req.freq_hz.unwrap_or_else(|| self.domains[idx].frequency());
+            Ok((idx, clock.to_bits()))
         };
-        let band = match first.band {
-            BandSpec::Explicit { lo_hz, hi_hz } => (lo_hz, hi_hz),
-            BandSpec::AroundLoop { .. } => return serial(reqs),
-        };
-        let uniform = reqs.iter().all(|r| {
-            r.domain == first.domain
-                && r.freq_hz == first.freq_hz
-                && r.samples == first.samples
-                && r.seed.is_some()
-                && matches!(r.load, Load::Kernel { .. })
-                && matches!(
-                    r.band,
-                    BandSpec::Explicit { lo_hz, hi_hz } if (lo_hz, hi_hz) == band
-                )
-        });
-        if !uniform || reqs.len() == 1 {
-            return serial(reqs);
-        }
-        let Ok(idx) = self.index(first.domain) else {
-            return serial(reqs);
-        };
-        let domain = &self.domains[idx];
-        let active = domain.active_cores();
-        if reqs
-            .iter()
-            .any(|r| matches!(r.load, Load::Kernel { loaded_cores, .. } if loaded_cores > active))
-        {
-            // Per-lane core-count validation has per-lane outcomes; let
-            // the serial loop report them individually.
-            return serial(reqs);
-        }
-
-        let mut slot = match self.pools[idx].lock().pop() {
-            Some(s) => s,
-            None => {
-                telemetry.count(CounterId::ScratchMisses, 1);
-                match EvalSlot::new(domain, &self.run_config, telemetry) {
-                    Ok(s) => s,
-                    Err(e) => {
-                        let msg = e.to_string();
-                        return reqs
-                            .iter()
-                            .map(|_| Err(BackendError::Domain(DomainError::Backend(msg.clone()))))
-                            .collect();
-                    }
+        let mut results = Vec::with_capacity(reqs.len());
+        let mut rest = reqs;
+        while let Some(first) = rest.first() {
+            let len = match group_of(first) {
+                Ok(key) => {
+                    let len = rest
+                        .iter()
+                        .take_while(|r| group_of(r).ok() == Some(key))
+                        .count();
+                    results.extend(self.serve_group(key.0, &rest[..len], telemetry));
+                    len
                 }
-            }
-        };
-        if !slot.runner.supports_batch() {
-            self.pools[idx].lock().push(slot);
-            return serial(reqs);
+                Err(e) => {
+                    results.push(Err(e));
+                    1
+                }
+            };
+            rest = &rest[len..];
         }
-        // One checkout per request keeps the trace-visible totals
-        // identical to the serial loop at any lane count.
-        telemetry.count(CounterId::ScratchCheckouts, reqs.len() as u64);
-        slot.runner.set_telemetry(telemetry.clone());
-        slot.measure.set_telemetry(telemetry.clone());
-        slot.batch.set_telemetry(telemetry.clone());
-        let entries: Vec<(&emvolt_isa::Kernel, usize)> = reqs
-            .iter()
-            .map(|r| match r.load {
-                Load::Kernel {
-                    kernel,
-                    loaded_cores,
-                } => (kernel, loaded_cores),
-                Load::Idle => unreachable!("uniformity check rejected idle loads"),
-            })
-            .collect();
-        let seeds: Vec<u64> = reqs
-            .iter()
-            .map(|r| r.seed.expect("uniformity check required seeds"))
-            .collect();
-        let results: Result<Vec<Result<EmObservation, BackendError>>, BackendError> = (|| {
-            Self::retune(&mut slot.runner, domain, first.freq_hz)?;
-            if slot.runs.len() < reqs.len() {
-                slot.runs.resize_with(reqs.len(), DomainRun::empty);
-            }
-            let readings = slot.runner.run_measure_batch_into(
-                &entries,
-                band.0,
-                band.1,
-                first.samples,
-                &seeds,
-                &self.shared,
-                &mut slot.runs,
-                &mut slot.batch,
-                &mut slot.measure,
-            )?;
-            Ok(slot
-                .runs
-                .iter()
-                .zip(readings)
-                .map(|(run, reading)| Ok(Self::observation(run, reading, band)))
-                .collect::<Vec<_>>())
-        })();
-        self.pools[idx].lock().push(slot);
-        match results {
-            Ok(observations) => observations,
-            Err(e) => {
-                let msg = e.to_string();
-                reqs.iter()
-                    .map(|_| Err(BackendError::Domain(DomainError::Backend(msg.clone()))))
-                    .collect()
-            }
-        }
+        results
     }
 
     fn measure_serial(
@@ -404,56 +397,18 @@ impl MeasurementBackend for LiveBackend {
         req: &MeasureRequest<'_>,
         telemetry: &Telemetry,
     ) -> Result<EmObservation, BackendError> {
+        if req.seed.is_some() {
+            return self.measure(req, telemetry);
+        }
         let idx = self.index(req.domain)?;
         self.bench.absorb_elapsed(&self.shared);
         self.bench.set_telemetry(telemetry.clone());
-        if self.serial[idx].is_none() {
-            // Prefer a warm pooled runner (the post-campaign path reuses a
-            // worker's slot exactly as the old code did); build cold
-            // otherwise.
-            let slot = match self.pools[idx].lock().pop() {
-                Some(s) => SerialSlot {
-                    runner: s.runner,
-                    run: s.run,
-                },
-                None => SerialSlot {
-                    runner: DomainRunner::new_with(
-                        &self.domains[idx],
-                        self.run_config.clone(),
-                        telemetry.clone(),
-                    )?,
-                    run: DomainRun::empty(),
-                },
-            };
-            self.serial[idx] = Some(slot);
-        }
-        let domain = &self.domains[idx];
-        let slot = self.serial[idx]
-            .as_mut()
-            .expect("serial slot just installed above");
-        slot.runner.set_telemetry(telemetry.clone());
-        Self::retune(&mut slot.runner, domain, req.freq_hz)?;
-        Self::run_load(&mut slot.runner, &mut slot.run, &req.load)?;
-        let band = req.band.resolve(slot.run.loop_frequency);
-        let reading = match req.seed {
-            // The serial rig: the bench's own RNG advances call over call.
-            None => self
-                .bench
-                .measure_in_band(&slot.run, band.0, band.1, req.samples),
-            Some(seed) => {
-                let mut scratch = MeasureScratch::new();
-                scratch.set_telemetry(telemetry.clone());
-                self.shared.measure_in_band_seeded_with(
-                    &slot.run,
-                    band.0,
-                    band.1,
-                    req.samples,
-                    seed,
-                    &mut scratch,
-                )
-            }
-        };
-        Ok(Self::observation(&slot.run, reading, band))
+        self.serial_run(idx, req.load, req.freq_hz, telemetry)?;
+        let run = &self.serial[idx].as_ref().expect("slot installed").run;
+        let band = req.band.resolve(run.loop_frequency);
+        // The serial rig: the bench's own RNG advances call over call.
+        let reading = self.bench.measure_in_band(run, band.0, band.1, req.samples);
+        Ok(Self::observation(run, reading, band))
     }
 
     fn capture_combined(
@@ -466,22 +421,6 @@ impl MeasurementBackend for LiveBackend {
         let mut runs = Vec::with_capacity(sources.len());
         for src in sources {
             let idx = self.index(src.domain)?;
-            if self.serial[idx].is_none() {
-                self.serial[idx] = Some(SerialSlot {
-                    runner: DomainRunner::new_with(
-                        &self.domains[idx],
-                        self.run_config.clone(),
-                        telemetry.clone(),
-                    )?,
-                    run: DomainRun::empty(),
-                });
-            }
-            let domain = &self.domains[idx];
-            let slot = self.serial[idx]
-                .as_mut()
-                .expect("serial slot just installed above");
-            slot.runner.set_telemetry(telemetry.clone());
-            Self::retune(&mut slot.runner, domain, None)?;
             let load = match src.kernel {
                 Some(kernel) => Load::Kernel {
                     kernel,
@@ -489,8 +428,14 @@ impl MeasurementBackend for LiveBackend {
                 },
                 None => Load::Idle,
             };
-            Self::run_load(&mut slot.runner, &mut slot.run, &load)?;
-            runs.push(slot.run.clone());
+            self.serial_run(idx, load, None, telemetry)?;
+            runs.push(
+                self.serial[idx]
+                    .as_ref()
+                    .expect("slot installed")
+                    .run
+                    .clone(),
+            );
         }
         let refs: Vec<&DomainRun> = runs.iter().collect();
         let rx = self.bench.received_spectrum_multi(&refs);
@@ -566,7 +511,9 @@ mod tests {
     use crate::request::BandSpec;
     use emvolt_cpu::CoreModel;
     use emvolt_isa::{kernels::padded_sweep_kernel, Isa};
+    use emvolt_obs::{HistId, JsonlRecorder};
     use emvolt_platform::{a72_pdn, RESONANCE_BAND};
+    use std::sync::Arc;
 
     fn a72() -> VoltageDomain {
         VoltageDomain::new("A72", CoreModel::cortex_a72(), a72_pdn(), 1.2e9)
@@ -809,21 +756,26 @@ mod tests {
         );
     }
 
-    /// An LU-only plan cannot run the lock-step transient: the batch call
-    /// silently serves the group through the serial loop instead.
+    /// LU-only plans batch too: every lane runs the LU reference, and
+    /// each batched reading is bit-identical to the one-request call.
     #[test]
-    fn batched_measure_falls_back_to_serial_for_lu_only_plans() {
+    fn batched_lu_readings_match_one_request_calls_bit_for_bit() {
         use emvolt_platform::KernelChoice;
-        let kernel = padded_sweep_kernel(Isa::ArmV8, 17);
+        let kernels: Vec<_> = [17usize, 5, 11]
+            .iter()
+            .map(|&p| padded_sweep_kernel(Isa::ArmV8, p))
+            .collect();
         let mut cfg = RunConfig::fast();
         cfg.kernel = KernelChoice::Lu;
         let be = LiveBackend::single(a72(), EmBench::new(11), cfg.clone());
-        let reqs: Vec<MeasureRequest<'_>> = (0..2)
-            .map(|i| MeasureRequest {
+        let reqs: Vec<MeasureRequest<'_>> = kernels
+            .iter()
+            .enumerate()
+            .map(|(i, kernel)| MeasureRequest {
                 domain: "A72",
                 load: Load::Kernel {
-                    kernel: &kernel,
-                    loaded_cores: 1,
+                    kernel,
+                    loaded_cores: 1 + i % 2,
                 },
                 freq_hz: None,
                 band: BandSpec::Explicit {
@@ -831,7 +783,7 @@ mod tests {
                     hi_hz: RESONANCE_BAND.1,
                 },
                 samples: 2,
-                seed: Some(70 + i),
+                seed: Some(70 + i as u64),
             })
             .collect();
         let tel = Telemetry::noop();
@@ -839,8 +791,89 @@ mod tests {
         let serial_be = LiveBackend::single(a72(), EmBench::new(11), cfg);
         for (req, got) in reqs.iter().zip(&batched) {
             let want = serial_be.measure(req, &tel).unwrap();
-            assert_eq!(want.reading, got.as_ref().unwrap().reading);
+            let got = got.as_ref().unwrap();
+            assert_eq!(
+                want.reading.metric_dbm.to_bits(),
+                got.reading.metric_dbm.to_bits()
+            );
+            assert_eq!(
+                want.reading.dominant_hz.to_bits(),
+                got.reading.dominant_hz.to_bits()
+            );
+            assert_eq!(want.max_droop_v.to_bits(), got.max_droop_v.to_bits());
         }
+    }
+
+    /// A batch mixing every request shape — idle loads, bands around the
+    /// loop frequency, two clocks, a lane loading more cores than are
+    /// powered, a missing seed and an unknown domain — returns, lane by
+    /// lane, exactly what one-request calls return, and records its
+    /// measurements in the same order.
+    #[test]
+    fn mixed_batches_match_one_request_calls() {
+        let kernel = padded_sweep_kernel(Isa::ArmV8, 17);
+        let other = padded_sweep_kernel(Isa::ArmV8, 6);
+        let explicit = BandSpec::Explicit {
+            lo_hz: RESONANCE_BAND.0,
+            hi_hz: RESONANCE_BAND.1,
+        };
+        let req = |load, freq_hz, band, seed, domain| MeasureRequest {
+            domain,
+            load,
+            freq_hz,
+            band,
+            samples: 2,
+            seed,
+        };
+        let on = |kernel, loaded_cores| Load::Kernel {
+            kernel,
+            loaded_cores,
+        };
+        let around = BandSpec::AroundLoop { halfwidth_hz: 3e6 };
+        let reqs = [
+            req(on(&kernel, 1), None, explicit, Some(1), "A72"),
+            req(on(&other, 2), None, around, Some(6), "A72"),
+            req(Load::Idle, None, explicit, Some(2), "A72"),
+            req(on(&other, 2), Some(0.6e9), around, Some(3), "A72"),
+            req(on(&kernel, 3), Some(0.6e9), explicit, Some(4), "A72"),
+            req(on(&kernel, 1), None, explicit, None, "A72"),
+            req(on(&other, 1), None, explicit, Some(5), "GPU"),
+            req(on(&kernel, 2), None, explicit, Some(7), "A72"),
+        ];
+        let recording = || Telemetry::new(Arc::new(JsonlRecorder::new(std::io::sink())));
+        let (tel, serial_tel) = (recording(), recording());
+        let batched_be = backend();
+        let batched = batched_be.measure_batch(&reqs, &tel);
+        let serial_be = backend();
+        assert_eq!(batched.len(), reqs.len());
+        for (i, (req, got)) in reqs.iter().zip(&batched).enumerate() {
+            match (serial_be.measure(req, &serial_tel), got) {
+                (Ok(want), Ok(got)) => {
+                    assert_eq!(want.reading, got.reading, "lane {i}");
+                    assert_eq!(want.band, got.band, "lane {i}");
+                    assert_eq!(want.loop_frequency_hz, got.loop_frequency_hz, "lane {i}");
+                    assert_eq!(want.max_droop_v, got.max_droop_v, "lane {i}");
+                }
+                (Err(want), Err(got)) => {
+                    assert_eq!(want.to_string(), got.to_string(), "lane {i}")
+                }
+                (want, got) => panic!("lane {i}: one-request {want:?} vs batched {got:?}"),
+            }
+        }
+        assert!(matches!(batched[4], Err(BackendError::Domain(_))));
+        assert!(matches!(batched[5], Err(BackendError::SeedRequired)));
+        assert!(matches!(batched[6], Err(BackendError::UnknownDomain(_))));
+        let bits = |t: &Telemetry| -> Vec<u64> {
+            t.hist_values(HistId::BandAmplitudeDbm)
+                .iter()
+                .map(|v| v.to_bits())
+                .collect()
+        };
+        assert_eq!(bits(&tel), bits(&serial_tel));
+        assert_eq!(
+            batched_be.elapsed_seconds().to_bits(),
+            serial_be.elapsed_seconds().to_bits()
+        );
     }
 
     #[test]

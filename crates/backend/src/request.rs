@@ -11,31 +11,7 @@
 use emvolt_isa::{Isa, Kernel};
 use emvolt_platform::EmReading;
 
-/// What executes on the domain while the analyzer listens.
-#[derive(Debug, Clone, Copy)]
-pub enum Load<'a> {
-    /// A kernel replicated across `loaded_cores` cores (the remaining
-    /// cores idle).
-    Kernel {
-        /// The instruction sequence to loop.
-        kernel: &'a Kernel,
-        /// How many cores execute it.
-        loaded_cores: usize,
-    },
-    /// All cores idle — the baseline the paper subtracts to isolate
-    /// code-dependent emissions.
-    Idle,
-}
-
-impl<'a> Load<'a> {
-    /// The kernel, if this load runs one.
-    pub fn kernel(&self) -> Option<&'a Kernel> {
-        match self {
-            Load::Kernel { kernel, .. } => Some(kernel),
-            Load::Idle => None,
-        }
-    }
-}
+pub use emvolt_platform::Load;
 
 /// The frequency band the analyzer integrates.
 #[derive(Debug, Clone, Copy, PartialEq)]

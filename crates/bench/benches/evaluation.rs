@@ -10,8 +10,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use emvolt_bench::fixtures::{a72_domain, arm_kernel};
 use emvolt_circuit::TransientScratch;
 use emvolt_platform::{
-    BatchTransientScratch, DomainRun, DomainRunner, EmBench, KernelChoice, MeasureScratch,
-    RunConfig, SpectralChoice,
+    DomainRun, DomainRunner, EmBench, KernelChoice, Load, MeasureScratch, RunConfig, SpectralChoice,
 };
 
 fn bench_solver(c: &mut Criterion) {
@@ -146,14 +145,17 @@ fn bench_full_chain(c: &mut Criterion) {
     });
     // Batched path: four independent stimuli folded through the
     // state-space kernel together, then measured per lane.
-    let entries = [(&kernel, 1usize), (&kernel, 2), (&kernel, 1), (&kernel, 2)];
-    let mut outs = vec![DomainRun::empty(); entries.len()];
-    let mut batch = BatchTransientScratch::new();
+    let loads: Vec<Load<'_>> = [1usize, 2, 1, 2]
+        .iter()
+        .map(|&loaded_cores| Load::Kernel {
+            kernel: &kernel,
+            loaded_cores,
+        })
+        .collect();
+    let mut outs = vec![DomainRun::empty(); loads.len()];
     g.bench_function("run_and_measure_batched_x4", |b| {
         b.iter(|| {
-            runner
-                .run_batch_into(&entries, &mut outs, &mut batch)
-                .unwrap();
+            runner.run_batch_into(&loads, &mut outs).unwrap();
             let mut acc = 0.0;
             for out in &outs {
                 acc += shared

@@ -39,8 +39,7 @@ use emvolt_engine::DriveOptions;
 use emvolt_ga::GaConfig;
 use emvolt_obs::{JsonlRecorder, NoopRecorder, Telemetry, WaveDb};
 use emvolt_platform::{
-    BatchTransientScratch, DomainRun, DomainRunner, EmBench, KernelChoice, MeasureScratch,
-    RunConfig, SpectralChoice,
+    DomainRun, DomainRunner, EmBench, KernelChoice, Load, MeasureScratch, RunConfig, SpectralChoice,
 };
 use serde::Value;
 use std::sync::Arc;
@@ -226,26 +225,26 @@ fn eval_records() -> Vec<Stats> {
         ("full_chain_batched_x8", 8),
     ] {
         let mut runner = DomainRunner::new(&domain, cfg.clone()).unwrap();
-        let entries: Vec<(&emvolt_isa::Kernel, usize)> =
-            (0..lanes).map(|i| (&kernel, 1 + i % 2)).collect();
+        let loads: Vec<Load<'_>> = (0..lanes)
+            .map(|i| Load::Kernel {
+                kernel: &kernel,
+                loaded_cores: 1 + i % 2,
+            })
+            .collect();
         let seeds = vec![7u64; lanes];
         let mut outs = vec![DomainRun::empty(); lanes];
-        let mut batch = BatchTransientScratch::new();
         let mut measure = MeasureScratch::new();
         let mut stats = time_ms(name, WARMUP, SAMPLES, || {
-            let readings = runner
-                .run_measure_batch_into(
-                    &entries,
-                    50e6,
-                    200e6,
-                    3,
-                    &seeds,
-                    &shared,
-                    &mut outs,
-                    &mut batch,
-                    &mut measure,
-                )
-                .unwrap();
+            runner.run_batch_into(&loads, &mut outs).unwrap();
+            let runs: Vec<&DomainRun> = outs.iter().collect();
+            let readings = shared.measure_in_band_batch_seeded_with(
+                &runs,
+                50e6,
+                200e6,
+                3,
+                &seeds,
+                &mut measure,
+            );
             for reading in &readings {
                 std::hint::black_box(reading.metric_dbm);
             }

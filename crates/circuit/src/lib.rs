@@ -69,5 +69,5 @@ pub use stimulus::Stimulus;
 pub use trace::Trace;
 pub use transient::{
     BatchTransientScratch, TransientConfig, TransientPlan, TransientProbes, TransientResult,
-    TransientScratch, TransientView,
+    TransientScratch,
 };

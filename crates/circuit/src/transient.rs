@@ -93,23 +93,36 @@ impl TransientConfig {
 
 /// Result of a transient analysis: one recorded waveform per probed node
 /// voltage and inductor current (all of them by default).
-#[derive(Debug, Clone)]
+///
+/// A scoped run records into the [`TransientResult`] inside its
+/// [`TransientScratch`] and lends it out by reference.
+#[derive(Debug, Clone, Default)]
 pub struct TransientResult {
     dt: f64,
     t0: f64,
     len: usize,
     node_slots: Vec<usize>,
     ind_slots: Vec<usize>,
-    node_voltages: Vec<Vec<f64>>,
-    inductor_currents: Vec<Vec<f64>>,
+    node_bufs: Vec<Vec<f64>>,
+    ind_bufs: Vec<Vec<f64>>,
 }
 
 impl TransientResult {
-    /// Voltage waveform at `node`.
+    /// Integration step of the recorded samples.
+    pub fn dt(&self) -> f64 {
+        self.dt
+    }
+
+    /// Time of the first recorded sample.
+    pub fn start_time(&self) -> f64 {
+        self.t0
+    }
+
+    /// Voltage waveform at `node` (copies the samples out).
     ///
     /// # Panics
     ///
-    /// Panics if the node was not recorded by this analysis.
+    /// Panics if the node was not probed by this run.
     pub fn voltage(&self, node: NodeId) -> Trace {
         Trace::with_start(self.dt, self.t0, self.voltage_samples(node).to_vec())
     }
@@ -119,21 +132,22 @@ impl TransientResult {
     ///
     /// # Panics
     ///
-    /// Panics if the node was not recorded by this analysis.
+    /// Panics if the node was not probed by this run.
     pub fn voltage_samples(&self, node: NodeId) -> &[f64] {
         let slot = self
             .node_slots
             .iter()
             .position(|&i| i == node.index())
-            .expect("node was not recorded by this transient analysis");
-        &self.node_voltages[slot]
+            .expect("node was not probed by this transient run");
+        &self.node_bufs[slot]
     }
 
-    /// Current waveform through inductor `id` (positive `a -> b`).
+    /// Current waveform through inductor `id` (positive `a -> b`; copies
+    /// the samples out).
     ///
     /// # Panics
     ///
-    /// Panics if the inductor was not recorded by this analysis.
+    /// Panics if the inductor was not probed by this run.
     pub fn inductor_current(&self, id: InductorId) -> Trace {
         Trace::with_start(self.dt, self.t0, self.inductor_current_samples(id).to_vec())
     }
@@ -143,14 +157,14 @@ impl TransientResult {
     ///
     /// # Panics
     ///
-    /// Panics if the inductor was not recorded by this analysis.
+    /// Panics if the inductor was not probed by this run.
     pub fn inductor_current_samples(&self, id: InductorId) -> &[f64] {
         let slot = self
             .ind_slots
             .iter()
             .position(|&i| i == id.index())
-            .expect("inductor was not recorded by this transient analysis");
-        &self.inductor_currents[slot]
+            .expect("inductor was not probed by this transient run");
+        &self.ind_bufs[slot]
     }
 
     /// Number of recorded samples.
@@ -161,6 +175,18 @@ impl TransientResult {
     /// `true` when nothing was recorded.
     pub fn is_empty(&self) -> bool {
         self.len == 0
+    }
+
+    /// Appends one step's probed node voltages and inductor currents,
+    /// read from lane `lane` of rows holding `stride` lanes each.
+    fn record(&mut self, state: &[f64], ind_i: &[f64], stride: usize, lane: usize) {
+        for (buf, &idx) in self.node_bufs.iter_mut().zip(&self.node_slots) {
+            buf.push(state[idx * stride + lane]);
+        }
+        for (buf, &idx) in self.ind_bufs.iter_mut().zip(&self.ind_slots) {
+            buf.push(ind_i[idx * stride + lane]);
+        }
+        self.len += 1;
     }
 }
 
@@ -256,9 +282,9 @@ impl TransientProbes {
 ///
 /// A scratch checked out across repeated [`Circuit::transient_scoped`]
 /// calls makes the steady-state evaluation path allocation-free — every
-/// buffer is cleared and refilled in place, keeping its capacity. The
-/// scratch carries no results of its own; a [`TransientView`] borrows it
-/// to expose the recorded samples, which the next run overwrites.
+/// buffer is cleared and refilled in place, keeping its capacity. A run
+/// lends its recorded samples out as a `&TransientResult`; the next run
+/// overwrites them.
 ///
 /// Buffer contents never leak between runs: everything the engine reads
 /// is re-derived from the circuit, plan and stimulus before the step
@@ -269,25 +295,10 @@ pub struct TransientScratch {
     x: Vec<f64>,
     dc_b: Vec<f64>,
     dc_x: Vec<f64>,
-    v: Vec<f64>,
-    cap_v: Vec<f64>,
-    cap_i: Vec<f64>,
-    ind_i: Vec<f64>,
-    ind_v: Vec<f64>,
-    inputs: Vec<f64>,
-    /// `[node_a, node_b]` row pairs per capacitor / inductor, the gather
-    /// tables the dispatched companion-update kernels index node state
-    /// with. Rebuilt each run in the setup (node counts fit `u32` by
-    /// construction).
-    cap_rows: Vec<[u32; 2]>,
-    ind_rows: Vec<[u32; 2]>,
-    node_slots: Vec<usize>,
-    ind_slots: Vec<usize>,
-    node_bufs: Vec<Vec<f64>>,
-    ind_bufs: Vec<Vec<f64>>,
-    dt: f64,
-    t0: f64,
-    len: usize,
+    /// The lane's solver state: a run steps in place in these 1-lane
+    /// rows.
+    rows: LaneRows,
+    out: TransientResult,
     telemetry: Telemetry,
 }
 
@@ -308,97 +319,6 @@ impl TransientScratch {
     /// The attached telemetry handle.
     pub fn telemetry(&self) -> &Telemetry {
         &self.telemetry
-    }
-}
-
-/// Borrowing view over the waveforms recorded by
-/// [`Circuit::transient_scoped`].
-///
-/// The samples live inside the [`TransientScratch`] the run was given;
-/// copy out (e.g. via [`TransientView::voltage`]) anything that must
-/// outlive the next run reusing that scratch.
-#[derive(Debug)]
-pub struct TransientView<'a> {
-    scratch: &'a TransientScratch,
-}
-
-impl TransientView<'_> {
-    /// Integration step of the recorded samples.
-    pub fn dt(&self) -> f64 {
-        self.scratch.dt
-    }
-
-    /// Time of the first recorded sample.
-    pub fn start_time(&self) -> f64 {
-        self.scratch.t0
-    }
-
-    /// Number of recorded samples.
-    pub fn len(&self) -> usize {
-        self.scratch.len
-    }
-
-    /// `true` when nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.scratch.len == 0
-    }
-
-    /// Borrowed voltage samples at `node`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the node was not probed by this run.
-    pub fn voltage_samples(&self, node: NodeId) -> &[f64] {
-        let slot = self
-            .scratch
-            .node_slots
-            .iter()
-            .position(|&i| i == node.index())
-            .expect("node was not probed by this transient run");
-        &self.scratch.node_bufs[slot]
-    }
-
-    /// Borrowed current samples through inductor `id` (positive `a -> b`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the inductor was not probed by this run.
-    pub fn inductor_current_samples(&self, id: InductorId) -> &[f64] {
-        let slot = self
-            .scratch
-            .ind_slots
-            .iter()
-            .position(|&i| i == id.index())
-            .expect("inductor was not probed by this transient run");
-        &self.scratch.ind_bufs[slot]
-    }
-
-    /// Owned voltage trace at `node` (copies the samples out of the
-    /// scratch).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the node was not probed by this run.
-    pub fn voltage(&self, node: NodeId) -> Trace {
-        Trace::with_start(
-            self.scratch.dt,
-            self.scratch.t0,
-            self.voltage_samples(node).to_vec(),
-        )
-    }
-
-    /// Owned current trace through inductor `id` (copies the samples out
-    /// of the scratch).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the inductor was not probed by this run.
-    pub fn inductor_current(&self, id: InductorId) -> Trace {
-        Trace::with_start(
-            self.scratch.dt,
-            self.scratch.t0,
-            self.inductor_current_samples(id).to_vec(),
-        )
     }
 }
 
@@ -554,20 +474,9 @@ impl Circuit {
         })
     }
 
-    /// Like [`Circuit::plan_transient`], additionally charging the two LU
-    /// factorizations it performs (transient system matrix + DC operating
-    /// point) to `telemetry`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for a non-positive step or an ill-posed netlist
-    /// (singular MNA matrix).
-    pub fn plan_transient_with(&self, dt: f64, telemetry: &Telemetry) -> Result<TransientPlan> {
-        self.plan_transient_kernel_with(dt, KernelChoice::default(), telemetry)
-    }
-
     /// Like [`Circuit::plan_transient_kernel`], additionally charging the
-    /// two LU factorizations it performs to `telemetry`.
+    /// two LU factorizations it performs (transient system matrix + DC
+    /// operating point) to `telemetry`.
     ///
     /// # Errors
     ///
@@ -616,16 +525,8 @@ impl Circuit {
         config: &TransientConfig,
     ) -> Result<TransientResult> {
         let mut scratch = TransientScratch::new();
-        self.transient_into(plan, config, &TransientProbes::all(), &mut scratch)?;
-        Ok(TransientResult {
-            dt: scratch.dt,
-            t0: scratch.t0,
-            len: scratch.len,
-            node_slots: scratch.node_slots,
-            ind_slots: scratch.ind_slots,
-            node_voltages: scratch.node_bufs,
-            inductor_currents: scratch.ind_bufs,
-        })
+        self.transient_scoped(plan, config, &TransientProbes::all(), &mut scratch)?;
+        Ok(scratch.out)
     }
 
     /// Runs a trapezoidal transient analysis reusing a prebuilt
@@ -638,6 +539,11 @@ impl Circuit {
     /// construction. Results are bit-identical to
     /// [`Circuit::transient_with_plan`] for the probed waveforms.
     ///
+    /// A single run is a lane group of one: it runs through the same
+    /// driver as [`Circuit::transient_batch_scoped`], stepping in place
+    /// in `scratch`. The returned samples live in `scratch`; copy out
+    /// anything that must outlive the next run reusing it.
+    ///
     /// # Errors
     ///
     /// Returns an error for invalid configurations, a plan built for a
@@ -649,77 +555,41 @@ impl Circuit {
         config: &TransientConfig,
         probes: &TransientProbes,
         scratch: &'s mut TransientScratch,
-    ) -> Result<TransientView<'s>> {
-        self.transient_into(plan, config, probes, scratch)?;
-        Ok(TransientView { scratch })
-    }
-
-    /// The transient engine: integrates into `scratch`, reusing every
-    /// buffer it holds. All public single-stimulus transient entry points
-    /// funnel here; the batched path shares the same setup and step
-    /// bodies via [`Circuit::transient_setup`] and
-    /// [`Circuit::state_space_step`].
-    fn transient_into(
-        &self,
-        plan: &TransientPlan,
-        config: &TransientConfig,
-        probes: &TransientProbes,
-        scratch: &mut TransientScratch,
-    ) -> Result<()> {
-        let sched = self.transient_setup(plan, config, probes, scratch, None)?;
-        match &plan.state {
-            Some(kernel) => {
-                for step in 1..=sched.n_steps {
-                    self.state_space_step(
-                        plan,
-                        kernel,
-                        step,
-                        sched.record_start_idx,
-                        None,
-                        scratch,
-                    );
-                }
-            }
-            None => self.lu_steps(plan, &sched, scratch),
-        }
-        let recorded = scratch.len;
-
-        let tel = &scratch.telemetry;
-        tel.count(CounterId::TransientRuns, 1);
-        tel.count(CounterId::SolverSteps, sched.n_steps as u64);
-        tel.span(
-            "transient_solve",
-            Layer::Circuit,
-            &[
-                ("steps", sched.n_steps as f64),
-                ("dim", (plan.n_nodes + plan.n_vs) as f64),
-                ("recorded", recorded as f64),
-            ],
+    ) -> Result<&'s TransientResult> {
+        let sched = self.run_lanes(
+            plan,
+            config,
+            probes,
+            None,
+            std::slice::from_mut(scratch),
+            &mut LaneRows::default(),
+        )?;
+        report_runs(
+            &scratch.telemetry,
+            plan,
+            &sched,
+            std::slice::from_ref(scratch),
+            probes,
         );
-        emit_probe_waves(scratch, probes, None);
-
-        Ok(())
+        Ok(&scratch.out)
     }
 
-    /// Steps a population of independent load stimuli through the plan's
-    /// state-space kernel together, one scratch lane per stimulus.
+    /// Steps a population of independent load stimuli through the plan
+    /// together, one scratch lane per stimulus.
     ///
     /// Every lane simulates this circuit with current source `source`
     /// driven by the corresponding entry of `loads` (the netlist itself is
-    /// not mutated), advancing all lanes in lock-step so the kernel's
-    /// response columns stay hot in cache across the whole batch. Each
-    /// lane's arithmetic is exactly the single-run state-space sequence,
-    /// so lane `i` is bit-identical to setting `loads[i]` on `source` and
-    /// running [`Circuit::transient_scoped`] with the same plan.
+    /// not mutated). Lane `i` is bit-identical to setting `loads[i]` on
+    /// `source` and running [`Circuit::transient_scoped`] with the same
+    /// plan, whatever the batch size: a state-space plan steps lanes in
+    /// groups of up to eight, and an LU-only plan steps each lane through
+    /// the exact LU reference.
     ///
     /// # Errors
     ///
     /// Returns an error for invalid configurations, a plan built for a
     /// different step size or topology, probes that do not belong to this
-    /// circuit, an empty `loads`, a `source` outside the circuit, or a
-    /// plan without the state-space kernel (built with
-    /// [`KernelChoice::Lu`], or [`KernelChoice::Auto`] on a system too
-    /// large for it).
+    /// circuit, an empty `loads`, or a `source` outside the circuit.
     pub fn transient_batch_scoped(
         &self,
         plan: &TransientPlan,
@@ -729,18 +599,6 @@ impl Circuit {
         loads: &[Stimulus],
         batch: &mut BatchTransientScratch,
     ) -> Result<()> {
-        let kernel = plan
-            .state
-            .as_ref()
-            .ok_or_else(|| CircuitError::InvalidAnalysis {
-                reason: format!(
-                    "batched transient requires the state-space kernel, but this plan was \
-                     built LU-only; rebuild it with KernelChoice::StateSpace (`--kernel \
-                     statespace` on the CLI), or with KernelChoice::Auto (`--kernel auto`), \
-                     which embeds the state-space kernel only for MNA dimensions <= {}",
-                    KernelChoice::AUTO_DIM_LIMIT
-                ),
-            })?;
         if source.index() >= self.isources.len() {
             return Err(CircuitError::InvalidAnalysis {
                 reason: format!("batched source {} outside circuit", source.index()),
@@ -751,95 +609,66 @@ impl Circuit {
                 reason: "batched transient needs at least one load stimulus".to_string(),
             });
         }
-
         batch.lanes.resize_with(loads.len(), TransientScratch::new);
+        let sched = self.run_lanes(
+            plan,
+            config,
+            probes,
+            Some((source.index(), loads)),
+            &mut batch.lanes,
+            &mut batch.soa,
+        )?;
+        report_runs(&batch.telemetry, plan, &sched, &batch.lanes, probes);
+        Ok(())
+    }
+
+    /// The transient driver behind every public entry point: seeds each
+    /// lane from the DC operating point, then steps them all. With
+    /// `swept = Some((source, loads))`, lane `l` drives current source
+    /// `source` with `loads[l]` instead of the netlist's own stimulus.
+    ///
+    /// A state-space plan steps the lanes in groups of at most
+    /// [`MAX_GROUP_LANES`]; an LU-only plan steps each lane through
+    /// [`Circuit::lu_steps`].
+    fn run_lanes(
+        &self,
+        plan: &TransientPlan,
+        config: &TransientConfig,
+        probes: &TransientProbes,
+        swept: Option<(usize, &[Stimulus])>,
+        lanes: &mut [TransientScratch],
+        soa: &mut LaneRows,
+    ) -> Result<StepSchedule> {
+        let lane_load = |l: usize| swept.map(|(source, loads)| (source, &loads[l]));
         let mut sched = StepSchedule {
             n_steps: 0,
             record_start_idx: 0,
         };
-        for (lane, load) in batch.lanes.iter_mut().zip(loads) {
-            sched =
-                self.transient_setup(plan, config, probes, lane, Some((source.index(), load)))?;
+        for (l, lane) in lanes.iter_mut().enumerate() {
+            sched = self.transient_setup(plan, config, probes, lane, lane_load(l))?;
         }
-
-        // Lane-major SoA step loop, run in groups of at most eight lanes.
-        // Within a group every per-step stage — the input gather
-        // (capacitor/inductor histories), the response-column fold, and
-        // the element-state update — operates on lane-contiguous rows,
-        // so the stages the serial path can only execute as scalar
-        // gathers (element node indices are arbitrary) become vector code
-        // across lanes. Each group's rows are padded to a whole number of
-        // vectors, so a ragged group costs no more than a full one.
-        // Lane-invariant stimuli (every source except the swept load) are
-        // sampled once per step and broadcast. Per lane the
-        // arithmetic sequence is exactly the single-run state-space
-        // sequence, so every lane stays bit-identical to
-        // `transient_scoped` with that load.
-        let BatchTransientScratch {
-            lanes,
-            lane_inputs,
-            lane_state,
-            cap_v,
-            cap_i,
-            ind_v,
-            ind_i,
-            cap_rows,
-            ind_rows,
-            ..
-        } = batch;
-        let mut soa = BatchSoa {
-            inputs: lane_inputs,
-            state: lane_state,
-            cap_v,
-            cap_i,
-            ind_v,
-            ind_i,
-            cap_rows,
-            ind_rows,
-        };
-        for (group_loads, group_lanes) in loads
-            .chunks(MAX_GROUP_LANES)
-            .zip(lanes.chunks_mut(MAX_GROUP_LANES))
-        {
-            self.batch_group_steps(
-                plan,
-                kernel,
-                &sched,
-                source.index(),
-                group_loads,
-                group_lanes,
-                &mut soa,
-            );
-        }
-
-        let tel = &batch.telemetry;
-        tel.count(CounterId::TransientRuns, loads.len() as u64);
-        tel.count(CounterId::SolverSteps, (sched.n_steps * loads.len()) as u64);
-        tel.span(
-            "transient_batch",
-            Layer::Circuit,
-            &[
-                ("steps", sched.n_steps as f64),
-                ("lanes", loads.len() as f64),
-                ("dim", (plan.n_nodes + plan.n_vs) as f64),
-            ],
-        );
-        if tel.wave_enabled() {
-            for (i, lane) in batch.lanes.iter().enumerate() {
-                // Lane scratches carry quiet handles; route emission
-                // through the batch's own (coordinator) handle.
-                emit_probe_waves_with(tel, lane, probes, Some(i));
+        match &plan.state {
+            Some(kernel) => {
+                for (g, group) in lanes.chunks_mut(MAX_GROUP_LANES).enumerate() {
+                    let first = g * MAX_GROUP_LANES;
+                    let group_swept =
+                        swept.map(|(source, loads)| (source, &loads[first..first + group.len()]));
+                    self.group_steps(plan, kernel, &sched, group_swept, group, soa);
+                }
+            }
+            None => {
+                for (l, lane) in lanes.iter_mut().enumerate() {
+                    self.lu_steps(plan, &sched, lane_load(l), lane);
+                }
             }
         }
-
-        Ok(())
+        Ok(sched)
     }
 
     /// Everything that happens before the step loop: validation, probe
     /// resolution, the DC operating-point seed (optionally with one
     /// current source's stimulus overridden for a batch lane), element
-    /// state initialization and output-buffer recycling. Shared by the
-    /// single and batched paths so their setup arithmetic is identical.
+    /// state initialization and output-buffer recycling, for one lane.
     fn transient_setup(
         &self,
         plan: &TransientPlan,
@@ -856,9 +685,9 @@ impl Circuit {
         let dim = n_nodes + n_vs;
 
         // Resolve probe selections to raw storage indices.
-        scratch.node_slots.clear();
+        scratch.out.node_slots.clear();
         match &probes.nodes {
-            None => scratch.node_slots.extend(0..self.node_count()),
+            None => scratch.out.node_slots.extend(0..self.node_count()),
             Some(list) => {
                 for n in list {
                     if n.index() >= self.node_count() {
@@ -866,13 +695,13 @@ impl Circuit {
                             reason: format!("probed node {} outside circuit", n.index()),
                         });
                     }
-                    scratch.node_slots.push(n.index());
+                    scratch.out.node_slots.push(n.index());
                 }
             }
         }
-        scratch.ind_slots.clear();
+        scratch.out.ind_slots.clear();
         match &probes.inductors {
-            None => scratch.ind_slots.extend(0..self.inductors.len()),
+            None => scratch.out.ind_slots.extend(0..self.inductors.len()),
             Some(list) => {
                 for id in list {
                     if id.index() >= self.inductors.len() {
@@ -880,7 +709,7 @@ impl Circuit {
                             reason: format!("probed inductor {} outside circuit", id.index()),
                         });
                     }
-                    scratch.ind_slots.push(id.index());
+                    scratch.out.ind_slots.push(id.index());
                 }
             }
         }
@@ -894,41 +723,35 @@ impl Circuit {
         resize_zeroed(&mut scratch.dc_x, dc_dim);
         plan.dc.lu.solve_into(&scratch.dc_b, &mut scratch.dc_x);
 
-        resize_zeroed(&mut scratch.v, self.node_count());
-        scratch.v[1..=n_nodes].copy_from_slice(&scratch.dc_x[..n_nodes]);
-        scratch.ind_i.clear();
-        scratch
-            .ind_i
-            .extend_from_slice(&scratch.dc_x[n_nodes + n_vs..]);
-
-        // Node-row tables for the dispatched companion-update kernels.
-        scratch.cap_rows.clear();
-        scratch
-            .cap_rows
-            .extend(self.capacitors.iter().map(|c| [c.a as u32, c.b as u32]));
-        scratch.ind_rows.clear();
-        scratch
-            .ind_rows
-            .extend(self.inductors.iter().map(|l| [l.a as u32, l.b as u32]));
-
         let TransientScratch {
             b,
             x,
-            v,
-            cap_v,
-            cap_i,
-            ind_i,
-            ind_v,
-            inputs,
-            node_slots,
-            ind_slots,
-            node_bufs,
-            ind_bufs,
-            dt,
-            t0,
-            len,
+            dc_x,
+            rows,
+            out,
             ..
         } = scratch;
+        let LaneRows {
+            inputs,
+            state: v,
+            cap_v,
+            cap_i,
+            ind_v,
+            ind_i,
+            cap_rows,
+            ind_rows,
+        } = rows;
+        resize_zeroed(v, self.node_count());
+        v[1..=n_nodes].copy_from_slice(&dc_x[..n_nodes]);
+        ind_i.clear();
+        ind_i.extend_from_slice(&dc_x[n_nodes + n_vs..]);
+
+        // Node-row tables for the dispatched companion-update kernels
+        // (node counts fit `u32` by construction).
+        cap_rows.clear();
+        cap_rows.extend(self.capacitors.iter().map(|c| [c.a as u32, c.b as u32]));
+        ind_rows.clear();
+        ind_rows.extend(self.inductors.iter().map(|l| [l.a as u32, l.b as u32]));
 
         // Capacitor state: (voltage across, current through).
         cap_v.clear();
@@ -945,24 +768,17 @@ impl Circuit {
 
         // Recycle output buffers: the outer list is resized to the probe
         // count; inner sample buffers keep their capacity across runs.
-        node_bufs.resize_with(node_slots.len(), Vec::new);
-        for buf in node_bufs.iter_mut() {
+        out.node_bufs.resize_with(out.node_slots.len(), Vec::new);
+        out.ind_bufs.resize_with(out.ind_slots.len(), Vec::new);
+        for buf in out.node_bufs.iter_mut().chain(out.ind_bufs.iter_mut()) {
             buf.clear();
             buf.reserve(capacity);
         }
-        ind_bufs.resize_with(ind_slots.len(), Vec::new);
-        for buf in ind_bufs.iter_mut() {
-            buf.clear();
-            buf.reserve(capacity);
-        }
-
-        *dt = h;
-        *t0 = record_start_idx as f64 * h;
-        *len = 0;
-
+        out.dt = h;
+        out.t0 = record_start_idx as f64 * h;
+        out.len = 0;
         if record_start_idx == 0 {
-            record_into(v, ind_i, node_slots, ind_slots, node_bufs, ind_bufs);
-            *len += 1;
+            out.record(v, ind_i, 1, 0);
         }
 
         Ok(StepSchedule {
@@ -975,7 +791,16 @@ impl Circuit {
     /// forward/backward-substitute through the plan's LU factors. Kept
     /// verbatim as the exact reference kernel — scoped runs through it
     /// remain bit-identical to every release since the plan API landed.
-    fn lu_steps(&self, plan: &TransientPlan, sched: &StepSchedule, scratch: &mut TransientScratch) {
+    /// It is also the path for systems too large for the state-space
+    /// kernel, one lane at a time; `load_override` swaps one current
+    /// source's stimulus exactly as in the setup.
+    fn lu_steps(
+        &self,
+        plan: &TransientPlan,
+        sched: &StepSchedule,
+        load_override: Option<(usize, &Stimulus)>,
+        scratch: &mut TransientScratch,
+    ) {
         let h = plan.dt;
         let n_nodes = plan.n_nodes;
         let row = |node: usize| -> Option<usize> { node.checked_sub(1) };
@@ -983,20 +808,16 @@ impl Circuit {
         let cap_g = &plan.cap_g;
         let ind_g = &plan.ind_g;
         let TransientScratch {
-            b,
-            x,
-            v,
+            b, x, rows, out, ..
+        } = scratch;
+        let LaneRows {
+            state: v,
             cap_v,
             cap_i,
-            ind_i,
             ind_v,
-            node_slots,
-            ind_slots,
-            node_bufs,
-            ind_bufs,
-            len,
+            ind_i,
             ..
-        } = scratch;
+        } = rows;
 
         // The step loop: no heap allocation from here to the end of the
         // run — `b`/`x` are reused, and the output buffers were reserved
@@ -1036,8 +857,12 @@ impl Circuit {
                 }
             }
             // Independent sources evaluated at the new time point.
-            for is in &self.isources {
-                let i = is.stimulus.value_at(t_next);
+            for (si, is) in self.isources.iter().enumerate() {
+                let stim = match load_override {
+                    Some((idx, s)) if idx == si => s,
+                    _ => &is.stimulus,
+                };
+                let i = stim.value_at(t_next);
                 if let Some(rf) = row(is.from) {
                     b[rf] -= i;
                 }
@@ -1067,253 +892,148 @@ impl Circuit {
             }
 
             if step >= sched.record_start_idx {
-                record_into(v, ind_i, node_slots, ind_slots, node_bufs, ind_bufs);
-                *len += 1;
+                out.record(v, ind_i, 1, 0);
             }
         }
     }
 
-    /// One state-space step for one lane: gather the input scalars in the
-    /// kernel's fixed order (capacitor histories, inductor histories,
-    /// current sources, voltage sources), fold them through the
-    /// precomputed response columns, then run the same element-state
-    /// update and recording as the LU path. Used by both the single-run
-    /// and batched paths, so a batch lane and a single run execute the
-    /// identical arithmetic sequence.
-    fn state_space_step(
-        &self,
-        plan: &TransientPlan,
-        kernel: &StateKernel,
-        step: usize,
-        record_start_idx: usize,
-        load_override: Option<(usize, &Stimulus)>,
-        scratch: &mut TransientScratch,
-    ) {
-        let h = plan.dt;
-        let t_next = step as f64 * h;
-        let n_nodes = plan.n_nodes;
-        let cap_g = &plan.cap_g;
-        let ind_g = &plan.ind_g;
-        let TransientScratch {
-            x,
-            v,
-            cap_v,
-            cap_i,
-            ind_i,
-            ind_v,
-            inputs,
-            cap_rows,
-            ind_rows,
-            node_slots,
-            ind_slots,
-            node_bufs,
-            ind_bufs,
-            len,
-            ..
-        } = scratch;
-
-        // History gathers on the dispatched SIMD level (`lanes == 1`
-        // vectorizes across the element dimension); fused `mul_add`
-        // arithmetic at every level, bit-identical across levels.
-        let lv = emvolt_simd::level();
-        let nc = cap_g.len();
-        let nl = ind_g.len();
-        lv.gather_hist(cap_g, cap_v, cap_i, 1, &mut inputs[..nc]);
-        lv.gather_hist(ind_g, ind_v, ind_i, 1, &mut inputs[nc..nc + nl]);
-        let mut j = nc + nl;
-        for (si, is) in self.isources.iter().enumerate() {
-            let stim = match load_override {
-                Some((idx, s)) if idx == si => s,
-                _ => &is.stimulus,
-            };
-            inputs[j] = stim.value_at(t_next);
-            j += 1;
-        }
-        for vs in &self.vsources {
-            inputs[j] = vs.stimulus.value_at(t_next);
-            j += 1;
-        }
-        debug_assert_eq!(j, inputs.len());
-
-        kernel.fold(inputs, &mut x[..n_nodes]);
-        v[1..=n_nodes].copy_from_slice(&x[..n_nodes]);
-
-        // Companion updates on the dispatched level — the fused form of
-        // the LU path's trapezoidal update (`v` row 0 is ground, zero).
-        lv.cap_updates(cap_g, cap_rows, v, 1, cap_v, cap_i);
-        lv.ind_updates(ind_g, ind_rows, v, 1, ind_v, ind_i);
-
-        if step >= record_start_idx {
-            record_into(v, ind_i, node_slots, ind_slots, node_bufs, ind_bufs);
-            *len += 1;
-        }
-    }
-
-    /// The batched step loop for one lane group. Element state lives in
-    /// lane-contiguous SoA rows of `padded` lanes (`buf[k*padded + l]`
-    /// is lane `l`'s value for element `k`), so the history gather and
-    /// the post-fold element update become vector
-    /// loops over the lane dimension — the serial path can only do them
-    /// as scalar chains, because element node indices are arbitrary
-    /// gathers there. Node voltages live in the node-major
-    /// `[node_count x padded]` state (row 0 = ground, always zero) that
-    /// [`StateKernel::fold_lanes`] writes, and recording reads the lane
-    /// columns straight out of those rows in [`record_into`]'s order.
-    /// Lane state is packed from / unpacked to each lane's
-    /// [`TransientScratch`] around the loop, so a finished lane's
-    /// scratch is indistinguishable from a serial run's.
+    /// Steps one lane group through the state-space kernel. The
+    /// vectorisation axis follows the group width:
     ///
-    /// `padded` is the group's lane count rounded up to the dispatched
-    /// vector width, so every kernel call runs whole vectors and no
-    /// scalar tail. Each padding lane replays lane 0 — its state and its
-    /// load — and is never unpacked or recorded; lanes are independent,
-    /// so the padding cannot change a real lane's bits.
-    #[allow(clippy::too_many_arguments)]
-    fn batch_group_steps(
+    /// * **One lane** steps in place in its own [`TransientScratch`]: its
+    ///   `v`, element-state and `inputs` vectors already are the 1-lane
+    ///   SoA rows, so there is no packing and no padding, and the fold
+    ///   runs node-vectorised ([`StateKernel::fold`]).
+    /// * **Two or more lanes** are packed into the lane-contiguous rows of
+    ///   `soa`, padded to a whole number of vectors, and the fold runs
+    ///   lane-vectorised ([`StateKernel::fold_lanes`]). Each padding lane
+    ///   replays lane 0 — its state and its load — and is never unpacked
+    ///   or recorded; lanes are independent, so padding cannot change a
+    ///   real lane's bits.
+    ///
+    /// Per lane both kernels compute the same operation sequence, so a
+    /// lane's bits do not depend on the width of the group it ran in.
+    fn group_steps(
         &self,
         plan: &TransientPlan,
         kernel: &StateKernel,
         sched: &StepSchedule,
-        source_idx: usize,
-        loads: &[Stimulus],
+        swept: Option<(usize, &[Stimulus])>,
         lanes: &mut [TransientScratch],
-        soa: &mut BatchSoa<'_>,
+        soa: &mut LaneRows,
     ) {
-        let width = loads.len();
-        debug_assert!(width <= MAX_GROUP_LANES);
-        debug_assert_eq!(lanes.len(), width);
-        let lv = emvolt_simd::level();
-        let padded = width.next_multiple_of(lv.vector_f64s());
-        let h = plan.dt;
-        let n_rows = self.node_count();
-        debug_assert_eq!(n_rows, plan.n_nodes + 1);
-        let cap_g = &plan.cap_g;
-        let ind_g = &plan.ind_g;
-        let n_inputs = kernel.n_inputs();
-        let group_loads = GroupLoads::new(loads);
-
-        resize_zeroed(soa.inputs, n_inputs * padded);
-        resize_zeroed(soa.state, n_rows * padded);
-        resize_zeroed(soa.cap_v, self.capacitors.len() * padded);
-        resize_zeroed(soa.cap_i, self.capacitors.len() * padded);
-        resize_zeroed(soa.ind_v, self.inductors.len() * padded);
-        resize_zeroed(soa.ind_i, self.inductors.len() * padded);
-        soa.cap_rows.clear();
-        soa.cap_rows
-            .extend(self.capacitors.iter().map(|c| [c.a as u32, c.b as u32]));
-        soa.ind_rows.clear();
-        soa.ind_rows
-            .extend(self.inductors.iter().map(|l| [l.a as u32, l.b as u32]));
-
-        // Pack the setup-seeded lane state into the SoA rows, padding
-        // lanes from lane 0. The ground row comes from `v[0]`, which is
-        // zero by construction.
-        for l in 0..padded {
-            let lane = &lanes[if l < width { l } else { 0 }];
-            for (i, &vi) in lane.v.iter().enumerate() {
-                soa.state[i * padded + l] = vi;
-            }
-            for (k, &x) in lane.cap_v.iter().enumerate() {
-                soa.cap_v[k * padded + l] = x;
-            }
-            for (k, &x) in lane.cap_i.iter().enumerate() {
-                soa.cap_i[k * padded + l] = x;
-            }
-            for (k, &x) in lane.ind_v.iter().enumerate() {
-                soa.ind_v[k * padded + l] = x;
-            }
-            for (k, &x) in lane.ind_i.iter().enumerate() {
-                soa.ind_i[k * padded + l] = x;
-            }
+        let loads = swept.map(|(source, loads)| (source, GroupLoads::new(loads)));
+        if let [lane] = lanes {
+            let TransientScratch { rows, out, .. } = lane;
+            self.step_rows(plan, kernel, sched, loads.as_ref(), 1, rows, |v, ind_i| {
+                out.record(v, ind_i, 1, 0);
+            });
+            return;
         }
 
-        for step in 1..=sched.n_steps {
-            let t_next = step as f64 * h;
+        let width = lanes.len();
+        debug_assert!(width <= MAX_GROUP_LANES);
+        let stride = width.next_multiple_of(emvolt_simd::level().vector_f64s());
+        soa.pack(lanes, stride);
+        self.step_rows(
+            plan,
+            kernel,
+            sched,
+            loads.as_ref(),
+            width,
+            soa,
+            |state, ind_i| {
+                for (l, lane) in lanes.iter_mut().enumerate() {
+                    lane.out.record(state, ind_i, stride, l);
+                }
+            },
+        );
+        soa.unpack(lanes, stride);
+    }
 
-            // Input gather: one lane row per kernel input, in the
-            // kernel's fixed order (same as `state_space_step`), on the
-            // dispatched SIMD level vectorized across the lane rows.
-            let nc = cap_g.len();
-            let nl = ind_g.len();
-            lv.gather_hist(
-                cap_g,
-                soa.cap_v,
-                soa.cap_i,
-                padded,
-                &mut soa.inputs[..nc * padded],
-            );
+    /// The state-space step loop over one group's rows, `width` real
+    /// lanes padded to the rows' stride. Each step gathers the kernel
+    /// inputs in its fixed order (capacitor histories, inductor
+    /// histories, current sources, voltage sources), folds them through
+    /// the precomputed response columns, runs the trapezoidal companion
+    /// updates, and hands the solved node and inductor-current rows to
+    /// `record`. Every stage runs on the dispatched SIMD level and is
+    /// bit-identical across levels.
+    #[allow(clippy::too_many_arguments)]
+    fn step_rows(
+        &self,
+        plan: &TransientPlan,
+        kernel: &StateKernel,
+        sched: &StepSchedule,
+        loads: Option<&(usize, GroupLoads<'_>)>,
+        width: usize,
+        rows: &mut LaneRows,
+        mut record: impl FnMut(&[f64], &[f64]),
+    ) {
+        // `state` holds one row of `stride` lanes per node, ground included.
+        let stride = rows.state.len() / (plan.n_nodes + 1);
+        let LaneRows {
+            inputs,
+            state,
+            cap_v,
+            cap_i,
+            ind_v,
+            ind_i,
+            cap_rows,
+            ind_rows,
+        } = rows;
+        let lv = emvolt_simd::level();
+        let (cap_g, ind_g) = (&plan.cap_g, &plan.ind_g);
+        let (nc, nl) = (cap_g.len(), ind_g.len());
+        for step in 1..=sched.n_steps {
+            let t_next = step as f64 * plan.dt;
+            lv.gather_hist(cap_g, cap_v, cap_i, stride, &mut inputs[..nc * stride]);
             lv.gather_hist(
                 ind_g,
-                soa.ind_v,
-                soa.ind_i,
-                padded,
-                &mut soa.inputs[nc * padded..(nc + nl) * padded],
+                ind_v,
+                ind_i,
+                stride,
+                &mut inputs[nc * stride..(nc + nl) * stride],
             );
             let mut j = nc + nl;
             for (si, is) in self.isources.iter().enumerate() {
-                let out = &mut soa.inputs[j * padded..(j + 1) * padded];
-                if si == source_idx {
-                    group_loads.sample(t_next, &mut out[..width]);
-                    let lane0 = out[0];
-                    out[width..].fill(lane0);
-                } else {
+                let out = &mut inputs[j * stride..(j + 1) * stride];
+                match loads {
+                    Some((source, loads)) if *source == si => {
+                        loads.sample(t_next, &mut out[..width]);
+                        let lane0 = out[0];
+                        out[width..].fill(lane0);
+                    }
                     // Lane-invariant source: sample once, broadcast.
-                    out.fill(is.stimulus.value_at(t_next));
+                    _ => out.fill(is.stimulus.value_at(t_next)),
                 }
                 j += 1;
             }
             for vs in &self.vsources {
-                soa.inputs[j * padded..(j + 1) * padded].fill(vs.stimulus.value_at(t_next));
+                inputs[j * stride..(j + 1) * stride].fill(vs.stimulus.value_at(t_next));
                 j += 1;
             }
-            debug_assert_eq!(j, n_inputs);
+            debug_assert_eq!(j * stride, inputs.len());
 
-            kernel.fold_lanes(soa.inputs, padded, &mut soa.state[padded..]);
-
-            // Element-state update: per lane the same arithmetic as the
-            // serial kernel path, vectorized across the lane rows.
-            lv.cap_updates(cap_g, soa.cap_rows, soa.state, padded, soa.cap_v, soa.cap_i);
-            lv.ind_updates(ind_g, soa.ind_rows, soa.state, padded, soa.ind_v, soa.ind_i);
+            // Row 0 of the node state is ground (always zero).
+            if stride == 1 {
+                kernel.fold(inputs, &mut state[1..]);
+            } else {
+                kernel.fold_lanes(inputs, stride, &mut state[stride..]);
+            }
+            lv.cap_updates(cap_g, cap_rows, state, stride, cap_v, cap_i);
+            lv.ind_updates(ind_g, ind_rows, state, stride, ind_v, ind_i);
 
             if step >= sched.record_start_idx {
-                // Same per-lane push order as `record_into`, reading the
-                // lane columns of the SoA state.
-                for (l, lane) in lanes.iter_mut().enumerate() {
-                    for (buf, &idx) in lane.node_bufs.iter_mut().zip(&lane.node_slots) {
-                        buf.push(soa.state[idx * padded + l]);
-                    }
-                    for (buf, &idx) in lane.ind_bufs.iter_mut().zip(&lane.ind_slots) {
-                        buf.push(soa.ind_i[idx * padded + l]);
-                    }
-                    lane.len += 1;
-                }
-            }
-        }
-
-        // Unpack so each lane's scratch ends exactly as a serial run's.
-        for (l, lane) in lanes.iter_mut().enumerate() {
-            for (i, vi) in lane.v.iter_mut().enumerate() {
-                *vi = soa.state[i * padded + l];
-            }
-            for (k, x) in lane.cap_v.iter_mut().enumerate() {
-                *x = soa.cap_v[k * padded + l];
-            }
-            for (k, x) in lane.cap_i.iter_mut().enumerate() {
-                *x = soa.cap_i[k * padded + l];
-            }
-            for (k, x) in lane.ind_v.iter_mut().enumerate() {
-                *x = soa.ind_v[k * padded + l];
-            }
-            for (k, x) in lane.ind_i.iter_mut().enumerate() {
-                *x = soa.ind_i[k * padded + l];
+                record(state, ind_i);
             }
         }
     }
 }
 
-/// Widest lane group [`Circuit::transient_batch_scoped`] steps together:
-/// two 4-wide vectors per SoA row, the same budget as
-/// `emvolt_simd::preferred_lanes` on AVX2.
+/// Widest lane group the state-space driver steps together: two 4-wide
+/// vectors per SoA row, the same budget as `emvolt_simd::preferred_lanes`
+/// on AVX2.
 const MAX_GROUP_LANES: usize = 8;
 
 /// How one lane group samples its swept loads each step.
@@ -1375,20 +1095,83 @@ struct StepSchedule {
     record_start_idx: usize,
 }
 
-/// Pushes the probed node voltages and inductor currents for one step.
-fn record_into(
-    v: &[f64],
-    ind_i: &[f64],
-    node_slots: &[usize],
-    ind_slots: &[usize],
-    node_bufs: &mut [Vec<f64>],
-    ind_bufs: &mut [Vec<f64>],
-) {
-    for (buf, &idx) in node_bufs.iter_mut().zip(node_slots) {
-        buf.push(v[idx]);
+/// The rows a lane group's step loop reads and writes, `stride` lanes per
+/// row: element `k` of lane `l` sits at `[k * stride + l]`, and `state` is
+/// the node-major `[node_count x stride]` solution with row 0 the ground
+/// row. A lane's own [`TransientScratch`] holds 1-lane rows; a
+/// [`BatchTransientScratch`] holds the padded rows of its multi-lane
+/// groups, packed from the lanes before a group steps and unpacked after,
+/// so each lane's scratch ends exactly as a 1-lane run leaves it.
+#[derive(Debug, Clone, Default)]
+struct LaneRows {
+    inputs: Vec<f64>,
+    state: Vec<f64>,
+    cap_v: Vec<f64>,
+    cap_i: Vec<f64>,
+    ind_v: Vec<f64>,
+    ind_i: Vec<f64>,
+    /// `[node_a, node_b]` row pairs per capacitor / inductor, the gather
+    /// tables the dispatched companion-update kernels index node state
+    /// with.
+    cap_rows: Vec<[u32; 2]>,
+    ind_rows: Vec<[u32; 2]>,
+}
+
+impl LaneRows {
+    /// The per-lane state rows, in a fixed order.
+    fn state_rows(&mut self) -> [&mut Vec<f64>; 5] {
+        [
+            &mut self.state,
+            &mut self.cap_v,
+            &mut self.cap_i,
+            &mut self.ind_v,
+            &mut self.ind_i,
+        ]
     }
-    for (buf, &idx) in ind_bufs.iter_mut().zip(ind_slots) {
-        buf.push(ind_i[idx]);
+
+    /// Sizes every row for `stride` lanes and packs `lanes` into them;
+    /// lanes past `lanes.len()` replay lane 0.
+    fn pack(&mut self, lanes: &[TransientScratch], stride: usize) {
+        let lane0 = &lanes[0].rows;
+        resize_zeroed(&mut self.inputs, lane0.inputs.len() * stride);
+        self.cap_rows.clone_from(&lane0.cap_rows);
+        self.ind_rows.clone_from(&lane0.ind_rows);
+        let lane0_rows = [
+            &lane0.state,
+            &lane0.cap_v,
+            &lane0.cap_i,
+            &lane0.ind_v,
+            &lane0.ind_i,
+        ];
+        for (row, len) in self.state_rows().into_iter().zip(lane0_rows.map(Vec::len)) {
+            resize_zeroed(row, len * stride);
+        }
+        for l in 0..stride {
+            let lane = &lanes.get(l).unwrap_or(&lanes[0]).rows;
+            let lane_rows = [
+                &lane.state,
+                &lane.cap_v,
+                &lane.cap_i,
+                &lane.ind_v,
+                &lane.ind_i,
+            ];
+            for (row, lane_row) in self.state_rows().into_iter().zip(lane_rows) {
+                for (k, &x) in lane_row.iter().enumerate() {
+                    row[k * stride + l] = x;
+                }
+            }
+        }
+    }
+
+    /// Copies each real lane's final state back into its scratch.
+    fn unpack(&mut self, lanes: &mut [TransientScratch], stride: usize) {
+        for (l, lane) in lanes.iter_mut().enumerate() {
+            for (row, lane_row) in self.state_rows().into_iter().zip(lane.rows.state_rows()) {
+                for (k, x) in lane_row.iter_mut().enumerate() {
+                    *x = row[k * stride + l];
+                }
+            }
+        }
     }
 }
 
@@ -1397,56 +1180,69 @@ fn record_into(
 /// exactly like a single scratch is recycled across runs.
 ///
 /// After a batch run, [`BatchTransientScratch::lane`] exposes each lane's
-/// recorded waveforms as a [`TransientView`]; the next batch through the
+/// recorded waveforms as a `&TransientResult`; the next batch through the
 /// same scratch overwrites them.
 #[derive(Debug, Clone, Default)]
 pub struct BatchTransientScratch {
     lanes: Vec<TransientScratch>,
-    /// Input-major `[n_inputs x L]` gather buffer for the SoA step loop:
-    /// `lane_inputs[j*L + l]` is lane `l`'s weight for response column
-    /// `j`. Recycled across batches like every other scratch buffer.
-    lane_inputs: Vec<f64>,
-    /// Node-major `[node_count x L]` solved state: `lane_state[i*L + l]`
-    /// is lane `l`'s voltage at node `i`, with row 0 the ground row
-    /// (always zero) so probe slots index it exactly like a serial
-    /// scratch's `v`.
-    lane_state: Vec<f64>,
-    /// SoA element state for the group step loop, `[n_elems x L]` each:
-    /// `cap_v[k*L + l]` is lane `l`'s voltage across capacitor `k`, and
-    /// likewise for the capacitor currents and inductor state. Packed
-    /// from / unpacked to the per-lane scratches around the step loop.
-    cap_v: Vec<f64>,
-    cap_i: Vec<f64>,
-    ind_v: Vec<f64>,
-    ind_i: Vec<f64>,
-    /// `[node_a, node_b]` row pairs per element for the dispatched
-    /// companion-update kernels; rebuilt per batch group.
-    cap_rows: Vec<[u32; 2]>,
-    ind_rows: Vec<[u32; 2]>,
+    soa: LaneRows,
     telemetry: Telemetry,
 }
 
-/// Emits the probed waveforms a finished run left in `scratch` through
-/// its attached telemetry handle's wave sink — the `transient_scoped` /
-/// state-kernel emission site. Runs entirely *after* the step loop, from
-/// the already-recorded buffers, so solver arithmetic (and its SIMD
-/// dispatch) stays byte-identical whether or not tracing is on; with
-/// tracing off this is one branch.
-fn emit_probe_waves(scratch: &TransientScratch, probes: &TransientProbes, lane: Option<usize>) {
-    emit_probe_waves_with(&scratch.telemetry, scratch, probes, lane);
+/// Charges a finished run's solver counters to `telemetry` and, for an
+/// emitting handle, reports it: one lane as the single run it is (a
+/// `transient_solve` span and plain probe waveforms), several lanes as
+/// one `transient_batch` span plus lane-suffixed waveforms.
+fn report_runs(
+    telemetry: &Telemetry,
+    plan: &TransientPlan,
+    sched: &StepSchedule,
+    lanes: &[TransientScratch],
+    probes: &TransientProbes,
+) {
+    let dim = (plan.n_nodes + plan.n_vs) as f64;
+    telemetry.count(CounterId::TransientRuns, lanes.len() as u64);
+    telemetry.count(CounterId::SolverSteps, (sched.n_steps * lanes.len()) as u64);
+    if let [lane] = lanes {
+        telemetry.span(
+            "transient_solve",
+            Layer::Circuit,
+            &[
+                ("steps", sched.n_steps as f64),
+                ("dim", dim),
+                ("recorded", lane.out.len as f64),
+            ],
+        );
+        emit_probe_waves(telemetry, &lane.out, probes, None);
+        return;
+    }
+    telemetry.span(
+        "transient_batch",
+        Layer::Circuit,
+        &[
+            ("steps", sched.n_steps as f64),
+            ("lanes", lanes.len() as f64),
+            ("dim", dim),
+        ],
+    );
+    for (i, lane) in lanes.iter().enumerate() {
+        emit_probe_waves(telemetry, &lane.out, probes, Some(i));
+    }
 }
 
-/// [`emit_probe_waves`] routed through an explicit handle: the lane-major
-/// batch path reports every lane through the batch scratch's coordinator
-/// handle (lane scratches hold quiet clones). `lane` suffixes signal
-/// names (`pdn.v_die.lane3`) so lanes stay distinct.
-fn emit_probe_waves_with(
+/// Emits the probed waveforms a finished lane recorded in `out` through
+/// `telemetry`'s wave sink. Runs entirely *after* the step loop, from the
+/// already-recorded buffers, so solver arithmetic (and its SIMD dispatch)
+/// stays byte-identical whether or not tracing is on; with tracing off
+/// this is one branch. `lane` suffixes signal names (`pdn.v_die.lane3`)
+/// so the lanes of a batch stay distinct.
+fn emit_probe_waves(
     telemetry: &Telemetry,
-    scratch: &TransientScratch,
+    out: &TransientResult,
     probes: &TransientProbes,
     lane: Option<usize>,
 ) {
-    if !telemetry.wave_enabled() || scratch.len == 0 {
+    if !telemetry.wave_enabled() || out.len == 0 {
         return;
     }
     let stride = telemetry.wave_stride();
@@ -1457,39 +1253,24 @@ fn emit_probe_waves_with(
     let emit = |name: String, samples: &[f64]| {
         let id = telemetry.wave_register(&name, WaveKind::Real);
         for (k, &v) in samples.iter().step_by(stride).enumerate() {
-            let t = scratch.t0 + (k * stride) as f64 * scratch.dt;
+            let t = out.t0 + (k * stride) as f64 * out.dt;
             telemetry.wave_real(id, t, v);
         }
     };
-    for (slot, &node) in scratch.node_slots.iter().enumerate() {
+    for (slot, &node) in out.node_slots.iter().enumerate() {
         let base = match probes.node_label(node) {
             Some(label) => label.to_string(),
             None => format!("circuit.n{node}.v"),
         };
-        emit(suffixed(&base), &scratch.node_bufs[slot]);
+        emit(suffixed(&base), &out.node_bufs[slot]);
     }
-    for (slot, &ind) in scratch.ind_slots.iter().enumerate() {
+    for (slot, &ind) in out.ind_slots.iter().enumerate() {
         let base = match probes.ind_label(ind) {
             Some(label) => label.to_string(),
             None => format!("circuit.l{ind}.i"),
         };
-        emit(suffixed(&base), &scratch.ind_bufs[slot]);
+        emit(suffixed(&base), &out.ind_bufs[slot]);
     }
-}
-
-/// Borrow-split view over the SoA buffers of a
-/// [`BatchTransientScratch`], so the group driver can hand them to the
-/// monomorphized step body while the per-lane scratches stay
-/// independently borrowed.
-struct BatchSoa<'a> {
-    inputs: &'a mut Vec<f64>,
-    state: &'a mut Vec<f64>,
-    cap_v: &'a mut Vec<f64>,
-    cap_i: &'a mut Vec<f64>,
-    ind_v: &'a mut Vec<f64>,
-    ind_i: &'a mut Vec<f64>,
-    cap_rows: &'a mut Vec<[u32; 2]>,
-    ind_rows: &'a mut Vec<[u32; 2]>,
 }
 
 impl BatchTransientScratch {
@@ -1501,7 +1282,8 @@ impl BatchTransientScratch {
 
     /// Attaches a telemetry handle; every batch through this scratch then
     /// charges solver counters and (for emitting handles) a
-    /// `transient_batch` span. The default handle is inert.
+    /// `transient_batch` span — `transient_solve` for a batch of one. The
+    /// default handle is inert.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
         self.telemetry = telemetry;
     }
@@ -1516,10 +1298,8 @@ impl BatchTransientScratch {
     /// # Panics
     ///
     /// Panics if `i` is outside the most recent batch.
-    pub fn lane(&self, i: usize) -> TransientView<'_> {
-        TransientView {
-            scratch: &self.lanes[i],
-        }
+    pub fn lane(&self, i: usize) -> &TransientResult {
+        &self.lanes[i].out
     }
 }
 
@@ -2018,7 +1798,7 @@ mod tests {
         c.transient_scoped(&lu_plan, &cfg, &probes, &mut s_lu)
             .unwrap();
         let reference: Vec<f64> = {
-            let view = TransientView { scratch: &s_lu };
+            let view: &TransientResult = &s_lu.out;
             view.voltage_samples(out).to_vec()
         };
         let view = c
@@ -2033,15 +1813,13 @@ mod tests {
         }
     }
 
-    /// A batch lane must reproduce the single-run state-space path
-    /// bit-for-bit: same kernel, same per-lane arithmetic sequence.
+    /// A batch lane must reproduce a single run bit-for-bit, under the
+    /// state-space kernel (same per-lane arithmetic sequence) and under
+    /// an LU-only plan (every lane runs the LU reference).
     #[test]
     fn batch_lanes_match_single_runs_bit_for_bit() {
         let (mut c, _vin, out, l, load) = probe_test_circuit();
         let cfg = TransientConfig::new(0.1e-9, 0.5e-6).with_warmup(0.1e-6);
-        let plan = c
-            .plan_transient_kernel(cfg.dt, KernelChoice::StateSpace)
-            .unwrap();
         let probes = TransientProbes::none().with_node(out).with_inductor(l);
         let loads = [
             Stimulus::Dc(0.25),
@@ -2057,85 +1835,68 @@ mod tests {
                 after: 0.8,
             },
         ];
-
-        let mut batch = BatchTransientScratch::new();
-        c.transient_batch_scoped(&plan, &cfg, &probes, load, &loads, &mut batch)
-            .unwrap();
-        assert_eq!(batch.n_lanes(), loads.len());
-
-        let mut single = TransientScratch::new();
-        for (i, stim) in loads.iter().enumerate() {
-            c.set_current_stimulus(load, stim.clone());
-            let view = c
-                .transient_scoped(&plan, &cfg, &probes, &mut single)
+        for kernel in [KernelChoice::StateSpace, KernelChoice::Lu] {
+            let plan = c.plan_transient_kernel(cfg.dt, kernel).unwrap();
+            let mut batch = BatchTransientScratch::new();
+            c.transient_batch_scoped(&plan, &cfg, &probes, load, &loads, &mut batch)
                 .unwrap();
-            let lane = batch.lane(i);
-            assert_eq!(lane.len(), view.len());
-            for (a, b) in view
-                .voltage_samples(out)
-                .iter()
-                .zip(lane.voltage_samples(out))
-            {
-                assert_eq!(a.to_bits(), b.to_bits(), "lane {i} voltage diverged");
-            }
-            for (a, b) in view
-                .inductor_current_samples(l)
-                .iter()
-                .zip(lane.inductor_current_samples(l))
-            {
-                assert_eq!(a.to_bits(), b.to_bits(), "lane {i} current diverged");
+            assert_eq!(batch.n_lanes(), loads.len());
+
+            let mut single = TransientScratch::new();
+            for (i, stim) in loads.iter().enumerate() {
+                c.set_current_stimulus(load, stim.clone());
+                let view = c
+                    .transient_scoped(&plan, &cfg, &probes, &mut single)
+                    .unwrap();
+                let lane = batch.lane(i);
+                assert_eq!(lane.len(), view.len());
+                for (a, b) in view
+                    .voltage_samples(out)
+                    .iter()
+                    .zip(lane.voltage_samples(out))
+                {
+                    assert_eq!(a.to_bits(), b.to_bits(), "{kernel:?} lane {i} voltage");
+                }
+                for (a, b) in view
+                    .inductor_current_samples(l)
+                    .iter()
+                    .zip(lane.inductor_current_samples(l))
+                {
+                    assert_eq!(a.to_bits(), b.to_bits(), "{kernel:?} lane {i} current");
+                }
             }
         }
     }
 
     #[test]
-    fn batch_rejects_lu_plans_and_bad_inputs() {
+    fn batch_rejects_bad_inputs() {
         let (c, _vin, out, _l, load) = probe_test_circuit();
         let cfg = TransientConfig::new(0.1e-9, 0.1e-6);
         let probes = TransientProbes::none().with_node(out);
         let mut batch = BatchTransientScratch::new();
-        let lu_plan = c.plan_transient_kernel(cfg.dt, KernelChoice::Lu).unwrap();
-        assert!(c
-            .transient_batch_scoped(
-                &lu_plan,
-                &cfg,
-                &probes,
-                load,
-                &[Stimulus::Dc(0.1)],
-                &mut batch
-            )
-            .is_err());
         let plan = c.plan_transient(cfg.dt).unwrap();
         assert!(c
             .transient_batch_scoped(&plan, &cfg, &probes, load, &[], &mut batch)
             .is_err());
-    }
-
-    /// The LU-only batch error must tell the user how to fix it: the
-    /// `--kernel` CLI flag and the Auto dimension threshold.
-    #[test]
-    fn lu_only_batch_error_names_the_kernel_flag_and_auto_limit() {
-        let (c, _vin, out, _l, load) = probe_test_circuit();
-        let cfg = TransientConfig::new(0.1e-9, 0.1e-6);
-        let probes = TransientProbes::none().with_node(out);
-        let mut batch = BatchTransientScratch::new();
-        let lu_plan = c.plan_transient_kernel(cfg.dt, KernelChoice::Lu).unwrap();
-        let err = c
+        let foreign = {
+            let mut other = Circuit::new();
+            let n = other.node("n");
+            other
+                .current_source(NodeId::GROUND, n, Stimulus::Dc(0.0))
+                .unwrap();
+            other
+                .current_source(NodeId::GROUND, n, Stimulus::Dc(0.0))
+                .unwrap()
+        };
+        assert!(c
             .transient_batch_scoped(
-                &lu_plan,
+                &plan,
                 &cfg,
                 &probes,
-                load,
+                foreign,
                 &[Stimulus::Dc(0.1)],
-                &mut batch,
+                &mut batch
             )
-            .unwrap_err();
-        let msg = err.to_string();
-        assert!(msg.contains("--kernel"), "missing CLI flag hint: {msg}");
-        assert!(msg.contains("statespace"), "missing kernel name: {msg}");
-        assert!(
-            msg.contains(&KernelChoice::AUTO_DIM_LIMIT.to_string()),
-            "missing Auto dimension threshold: {msg}"
-        );
+            .is_err());
     }
 }

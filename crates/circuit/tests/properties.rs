@@ -165,8 +165,11 @@ proptest! {
         }
     }
 
-    /// The lane-major SoA batch fold must reproduce serial state-space
-    /// runs `to_bits`-identically on random PDN-style ladders, for lane
+    /// Batched lanes must reproduce single runs `to_bits`-identically on
+    /// random PDN-style ladders, under the state-space kernel (a single
+    /// run is a 1-lane group, so this pins the lane-vectorised fold of
+    /// wider groups to the node-vectorised one) and under the LU-only
+    /// plan (every lane runs the LU reference), for lane
     /// counts covering whole and padded groups of every width and
     /// several groups per batch — the contract that lets GA generations
     /// evaluate in lanes without changing fitness. Loads are sinusoids
@@ -186,6 +189,7 @@ proptest! {
         n_lanes in 1usize..=17,
         load_kind in 0u8..3,
         sample_dt in 0.3e-9..1.5e-9f64,
+        use_lu in 0u8..2,
     ) {
         use emvolt_circuit::{
             BatchTransientScratch, KernelChoice, TransientProbes, TransientScratch,
@@ -235,7 +239,8 @@ proptest! {
         let dt = 0.5e-9;
         let cfg = TransientConfig::new(dt, 600.0 * dt).with_warmup(200.0 * dt);
         let probes = TransientProbes::none().with_node(die);
-        let plan = c.plan_transient_kernel(dt, KernelChoice::StateSpace).unwrap();
+        let kernel = if use_lu == 1 { KernelChoice::Lu } else { KernelChoice::StateSpace };
+        let plan = c.plan_transient_kernel(dt, kernel).unwrap();
 
         let mut batch = BatchTransientScratch::new();
         c.transient_batch_scoped(&plan, &cfg, &probes, load, &loads, &mut batch).unwrap();
@@ -276,6 +281,67 @@ proptest! {
         if a != b {
             let eps = period * 1e-6;
             prop_assert_eq!(s.value_at(t + eps), s.value_at(t + k as f64 * period + eps));
+        }
+    }
+}
+
+/// A ladder with one swept current-source load at the die node.
+fn ladder() -> (Circuit, NodeId, emvolt_circuit::ISourceId) {
+    let mut c = Circuit::new();
+    let vrm = c.node("vrm");
+    c.voltage_source(vrm, NodeId::GROUND, Stimulus::Dc(1.0))
+        .unwrap();
+    let a = c.node("a");
+    let die = c.node("die");
+    let cn = c.node("cn");
+    c.resistor(vrm, a, 0.01).unwrap();
+    c.inductor(a, die, 50e-12).unwrap();
+    c.resistor(die, cn, 0.05).unwrap();
+    c.capacitor(cn, NodeId::GROUND, 40e-9).unwrap();
+    let load = c
+        .current_source(die, NodeId::GROUND, Stimulus::Dc(0.0))
+        .unwrap();
+    (c, die, load)
+}
+
+/// Batch widths 1, 2, 8 and 9 split into groups of 1, 2, 8 and 8 + 1
+/// lanes. Lane 8 of the 9-lane batch runs as a 1-lane remainder group
+/// with lane 0's load, so it must equal lane 0, which ran in a full
+/// group; and every lane of the narrower batches must equal the same
+/// lane of the 9-lane one.
+#[test]
+fn group_width_never_changes_a_lanes_bits() {
+    use emvolt_circuit::{BatchTransientScratch, KernelChoice, TransientProbes};
+
+    let (c, die, load) = ladder();
+    let dt = 0.5e-9;
+    let cfg = TransientConfig::new(dt, 400.0 * dt).with_warmup(100.0 * dt);
+    let probes = TransientProbes::none().with_node(die);
+    let loads: Vec<Stimulus> = (0..9usize)
+        .map(|l| Stimulus::Sine {
+            offset: 0.5,
+            amplitude: 0.3 + 0.05 * (l % 8) as f64,
+            freq: 6e7 * (1.0 + 0.1 * (l % 8) as f64),
+            phase: 0.1 * (l % 8) as f64,
+        })
+        .collect();
+    for kernel in [KernelChoice::StateSpace, KernelChoice::Lu] {
+        let plan = c.plan_transient_kernel(dt, kernel).unwrap();
+        let lane_bits = |width: usize| -> Vec<Vec<u64>> {
+            let mut batch = BatchTransientScratch::new();
+            c.transient_batch_scoped(&plan, &cfg, &probes, load, &loads[..width], &mut batch)
+                .unwrap();
+            (0..width)
+                .map(|l| {
+                    let v = batch.lane(l).voltage_samples(die);
+                    v.iter().map(|x| x.to_bits()).collect()
+                })
+                .collect()
+        };
+        let nine = lane_bits(9);
+        assert_eq!(nine[8], nine[0], "{kernel:?}: remainder lane differs");
+        for width in [1, 2, 8] {
+            assert_eq!(lane_bits(width), nine[..width], "{kernel:?}: width {width}");
         }
     }
 }

@@ -238,6 +238,8 @@ impl GoertzelScratch {
 /// An inverted or fully out-of-range band yields zero covered bins (but
 /// the logical bin count is still that of the full spectrum).
 ///
+/// This is the one-lane call of [`of_samples_band_multi_into`].
+///
 /// # Panics
 ///
 /// Panics if `sample_rate` is not strictly positive.
@@ -250,114 +252,34 @@ pub fn of_samples_band_into(
     scratch: &mut GoertzelScratch,
     out: &mut BandSpectrum,
 ) {
-    assert!(sample_rate > 0.0, "sample rate must be positive");
-    let n = samples.len();
-    out.bins.clear();
-    out.first_bin = 0;
-    if n == 0 {
-        out.freq_step = sample_rate;
-        out.total_bins = 0;
-        return;
-    }
-    let total_bins = n / 2 + 1;
-    let freq_step = sample_rate / n as f64;
-    out.freq_step = freq_step;
-    out.total_bins = total_bins;
-
-    let k0 = if lo_hz <= 0.0 {
-        0
-    } else {
-        ((lo_hz / freq_step).floor() as usize).min(total_bins)
-    };
-    let k1 = if hi_hz < lo_hz || hi_hz < 0.0 {
-        0
-    } else {
-        (((hi_hz / freq_step).ceil() as usize) + 1).min(total_bins)
-    };
-    out.first_bin = k0;
-    if k1 <= k0 {
-        return;
-    }
-    let nb = k1 - k0;
-
-    // The window coefficients are computed once into `wcoef`, the
-    // windowed product runs through the dispatched SIMD multiply, and the
-    // coherent gain sums the same coefficients in the same order as
-    // `Window::coherent_gain` — every value is identical to the historic
-    // in-place `Window::apply` path.
-    let GoertzelScratch {
-        windowed,
-        coeff,
-        s1,
-        s2,
-        wcoef,
-        ..
-    } = scratch;
-    let lv = emvolt_simd::level();
-    wcoef.clear();
-    wcoef.extend((0..n).map(|i| window.value(i, n)));
-    let gain = (wcoef.iter().sum::<f64>() / n as f64).max(1e-12);
-    let scale = 1.0 / (n as f64 * gain);
-    windowed.clear();
-    windowed.resize(n, 0.0);
-    lv.mul(samples, wcoef, windowed);
-
-    coeff.clear();
-    coeff.extend((k0..k1).map(|k| {
-        let w = 2.0 * std::f64::consts::PI * k as f64 / n as f64;
-        2.0 * w.cos()
-    }));
-    s1.clear();
-    s1.resize(nb, 0.0);
-    s2.clear();
-    s2.resize(nb, 0.0);
-
-    // Sample-outer / bin-inner recurrence on the dispatched SIMD level:
-    // the inner loop has no cross-iteration dependency, so it vectorizes
-    // across bins, and four samples advance per inner pass so the state
-    // arrays are loaded and stored once per quad. The per-bin sequence is
-    // the fused `c.mul_add(s1, x − s2)` step at every level, so results
-    // are bit-identical across dispatch levels (see `emvolt-simd`).
-    lv.goertzel(windowed, coeff, s1, s2);
-
-    out.bins.extend((0..nb).map(|j| {
-        let power = s1[j] * s1[j] + s2[j] * s2[j] - coeff[j] * s1[j] * s2[j];
-        let mag = power.max(0.0).sqrt() * scale;
-        let k = k0 + j;
-        // One-sided doubling, same rule as the full-FFT path.
-        if k == 0 || (n.is_multiple_of(2) && k == n / 2) {
-            mag
-        } else {
-            2.0 * mag
-        }
-    }));
-
-    scratch.telemetry.count(CounterId::GoertzelInvocations, 1);
-    scratch.telemetry.span(
-        "goertzel",
-        Layer::Dsp,
-        &[("n", n as f64), ("bins", nb as f64)],
+    of_samples_band_multi_into(
+        &[samples],
+        sample_rate,
+        window,
+        lo_hz,
+        hi_hz,
+        scratch,
+        std::slice::from_mut(out),
     );
 }
 
-/// Multi-lane band evaluation: `lanes` independent signals of equal
-/// length evaluated over one shared bin grid in a single pass.
+/// Multi-lane band evaluation: `lanes` independent signals evaluated over
+/// `[lo_hz, hi_hz]` (bin selection as in [`of_samples_band_into`]).
 ///
-/// Everything that depends only on the record length and band is
-/// computed once and shared across every lane: the per-sample window
-/// coefficients, the coherent gain, and the per-bin recurrence
-/// coefficients `2·cos(2πk/n)` — the serial path redoes all three
-/// (including `2n` trig evaluations of window shape) per call. Each
-/// lane then runs the serial path's own bin-vectorized quad recurrence
-/// against the shared state, so per lane the arithmetic sequence
-/// (windowing, per-bin recurrence in sample order, magnitude
-/// extraction) is exactly [`of_samples_band_into`]'s and `outs[l]` is
-/// bit-identical to a serial evaluation of `lanes[l]` alone. One
-/// [`CounterId::GoertzelInvocations`] tick is charged per lane, matching
-/// the serial cost model.
+/// When every lane has the same length, everything that depends only on
+/// the record length and band is computed once and shared across the
+/// lanes: the per-sample window coefficients, the coherent gain, and the
+/// per-bin recurrence coefficients `2·cos(2πk/n)`. Each lane then runs
+/// the bin-vectorized quad recurrence against the shared state, so per
+/// lane the arithmetic sequence (windowing, per-bin recurrence in sample
+/// order, magnitude extraction) depends only on that lane's samples and
+/// `outs[l]` is bit-identical to evaluating `lanes[l]` alone. Lanes of
+/// differing lengths have different bin grids and are evaluated one at a
+/// time.
 ///
-/// Lanes of differing lengths have different bin grids and are evaluated
-/// serially (still bit-identical per lane).
+/// One [`CounterId::GoertzelInvocations`] tick is charged per lane, and
+/// an emitting handle gets one `goertzel` span per call (with a `lanes`
+/// field when there are several).
 ///
 /// # Panics
 ///
@@ -375,11 +297,11 @@ pub fn of_samples_band_multi_into(
     assert!(sample_rate > 0.0, "sample rate must be positive");
     assert!(outs.len() >= lanes.len(), "one output band per lane");
     let n_lanes = lanes.len();
-    if n_lanes == 0 {
+    let Some(first) = lanes.first() else {
         return;
-    }
-    let n = lanes[0].len();
-    if n_lanes == 1 || lanes.iter().any(|s| s.len() != n) {
+    };
+    let n = first.len();
+    if lanes.iter().any(|s| s.len() != n) {
         for (samples, out) in lanes.iter().zip(outs.iter_mut()) {
             of_samples_band_into(samples, sample_rate, window, lo_hz, hi_hz, scratch, out);
         }
@@ -420,12 +342,11 @@ pub fn of_samples_band_multi_into(
     }
     let nb = k1 - k0;
 
-    // The per-sample window coefficients and the coherent gain depend
-    // only on the record length, so one lane-shared computation replaces
-    // the per-call trig the serial path pays for both. The windowed
-    // product `samples[i] * w[i]` multiplies exactly the values the
-    // serial in-place apply multiplies, and the gain sums the same
-    // coefficients in the same order, so every lane stays bit-identical.
+    // The window coefficients are computed once into `wcoef`, the
+    // windowed products run through the dispatched SIMD multiply, and the
+    // coherent gain sums the same coefficients in the same order as
+    // `Window::coherent_gain` — every value is identical to the historic
+    // in-place `Window::apply` path.
     let GoertzelScratch {
         windowed,
         coeff,
@@ -440,8 +361,7 @@ pub fn of_samples_band_multi_into(
     let gain = (wcoef.iter().sum::<f64>() / n as f64).max(1e-12);
     let scale = 1.0 / (n as f64 * gain);
 
-    // Windowed copies, lane-major `[L][n]`, through the dispatched SIMD
-    // multiply (same products as the serial path's windowing pass).
+    // Windowed copies, lane-major `[L][n]`.
     windowed.clear();
     windowed.resize(n_lanes * n, 0.0);
     for (samples, lane_w) in lanes.iter().zip(windowed.chunks_exact_mut(n)) {
@@ -454,13 +374,12 @@ pub fn of_samples_band_multi_into(
         2.0 * w.cos()
     }));
 
-    // Each lane runs the serial path's dispatched quad recurrence (four
-    // samples per bin-vectorized state pass) against the shared
-    // coefficients. The recurrence chain is latency-bound, so the shared
-    // trig above is where the multi-lane win comes from; the kernel's
-    // per-bin chain (fused `c.mul_add(s1, x − s2)` in sample order) is
-    // exactly the serial sequence, so every lane stays bit-identical to
-    // a serial evaluation.
+    // Sample-outer / bin-inner recurrence on the dispatched SIMD level:
+    // the inner loop has no cross-iteration dependency, so it vectorizes
+    // across bins, and four samples advance per inner pass so the state
+    // arrays are loaded and stored once per quad. The per-bin sequence is
+    // the fused `c.mul_add(s1, x − s2)` step at every level, so results
+    // are bit-identical across dispatch levels (see `emvolt-simd`).
     for (lane_w, out) in windowed.chunks_exact(n).zip(outs.iter_mut()) {
         s1.clear();
         s1.resize(nb, 0.0);
@@ -473,6 +392,7 @@ pub fn of_samples_band_multi_into(
             let power = a * a + b * b - coeff[j] * a * b;
             let mag = power.max(0.0).sqrt() * scale;
             let k = k0 + j;
+            // One-sided doubling, same rule as the full-FFT path.
             if k == 0 || (n.is_multiple_of(2) && k == n / 2) {
                 mag
             } else {
@@ -481,18 +401,18 @@ pub fn of_samples_band_multi_into(
         }));
     }
 
-    scratch
-        .telemetry
-        .count(CounterId::GoertzelInvocations, n_lanes as u64);
-    scratch.telemetry.span(
-        "goertzel",
-        Layer::Dsp,
-        &[
-            ("n", n as f64),
-            ("bins", nb as f64),
-            ("lanes", n_lanes as f64),
-        ],
-    );
+    let tel = &scratch.telemetry;
+    tel.count(CounterId::GoertzelInvocations, n_lanes as u64);
+    let (n, nb) = (n as f64, nb as f64);
+    if n_lanes == 1 {
+        tel.span("goertzel", Layer::Dsp, &[("n", n), ("bins", nb)]);
+    } else {
+        tel.span(
+            "goertzel",
+            Layer::Dsp,
+            &[("n", n), ("bins", nb), ("lanes", n_lanes as f64)],
+        );
+    }
 }
 
 /// Evaluates the band `[lo_hz, hi_hz]` of a [`Trace`]'s spectrum — the

@@ -59,19 +59,14 @@ impl EmChannel {
     /// input.
     pub fn received_spectrum(&self, die_current: &Spectrum) -> Spectrum {
         let mut out = Spectrum::default();
-        self.received_spectrum_into(die_current, &mut out);
+        self.received_spectrum_into_with(die_current, &mut out, &emvolt_obs::Telemetry::noop());
         out
     }
 
     /// Maps a die-current amplitude spectrum into an existing `Spectrum`,
-    /// reusing its bin storage. Bit-identical to
+    /// reusing its bin storage, and charges the propagation to
+    /// `telemetry`'s received-spectrum counter. Bit-identical to
     /// [`EmChannel::received_spectrum`].
-    pub fn received_spectrum_into(&self, die_current: &Spectrum, out: &mut Spectrum) {
-        self.received_spectrum_into_with(die_current, out, &emvolt_obs::Telemetry::noop());
-    }
-
-    /// Like [`EmChannel::received_spectrum_into`], additionally charging
-    /// the propagation to `telemetry`'s received-spectrum counter.
     pub fn received_spectrum_into_with(
         &self,
         die_current: &Spectrum,
@@ -89,36 +84,30 @@ impl EmChannel {
     /// Maps a band-limited die-current spectrum to the received band at
     /// the analyzer input — the [`BandSpectrum`] counterpart of
     /// [`EmChannel::received_spectrum_into_with`], applying the identical
-    /// per-bin transfer arithmetic to only the covered bins.
+    /// per-bin transfer to only the covered bins. This is the one-lane
+    /// call of [`EmChannel::received_spectrum_batch_into`].
     pub fn received_band_into_with(
         &self,
         die_current: &BandSpectrum,
         out: &mut BandSpectrum,
         telemetry: &emvolt_obs::Telemetry,
     ) {
-        use emvolt_dsp::SpectralBins;
-        let first = die_current.first_bin();
-        out.refill_from_bins(
-            die_current.freq_step(),
-            first,
-            die_current.len(),
-            (first..first + die_current.covered_bins())
-                .map(|k| die_current.amplitude_at(k) * self.transfer(die_current.freq_at(k))),
+        self.received_spectrum_batch_into(
+            &[die_current],
+            std::slice::from_mut(out),
+            &mut Vec::new(),
+            telemetry,
         );
-        telemetry.count(emvolt_obs::CounterId::RxSpectra, 1);
     }
 
     /// Batched band propagation: maps several lanes' die-current bands to
-    /// received bands in one pass, computing the frequency transfer once
-    /// per bin and sharing it across every lane.
+    /// received bands, scaling each covered bin `k` by `|H(f_k)|`.
     ///
-    /// When all lanes share one bin grid (the batched measurement chain's
-    /// case — equal record lengths and band), `transfer` is filled with
-    /// `|H(f_k)|` once and each lane's bins are scaled by the identical
-    /// values a serial [`EmChannel::received_band_into_with`] would
-    /// compute, so each output is bit-identical to the serial call. Lanes
-    /// on differing grids fall back to per-lane serial propagation. One
-    /// received-spectrum counter tick is charged per lane either way.
+    /// The transfer values are computed into `transfer` once per bin grid
+    /// and shared by every following lane on the same grid (the batched
+    /// measurement chain's case — equal record lengths and band), so a
+    /// lane's output never depends on which lanes it was batched with.
+    /// One received-spectrum counter tick is charged per lane.
     ///
     /// # Panics
     ///
@@ -132,27 +121,18 @@ impl EmChannel {
     ) {
         use emvolt_dsp::SpectralBins;
         assert!(outs.len() >= die_currents.len(), "one output band per lane");
-        let Some(first) = die_currents.first() else {
-            return;
-        };
-        let uniform = die_currents.iter().all(|b| {
-            b.freq_step() == first.freq_step()
-                && b.first_bin() == first.first_bin()
-                && b.covered_bins() == first.covered_bins()
-                && b.len() == first.len()
-        });
-        if !uniform {
-            for (band, out) in die_currents.iter().zip(outs.iter_mut()) {
-                self.received_band_into_with(band, out, telemetry);
-            }
-            return;
-        }
-        let k0 = first.first_bin();
-        transfer.clear();
-        transfer.extend((k0..k0 + first.covered_bins()).map(|k| self.transfer(first.freq_at(k))));
-        // Per-lane scaling through the dispatched SIMD multiply: the same
-        // `a * h` products a serial propagation computes per bin.
+        let mut grid = None;
         for (band, out) in die_currents.iter().zip(outs.iter_mut()) {
+            let k0 = band.first_bin();
+            let band_grid = (band.freq_step().to_bits(), k0, band.covered_bins());
+            if grid != Some(band_grid) {
+                transfer.clear();
+                transfer
+                    .extend((k0..k0 + band.covered_bins()).map(|k| self.transfer(band.freq_at(k))));
+                grid = Some(band_grid);
+            }
+            // Per-lane scaling through the dispatched SIMD multiply: the
+            // plain `a * h` product per bin.
             out.refill_from_product(
                 band.freq_step(),
                 k0,
@@ -288,7 +268,7 @@ mod tests {
             .collect();
         let full_i = Spectrum::of_samples(&s, fs, Window::Hann);
         let mut rx_full = Spectrum::default();
-        ch.received_spectrum_into(&full_i, &mut rx_full);
+        ch.received_spectrum_into_with(&full_i, &mut rx_full, &emvolt_obs::Telemetry::noop());
 
         let mut scratch = GoertzelScratch::new();
         let mut band_i = BandSpectrum::default();

@@ -68,14 +68,29 @@ impl fmt::Display for KernelSpecError {
 
 impl std::error::Error for KernelSpecError {}
 
-fn reg_from_spec(s: &RegSpec) -> Result<Reg, KernelSpecError> {
-    match s.file.as_str() {
-        "gpr" => Ok(Reg::gpr(s.index)),
-        "fpr" => Ok(Reg::fpr(s.index)),
-        other => Err(KernelSpecError {
-            reason: format!("unknown register file `{other}`"),
-        }),
+/// Resolves a register against `arch`, rejecting indices past the end
+/// of its register file.
+fn reg_from_spec(arch: &Architecture, s: &RegSpec) -> Result<Reg, KernelSpecError> {
+    let (reg, count) = match s.file.as_str() {
+        "gpr" => (Reg::gpr(s.index), arch.gpr_count()),
+        "fpr" => (Reg::fpr(s.index), arch.fpr_count()),
+        other => {
+            return Err(KernelSpecError {
+                reason: format!("unknown register file `{other}`"),
+            })
+        }
+    };
+    if s.index >= count {
+        return Err(KernelSpecError {
+            reason: format!(
+                "{} register index {} outside the {count} registers of {}",
+                s.file,
+                s.index,
+                arch.isa()
+            ),
+        });
     }
+    Ok(reg)
 }
 
 impl KernelSpec {
@@ -101,7 +116,8 @@ impl KernelSpec {
     ///
     /// # Errors
     ///
-    /// Returns an error for unknown mnemonics or register files.
+    /// Returns an error for unknown mnemonics, unknown register files, or
+    /// register indices outside the architecture's register files.
     pub fn to_kernel(&self) -> Result<Kernel, KernelSpecError> {
         let arch = Arc::new(Architecture::for_isa(self.isa));
         let mut body = Vec::with_capacity(self.body.len());
@@ -111,8 +127,11 @@ impl KernelSpec {
             })?;
             body.push(Instr {
                 op,
-                dst: reg_from_spec(&i.dst)?,
-                srcs: [reg_from_spec(&i.srcs[0])?, reg_from_spec(&i.srcs[1])?],
+                dst: reg_from_spec(&arch, &i.dst)?,
+                srcs: [
+                    reg_from_spec(&arch, &i.srcs[0])?,
+                    reg_from_spec(&arch, &i.srcs[1])?,
+                ],
                 mem_slot: i.mem_slot,
             });
         }

@@ -3,7 +3,8 @@
 use crate::params::PdnParams;
 use emvolt_circuit::{
     BatchTransientScratch, Circuit, Complex, ISourceId, InductorId, KernelChoice, NodeId, Result,
-    Stimulus, Trace, TransientConfig, TransientPlan, TransientProbes, TransientScratch, VSourceId,
+    Stimulus, Trace, TransientConfig, TransientPlan, TransientProbes, TransientResult,
+    TransientScratch, VSourceId,
 };
 
 /// Borrowed view of one probe-scoped PDN transient: the die-node voltage
@@ -11,7 +12,7 @@ use emvolt_circuit::{
 /// [`TransientScratch`] is reused.
 #[derive(Debug)]
 pub struct DieTransient<'a> {
-    view: emvolt_circuit::TransientView<'a>,
+    view: &'a TransientResult,
     die_node: NodeId,
     l_pkg_id: InductorId,
 }
@@ -224,20 +225,6 @@ impl Pdn {
         self.circuit.plan_transient(dt)
     }
 
-    /// Like [`Pdn::plan_transient`], additionally charging the LU
-    /// factorizations to `telemetry`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates circuit-analysis errors.
-    pub fn plan_transient_with(
-        &self,
-        dt: f64,
-        telemetry: &emvolt_obs::Telemetry,
-    ) -> Result<TransientPlan> {
-        self.circuit.plan_transient_with(dt, telemetry)
-    }
-
     /// Like [`Pdn::plan_transient`] with an explicit solver-kernel
     /// selection (LU back-substitution vs the precomputed state-space
     /// form).
@@ -314,14 +301,14 @@ impl Pdn {
     }
 
     /// Steps several independent load waveforms through the PDN in one
-    /// lock-step batch, overriding the load port per lane. Requires a plan
-    /// built with the state-space kernel; each lane is bit-identical to a
-    /// single [`Pdn::transient_scoped`] run under [`Pdn::set_load`] of the
-    /// same stimulus. Read lanes back with [`Pdn::die_lane`].
+    /// lock-step batch, overriding the load port per lane. Each lane is
+    /// bit-identical to a single [`Pdn::transient_scoped`] run under
+    /// [`Pdn::set_load`] of the same stimulus, with either kernel. Read
+    /// lanes back with [`Pdn::die_lane`].
     ///
     /// # Errors
     ///
-    /// Propagates circuit-analysis errors (LU-only plan, empty batch).
+    /// Propagates circuit-analysis errors (e.g. an empty batch).
     pub fn transient_batch(
         &self,
         plan: &TransientPlan,

@@ -1,9 +1,8 @@
 //! A voltage domain: CPU cores sharing one PDN and one supply rail.
 
-use crate::measure::{EmReading, MeasureScratch, SharedEmBench, SpectralChoice};
+use crate::measure::SpectralChoice;
 use emvolt_circuit::{
     BatchTransientScratch, KernelChoice, Stimulus, Trace, TransientConfig, TransientPlan,
-    TransientScratch,
 };
 use emvolt_cpu::{CoreModel, Cpu, SimConfig, SimError};
 use emvolt_isa::Kernel;
@@ -12,7 +11,7 @@ use std::fmt;
 use std::sync::Arc;
 
 /// Error running a workload on a domain.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub enum DomainError {
     /// The CPU timing simulation failed.
     Sim(SimError),
@@ -430,6 +429,32 @@ impl VoltageDomain {
     }
 }
 
+/// What executes on a domain while it runs.
+#[derive(Debug, Clone, Copy)]
+pub enum Load<'a> {
+    /// A kernel replicated across `loaded_cores` cores (the remaining
+    /// cores idle).
+    Kernel {
+        /// The instruction sequence to loop.
+        kernel: &'a Kernel,
+        /// How many cores execute it.
+        loaded_cores: usize,
+    },
+    /// All cores idle — the baseline the paper subtracts to isolate
+    /// code-dependent emissions.
+    Idle,
+}
+
+impl<'a> Load<'a> {
+    /// The kernel, if this load runs one.
+    pub fn kernel(&self) -> Option<&'a Kernel> {
+        match self {
+            Load::Kernel { kernel, .. } => Some(kernel),
+            Load::Idle => None,
+        }
+    }
+}
+
 /// Reusable execution context for repeated runs of one [`VoltageDomain`]
 /// under one [`RunConfig`] — the hot path of a GA campaign, where the same
 /// domain is evaluated thousands of times with different kernels.
@@ -439,6 +464,9 @@ impl VoltageDomain {
 /// does that setup once at construction and reuses it, producing
 /// bit-identical results (the cached plan holds the same factorization a
 /// fresh run would compute).
+///
+/// Every run goes through [`DomainRunner::run_batch_into`]; a single run
+/// is a batch of one.
 ///
 /// The runner snapshots the domain's control state (frequency, voltage,
 /// gating) at construction; build a new runner after changing any of
@@ -451,7 +479,7 @@ pub struct DomainRunner {
     pdn: Pdn,
     plan: TransientPlan,
     transient_cfg: TransientConfig,
-    scratch: TransientScratch,
+    batch: BatchTransientScratch,
     telemetry: emvolt_obs::Telemetry,
     /// Per-cycle issue-slot occupancy from the last traced core sim;
     /// only filled while the telemetry handle has a live wave sink.
@@ -487,8 +515,8 @@ impl DomainRunner {
             TransientConfig::new(config.pdn_dt, config.pdn_warmup + config.pdn_window)
                 .with_warmup(config.pdn_warmup);
         let cpu = Cpu::new(domain.core_model.clone(), domain.freq_hz);
-        let mut scratch = TransientScratch::new();
-        scratch.set_telemetry(telemetry.clone());
+        let mut batch = BatchTransientScratch::new();
+        batch.set_telemetry(telemetry.clone());
         Ok(DomainRunner {
             domain: domain.clone(),
             config,
@@ -496,7 +524,7 @@ impl DomainRunner {
             pdn,
             plan,
             transient_cfg,
-            scratch,
+            batch,
             telemetry,
             occupancy: Vec::new(),
         })
@@ -504,7 +532,7 @@ impl DomainRunner {
 
     /// Swaps the telemetry handle charged by subsequent runs.
     pub fn set_telemetry(&mut self, telemetry: emvolt_obs::Telemetry) {
-        self.scratch.set_telemetry(telemetry.clone());
+        self.batch.set_telemetry(telemetry.clone());
         self.telemetry = telemetry;
     }
 
@@ -516,15 +544,6 @@ impl DomainRunner {
     /// The run configuration this runner was built for.
     pub fn config(&self) -> &RunConfig {
         &self.config
-    }
-
-    /// Whether this runner's cached plan can serve the batched lane-major
-    /// paths ([`DomainRunner::run_batch_into`] and
-    /// [`DomainRunner::run_measure_batch_into`]): true when the plan
-    /// embeds the state-space kernel (`RunConfig::kernel` of
-    /// `StateSpace`, or `Auto` on a small enough MNA system).
-    pub fn supports_batch(&self) -> bool {
-        self.plan.uses_state_kernel()
     }
 
     /// Retunes the runner's clock (DVFS) without rebuilding the PDN or
@@ -555,8 +574,7 @@ impl DomainRunner {
     }
 
     /// Runs `kernel` into an existing [`DomainRun`], reusing its trace
-    /// buffers and the runner's transient scratch — the allocation-lean
-    /// GA hot path. Bit-identical to [`DomainRunner::run`].
+    /// buffers — a one-entry [`DomainRunner::run_batch_into`].
     ///
     /// # Errors
     ///
@@ -568,130 +586,113 @@ impl DomainRunner {
         loaded_cores: usize,
         out: &mut DomainRun,
     ) -> Result<(), DomainError> {
-        let (sim, load) = self.simulate_load(kernel, loaded_cores)?;
-        if self.telemetry.wave_enabled() {
-            // One epoch per run keeps the digital (per-cycle) and analog
-            // (per-pdn_dt) signals on a shared, monotonically advancing
-            // time axis; the transient below emits the pdn.* waves under
-            // the same epoch.
-            self.telemetry.wave_epoch();
-            self.emit_cpu_waves(&sim);
-        }
-        self.pdn.set_load(load);
-        let die = self
-            .pdn
-            .transient_scoped(&self.plan, &self.transient_cfg, &mut self.scratch)?;
-        out.v_die.refill(die.dt(), die.start_time(), die.v_die());
-        out.i_die.refill(die.dt(), die.start_time(), die.i_die());
-        fill_sim_fields(out, &sim, self.domain.supply_v);
-        Ok(())
+        let load = Load::Kernel {
+            kernel,
+            loaded_cores,
+        };
+        self.run_batch_into(&[load], std::slice::from_mut(out))
     }
 
-    /// Runs several `(kernel, loaded_cores)` candidates through one
-    /// lock-step batched transient, filling one [`DomainRun`] per entry.
-    /// Requires a state-space plan (`RunConfig::kernel` of `Auto` or
-    /// `StateSpace`); each output is bit-identical to the corresponding
-    /// [`DomainRunner::run_into`] call.
+    /// Runs every load of `loads` through one batched transient, filling
+    /// one [`DomainRun`] per entry. Entry `i` is bit-identical whatever
+    /// the batch size and whatever else is in the batch.
+    ///
+    /// A traced batch of one kernel also opens a wave epoch and emits the
+    /// core-side waveforms (per-cycle current and issue-slot occupancy),
+    /// so a single run's digital and analog signals share one time axis.
     ///
     /// # Errors
     ///
     /// Returns [`DomainError`] for invalid core counts, failed
-    /// simulations, an LU-only plan, an empty batch, or when `outs` is
-    /// shorter than `entries`.
+    /// simulations, an empty batch, or when `outs` is shorter than
+    /// `loads`; on error `outs` is left unchanged.
     pub fn run_batch_into(
         &mut self,
-        entries: &[(&Kernel, usize)],
+        loads: &[Load<'_>],
         outs: &mut [DomainRun],
-        batch: &mut BatchTransientScratch,
     ) -> Result<(), DomainError> {
-        if outs.len() < entries.len() {
+        if outs.len() < loads.len() {
             return Err(DomainError::Backend(format!(
                 "run_batch_into: {} outputs for {} entries",
                 outs.len(),
-                entries.len()
+                loads.len()
             )));
         }
-        let mut sims: Vec<emvolt_cpu::SimOutput> = Vec::with_capacity(entries.len());
-        let mut loads = Vec::with_capacity(entries.len());
-        for (i, &(kernel, loaded_cores)) in entries.iter().enumerate() {
-            // Identical-kernel dedupe: the cycle-level core sim depends
-            // only on the kernel, and GA populations repeat genomes
-            // (elites, clones that mutation left untouched) — reuse the
-            // first matching lane's output instead of re-simulating.
-            // Bit-identical: `Cpu::simulate` is a pure function of the
-            // kernel.
-            let dup = entries[..i]
-                .iter()
-                .position(|&(k, _)| std::ptr::eq(k, kernel) || k == kernel);
-            let (sim, load) = match dup {
-                Some(j) => {
-                    let sim = sims[j].clone();
-                    let load = self.cluster_load(&sim, loaded_cores)?;
-                    (sim, load)
+        let mut sims: Vec<Option<emvolt_cpu::SimOutput>> = Vec::with_capacity(loads.len());
+        let mut stimuli = Vec::with_capacity(loads.len());
+        for (i, load) in loads.iter().enumerate() {
+            let (sim, stimulus) = match *load {
+                Load::Kernel {
+                    kernel,
+                    loaded_cores,
+                } => {
+                    // Identical-kernel dedupe: the cycle-level core sim
+                    // depends only on the kernel, and GA populations
+                    // repeat genomes (elites, clones that mutation left
+                    // untouched) — reuse the first matching lane's output
+                    // instead of re-simulating. Bit-identical:
+                    // `Cpu::simulate` is a pure function of the kernel.
+                    let dup = loads[..i].iter().position(|l| {
+                        l.kernel()
+                            .is_some_and(|k| std::ptr::eq(k, kernel) || k == kernel)
+                    });
+                    let sim = match dup.and_then(|j| sims[j].clone()) {
+                        Some(sim) => sim,
+                        None => self.simulate(kernel, loaded_cores)?,
+                    };
+                    let stimulus = self.cluster_load(&sim, loaded_cores)?;
+                    (Some(sim), stimulus)
                 }
-                None => self.simulate_load(kernel, loaded_cores)?,
+                Load::Idle => {
+                    let idle =
+                        self.domain.active_cores as f64 * self.domain.core_model.idle_current;
+                    (None, Stimulus::Dc(idle))
+                }
             };
             sims.push(sim);
-            loads.push(load);
+            stimuli.push(stimulus);
+        }
+        if let [Some(sim)] = sims.as_slice() {
+            if self.telemetry.wave_enabled() {
+                // One epoch per run keeps the digital (per-cycle) and
+                // analog (per-pdn_dt) signals on a shared, monotonically
+                // advancing time axis; the transient below emits the
+                // pdn.* waves under the same epoch.
+                self.telemetry.wave_epoch();
+                self.emit_cpu_waves(sim);
+            }
         }
         self.pdn
-            .transient_batch(&self.plan, &self.transient_cfg, &loads, batch)?;
+            .transient_batch(&self.plan, &self.transient_cfg, &stimuli, &mut self.batch)?;
         for (i, (out, sim)) in outs.iter_mut().zip(&sims).enumerate() {
-            let die = self.pdn.die_lane(batch, i);
+            let die = self.pdn.die_lane(&self.batch, i);
             out.v_die.refill(die.dt(), die.start_time(), die.v_die());
             out.i_die.refill(die.dt(), die.start_time(), die.i_die());
-            fill_sim_fields(out, sim, self.domain.supply_v);
+            match sim {
+                Some(sim) => {
+                    out.ipc = sim.ipc;
+                    out.cycles_per_iteration = sim.cycles_per_iteration;
+                    out.loop_frequency = sim.loop_frequency();
+                }
+                None => {
+                    out.ipc = 0.0;
+                    out.cycles_per_iteration = f64::INFINITY;
+                    out.loop_frequency = 0.0;
+                }
+            }
+            out.supply_v = self.domain.supply_v;
         }
         Ok(())
     }
 
-    /// Runs several candidates through one batched transient and measures
-    /// every lane in one batched in-band pass: the full lane-major
-    /// evaluation chain (kernel -> current -> PDN -> radiation ->
-    /// analyzer) behind a single call. Lane `l` draws its measurement
-    /// noise from `seeds[l]`, so reading `l` is bit-identical to a serial
-    /// [`DomainRunner::run_into`] followed by
-    /// [`SharedEmBench::measure_in_band_seeded_with`] with that seed.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DomainError`] for the same conditions as
-    /// [`DomainRunner::run_batch_into`], plus a seed slice shorter than
-    /// `entries`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_measure_batch_into(
-        &mut self,
-        entries: &[(&Kernel, usize)],
-        lo: f64,
-        hi: f64,
-        sweeps: usize,
-        seeds: &[u64],
-        shared: &SharedEmBench,
-        outs: &mut [DomainRun],
-        batch: &mut BatchTransientScratch,
-        measure: &mut MeasureScratch,
-    ) -> Result<Vec<EmReading>, DomainError> {
-        if seeds.len() < entries.len() {
-            return Err(DomainError::Backend(format!(
-                "run_measure_batch_into: {} seeds for {} entries",
-                seeds.len(),
-                entries.len()
-            )));
-        }
-        self.run_batch_into(entries, outs, batch)?;
-        let refs: Vec<&DomainRun> = outs[..entries.len()].iter().collect();
-        Ok(shared.measure_in_band_batch_seeded_with(&refs, lo, hi, sweeps, seeds, measure))
-    }
-
-    /// Simulates `kernel` on `loaded_cores` cores and builds the total
-    /// cluster load waveform (loaded cores plus idle remainder) — the
-    /// shared front half of [`DomainRunner::run_into`] and
-    /// [`DomainRunner::run_batch_into`].
-    fn simulate_load(
+    /// Simulates `kernel` on one core, checking `loaded_cores` against
+    /// the powered cores first; traced runs also record issue-slot
+    /// occupancy.
+    fn simulate(
         &mut self,
         kernel: &Kernel,
         loaded_cores: usize,
-    ) -> Result<(emvolt_cpu::SimOutput, Stimulus), DomainError> {
+    ) -> Result<emvolt_cpu::SimOutput, DomainError> {
         let active = self.domain.active_cores;
         if loaded_cores > active {
             return Err(DomainError::TooManyLoadedCores {
@@ -699,14 +700,12 @@ impl DomainRunner {
                 active,
             });
         }
-        let sim = if self.telemetry.wave_enabled() {
+        Ok(if self.telemetry.wave_enabled() {
             self.cpu
                 .simulate_traced(kernel, &self.config.sim, &mut self.occupancy)?
         } else {
             self.cpu.simulate(kernel, &self.config.sim)?
-        };
-        let load = self.cluster_load(&sim, loaded_cores)?;
-        Ok((sim, load))
+        })
     }
 
     /// Emits the digital-side waveforms of the last traced core sim —
@@ -728,9 +727,7 @@ impl DomainRunner {
     }
 
     /// Scales one core's simulated draw to the whole cluster: loaded
-    /// cores plus the idle remainder — the load-construction back half of
-    /// [`DomainRunner::simulate_load`], reused when a batch lane shares
-    /// another lane's core sim.
+    /// cores plus the idle remainder.
     fn cluster_load(
         &self,
         sim: &emvolt_cpu::SimOutput,
@@ -763,16 +760,9 @@ impl DomainRunner {
     ///
     /// Propagates PDN analysis failures.
     pub fn run_idle(&mut self) -> Result<DomainRun, DomainError> {
-        let idle = self.domain.active_cores as f64 * self.domain.core_model.idle_current;
-        let (v_die, i_die) = self.run_pdn_with_load(Stimulus::Dc(idle))?;
-        Ok(DomainRun {
-            v_die,
-            i_die,
-            ipc: 0.0,
-            cycles_per_iteration: f64::INFINITY,
-            loop_frequency: 0.0,
-            supply_v: self.domain.supply_v,
-        })
+        let mut out = DomainRun::empty();
+        self.run_batch_into(&[Load::Idle], std::slice::from_mut(&mut out))?;
+        Ok(out)
     }
 
     /// Drives the cached PDN with an arbitrary load waveform, reusing the
@@ -782,24 +772,14 @@ impl DomainRunner {
     ///
     /// Propagates PDN analysis failures.
     pub fn run_pdn_with_load(&mut self, load: Stimulus) -> Result<(Trace, Trace), DomainError> {
-        self.pdn.set_load(load);
-        let die = self
-            .pdn
-            .transient_scoped(&self.plan, &self.transient_cfg, &mut self.scratch)?;
+        self.pdn
+            .transient_batch(&self.plan, &self.transient_cfg, &[load], &mut self.batch)?;
+        let die = self.pdn.die_lane(&self.batch, 0);
         Ok((
             Trace::with_start(die.dt(), die.start_time(), die.v_die().to_vec()),
             Trace::with_start(die.dt(), die.start_time(), die.i_die().to_vec()),
         ))
     }
-}
-
-/// Copies the CPU-simulation half of a [`DomainRun`] from a finished
-/// timing simulation.
-fn fill_sim_fields(out: &mut DomainRun, sim: &emvolt_cpu::SimOutput, supply_v: f64) {
-    out.ipc = sim.ipc;
-    out.cycles_per_iteration = sim.cycles_per_iteration;
-    out.loop_frequency = sim.loop_frequency();
-    out.supply_v = supply_v;
 }
 
 #[cfg(test)]
@@ -998,20 +978,31 @@ mod tests {
             resonant_stress_kernel(Isa::ArmV8, 12, 17),
             padded_sweep_kernel(Isa::ArmV8, 9),
         ];
-        let entries: Vec<(&emvolt_isa::Kernel, usize)> =
-            kernels.iter().zip([2usize, 1, 2]).collect();
+        let mut loads: Vec<Load<'_>> = kernels
+            .iter()
+            .zip([2usize, 1, 2])
+            .map(|(kernel, loaded_cores)| Load::Kernel {
+                kernel,
+                loaded_cores,
+            })
+            .collect();
+        loads.insert(1, Load::Idle);
 
-        let mut batch = BatchTransientScratch::new();
-        let mut outs = vec![DomainRun::empty(); entries.len()];
-        runner
-            .run_batch_into(&entries, &mut outs, &mut batch)
-            .unwrap();
+        let mut outs = vec![DomainRun::empty(); loads.len()];
+        runner.run_batch_into(&loads, &mut outs).unwrap();
 
-        for (&(k, loaded), batched) in entries.iter().zip(&outs) {
-            let serial = runner.run(k, loaded).unwrap();
+        for (load, batched) in loads.iter().zip(&outs) {
+            let serial = match *load {
+                Load::Kernel {
+                    kernel,
+                    loaded_cores,
+                } => runner.run(kernel, loaded_cores).unwrap(),
+                Load::Idle => runner.run_idle().unwrap(),
+            };
             assert_eq!(serial.v_die.samples(), batched.v_die.samples());
             assert_eq!(serial.i_die.samples(), batched.i_die.samples());
             assert_eq!(serial.ipc, batched.ipc);
+            assert_eq!(serial.cycles_per_iteration, batched.cycles_per_iteration);
             assert_eq!(serial.loop_frequency, batched.loop_frequency);
         }
     }
@@ -1021,20 +1012,24 @@ mod tests {
         let d = domain();
         let mut runner = DomainRunner::new(&d, RunConfig::fast()).unwrap();
         let k = sweep_kernel(Isa::ArmV8);
-        let mut batch = BatchTransientScratch::new();
         let mut outs = vec![DomainRun::empty()];
+        let load = |loaded_cores| Load::Kernel {
+            kernel: &k,
+            loaded_cores,
+        };
         // More entries than outputs.
         assert!(matches!(
-            runner.run_batch_into(&[(&k, 1), (&k, 2)], &mut outs, &mut batch),
+            runner.run_batch_into(&[load(1), load(2)], &mut outs),
             Err(DomainError::Backend(_))
         ));
-        // An LU-only plan cannot batch.
-        let mut lu_cfg = RunConfig::fast();
-        lu_cfg.kernel = KernelChoice::Lu;
-        let mut lu_runner = DomainRunner::new(&d, lu_cfg).unwrap();
-        assert!(lu_runner
-            .run_batch_into(&[(&k, 1)], &mut outs, &mut batch)
-            .is_err());
+        // An empty batch has no lanes to step.
+        assert!(runner.run_batch_into(&[], &mut outs).is_err());
+        // One lane loading more cores than are powered fails the batch.
+        let mut outs = vec![DomainRun::empty(); 2];
+        assert!(matches!(
+            runner.run_batch_into(&[load(1), load(3)], &mut outs),
+            Err(DomainError::TooManyLoadedCores { .. })
+        ));
     }
 
     #[test]

@@ -4,7 +4,7 @@
 
 use crate::domain::DomainRun;
 use emvolt_dsp::{
-    of_samples_band_multi_into, of_trace_band_into, BandSpectrum, GoertzelScratch, Spectrum,
+    of_samples_band_multi_into, BandSpectrum, GoertzelScratch, SpectralBins, Spectrum,
     SpectrumScratch, Window,
 };
 use emvolt_em::EmChannel;
@@ -107,13 +107,11 @@ pub struct MeasureScratch {
     i_spec: Spectrum,
     rx: Spectrum,
     goertzel: GoertzelScratch,
-    i_band: BandSpectrum,
-    rx_band: BandSpectrum,
-    /// Per-lane die-current bands for batched measurements, lane order.
+    /// Per-lane die-current bands, lane order.
     i_bands: Vec<BandSpectrum>,
-    /// Per-lane received bands for batched measurements, lane order.
+    /// Per-lane received bands, lane order.
     rx_bands: Vec<BandSpectrum>,
-    /// Shared per-bin channel-transfer values for batched propagation.
+    /// Shared per-bin channel-transfer values.
     transfer: Vec<f64>,
     telemetry: Telemetry,
 }
@@ -145,19 +143,142 @@ impl MeasureScratch {
         channel.received_spectrum_into_with(&self.i_spec, &mut self.rx, &self.telemetry);
     }
 
-    /// Fills `self.rx_band` with the received band `[lo, hi]` Hz of `run`
-    /// through `channel`, evaluating only the covered bins via Goertzel.
-    fn refresh_rx_band(&mut self, channel: &EmChannel, run: &DomainRun, lo: f64, hi: f64) {
-        of_trace_band_into(
-            &run.i_die,
+    /// Fills `self.rx_bands[..runs.len()]` with the received bands
+    /// `[lo, hi]` Hz of `runs` through `channel`, evaluating only the
+    /// covered bins: one multi-lane Goertzel pass, then one batched
+    /// channel propagation.
+    fn refresh_rx_bands(&mut self, channel: &EmChannel, runs: &[&DomainRun], lo: f64, hi: f64) {
+        let samples: Vec<&[f64]> = runs.iter().map(|r| r.i_die.samples()).collect();
+        self.i_bands.resize_with(runs.len(), BandSpectrum::default);
+        self.rx_bands.resize_with(runs.len(), BandSpectrum::default);
+        of_samples_band_multi_into(
+            &samples,
+            runs[0].i_die.sample_rate(),
             Window::Hann,
             lo,
             hi,
             &mut self.goertzel,
-            &mut self.i_band,
+            &mut self.i_bands,
         );
-        channel.received_band_into_with(&self.i_band, &mut self.rx_band, &self.telemetry);
+        let i_refs: Vec<&BandSpectrum> = self.i_bands.iter().collect();
+        channel.received_spectrum_batch_into(
+            &i_refs,
+            &mut self.rx_bands,
+            &mut self.transfer,
+            &self.telemetry,
+        );
     }
+}
+
+/// Where an in-band measurement draws its analyzer noise from — the one
+/// thing that differs between the stateful rig and the seeded shared
+/// chain.
+enum Noise<'a> {
+    /// The rig's own analyzer and RNG, advanced call over call.
+    Rig {
+        analyzer: &'a mut SpectrumAnalyzer,
+        rng: &'a mut StdRng,
+    },
+    /// A throwaway analyzer per lane, lane `l` drawing from `seeds[l]`;
+    /// sweep time accumulates into `elapsed`.
+    Seeded {
+        config: &'a AnalyzerConfig,
+        seeds: &'a [u64],
+        elapsed: &'a Mutex<f64>,
+    },
+}
+
+impl Noise<'_> {
+    fn config(&self) -> &AnalyzerConfig {
+        match self {
+            Noise::Rig { analyzer, .. } => analyzer.config(),
+            Noise::Seeded { config, .. } => config,
+        }
+    }
+
+    /// Lane `lane`'s `(metric_dbm, dominant_hz)` over `rx`.
+    fn peak<S: SpectralBins>(
+        &mut self,
+        lane: usize,
+        rx: &S,
+        lo: f64,
+        hi: f64,
+        n: usize,
+    ) -> (f64, f64) {
+        match self {
+            Noise::Rig { analyzer, rng } => analyzer.peak_metric(rx, lo, hi, n, *rng),
+            Noise::Seeded {
+                config,
+                seeds,
+                elapsed,
+            } => {
+                let mut analyzer = SpectrumAnalyzer::new((*config).clone());
+                let mut rng = StdRng::seed_from_u64(seeds[lane]);
+                let reading = analyzer.peak_metric(rx, lo, hi, n, &mut rng);
+                *elapsed.lock() += analyzer.elapsed();
+                reading
+            }
+        }
+    }
+}
+
+/// The in-band measurement chain behind every `measure*` entry point:
+/// `n` analyzer sweeps over `[lo, hi]` Hz for each lane of `runs`, in
+/// lane order.
+///
+/// When every lane shares one record length and sample rate and the
+/// spectral choice resolves to the band path, the lanes go through the
+/// multi-lane Goertzel and the batched channel propagation together.
+/// Otherwise each lane takes its own path — band or full FFT — alone.
+/// Either way a lane's reading depends only on its run and its noise, so
+/// it is bit-identical whatever it was batched with, and per-lane
+/// measurement accounting is recorded in lane order.
+#[allow(clippy::too_many_arguments)]
+fn measure_lanes(
+    channel: &EmChannel,
+    spectral: SpectralChoice,
+    runs: &[&DomainRun],
+    lo: f64,
+    hi: f64,
+    n: usize,
+    noise: &mut Noise<'_>,
+    scratch: &mut MeasureScratch,
+) -> Vec<EmReading> {
+    let Some(first) = runs.first() else {
+        return Vec::new();
+    };
+    let (blo, bhi) = band_with_margin(noise.config(), lo, hi);
+    let uniform = runs.iter().all(|r| {
+        r.i_die.samples().len() == first.i_die.samples().len()
+            && r.i_die.sample_rate() == first.i_die.sample_rate()
+    });
+    let groups: Vec<&[&DomainRun]> = if uniform {
+        vec![runs]
+    } else {
+        runs.chunks(1).collect()
+    };
+    let mut readings = Vec::with_capacity(runs.len());
+    for group in groups {
+        let band = spectral.picks_band(group[0], blo, bhi);
+        if band {
+            scratch.refresh_rx_bands(channel, group, blo, bhi);
+        }
+        for (i, run) in group.iter().enumerate() {
+            let lane = readings.len();
+            let (metric_dbm, dominant_hz) = if band {
+                noise.peak(lane, &scratch.rx_bands[i], lo, hi, n)
+            } else {
+                scratch.refresh_rx(channel, run);
+                noise.peak(lane, &scratch.rx, lo, hi, n)
+            };
+            record_measurement(&scratch.telemetry, lo, hi, n, metric_dbm, dominant_hz);
+            readings.push(EmReading {
+                metric_dbm,
+                dominant_hz,
+            });
+        }
+    }
+    readings
 }
 
 /// One EM reading of a running workload.
@@ -205,12 +326,6 @@ impl EmBench {
         self.spectral
     }
 
-    /// Received voltage spectrum at the analyzer input for a domain run.
-    pub fn received_spectrum(&self, run: &DomainRun) -> Spectrum {
-        let i_spec = Spectrum::of_trace(&run.i_die, Window::Hann);
-        self.channel.received_spectrum(&i_spec)
-    }
-
     /// Received spectrum with several domains radiating at once (§6.1).
     pub fn received_spectrum_multi(&self, runs: &[&DomainRun]) -> Spectrum {
         let specs: Vec<Spectrum> = runs
@@ -244,21 +359,20 @@ impl EmBench {
     /// resonance has already been located and the analyzer span is
     /// narrowed to speed up the GA (§5.3 motivation (b)).
     pub fn measure_in_band(&mut self, run: &DomainRun, lo: f64, hi: f64, n: usize) -> EmReading {
-        let (blo, bhi) = band_with_margin(self.analyzer.config(), lo, hi);
-        let (metric_dbm, dominant_hz) = if self.spectral.picks_band(run, blo, bhi) {
-            self.scratch.refresh_rx_band(&self.channel, run, blo, bhi);
-            self.analyzer
-                .peak_metric(&self.scratch.rx_band, lo, hi, n, &mut self.rng)
-        } else {
-            self.scratch.refresh_rx(&self.channel, run);
-            self.analyzer
-                .peak_metric(&self.scratch.rx, lo, hi, n, &mut self.rng)
+        let mut noise = Noise::Rig {
+            analyzer: &mut self.analyzer,
+            rng: &mut self.rng,
         };
-        record_measurement(&self.scratch.telemetry, lo, hi, n, metric_dbm, dominant_hz);
-        EmReading {
-            metric_dbm,
-            dominant_hz,
-        }
+        measure_lanes(
+            &self.channel,
+            self.spectral,
+            &[run],
+            lo,
+            hi,
+            n,
+            &mut noise,
+            &mut self.scratch,
+        )[0]
     }
 
     /// Total analyzer wall-clock consumed so far (for the paper's
@@ -329,12 +443,6 @@ pub struct SharedEmBench {
 }
 
 impl SharedEmBench {
-    /// Received voltage spectrum at the analyzer input for a domain run.
-    pub fn received_spectrum(&self, run: &DomainRun) -> Spectrum {
-        let i_spec = Spectrum::of_trace(&run.i_die, Window::Hann);
-        self.channel.received_spectrum(&i_spec)
-    }
-
     /// Seeded counterpart of [`EmBench::measure_in_band`]: `n` sweeps over
     /// `[lo, hi]` Hz with measurement noise drawn from `seed`.
     pub fn measure_in_band_seeded(
@@ -351,7 +459,8 @@ impl SharedEmBench {
 
     /// Like [`SharedEmBench::measure_in_band_seeded`], but reusing a
     /// caller-owned [`MeasureScratch`] so repeated measurements allocate
-    /// nothing at steady state. Bit-identical results.
+    /// nothing transient-sized at steady state. This is the one-lane call
+    /// of [`SharedEmBench::measure_in_band_batch_seeded_with`].
     pub fn measure_in_band_seeded_with(
         &self,
         run: &DomainRun,
@@ -361,43 +470,18 @@ impl SharedEmBench {
         seed: u64,
         scratch: &mut MeasureScratch,
     ) -> EmReading {
-        let mut analyzer = SpectrumAnalyzer::new(self.analyzer_config.clone());
-        let mut rng = StdRng::seed_from_u64(seed);
-        let (blo, bhi) = band_with_margin(&self.analyzer_config, lo, hi);
-        let (metric_dbm, dominant_hz) = if self.spectral.picks_band(run, blo, bhi) {
-            scratch.refresh_rx_band(&self.channel, run, blo, bhi);
-            analyzer.peak_metric(&scratch.rx_band, lo, hi, n, &mut rng)
-        } else {
-            scratch.refresh_rx(&self.channel, run);
-            analyzer.peak_metric(&scratch.rx, lo, hi, n, &mut rng)
-        };
-        *self.elapsed_s.lock() += analyzer.elapsed();
-        record_measurement(&scratch.telemetry, lo, hi, n, metric_dbm, dominant_hz);
-        EmReading {
-            metric_dbm,
-            dominant_hz,
-        }
+        self.measure_in_band_batch_seeded_with(&[run], lo, hi, n, &[seed], scratch)[0]
     }
 
-    /// Batched counterpart of
-    /// [`SharedEmBench::measure_in_band_seeded_with`]: one call measures
-    /// every lane of `runs` over `[lo, hi]` Hz, lane `l` drawing its
-    /// measurement noise from `seeds[l]`.
+    /// Measures every lane of `runs` over `[lo, hi]` Hz, lane `l` drawing
+    /// its measurement noise from `seeds[l]` on a throwaway analyzer.
     ///
-    /// When every lane shares one record length and sample rate and the
-    /// spectral choice resolves to the band path, the die-current bands
-    /// are evaluated by the multi-lane Goertzel in one pass and propagated
-    /// through the channel with per-bin transfer values computed once.
-    /// Each lane's analyzer stage still runs on a throwaway analyzer
-    /// seeded from its own lane seed, so reading `l` is bit-identical to
-    /// the serial `measure_in_band_seeded_with(runs[l], .., seeds[l], ..)`
-    /// call it replaces. Mixed record shapes, or a spectral choice that
-    /// resolves to the full FFT, fall back to the per-lane serial path —
-    /// same results, no amortization.
-    ///
-    /// Counter totals are lane-count-invariant: the batched stages charge
-    /// one Goertzel invocation and one received spectrum per lane, and
-    /// per-lane measurement accounting is recorded in lane order.
+    /// Lanes sharing one record length and sample rate go through the
+    /// band path together — one multi-lane Goertzel pass and one batched
+    /// channel propagation — when the spectral choice resolves to it.
+    /// Reading `l` depends only on `runs[l]` and `seeds[l]`, so it is
+    /// bit-identical to measuring that lane alone, and counter totals and
+    /// the accumulated sweep time do not depend on batching.
     ///
     /// # Panics
     ///
@@ -412,56 +496,21 @@ impl SharedEmBench {
         scratch: &mut MeasureScratch,
     ) -> Vec<EmReading> {
         assert!(seeds.len() >= runs.len(), "one noise seed per lane");
-        let Some(first) = runs.first() else {
-            return Vec::new();
+        let mut noise = Noise::Seeded {
+            config: &self.analyzer_config,
+            seeds,
+            elapsed: &self.elapsed_s,
         };
-        let (blo, bhi) = band_with_margin(&self.analyzer_config, lo, hi);
-        let uniform = runs.iter().all(|r| {
-            r.i_die.samples().len() == first.i_die.samples().len()
-                && r.i_die.sample_rate() == first.i_die.sample_rate()
-        });
-        if !(uniform && self.spectral.picks_band(first, blo, bhi)) {
-            return runs
-                .iter()
-                .zip(seeds)
-                .map(|(run, &seed)| self.measure_in_band_seeded_with(run, lo, hi, n, seed, scratch))
-                .collect();
-        }
-
-        let n_lanes = runs.len();
-        let samples: Vec<&[f64]> = runs.iter().map(|r| r.i_die.samples()).collect();
-        scratch.i_bands.resize_with(n_lanes, BandSpectrum::default);
-        scratch.rx_bands.resize_with(n_lanes, BandSpectrum::default);
-        of_samples_band_multi_into(
-            &samples,
-            first.i_die.sample_rate(),
-            Window::Hann,
-            blo,
-            bhi,
-            &mut scratch.goertzel,
-            &mut scratch.i_bands,
-        );
-        let i_refs: Vec<&BandSpectrum> = scratch.i_bands.iter().collect();
-        self.channel.received_spectrum_batch_into(
-            &i_refs,
-            &mut scratch.rx_bands,
-            &mut scratch.transfer,
-            &scratch.telemetry,
-        );
-
-        let mut readings = Vec::with_capacity(n_lanes);
-        for (rx_band, &seed) in scratch.rx_bands.iter().zip(seeds) {
-            let mut analyzer = SpectrumAnalyzer::new(self.analyzer_config.clone());
-            let mut rng = StdRng::seed_from_u64(seed);
-            let (metric_dbm, dominant_hz) = analyzer.peak_metric(rx_band, lo, hi, n, &mut rng);
-            *self.elapsed_s.lock() += analyzer.elapsed();
-            record_measurement(&scratch.telemetry, lo, hi, n, metric_dbm, dominant_hz);
-            readings.push(EmReading {
-                metric_dbm,
-                dominant_hz,
-            });
-        }
-        readings
+        measure_lanes(
+            &self.channel,
+            self.spectral,
+            runs,
+            lo,
+            hi,
+            n,
+            &mut noise,
+            scratch,
+        )
     }
 
     /// Sweep time accumulated since creation (or the last

@@ -98,9 +98,21 @@ pub fn lbm_kernel(pool: &InstructionPool, seed: u64) -> Kernel {
     use emvolt_isa::{Instr, Reg};
     let mut rng = StdRng::seed_from_u64(seed);
     let arch = pool.arch();
-    let fmul = arch.op_by_name("fmul").expect("fmul exists");
-    let vmul = arch.op_by_name("fmul.4s").expect("simd mul exists");
-    let fdiv = arch.op_by_name("fdiv").expect("fdiv exists");
+    // Scalar multiply, SIMD multiply and scalar divide in each ISA's
+    // mnemonics, and the classes of its memory traffic: x86 has no
+    // explicit loads or stores, only memory-operand instructions.
+    let ((fmul, vmul, fdiv), (load, store)) = match arch.isa() {
+        Isa::ArmV8 => (("fmul", "fmul.4s", "fdiv"), (OpClass::Load, OpClass::Store)),
+        Isa::X86_64 => (
+            ("mulsd", "mulpd", "divsd"),
+            (OpClass::IntShortMem, OpClass::IntShortMem),
+        ),
+    };
+    let op = |name: &str| {
+        arch.op_by_name(name)
+            .unwrap_or_else(|| panic!("{name} exists on {}", arch.isa()))
+    };
+    let (fmul, vmul, fdiv) = (op(fmul), op(vmul), op(fdiv));
     let mut body = Vec::new();
     // 40 stream phases: a dense, mutually independent burst of float and
     // SIMD multiplies bracketed by loads/stores, terminated by a divide
@@ -110,10 +122,7 @@ pub fn lbm_kernel(pool: &InstructionPool, seed: u64) -> Kernel {
     let div_dst = Reg::fpr(11);
     for _ in 0..40 {
         for _ in 0..2 {
-            body.push(
-                pool.random_instr_of_class(OpClass::Load, &mut rng)
-                    .expect("load"),
-            );
+            body.push(pool.random_instr_of_class(load, &mut rng).expect("load"));
         }
         for k in 0..5u8 {
             // First multiply consumes the previous phase's divide result,
@@ -139,10 +148,7 @@ pub fn lbm_kernel(pool: &InstructionPool, seed: u64) -> Kernel {
             });
         }
         for _ in 0..2 {
-            body.push(
-                pool.random_instr_of_class(OpClass::Store, &mut rng)
-                    .expect("store"),
-            );
+            body.push(pool.random_instr_of_class(store, &mut rng).expect("store"));
         }
         body.push(Instr {
             op: fdiv,
@@ -404,6 +410,20 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), 14, "duplicate workload names");
+    }
+
+    /// The x86 suite builds too: its `lbm` picks the x86 multiply and
+    /// divide mnemonics instead of looking up ARM ones.
+    #[test]
+    fn x86_spec_suite_builds_with_x86_lbm_ops() {
+        let suite = spec2006_suite(Isa::X86_64);
+        assert_eq!(suite.len(), 14);
+        let lbm = &suite.iter().find(|w| w.name == "lbm").unwrap().kernel;
+        let arch = lbm.arch();
+        for name in ["mulsd", "mulpd", "divsd"] {
+            let op = arch.op_by_name(name).unwrap();
+            assert!(lbm.body().iter().any(|i| i.op == op), "lbm lacks {name}");
+        }
     }
 
     #[test]

@@ -2,7 +2,9 @@
 //! and A53, Athlon II, GPU): every lane of `Pdn::transient_batch` must
 //! be `to_bits`-identical to a serial `Pdn::transient_scoped` run of the
 //! same load, at every SIMD level the host supports and for batch sizes
-//! that leave groups of every width, padded or whole.
+//! that leave groups of every width, padded or whole — including a
+//! 1-lane remainder group — under the state-space kernel and the LU-only
+//! plan alike.
 //!
 //! Loads are shaped like the cluster currents the platform layer feeds
 //! the PDN: wrapping zero-order-hold traces at the core clock, one
@@ -11,7 +13,7 @@
 use std::sync::Arc;
 
 use emvolt_circuit::{BatchTransientScratch, Stimulus, TransientConfig, TransientScratch};
-use emvolt_platform::{AmdDesktop, GpuCard, JunoBoard, RunConfig, VoltageDomain};
+use emvolt_platform::{AmdDesktop, GpuCard, JunoBoard, KernelChoice, RunConfig, VoltageDomain};
 use emvolt_simd::{force_level, supported_levels};
 
 /// A cluster-current-like trace: a per-lane loop of `len` cycles with a
@@ -50,12 +52,22 @@ fn batched_lanes_match_serial_runs_on_every_platform_pdn() {
     let cfg = TransientConfig::new(run.pdn_dt, 1e-6).with_warmup(0.5e-6);
     let mut batch = BatchTransientScratch::new();
     let mut scratch = TransientScratch::new();
-    for &level in supported_levels() {
+    // The LU reference has no SIMD dispatch, so one level covers it.
+    let runs = supported_levels()
+        .iter()
+        .map(|&level| (level, KernelChoice::Auto))
+        .chain([(supported_levels()[0], KernelChoice::Lu)]);
+    for (level, kernel) in runs {
         force_level(Some(level));
         for domain in &domains {
             let mut pdn = domain.build_pdn();
-            let plan = pdn.plan_transient(cfg.dt).unwrap();
-            assert!(plan.uses_state_kernel(), "{} PDN is small", domain.name());
+            let plan = pdn.plan_transient_kernel(cfg.dt, kernel).unwrap();
+            assert_eq!(
+                plan.uses_state_kernel(),
+                kernel == KernelChoice::Auto,
+                "{} PDN is small",
+                domain.name()
+            );
             let loads: Vec<Stimulus> = (0..13).map(|l| cluster_load(domain, l)).collect();
             let serial: Vec<(Vec<f64>, Vec<f64>)> = loads
                 .iter()
@@ -65,15 +77,16 @@ fn batched_lanes_match_serial_runs_on_every_platform_pdn() {
                     (die.v_die().to_vec(), die.i_die().to_vec())
                 })
                 .collect();
-            for n_lanes in [1, 2, 3, 4, 6, 7, 8, 13] {
+            for n_lanes in [1, 2, 3, 4, 6, 7, 8, 9, 13] {
                 pdn.transient_batch(&plan, &cfg, &loads[..n_lanes], &mut batch)
                     .unwrap();
                 for (i, (v, i_die)) in serial[..n_lanes].iter().enumerate() {
                     let lane = pdn.die_lane(&batch, i);
                     let what = format!(
-                        "{} lane {i} of {n_lanes} at {}",
+                        "{} lane {i} of {n_lanes} at {} ({})",
                         domain.name(),
-                        level.as_str()
+                        level.as_str(),
+                        kernel.as_str()
                     );
                     assert_eq!(bits(v), bits(lane.v_die()), "{what}: v_die");
                     assert_eq!(bits(i_die), bits(lane.i_die()), "{what}: i_die");

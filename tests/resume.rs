@@ -181,3 +181,47 @@ fn resume_refuses_a_mismatched_config() {
         "unexpected error: {err}"
     );
 }
+
+/// A checkpoint whose register index was corrupted past the register
+/// file must be refused with a typed error at restore, not panic later
+/// in the core simulation.
+#[test]
+fn corrupted_register_index_is_a_typed_restore_error() {
+    let path = scratch("regindex");
+    let interrupted = run_virus(&DriveOptions {
+        checkpoint: Some(path.clone()),
+        checkpoint_every: 1,
+        max_batches: Some(1),
+        ..DriveOptions::default()
+    });
+    assert!(interrupted.is_none());
+
+    let text = std::fs::read_to_string(&path).unwrap();
+    let at = text
+        .find("\"index\":")
+        .expect("checkpoint holds a register")
+        + "\"index\":".len();
+    let digits = text[at..].chars().take_while(char::is_ascii_digit).count();
+    let mutated = format!("{}255{}", &text[..at], &text[at + digits..]);
+    std::fs::write(&path, mutated).unwrap();
+
+    let cfg = small_virus_config();
+    let mut backend = LiveBackend::single(a72(), EmBench::new(9), cfg.run.clone());
+    let err = generate_em_virus_resumable(
+        "resume-test",
+        &mut backend,
+        "A72",
+        &cfg,
+        &DriveOptions {
+            resume: Some(path.clone()),
+            ..DriveOptions::default()
+        },
+        |_| {},
+    )
+    .unwrap_err();
+    std::fs::remove_file(&path).ok();
+    assert!(
+        err.to_string().contains("register index 255"),
+        "unexpected error: {err}"
+    );
+}
