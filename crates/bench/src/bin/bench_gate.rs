@@ -1,277 +1,782 @@
-//! Compares a freshly exported `BENCH_eval.json` against the committed
-//! baseline and fails when the full-chain floor regresses.
-//!
-//! CI runs `export_bench` into a scratch directory and then:
+//! Times the emvolt evaluation chain and a reduced GA campaign, and
+//! gates every record against the baseline pinned in the last line of
+//! `BENCH_history.jsonl` at the repository root.
 //!
 //! ```text
-//! bench_gate BENCH_eval.json /tmp/bench/BENCH_eval.json [tolerance]
+//! bench_gate                      # time every record and check it
+//! bench_gate --rebaseline STAMP   # time every record and pin a new line
 //! ```
 //!
-//! For every committed record whose name starts with `full_chain`, the
-//! fresh run must contain the same record with
-//! `min_ms <= committed_min_ms * tolerance` (default 1.5x — CI runners
-//! are noisy and heterogeneous; the gate catches integer-factor
-//! regressions like losing the state-space kernel or the band-Goertzel
-//! path, not single-digit-percent drift). Missing records fail too, so
-//! renaming an entry forces a deliberate baseline update.
+//! Exit status: 0 when every check passes (or the new line was pinned),
+//! 1 when a check fails, 2 when the arguments or the baseline file are
+//! bad. Check mode writes nothing; `--rebaseline` appends one line to
+//! `BENCH_history.jsonl` and writes nothing else into the repository.
 //!
-//! The gate also checks two structural invariants that survive machine
-//! changes, both computed *within the fresh run* — same-machine ratios,
-//! immune to runner speed:
+//! Two kinds of check, one printed line each:
 //!
-//! - `full_chain_baseline` (auto-selected fast path) must stay at least
-//!   1.5x faster than `full_chain_lu_fft` (the forced general path);
-//! - every `full_chain_batched_xN` record must amortize: its per-lane
-//!   cost (`min_ms / N`, with `N` parsed from the record name) must be
-//!   at most 0.75x the serial `full_chain_baseline` floor — i.e. the
-//!   lane-major batched chain buys at least a 1.33x per-eval speedup;
-//! - on hosts whose detected SIMD level is AVX2, the dispatched
-//!   lane-major fold (`simd_fold_lanes_dispatch`) must beat the
-//!   scalar-forced one (`simd_fold_lanes_scalar`) by at least 1.3x —
-//!   losing runtime dispatch would silently degrade every chain while
-//!   staying bit-identical. On narrower hosts the check logs a skip
-//!   instead of failing: the floor is calibrated to 4-wide FMA;
-//! - from the `BENCH_ga.json` written next to the fresh eval file, the
-//!   engine-driven campaign checkpointing every batch
-//!   (`checkpoint_overhead`) must stay within 3% of the legacy one-shot
-//!   path (`ga_campaign_noop_recorder`) — the step-engine's snapshot
-//!   and atomic-rename cost must never tax an uncheckpointed-equivalent
-//!   campaign noticeably.
+//! - **Absolute floors.** Every record's fresh `min_ms` must be at most
+//!   [`FLOOR_TOLERANCE`] times its pinned `min_ms`. A record pinned but
+//!   not timed, or timed but not pinned, fails, so renaming, adding or
+//!   dropping a record forces a deliberate `--rebaseline`. Runners are
+//!   noisy and heterogeneous: these floors catch integer-factor
+//!   regressions, not single-digit-percent drift.
+//! - **Same-run ratios.** Both sides of a ratio are timed in the same
+//!   run, in alternating rounds, so the ratio holds on runners of any
+//!   speed:
+//!   - `full_chain_lu_fft` (forced LU solve + full FFT) must cost at
+//!     least [`FAST_PATH_SPEEDUP`] times `full_chain_baseline` (the
+//!     auto-selected state-space kernel + band Goertzel);
+//!   - each lane of every `full_chain_batched_xN` must cost at most
+//!     [`AMORTIZATION_CEILING`] times `full_chain_baseline`, which is a
+//!     lane group of one;
+//!   - on hosts that detect AVX2, the dispatched lane-major fold must
+//!     beat the scalar-forced one by [`SIMD_SPEEDUP`]; other hosts skip
+//!     this check, whose floor is calibrated to 4-wide FMA;
+//!   - a campaign checkpointing after every batch must cost at most
+//!     [`CHECKPOINT_CEILING`] times the same campaign without one.
+//!
+//! `--rebaseline` still runs the same-run ratios and pins nothing when
+//! one fails.
 
+use emvolt_backend::LiveBackend;
+use emvolt_core::{generate_em_virus_resumable, VirusGenConfig};
+use emvolt_cpu::CoreModel;
+use emvolt_engine::DriveOptions;
+use emvolt_ga::GaConfig;
+use emvolt_isa::{InstructionPool, Isa, Kernel};
+use emvolt_obs::{JsonlRecorder, NoopRecorder, Telemetry, WaveDb};
+use emvolt_platform::{
+    a72_pdn, DomainRun, DomainRunner, EmBench, KernelChoice, Load, MeasureScratch, RunConfig,
+    SpectralChoice, VoltageDomain,
+};
+use emvolt_simd::SimdLevel;
+use rand::{rngs::StdRng, SeedableRng};
 use serde::{DeError, Deserialize, Value};
+use std::collections::{BTreeMap, BTreeSet};
+use std::fmt;
+use std::io::Write;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::sync::Arc;
+use std::time::Instant;
 
-/// `{name -> min_ms}` extracted from a bench-record array.
-struct MinTimes(Vec<(String, f64)>);
+/// A fresh floor may exceed its pinned floor by at most this factor.
+const FLOOR_TOLERANCE: f64 = 1.5;
+/// Lower bound on `full_chain_lu_fft / full_chain_baseline`.
+const FAST_PATH_SPEEDUP: f64 = 1.5;
+/// Upper bound on a batched lane's cost over `full_chain_baseline`.
+const AMORTIZATION_CEILING: f64 = 0.75;
+/// Lower bound on `simd_fold_lanes_scalar / simd_fold_lanes_dispatch`
+/// on AVX2 hosts.
+const SIMD_SPEEDUP: f64 = 1.3;
+/// Upper bound on `checkpoint_overhead / ga_campaign_noop_recorder`.
+const CHECKPOINT_CEILING: f64 = 1.03;
 
-impl MinTimes {
-    fn get(&self, name: &str) -> Option<f64> {
-        self.0.iter().find(|(n, _)| n == name).map(|&(_, t)| t)
-    }
+/// `{record name -> min_ms}`.
+type Floors = BTreeMap<String, f64>;
+
+/// One `BENCH_history.jsonl` line: the stamp it was pinned under, the
+/// SIMD level the host dispatched, and every record's floor, grouped
+/// as the historic lines group them.
+#[derive(Debug, Clone, PartialEq)]
+struct Snapshot {
+    stamp: String,
+    simd: String,
+    eval_min_ms: Floors,
+    ga_min_ms: Floors,
 }
 
-impl Deserialize for MinTimes {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let Value::Arr(items) = v else {
-            return Err(DeError::new("expected a top-level array of records"));
+impl Snapshot {
+    /// Both groups in one map; record names are unique across them.
+    fn floors(&self) -> Floors {
+        let mut all = self.eval_min_ms.clone();
+        all.extend(self.ga_min_ms.clone());
+        all
+    }
+
+    fn to_line(&self) -> String {
+        let group = |floors: &Floors| {
+            Value::Obj(
+                floors
+                    .iter()
+                    .map(|(name, &ms)| (name.clone(), Value::Num(ms)))
+                    .collect(),
+            )
         };
-        let mut out = Vec::with_capacity(items.len());
-        for item in items {
-            let name = match item.field_value("name")? {
-                Value::Str(s) => s.clone(),
-                other => {
-                    return Err(DeError::new(format!(
-                        "name: expected string, got {other:?}"
-                    )))
-                }
-            };
-            let min_ms = match item.field_value("min_ms")? {
-                Value::Num(n) => *n,
-                other => {
-                    return Err(DeError::new(format!(
-                        "min_ms: expected number, got {other:?}"
-                    )))
-                }
-            };
-            out.push((name, min_ms));
-        }
-        Ok(MinTimes(out))
+        serde_json::value_to_string(&Value::Obj(vec![
+            ("stamp".to_owned(), Value::Str(self.stamp.clone())),
+            ("simd".to_owned(), Value::Str(self.simd.clone())),
+            ("eval_min_ms".to_owned(), group(&self.eval_min_ms)),
+            ("ga_min_ms".to_owned(), group(&self.ga_min_ms)),
+        ]))
     }
 }
 
-fn load(path: &str) -> MinTimes {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read {path}: {e}"));
-    serde_json::from_str(&text).unwrap_or_else(|e| panic!("parse {path}: {e}"))
+impl Deserialize for Snapshot {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        Ok(Snapshot {
+            stamp: String::from_value(v.field_value("stamp")?)?,
+            simd: String::from_value(v.field_value("simd")?)?,
+            eval_min_ms: floors_from(v, "eval_min_ms")?,
+            ga_min_ms: floors_from(v, "ga_min_ms")?,
+        })
+    }
 }
 
-/// Ratio of the forced general path to the auto fast path, if both were
-/// recorded. Machine-independent: both numbers come from the same run.
-fn fast_path_speedup(times: &MinTimes) -> Option<f64> {
-    let general = times.get("full_chain_lu_fft")?;
-    let fast = times.get("full_chain_baseline")?;
-    Some(general / fast)
-}
-
-/// `(name, lanes, per_lane_ms)` for every `full_chain_batched_xN`
-/// record, with `N` parsed from the name so the gate needs no schema
-/// beyond `{name, min_ms}`.
-fn batched_per_lane(times: &MinTimes) -> Vec<(String, usize, f64)> {
-    times
-        .0
+/// Reads one group of floors, each a finite number of ms above zero.
+fn floors_from(line: &Value, group: &str) -> Result<Floors, DeError> {
+    let Value::Obj(records) = line.field_value(group)? else {
+        return Err(DeError::new(format!("`{group}` is not an object")));
+    };
+    records
         .iter()
-        .filter_map(|(name, min_ms)| {
-            let lanes: usize = name.strip_prefix("full_chain_batched_x")?.parse().ok()?;
-            Some((name.clone(), lanes, min_ms / lanes as f64))
+        .map(|(name, floor)| match floor {
+            Value::Num(ms) if ms.is_finite() && *ms > 0.0 => Ok((name.clone(), *ms)),
+            other => Err(DeError::new(format!(
+                "`{group}.{name}` is {other:?}, not a finite number of ms above 0"
+            ))),
         })
         .collect()
 }
 
-fn main() -> ExitCode {
-    let mut args = std::env::args().skip(1);
-    let baseline_path = args.next().unwrap_or_else(|| "BENCH_eval.json".to_owned());
-    let fresh_path = args
-        .next()
-        .unwrap_or_else(|| usage("missing fresh BENCH_eval.json path"));
-    let tolerance: f64 = args
-        .next()
-        .map(|t| t.parse().unwrap_or_else(|_| usage("bad tolerance")))
-        .unwrap_or(1.5);
+/// Why the pinned baseline could not be read.
+#[derive(Debug)]
+enum BaselineError {
+    Read(std::io::Error),
+    Empty,
+    Invalid {
+        line: usize,
+        source: serde_json::Error,
+    },
+}
 
-    let baseline = load(&baseline_path);
-    let fresh = load(&fresh_path);
-    let mut failed = false;
-
-    for (name, base_min) in baseline
-        .0
-        .iter()
-        .filter(|(n, _)| n.starts_with("full_chain"))
-    {
-        match fresh.get(name) {
-            Some(fresh_min) if fresh_min <= base_min * tolerance => {
-                eprintln!("ok   {name:<28} {fresh_min:.3} ms (baseline {base_min:.3} ms)");
-            }
-            Some(fresh_min) => {
-                eprintln!(
-                    "FAIL {name:<28} {fresh_min:.3} ms exceeds {base_min:.3} ms * {tolerance}"
-                );
-                failed = true;
-            }
-            None => {
-                eprintln!("FAIL {name:<28} missing from {fresh_path}");
-                failed = true;
-            }
+impl fmt::Display for BaselineError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            BaselineError::Read(e) => write!(f, "cannot read: {e}"),
+            BaselineError::Empty => write!(f, "no pinned line; run with --rebaseline STAMP"),
+            BaselineError::Invalid { line, source } => write!(f, "line {line}: {source}"),
         }
-    }
-
-    // Same-run speedup floor: insensitive to absolute runner speed.
-    const SPEEDUP_FLOOR: f64 = 1.5;
-    match fast_path_speedup(&fresh) {
-        Some(ratio) if ratio >= SPEEDUP_FLOOR => {
-            eprintln!("ok   lu_fft/baseline speedup {ratio:.2}x (floor {SPEEDUP_FLOOR}x)");
-        }
-        Some(ratio) => {
-            eprintln!("FAIL lu_fft/baseline speedup {ratio:.2}x below floor {SPEEDUP_FLOOR}x");
-            failed = true;
-        }
-        None => {
-            eprintln!("FAIL fresh run lacks full_chain_lu_fft/full_chain_baseline records");
-            failed = true;
-        }
-    }
-
-    // Same-run amortization floor: each lane of a batched evaluation
-    // must cost at most this fraction of a serial evaluation.
-    const AMORTIZATION_CEILING: f64 = 0.75;
-    let batched = batched_per_lane(&fresh);
-    if batched.is_empty() {
-        eprintln!("FAIL fresh run lacks full_chain_batched_xN records");
-        failed = true;
-    }
-    match fresh.get("full_chain_baseline") {
-        Some(serial) => {
-            for (name, lanes, per_lane) in &batched {
-                let ratio = per_lane / serial;
-                if ratio <= AMORTIZATION_CEILING {
-                    eprintln!(
-                        "ok   {name:<28} {per_lane:.3} ms/lane x{lanes} = {ratio:.2}x serial \
-                         (ceiling {AMORTIZATION_CEILING}x)"
-                    );
-                } else {
-                    eprintln!(
-                        "FAIL {name:<28} {per_lane:.3} ms/lane x{lanes} = {ratio:.2}x serial \
-                         exceeds {AMORTIZATION_CEILING}x"
-                    );
-                    failed = true;
-                }
-            }
-        }
-        None if !batched.is_empty() => {
-            eprintln!("FAIL fresh run lacks full_chain_baseline for the amortization gate");
-            failed = true;
-        }
-        None => {}
-    }
-
-    // Same-run SIMD dispatch floor, gated on host capability: the
-    // numbers in the fresh file were produced on this machine, so
-    // detection here matches the conditions they were measured under.
-    const SIMD_SPEEDUP_FLOOR: f64 = 1.3;
-    let simd_ratio = (|| {
-        let scalar = fresh.get("simd_fold_lanes_scalar")?;
-        let dispatch = fresh.get("simd_fold_lanes_dispatch")?;
-        Some(scalar / dispatch)
-    })();
-    if emvolt_simd::detected_level() == emvolt_simd::SimdLevel::Avx2 {
-        match simd_ratio {
-            Some(ratio) if ratio >= SIMD_SPEEDUP_FLOOR => {
-                eprintln!(
-                    "ok   simd fold dispatch/scalar speedup {ratio:.2}x \
-                     (floor {SIMD_SPEEDUP_FLOOR}x on avx2)"
-                );
-            }
-            Some(ratio) => {
-                eprintln!(
-                    "FAIL simd fold dispatch/scalar speedup {ratio:.2}x \
-                     below floor {SIMD_SPEEDUP_FLOOR}x on avx2"
-                );
-                failed = true;
-            }
-            None => {
-                eprintln!("FAIL fresh run lacks simd_fold_lanes_* records");
-                failed = true;
-            }
-        }
-    } else {
-        eprintln!(
-            "skip simd fold speedup floor: host dispatches {} (calibrated for avx2)",
-            emvolt_simd::detected_level().as_str()
-        );
-    }
-
-    // Same-run checkpoint-overhead ceiling, from the GA-scale file that
-    // `export_bench` writes beside the eval file: the engine-driven
-    // campaign snapshotting after every batch against the legacy
-    // one-shot entry point. Both floors come from the same run on the
-    // same machine, so the ratio is immune to runner speed.
-    const CHECKPOINT_CEILING: f64 = 1.03;
-    let ga_path = std::path::Path::new(&fresh_path)
-        .with_file_name("BENCH_ga.json")
-        .to_string_lossy()
-        .into_owned();
-    let ga = load(&ga_path);
-    match (
-        ga.get("checkpoint_overhead"),
-        ga.get("ga_campaign_noop_recorder"),
-    ) {
-        (Some(engine), Some(legacy)) => {
-            let ratio = engine / legacy;
-            if ratio <= CHECKPOINT_CEILING {
-                eprintln!(
-                    "ok   checkpoint_overhead        {engine:.3} ms = {ratio:.3}x legacy \
-                     one-shot (ceiling {CHECKPOINT_CEILING}x)"
-                );
-            } else {
-                eprintln!(
-                    "FAIL checkpoint_overhead        {engine:.3} ms = {ratio:.3}x legacy \
-                     one-shot exceeds {CHECKPOINT_CEILING}x"
-                );
-                failed = true;
-            }
-        }
-        _ => {
-            eprintln!("FAIL {ga_path} lacks checkpoint_overhead/ga_campaign_noop_recorder records");
-            failed = true;
-        }
-    }
-
-    if failed {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
     }
 }
 
-fn usage(msg: &str) -> ! {
-    eprintln!("{msg}\nusage: bench_gate <committed.json> <fresh.json> [tolerance]");
-    std::process::exit(2);
+/// The last non-blank line of a history file's text.
+fn parse_pinned(text: &str) -> Result<Snapshot, BaselineError> {
+    let (index, line) = text
+        .lines()
+        .enumerate()
+        .filter(|(_, line)| !line.trim().is_empty())
+        .last()
+        .ok_or(BaselineError::Empty)?;
+    serde_json::from_str(line).map_err(|source| BaselineError::Invalid {
+        line: index + 1,
+        source,
+    })
+}
+
+fn load_pinned(path: &Path) -> Result<Snapshot, BaselineError> {
+    parse_pinned(&std::fs::read_to_string(path).map_err(BaselineError::Read)?)
+}
+
+fn history_path() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_history.jsonl")
+}
+
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Verdict {
+    Ok,
+    Fail,
+    Skip,
+}
+
+/// One gate verdict and the line that explains it.
+#[derive(Debug)]
+struct Check {
+    verdict: Verdict,
+    what: String,
+}
+
+impl Check {
+    fn new(pass: bool, what: String) -> Self {
+        let verdict = if pass { Verdict::Ok } else { Verdict::Fail };
+        Check { verdict, what }
+    }
+
+    fn missing(records: &str) -> Self {
+        Check::new(false, format!("{records} not timed"))
+    }
+}
+
+impl fmt::Display for Check {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let tag = match self.verdict {
+            Verdict::Ok => "ok  ",
+            Verdict::Fail => "FAIL",
+            Verdict::Skip => "skip",
+        };
+        write!(f, "{tag} {}", self.what)
+    }
+}
+
+/// Every record pinned or timed, checked against its pinned floor.
+fn floor_checks(pinned: &Floors, fresh: &Floors) -> Vec<Check> {
+    let names: BTreeSet<&String> = pinned.keys().chain(fresh.keys()).collect();
+    names
+        .into_iter()
+        .map(|name| match (pinned.get(name), fresh.get(name)) {
+            (Some(&base), Some(&now)) => Check::new(
+                now <= base * FLOOR_TOLERANCE,
+                format!(
+                    "{name:<28} {now:.3} ms vs pinned {base:.3} ms (ceiling {FLOOR_TOLERANCE}x)"
+                ),
+            ),
+            (Some(_), None) => Check::new(false, format!("{name:<28} pinned but not timed")),
+            (None, _) => Check::new(
+                false,
+                format!("{name:<28} timed but not pinned; run --rebaseline"),
+            ),
+        })
+        .collect()
+}
+
+/// The same-run ratio checks over one run's floors; `level` is the SIMD
+/// level the host detects.
+fn ratio_checks(fresh: &Floors, level: SimdLevel) -> Vec<Check> {
+    let ratio = |num: &str, den: &str| Some(fresh.get(num)? / fresh.get(den)?);
+    let mut checks = Vec::new();
+
+    checks.push(match ratio("full_chain_lu_fft", "full_chain_baseline") {
+        Some(r) => Check::new(
+            r >= FAST_PATH_SPEEDUP,
+            format!("lu_fft/baseline speedup {r:.2}x (floor {FAST_PATH_SPEEDUP}x)"),
+        ),
+        None => Check::missing("full_chain_lu_fft/full_chain_baseline"),
+    });
+
+    let batched: Vec<(&String, usize, f64)> = fresh
+        .iter()
+        .filter_map(|(name, &ms)| {
+            let lanes: usize = name.strip_prefix("full_chain_batched_x")?.parse().ok()?;
+            Some((name, lanes, ms / lanes as f64))
+        })
+        .collect();
+    match (batched.is_empty(), fresh.get("full_chain_baseline")) {
+        (false, Some(&serial)) => {
+            checks.extend(batched.into_iter().map(|(name, lanes, per_lane)| {
+                let r = per_lane / serial;
+                Check::new(
+                    r <= AMORTIZATION_CEILING,
+                    format!(
+                        "{name:<28} {per_lane:.3} ms/lane x{lanes} = {r:.2}x serial \
+                         (ceiling {AMORTIZATION_CEILING}x)"
+                    ),
+                )
+            }))
+        }
+        _ => checks.push(Check::missing("full_chain_batched_xN/full_chain_baseline")),
+    }
+
+    checks.push(if level != SimdLevel::Avx2 {
+        Check {
+            verdict: Verdict::Skip,
+            what: format!(
+                "simd fold speedup floor: host detects {} (calibrated for avx2)",
+                level.as_str()
+            ),
+        }
+    } else {
+        match ratio("simd_fold_lanes_scalar", "simd_fold_lanes_dispatch") {
+            Some(r) => Check::new(
+                r >= SIMD_SPEEDUP,
+                format!("simd fold dispatch/scalar speedup {r:.2}x (floor {SIMD_SPEEDUP}x)"),
+            ),
+            None => Check::missing("simd_fold_lanes_scalar/simd_fold_lanes_dispatch"),
+        }
+    });
+
+    checks.push(
+        match ratio("checkpoint_overhead", "ga_campaign_noop_recorder") {
+            Some(r) => Check::new(
+                r <= CHECKPOINT_CEILING,
+                format!(
+                    "checkpoint_overhead {r:.3}x ga_campaign_noop_recorder \
+                     (ceiling {CHECKPOINT_CEILING}x)"
+                ),
+            ),
+            None => Check::missing("checkpoint_overhead/ga_campaign_noop_recorder"),
+        },
+    );
+    checks
+}
+
+/// A record name and the work one timed sample runs.
+type Job<'a> = (&'static str, Box<dyn FnMut() + 'a>);
+
+/// Times every job of `group` in alternating rounds, so each record
+/// samples the same machine conditions and a ratio between two of them
+/// is not skewed by a drifting CPU clock. The first `warmup` rounds
+/// fault in code, warm caches and settle the allocator; each record's
+/// floor is its fastest of the `rounds` timed samples. A shared host's
+/// speed drifts over seconds, so the eval and GA groups each sample for
+/// a few seconds, which gives their floors more chances to catch the
+/// host at its fastest and lets the checkpoint side dodge filesystem
+/// stalls.
+fn time_group(group: &mut [Job<'_>], warmup: usize, rounds: usize) -> Floors {
+    let mut floors = vec![f64::INFINITY; group.len()];
+    for round in 0..warmup + rounds {
+        for ((_, job), floor) in group.iter_mut().zip(&mut floors) {
+            let t0 = Instant::now();
+            job();
+            if round >= warmup {
+                *floor = floor.min(t0.elapsed().as_secs_f64() * 1e3);
+            }
+        }
+    }
+    group
+        .iter()
+        .map(|(name, _)| name.to_string())
+        .zip(floors)
+        .collect()
+}
+
+/// The calibrated A72 domain.
+fn a72_domain() -> VoltageDomain {
+    VoltageDomain::new("A72", CoreModel::cortex_a72(), a72_pdn(), 1.2e9)
+}
+
+/// A deterministic 50-instruction ARM kernel.
+fn arm_kernel() -> Kernel {
+    let pool = InstructionPool::default_for(Isa::ArmV8);
+    let mut rng = StdRng::seed_from_u64(0xBE7C);
+    pool.random_kernel(50, &mut rng)
+}
+
+/// One full-chain evaluation of `lanes` individuals over reusable
+/// scratch: the per-individual loop the GA pays, core sim and transient
+/// through `runner`, then spectrum, EM transfer and analyzer metric.
+fn chain_job<'a>(
+    cfg: RunConfig,
+    bench: &EmBench,
+    telemetry: Telemetry,
+    kernel: &'a Kernel,
+    lanes: usize,
+) -> Box<dyn FnMut() + 'a> {
+    let mut runner = DomainRunner::new_with(&a72_domain(), cfg, telemetry.clone())
+        .expect("the A72 domain plans a transient at RunConfig::fast");
+    let mut measure = MeasureScratch::new();
+    measure.set_telemetry(telemetry);
+    let shared = bench.share();
+    let loads: Vec<Load<'a>> = (0..lanes)
+        .map(|i| Load::Kernel {
+            kernel,
+            loaded_cores: 1 + i % 2,
+        })
+        .collect();
+    let seeds = vec![7u64; lanes];
+    let mut outs = vec![DomainRun::empty(); lanes];
+    Box::new(move || {
+        runner
+            .run_batch_into(&loads, &mut outs)
+            .expect("the benchmark kernel simulates");
+        let runs: Vec<&DomainRun> = outs.iter().collect();
+        let readings =
+            shared.measure_in_band_batch_seeded_with(&runs, 50e6, 200e6, 3, &seeds, &mut measure);
+        for reading in &readings {
+            std::hint::black_box(reading.metric_dbm);
+        }
+    })
+}
+
+/// The eval-chain records: the fast path against the forced general
+/// path it replaced, the batched lane groups, and the enabled telemetry
+/// and waveform sinks.
+fn eval_floors() -> Floors {
+    let kernel = arm_kernel();
+    let cfg = RunConfig::fast();
+    let bench = EmBench::new(0xBE7C);
+    let mut lu_cfg = cfg.clone();
+    lu_cfg.kernel = KernelChoice::Lu;
+    lu_cfg.spectral = SpectralChoice::FullFft;
+    let mut fft_bench = EmBench::new(0xBE7C);
+    fft_bench.set_spectral(SpectralChoice::FullFft);
+    let jsonl = Telemetry::new(Arc::new(JsonlRecorder::new(std::io::sink())));
+    let waves = Telemetry::with_waves(Arc::new(NoopRecorder), Arc::new(WaveDb::new()));
+    let noop = Telemetry::noop;
+    let mut group: Vec<Job<'_>> = vec![
+        (
+            "full_chain_lu_fft",
+            chain_job(lu_cfg, &fft_bench, noop(), &kernel, 1),
+        ),
+        (
+            "full_chain_baseline",
+            chain_job(cfg.clone(), &bench, noop(), &kernel, 1),
+        ),
+        (
+            "full_chain_batched_x4",
+            chain_job(cfg.clone(), &bench, noop(), &kernel, 4),
+        ),
+        (
+            "full_chain_batched_x8",
+            chain_job(cfg.clone(), &bench, noop(), &kernel, 8),
+        ),
+        (
+            "full_chain_jsonl_to_sink",
+            chain_job(cfg.clone(), &bench, jsonl, &kernel, 1),
+        ),
+        (
+            "wavetrace_overhead",
+            chain_job(cfg, &bench, waves, &kernel, 1),
+        ),
+    ];
+    time_group(&mut group, 50, 120)
+}
+
+/// The lane-major response-column fold, the innermost per-step loop of
+/// a batched transient, at the dispatched level and at the scalar tier.
+/// The two differ only in instruction selection, so their ratio
+/// isolates the SIMD payoff from every other chain cost.
+fn simd_floors() -> Floors {
+    const N_NODES: usize = 16;
+    const N_INPUTS: usize = 12;
+    const LANES: usize = 8;
+    // One fold is ~1.5k flops; repeat enough that a sample dwarfs timer
+    // granularity.
+    const REPS: usize = 4000;
+    let cols: Vec<f64> = (0..N_NODES * N_INPUTS)
+        .map(|i| (i as f64 * 0.37).sin())
+        .collect();
+    let inputs: Vec<f64> = (0..N_INPUTS * LANES)
+        .map(|i| (i as f64 * 0.73).cos())
+        .collect();
+    let (cols, inputs) = (&cols, &inputs);
+    let fold = |level: SimdLevel| -> Box<dyn FnMut() + '_> {
+        let mut xn = vec![0.0; N_NODES * LANES];
+        Box::new(move || {
+            for _ in 0..REPS {
+                level.fold_cols_lanes(cols, N_NODES, inputs, LANES, &mut xn);
+            }
+            std::hint::black_box(&mut xn);
+        })
+    };
+    let mut group: Vec<Job<'_>> = vec![
+        ("simd_fold_lanes_dispatch", fold(emvolt_simd::level())),
+        ("simd_fold_lanes_scalar", fold(SimdLevel::Scalar)),
+    ];
+    time_group(&mut group, 50, 40)
+}
+
+/// One reduced EM GA campaign on the live A72 chain: 6 individuals x 3
+/// generations, single-threaded, under `opts`.
+fn ga_job(telemetry: fn() -> Telemetry, opts: DriveOptions) -> Box<dyn FnMut()> {
+    let domain = a72_domain();
+    Box::new(move || {
+        let cfg = VirusGenConfig {
+            ga: GaConfig {
+                population: 6,
+                generations: 3,
+                ..GaConfig::default()
+            },
+            kernel_len: 16,
+            samples_per_individual: 3,
+            threads: 1,
+            telemetry: telemetry(),
+            ..VirusGenConfig::default()
+        };
+        let mut live = LiveBackend::single(domain.clone(), EmBench::new(11), cfg.run.clone());
+        let virus = generate_em_virus_resumable("bench", &mut live, "A72", &cfg, &opts, |_| {})
+            .expect("the reduced campaign runs")
+            .expect("no batch limit, so the drive runs to completion");
+        std::hint::black_box(virus.fitness);
+    })
+}
+
+/// The GA records: a campaign with telemetry off, with a JSONL recorder
+/// to a sink, and snapshotting its state to disk after every batch (the
+/// price of `--checkpoint PATH:1`, the tightest cadence the CLI takes).
+fn ga_floors() -> Floors {
+    let path = std::env::temp_dir().join(format!(
+        "emvolt_bench_checkpoint_{}.jsonl",
+        std::process::id()
+    ));
+    let checkpoint = DriveOptions {
+        checkpoint: Some(path.clone()),
+        checkpoint_every: 1,
+        ..DriveOptions::default()
+    };
+    let mut group: Vec<Job<'_>> = vec![
+        (
+            "ga_campaign_noop_recorder",
+            ga_job(Telemetry::noop, DriveOptions::default()),
+        ),
+        (
+            "ga_campaign_jsonl_to_sink",
+            ga_job(
+                || Telemetry::new(Arc::new(JsonlRecorder::new(std::io::sink()))),
+                DriveOptions::default(),
+            ),
+        ),
+        ("checkpoint_overhead", ga_job(Telemetry::noop, checkpoint)),
+    ];
+    let floors = time_group(&mut group, 3, 45);
+    std::fs::remove_file(&path).ok();
+    floors
+}
+
+fn append_line(path: &Path, snapshot: &Snapshot) -> std::io::Result<()> {
+    let mut file = std::fs::OpenOptions::new()
+        .create(true)
+        .append(true)
+        .open(path)?;
+    writeln!(file, "{}", snapshot.to_line())
+}
+
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let rebaseline = match args.as_slice() {
+        [] => None,
+        [flag, stamp] if flag == "--rebaseline" && !stamp.is_empty() => Some(stamp.clone()),
+        _ => {
+            eprintln!("usage: bench_gate [--rebaseline STAMP]");
+            return ExitCode::from(2);
+        }
+    };
+    let path = history_path();
+    let pinned = match rebaseline {
+        Some(_) => None,
+        None => match load_pinned(&path) {
+            Ok(pinned) => Some(pinned),
+            Err(e) => {
+                eprintln!("bench_gate: {}: {e}", path.display());
+                return ExitCode::from(2);
+            }
+        },
+    };
+
+    let mut eval_min_ms = eval_floors();
+    eval_min_ms.extend(simd_floors());
+    let fresh = Snapshot {
+        stamp: rebaseline.clone().unwrap_or_default(),
+        simd: emvolt_simd::level().as_str().to_owned(),
+        eval_min_ms,
+        ga_min_ms: ga_floors(),
+    };
+    let floors = fresh.floors();
+    let mut checks = ratio_checks(&floors, emvolt_simd::detected_level());
+    if let Some(pinned) = &pinned {
+        println!("pinned line \"{}\" ({})", pinned.stamp, pinned.simd);
+        checks.extend(floor_checks(&pinned.floors(), &floors));
+    }
+    for check in &checks {
+        println!("{check}");
+    }
+    if checks.iter().any(|c| c.verdict == Verdict::Fail) {
+        return ExitCode::FAILURE;
+    }
+
+    if rebaseline.is_some() {
+        for (name, ms) in &floors {
+            println!("pin  {name:<28} {ms:.3} ms");
+        }
+        if let Err(e) = append_line(&path, &fresh) {
+            eprintln!("bench_gate: {}: cannot append: {e}", path.display());
+            return ExitCode::from(2);
+        }
+        println!("appended \"{}\" to {}", fresh.stamp, path.display());
+    }
+    ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn floors(records: &[(&str, f64)]) -> Floors {
+        records.iter().map(|&(n, ms)| (n.to_owned(), ms)).collect()
+    }
+
+    /// A run that passes every same-run ratio with room to spare.
+    fn passing_run() -> Floors {
+        floors(&[
+            ("full_chain_lu_fft", 3.0),
+            ("full_chain_baseline", 1.0),
+            ("full_chain_batched_x4", 2.0),
+            ("full_chain_batched_x8", 3.0),
+            ("simd_fold_lanes_dispatch", 1.0),
+            ("simd_fold_lanes_scalar", 10.0),
+            ("ga_campaign_noop_recorder", 100.0),
+            ("checkpoint_overhead", 100.0),
+        ])
+    }
+
+    fn verdicts(checks: &[Check]) -> Vec<Verdict> {
+        checks.iter().map(|c| c.verdict).collect()
+    }
+
+    /// The verdict of the one check whose line starts with `needle`.
+    fn verdict_of(checks: &[Check], needle: &str) -> Verdict {
+        let found: Vec<&Check> = checks
+            .iter()
+            .filter(|c| c.what.starts_with(needle))
+            .collect();
+        assert_eq!(found.len(), 1, "one check starts with {needle}: {checks:?}");
+        found[0].verdict
+    }
+
+    fn ratios_with(record: &str, ms: f64) -> Vec<Check> {
+        let mut run = passing_run();
+        run.insert(record.to_owned(), ms);
+        ratio_checks(&run, SimdLevel::Avx2)
+    }
+
+    #[test]
+    fn passing_run_passes_every_ratio() {
+        let checks = ratio_checks(&passing_run(), SimdLevel::Avx2);
+        assert_eq!(checks.len(), 5);
+        assert!(verdicts(&checks).iter().all(|&v| v == Verdict::Ok));
+    }
+
+    #[test]
+    fn floor_passes_at_tolerance_and_fails_past_it() {
+        let pinned = floors(&[("a", 2.0)]);
+        let at = floor_checks(&pinned, &floors(&[("a", 3.0)]));
+        assert_eq!(verdicts(&at), [Verdict::Ok]);
+        let past = floor_checks(&pinned, &floors(&[("a", 3.0001)]));
+        assert_eq!(verdicts(&past), [Verdict::Fail]);
+    }
+
+    #[test]
+    fn a_record_on_one_side_only_fails() {
+        let pinned = floors(&[("a", 1.0), ("b", 1.0)]);
+        let checks = floor_checks(&pinned, &floors(&[("a", 1.0), ("c", 1.0)]));
+        assert_eq!(verdict_of(&checks, "a "), Verdict::Ok);
+        assert_eq!(verdict_of(&checks, "b "), Verdict::Fail);
+        assert_eq!(verdict_of(&checks, "c "), Verdict::Fail);
+    }
+
+    #[test]
+    fn fast_path_speedup_passes_at_floor_and_fails_below() {
+        let at = ratios_with("full_chain_lu_fft", 1.5);
+        assert_eq!(verdict_of(&at, "lu_fft/baseline"), Verdict::Ok);
+        let below = ratios_with("full_chain_lu_fft", 1.4999);
+        assert_eq!(verdict_of(&below, "lu_fft/baseline"), Verdict::Fail);
+    }
+
+    #[test]
+    fn batched_lane_cost_passes_at_ceiling_and_fails_above() {
+        let at = ratios_with("full_chain_batched_x4", 3.0);
+        assert_eq!(verdict_of(&at, "full_chain_batched_x4"), Verdict::Ok);
+        let above = ratios_with("full_chain_batched_x4", 3.0001);
+        assert_eq!(verdict_of(&above, "full_chain_batched_x4"), Verdict::Fail);
+        assert_eq!(verdict_of(&above, "full_chain_batched_x8"), Verdict::Ok);
+    }
+
+    #[test]
+    fn simd_speedup_passes_at_floor_and_fails_below_on_avx2() {
+        let at = ratios_with("simd_fold_lanes_scalar", 1.3);
+        assert_eq!(verdict_of(&at, "simd fold"), Verdict::Ok);
+        let below = ratios_with("simd_fold_lanes_scalar", 1.2999);
+        assert_eq!(verdict_of(&below, "simd fold"), Verdict::Fail);
+    }
+
+    #[test]
+    fn non_avx2_host_skips_the_simd_floor() {
+        let mut run = passing_run();
+        run.insert("simd_fold_lanes_scalar".to_owned(), 1.0);
+        for level in [SimdLevel::Scalar, SimdLevel::Sse2, SimdLevel::Neon] {
+            let checks = ratio_checks(&run, level);
+            assert_eq!(verdict_of(&checks, "simd fold"), Verdict::Skip);
+        }
+    }
+
+    #[test]
+    fn checkpoint_overhead_passes_at_ceiling_and_fails_above() {
+        let at = ratios_with("checkpoint_overhead", 103.0);
+        assert_eq!(verdict_of(&at, "checkpoint_overhead"), Verdict::Ok);
+        let above = ratios_with("checkpoint_overhead", 103.001);
+        assert_eq!(verdict_of(&above, "checkpoint_overhead"), Verdict::Fail);
+    }
+
+    #[test]
+    fn a_ratio_record_missing_from_the_run_fails() {
+        for record in [
+            "full_chain_lu_fft",
+            "full_chain_baseline",
+            "simd_fold_lanes_dispatch",
+            "ga_campaign_noop_recorder",
+        ] {
+            let mut run = passing_run();
+            run.remove(record);
+            let checks = ratio_checks(&run, SimdLevel::Avx2);
+            assert!(
+                verdicts(&checks).contains(&Verdict::Fail),
+                "{record}: {checks:?}"
+            );
+        }
+        let mut run = passing_run();
+        run.retain(|name, _| !name.starts_with("full_chain_batched_x"));
+        let checks = ratio_checks(&run, SimdLevel::Avx2);
+        assert_eq!(verdict_of(&checks, "full_chain_batched_xN"), Verdict::Fail);
+    }
+
+    #[test]
+    fn historic_lines_parse() {
+        let text = std::fs::read_to_string(history_path()).expect("BENCH_history.jsonl exists");
+        let lines: Vec<Snapshot> = text
+            .lines()
+            .map(|line| serde_json::from_str(line).expect("every pinned line parses"))
+            .collect();
+        let stamps: Vec<&str> = lines.iter().take(3).map(|s| s.stamp.as_str()).collect();
+        assert_eq!(
+            stamps,
+            ["2026-08-08-pr8", "ci-wavetrace", "2026-08-08-pr10"]
+        );
+        assert_eq!(lines[2].ga_min_ms.len(), 3);
+        assert!(parse_pinned(&text).is_ok());
+    }
+
+    #[test]
+    fn a_written_line_parses_back() {
+        let snapshot = Snapshot {
+            stamp: "s".to_owned(),
+            simd: "avx2".to_owned(),
+            eval_min_ms: floors(&[("full_chain_baseline", 1.424175)]),
+            ga_min_ms: floors(&[("ga_campaign_noop_recorder", 39.349062999999994)]),
+        };
+        let text = format!("{}\n{}\n\n", r#"{"garbage"#, snapshot.to_line());
+        assert_eq!(parse_pinned(&text).unwrap(), snapshot);
+    }
+
+    #[test]
+    fn a_missing_file_is_a_read_error() {
+        let path = std::env::temp_dir().join("emvolt_bench_gate_no_such_history.jsonl");
+        assert!(matches!(load_pinned(&path), Err(BaselineError::Read(_))));
+    }
+
+    #[test]
+    fn malformed_files_are_errors() {
+        let good = r#"{"stamp":"s","simd":"avx2","eval_min_ms":{"a":1.5},"ga_min_ms":{"b":2}}"#;
+        assert!(parse_pinned(good).is_ok());
+        assert!(matches!(parse_pinned(""), Err(BaselineError::Empty)));
+        assert!(matches!(parse_pinned("\n \n"), Err(BaselineError::Empty)));
+        for bad in [
+            // Truncated last line after a good one.
+            format!("{good}\n{}", &good[..good.len() / 2]),
+            good.replace("1.5", "\"fast\""),
+            good.replace("1.5", "null"),
+            good.replace("1.5", "1e999"),
+            good.replace("1.5", "0"),
+            good.replace("1.5", "-1.5"),
+            good.replace("eval_min_ms", "evals"),
+            good.replace("ga_min_ms", "ga"),
+        ] {
+            let err = parse_pinned(&bad).expect_err(&bad);
+            assert!(matches!(err, BaselineError::Invalid { .. }), "{bad}: {err}");
+        }
+        // JSON cannot spell NaN, so check the floor rule on the tree.
+        let nan = Value::Obj(vec![(
+            "eval_min_ms".to_owned(),
+            Value::Obj(vec![("a".to_owned(), Value::Num(f64::NAN))]),
+        )]);
+        assert!(floors_from(&nan, "eval_min_ms").is_err());
+    }
 }
