@@ -73,7 +73,6 @@ struct SerialSlot {
 pub struct LiveBackend {
     domains: Vec<VoltageDomain>,
     run_config: RunConfig,
-    costs: SessionCosts,
     bench: EmBench,
     shared: SharedEmBench,
     /// Per-domain checkout pools for the parallel path. At steady state
@@ -96,7 +95,6 @@ impl LiveBackend {
         LiveBackend {
             domains,
             run_config,
-            costs: SessionCosts::default(),
             bench,
             shared,
             pools: (0..n).map(|_| Mutex::new(Vec::new())).collect(),
@@ -107,13 +105,6 @@ impl LiveBackend {
     /// Single-domain convenience constructor.
     pub fn single(domain: VoltageDomain, bench: EmBench, run_config: RunConfig) -> Self {
         LiveBackend::new(vec![domain], bench, run_config)
-    }
-
-    /// Overrides the session cost model.
-    #[must_use]
-    pub fn with_costs(mut self, costs: SessionCosts) -> Self {
-        self.costs = costs;
-        self
     }
 
     /// Direct access to a served domain.
@@ -129,13 +120,6 @@ impl LiveBackend {
         self.pools[idx].lock().clear();
         self.serial[idx] = None;
         Some(&mut self.domains[idx])
-    }
-
-    /// Consumes the backend, folding outstanding shared-analyzer time
-    /// back into the bench and returning it.
-    pub fn into_bench(mut self) -> EmBench {
-        self.bench.absorb_elapsed(&self.shared);
-        self.bench
     }
 
     fn index(&self, name: &str) -> Result<usize, BackendError> {
@@ -448,7 +432,7 @@ impl MeasurementBackend for LiveBackend {
     }
 
     fn costs(&self) -> SessionCosts {
-        self.costs
+        SessionCosts::default()
     }
 
     fn rig_state(&self) -> Vec<(String, String)> {
@@ -512,7 +496,7 @@ mod tests {
     use emvolt_cpu::CoreModel;
     use emvolt_isa::{kernels::padded_sweep_kernel, Isa};
     use emvolt_obs::{HistId, JsonlRecorder};
-    use emvolt_platform::{a72_pdn, RESONANCE_BAND};
+    use emvolt_platform::{a53_pdn, a72_pdn, RESONANCE_BAND};
     use std::sync::Arc;
 
     fn a72() -> VoltageDomain {
@@ -676,29 +660,47 @@ mod tests {
         assert_eq!(default.loop_frequency_hz, full.loop_frequency_hz);
     }
 
+    /// A two-domain combined capture is bit-identical to the direct
+    /// chain: run each domain, superimpose their emissions, and take one
+    /// seeded analyzer sweep.
     #[test]
     fn combined_capture_matches_direct_multi_domain_sweep() {
-        let kernel = padded_sweep_kernel(Isa::ArmV8, 17);
-        let mut be = LiveBackend::single(a72(), EmBench::new(6), RunConfig::fast());
+        let a53 = || VoltageDomain::new("A53", CoreModel::cortex_a53(), a53_pdn(), 950e6);
+        let k72 = padded_sweep_kernel(Isa::ArmV8, 17);
+        let k53 = padded_sweep_kernel(Isa::ArmV8, 8);
+        let mut be = LiveBackend::new(vec![a72(), a53()], EmBench::new(6), RunConfig::fast());
         let reading = be
             .capture_combined(
-                &[CombinedSource {
-                    domain: "A72",
-                    kernel: Some(&kernel),
-                    loaded_cores: 2,
-                }],
+                &[
+                    CombinedSource {
+                        domain: "A72",
+                        kernel: Some(&k72),
+                        loaded_cores: 2,
+                    },
+                    CombinedSource {
+                        domain: "A53",
+                        kernel: Some(&k53),
+                        loaded_cores: 4,
+                    },
+                ],
                 0x515,
                 &Telemetry::noop(),
             )
             .unwrap();
 
-        let domain = a72();
-        let run = domain.run(&kernel, 2, &RunConfig::fast()).unwrap();
+        let run72 = a72().run(&k72, 2, &RunConfig::fast()).unwrap();
+        let run53 = a53().run(&k53, 4, &RunConfig::fast()).unwrap();
         let mut bench = EmBench::new(6);
-        let rx = bench.received_spectrum_multi(&[&run]);
+        let rx = bench.received_spectrum_multi(&[&run72, &run53]);
         let mut rng = StdRng::seed_from_u64(0x515);
         let expect = bench.analyzer.sweep(&rx, &mut rng);
-        assert_eq!(reading.points, expect.points);
+        let bits = |points: &[(f64, f64)]| -> Vec<(u64, u64)> {
+            points
+                .iter()
+                .map(|(f, dbm)| (f.to_bits(), dbm.to_bits()))
+                .collect()
+        };
+        assert_eq!(bits(&reading.points), bits(&expect.points));
     }
 
     /// The batched path must return exactly what the default serial loop

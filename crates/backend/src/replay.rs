@@ -118,11 +118,6 @@ impl ReplayBackend {
         self.len() == 0
     }
 
-    /// Which backend recorded the trace (`"live"`, `"cache"`, ...).
-    pub fn recorded_by(&self) -> &str {
-        &self.header.backend
-    }
-
     /// Pops the next stored call for `key`, keeping a clone of the final
     /// one so a key can be served more often than it was recorded (the
     /// last call's result repeats — matching how a seeded measurement is

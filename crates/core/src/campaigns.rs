@@ -135,7 +135,7 @@ struct EvalRecord {
 /// dominant frequency (serial, 5 samples, memoized by kernel identity);
 /// then the overall best is re-measured once at full sample count; then
 /// the campaign is complete.
-pub struct VirusCampaign<F: FnMut(&GenerationProgress)> {
+struct VirusCampaign<F: FnMut(&GenerationProgress)> {
     name: String,
     domain_name: String,
     config: VirusGenConfig,
@@ -164,7 +164,7 @@ impl<F: FnMut(&GenerationProgress)> VirusCampaign<F> {
     /// # Errors
     ///
     /// [`DomainError::InvalidConfig`] for a degenerate GA configuration.
-    pub fn new(
+    fn new(
         name: &str,
         domain_name: &str,
         isa: emvolt_isa::Isa,
@@ -383,7 +383,7 @@ impl<F: FnMut(&GenerationProgress)> VirusCampaign<F> {
     /// # Panics
     ///
     /// Panics if the campaign has not run to completion.
-    pub fn into_virus<B: MeasurementBackend + ?Sized>(
+    fn into_virus<B: MeasurementBackend + ?Sized>(
         self,
         backend: &mut B,
     ) -> Result<Virus, DomainError> {
@@ -687,7 +687,7 @@ impl<F: FnMut(&GenerationProgress)> Campaign for VirusCampaign<F> {
 }
 
 /// [`generate_em_virus_on`](crate::generate_em_virus_on) with
-/// checkpoint/resume/interrupt wiring: drives a [`VirusCampaign`] under
+/// checkpoint/resume/interrupt wiring: drives the GA step campaign under
 /// `opts`. Returns `None` when the batch limit interrupted the campaign
 /// (its state is in the checkpoint file, ready to resume).
 ///
@@ -762,7 +762,7 @@ fn run_virus_engine<B: MeasurementBackend + ?Sized>(
 
 /// The fast resonance sweep as a resumable step campaign: one serial
 /// rig measurement per DVFS point, in visit order.
-pub struct SweepCampaign {
+struct SweepCampaign {
     domain_name: String,
     config: FastSweepConfig,
     kernel: Kernel,
@@ -776,7 +776,7 @@ pub struct SweepCampaign {
 
 impl SweepCampaign {
     /// Builds a fresh sweep over the configured DVFS points.
-    pub fn new(
+    fn new(
         domain_name: &str,
         isa: emvolt_isa::Isa,
         max_frequency_hz: f64,
@@ -812,7 +812,7 @@ impl SweepCampaign {
     /// # Errors
     ///
     /// [`DomainError::Backend`] if the backend fails to finish.
-    pub fn into_result<B: MeasurementBackend + ?Sized>(
+    fn into_result<B: MeasurementBackend + ?Sized>(
         self,
         backend: &mut B,
     ) -> Result<FastSweepResult, DomainError> {

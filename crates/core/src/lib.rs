@@ -16,7 +16,6 @@
 //!   from passive EM readings of conventional workloads.
 //! * [`tamper`] — §10: PDN fingerprinting and tamper detection via
 //!   resonance shifts.
-//! * [`Characterization`] — a façade running the complete flow.
 //!
 //! The GA and the sweep take any [`emvolt_backend::MeasurementBackend`]
 //! ([`generate_em_virus_on`], [`fast_resonance_sweep_on`],
@@ -31,16 +30,19 @@
 //! # Examples
 //!
 //! ```no_run
-//! use emvolt_core::{Characterization, VirusGenConfig};
+//! use emvolt_backend::LiveBackend;
+//! use emvolt_core::{fast_resonance_sweep_on, generate_em_virus_on, FastSweepConfig, VirusGenConfig};
 //! use emvolt_cpu::CoreModel;
-//! use emvolt_platform::{a72_pdn, VoltageDomain};
+//! use emvolt_platform::{a72_pdn, EmBench, RunConfig, VoltageDomain};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let domain = VoltageDomain::new("A72", CoreModel::cortex_a72(), a72_pdn(), 1.2e9);
-//! let mut session = Characterization::new(domain, 42);
-//! let sweep = session.find_resonance_fast()?;
+//! let sweep_cfg = FastSweepConfig::for_max_frequency(domain.max_frequency());
+//! let mut backend = LiveBackend::single(domain, EmBench::new(42), RunConfig::fast());
+//! let sweep = fast_resonance_sweep_on(&mut backend, "A72", &sweep_cfg)?;
 //! println!("resonance ~ {:.1} MHz", sweep.resonance_hz / 1e6);
-//! let virus = session.generate_virus("a72em", &VirusGenConfig::default())?;
+//! let virus =
+//!     generate_em_virus_on("a72em", &mut backend, "A72", &VirusGenConfig::default(), |_| {})?;
 //! println!("virus dominant frequency {:.1} MHz", virus.dominant_hz / 1e6);
 //! # Ok(())
 //! # }
@@ -49,9 +51,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod campaigns;
-mod characterization;
-pub mod emergency;
+mod campaigns;
 mod fast_sweep;
 mod ga_virus;
 pub mod monitor;
@@ -59,10 +59,7 @@ mod predictor;
 mod report;
 pub mod tamper;
 
-pub use campaigns::{
-    fast_resonance_sweep_resumable, generate_em_virus_resumable, SweepCampaign, VirusCampaign,
-};
-pub use characterization::Characterization;
+pub use campaigns::{fast_resonance_sweep_resumable, generate_em_virus_resumable};
 pub use fast_sweep::{fast_resonance_sweep_on, FastSweepConfig, FastSweepResult, SweepPoint};
 pub use ga_virus::{
     annotate_droop, dominant_from_run, generate_em_virus_on, generate_voltage_virus,

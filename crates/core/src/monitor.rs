@@ -3,10 +3,11 @@
 //! A single antenna picks up the emanations of every voltage domain in
 //! range at once — something no physically attached probe can do. Running
 //! the A72 and A53 viruses together produces a spectrum with both
-//! frequency signatures visible.
+//! frequency signatures visible. The capture itself is
+//! [`MeasurementBackend::capture_combined`](emvolt_backend::MeasurementBackend::capture_combined);
+//! this module picks the signatures out of its reading.
 
 use emvolt_inst::SweepReading;
-use emvolt_platform::{DomainRun, EmBench};
 
 /// A detected voltage-noise signature.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -17,18 +18,7 @@ pub struct Signature {
     pub level_dbm: f64,
 }
 
-/// Captures one analyzer sweep with every run in `runs` radiating
-/// simultaneously.
-pub fn capture_multi_domain(bench: &mut EmBench, runs: &[&DomainRun]) -> SweepReading {
-    let rx = bench.received_spectrum_multi(runs);
-    // One sweep of the combined field.
-    let mut rng = rand::rngs::StdRng::seed_from_u64(CAPTURE_SEED);
-    bench.analyzer.sweep(&rx, &mut rng)
-}
-
-use rand::SeedableRng;
-
-/// Analyzer-noise seed of [`capture_multi_domain`].
+/// Analyzer-noise seed of a multi-domain monitoring capture.
 pub const CAPTURE_SEED: u64 = 0x515;
 
 /// Extracts up to `count` signatures at least `min_separation_hz` apart
@@ -74,26 +64,40 @@ pub fn detect_signatures(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use emvolt_backend::{CombinedSource, LiveBackend, MeasurementBackend};
     use emvolt_cpu::CoreModel;
     use emvolt_isa::{kernels::padded_sweep_kernel, Isa};
-    use emvolt_platform::{a53_pdn, a72_pdn, RunConfig, VoltageDomain};
+    use emvolt_obs::Telemetry;
+    use emvolt_platform::{a53_pdn, a72_pdn, EmBench, RunConfig, VoltageDomain};
 
     #[test]
     fn both_domain_signatures_are_visible() {
         let a72 = VoltageDomain::new("A72", CoreModel::cortex_a72(), a72_pdn(), 1.2e9);
         let a53 = VoltageDomain::new("A53", CoreModel::cortex_a53(), a53_pdn(), 950e6);
-        let cfg = RunConfig::fast();
         // Kernels whose loop frequencies sit near each cluster's
         // first-order resonance, so both radiate strongly and at
         // distinct frequencies (69 vs 76.5 MHz).
-        let run72 = a72
-            .run(&padded_sweep_kernel(Isa::ArmV8, 17), 2, &cfg)
+        let k72 = padded_sweep_kernel(Isa::ArmV8, 17);
+        let k53 = padded_sweep_kernel(Isa::ArmV8, 8);
+        let mut backend = LiveBackend::new(vec![a72, a53], EmBench::new(6), RunConfig::fast());
+        let reading = backend
+            .capture_combined(
+                &[
+                    CombinedSource {
+                        domain: "A72",
+                        kernel: Some(&k72),
+                        loaded_cores: 2,
+                    },
+                    CombinedSource {
+                        domain: "A53",
+                        kernel: Some(&k53),
+                        loaded_cores: 4,
+                    },
+                ],
+                CAPTURE_SEED,
+                &Telemetry::noop(),
+            )
             .unwrap();
-        let run53 = a53
-            .run(&padded_sweep_kernel(Isa::ArmV8, 8), 4, &cfg)
-            .unwrap();
-        let mut bench = emvolt_platform::EmBench::new(6);
-        let reading = capture_multi_domain(&mut bench, &[&run72, &run53]);
         let sigs = detect_signatures(&reading, -95.0, 4, 4e6, 10.0);
         assert!(
             sigs.len() >= 2,
@@ -141,9 +145,15 @@ mod tests {
     #[test]
     fn no_signatures_in_silence() {
         let a72 = VoltageDomain::new("A72", CoreModel::cortex_a72(), a72_pdn(), 1.2e9);
-        let idle = a72.run_idle(&RunConfig::fast()).unwrap();
-        let mut bench = emvolt_platform::EmBench::new(7);
-        let reading = capture_multi_domain(&mut bench, &[&idle]);
+        let mut backend = LiveBackend::single(a72, EmBench::new(7), RunConfig::fast());
+        let idle = CombinedSource {
+            domain: "A72",
+            kernel: None,
+            loaded_cores: 0,
+        };
+        let reading = backend
+            .capture_combined(&[idle], CAPTURE_SEED, &Telemetry::noop())
+            .unwrap();
         let sigs = detect_signatures(&reading, -95.0, 4, 10e6, 15.0);
         assert!(sigs.is_empty(), "unexpected signatures {sigs:?}");
     }

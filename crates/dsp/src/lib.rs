@@ -25,7 +25,6 @@
 pub mod fft;
 pub mod goertzel;
 pub mod spectrum;
-pub mod stft;
 pub mod window;
 
 pub use fft::{bin_frequency, fft, fft_real, ifft, FftScratch};
@@ -36,5 +35,4 @@ pub use goertzel::{
 pub use spectrum::{
     amplitude_db, dbm_to_watts, power_db, sine_power_watts, watts_to_dbm, Spectrum, SpectrumScratch,
 };
-pub use stft::Spectrogram;
 pub use window::Window;

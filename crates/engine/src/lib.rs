@@ -8,11 +8,12 @@
 //! * [`Campaign`] — the state-machine trait: propose the next
 //!   [`StepBatch`], absorb its [`StepOutcome`]s, and snapshot/restore
 //!   the in-flight state as a value tree.
-//! * [`StepDriver`] — executes batches against any
+//! * [`drive`] — executes a campaign's batches against any
 //!   [`MeasurementBackend`], reusing the exact lane-grouped worker-pool
 //!   dispatch of the legacy hot path (`--threads`/`--lanes` semantics
 //!   preserved bit-for-bit), and checkpoints campaign + rig + telemetry
-//!   state to a versioned JSONL file every N batches.
+//!   state to a versioned JSONL file every N batches, as configured by
+//!   [`DriveOptions`].
 //! * [`checkpoint`] — the on-disk snapshot format (floats as hex bit
 //!   patterns, run-config fingerprint guard against resuming on a
 //!   different chip/config).
@@ -235,8 +236,9 @@ pub enum DriveOutcome {
     Interrupted,
 }
 
-/// Executes a [`Campaign`] against a [`MeasurementBackend`].
-pub struct StepDriver<'a, B: MeasurementBackend + ?Sized> {
+/// Executes a [`Campaign`] against a [`MeasurementBackend`]; [`drive`]
+/// configures one from [`DriveOptions`].
+struct StepDriver<'a, B: MeasurementBackend + ?Sized> {
     backend: &'a mut B,
     threads: usize,
     lanes: usize,
@@ -248,7 +250,7 @@ pub struct StepDriver<'a, B: MeasurementBackend + ?Sized> {
 
 impl<'a, B: MeasurementBackend + ?Sized> StepDriver<'a, B> {
     /// A serial driver (one thread, one lane, no checkpointing).
-    pub fn new(backend: &'a mut B) -> Self {
+    fn new(backend: &'a mut B) -> Self {
         StepDriver {
             backend,
             threads: 1,
@@ -262,14 +264,14 @@ impl<'a, B: MeasurementBackend + ?Sized> StepDriver<'a, B> {
 
     /// Worker threads for lane batches (`<= 1` = serial dispatch).
     #[must_use]
-    pub fn threads(mut self, threads: usize) -> Self {
+    fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self
     }
 
     /// Requests per lane group (clamped to at least 1).
     #[must_use]
-    pub fn lanes(mut self, lanes: usize) -> Self {
+    fn lanes(mut self, lanes: usize) -> Self {
         self.lanes = lanes.max(1);
         self
     }
@@ -277,7 +279,7 @@ impl<'a, B: MeasurementBackend + ?Sized> StepDriver<'a, B> {
     /// Checkpoints to `path` after every `every` absorbed batches (and
     /// always when interrupted by the batch limit).
     #[must_use]
-    pub fn checkpoint(mut self, path: impl Into<PathBuf>, every: u64) -> Self {
+    fn checkpoint(mut self, path: impl Into<PathBuf>, every: u64) -> Self {
         self.checkpoint_path = Some(path.into());
         self.checkpoint_every = every.max(1);
         self
@@ -286,14 +288,9 @@ impl<'a, B: MeasurementBackend + ?Sized> StepDriver<'a, B> {
     /// Stops (with a checkpoint) once `max` batches have been absorbed
     /// and more work remains.
     #[must_use]
-    pub fn max_batches(mut self, max: u64) -> Self {
+    fn max_batches(mut self, max: u64) -> Self {
         self.max_batches = Some(max);
         self
-    }
-
-    /// Batches absorbed so far (includes batches restored by resume).
-    pub fn batches_done(&self) -> u64 {
-        self.batches_done
     }
 
     /// Loads `path` and restores `campaign`, the backend rig and the
@@ -301,17 +298,15 @@ impl<'a, B: MeasurementBackend + ?Sized> StepDriver<'a, B> {
     /// campaign kind and run-config fingerprint must match, so a
     /// checkpoint taken against a different chip/config is refused.
     ///
-    /// Returns the number of batches the snapshot covers.
-    ///
     /// # Errors
     ///
     /// [`DomainError::Checkpoint`] on I/O or parse failure, a header
     /// mismatch, or incompatible campaign/rig state.
-    pub fn resume<C: Campaign + ?Sized>(
+    fn resume<C: Campaign + ?Sized>(
         &mut self,
         campaign: &mut C,
         path: &Path,
-    ) -> Result<u64, DomainError> {
+    ) -> Result<(), DomainError> {
         let cp = Checkpoint::read(path).map_err(DomainError::Checkpoint)?;
         if cp.campaign != campaign.kind() {
             return Err(DomainError::Checkpoint(format!(
@@ -338,7 +333,7 @@ impl<'a, B: MeasurementBackend + ?Sized> StepDriver<'a, B> {
         cp.telemetry.restore_into(&tel);
         tel.count(CounterId::StepsResumed, cp.batches);
         self.batches_done = cp.batches;
-        Ok(cp.batches)
+        Ok(())
     }
 
     /// Runs the campaign to completion or to the batch limit.
@@ -356,10 +351,7 @@ impl<'a, B: MeasurementBackend + ?Sized> StepDriver<'a, B> {
     /// # Errors
     ///
     /// [`DomainError`] from a fatal absorb or a failed checkpoint write.
-    pub fn run<C: Campaign + ?Sized>(
-        &mut self,
-        campaign: &mut C,
-    ) -> Result<DriveOutcome, DomainError> {
+    fn run<C: Campaign + ?Sized>(&mut self, campaign: &mut C) -> Result<DriveOutcome, DomainError> {
         let mut writer = self.checkpoint_path.clone().map(CheckpointWriter::new);
         match self.run_loop(campaign, &mut writer) {
             Ok(DriveOutcome::Complete) => Ok(DriveOutcome::Complete),
@@ -620,9 +612,7 @@ where
         driver = driver.max_batches(max);
     }
     match &opts.resume {
-        Some(path) => {
-            driver.resume(campaign, path)?;
-        }
+        Some(path) => driver.resume(campaign, path)?,
         None => campaign.on_fresh_start(),
     }
     driver.run(campaign)

@@ -5,9 +5,10 @@ use crate::juno_figs::vmin_ladder;
 use crate::output::{mhz, section, table, write_csv};
 use crate::viruses::{self, VirusTag};
 use crate::Options;
-use emvolt_backend::LiveBackend;
-use emvolt_core::monitor::{capture_multi_domain, detect_signatures};
+use emvolt_backend::{CombinedSource, LiveBackend, MeasurementBackend};
+use emvolt_core::monitor::{detect_signatures, CAPTURE_SEED};
 use emvolt_core::{fast_resonance_sweep_on, FastSweepConfig};
+use emvolt_obs::Telemetry;
 use emvolt_platform::{spec2006_suite, EmBench, JunoBoard, RunConfig, Suite};
 use emvolt_vmin::FailureModel;
 use std::error::Error;
@@ -146,8 +147,24 @@ pub fn fig15(opts: &Options) -> Result<String, Box<dyn Error>> {
     let run72 = board.a72.run(&v72, 2, &cfg)?;
     let run53 = board.a53.run(&v53, 4, &cfg)?;
 
-    let mut bench = EmBench::new(0x1515);
-    let reading = capture_multi_domain(&mut bench, &[&run72, &run53]);
+    let sources = [
+        CombinedSource {
+            domain: board.a72.name(),
+            kernel: Some(&v72),
+            loaded_cores: 2,
+        },
+        CombinedSource {
+            domain: board.a53.name(),
+            kernel: Some(&v53),
+            loaded_cores: 4,
+        },
+    ];
+    let mut backend = LiveBackend::new(
+        vec![board.a72.clone(), board.a53.clone()],
+        EmBench::new(0x1515),
+        cfg,
+    );
+    let reading = backend.capture_combined(&sources, CAPTURE_SEED, &Telemetry::noop())?;
     let sigs = detect_signatures(&reading, -95.0, 4, 5e6, 15.0);
 
     let mut out = section("Fig. 15: simultaneous multi-domain monitoring (A72 + A53 viruses)");

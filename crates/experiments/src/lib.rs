@@ -1,12 +1,13 @@
 //! # emvolt-experiments
 //!
-//! One function (and one binary) per table and figure of the paper's
-//! evaluation. Each experiment prints the series/rows the paper reports
-//! and writes a CSV under `results/`.
+//! One function per table and figure of the paper's evaluation, plus the
+//! ablation studies and §10 extensions. Each experiment returns the
+//! series/rows the paper reports and writes a CSV under `results/`.
 //!
-//! Run everything with `cargo run --release -p emvolt-experiments --bin
-//! run_all`, or a single item with e.g. `--bin fig07_ga_a72`. Pass
-//! `--quick` (or set `EMVOLT_QUICK=1`) for reduced-scale runs.
+//! The `emvolt-experiments` binary runs them by name: `cargo run --release
+//! -p emvolt-experiments -- all` regenerates everything, `-- fig07` a
+//! single item and `-- ablations` the studies. Pass `--quick` (or set
+//! `EMVOLT_QUICK=1`) for reduced-scale runs.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -52,37 +53,6 @@ pub struct Options {
 }
 
 impl Options {
-    /// Parses options from the process arguments and environment
-    /// (`--quick` / `EMVOLT_QUICK=1`, `--refresh`, `--backend SPEC` /
-    /// `EMVOLT_BACKEND=SPEC`). Exits with a diagnostic on a malformed
-    /// backend spec.
-    pub fn from_env() -> Self {
-        let args: Vec<String> = std::env::args().collect();
-        let quick = args.iter().any(|a| a == "--quick")
-            || std::env::var("EMVOLT_QUICK")
-                .map(|v| v == "1")
-                .unwrap_or(false);
-        let refresh = args.iter().any(|a| a == "--refresh");
-        let backend_arg = args
-            .iter()
-            .position(|a| a == "--backend")
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-            .or_else(|| std::env::var("EMVOLT_BACKEND").ok());
-        let backend = backend_arg.map(|s| match s.parse::<BackendSpec>() {
-            Ok(spec) => spec,
-            Err(e) => {
-                eprintln!("--backend {s}: {e}");
-                std::process::exit(2);
-            }
-        });
-        Options {
-            quick,
-            refresh,
-            backend,
-        }
-    }
-
     /// The backend spec for one named campaign: record/replay paths are
     /// taken as directories and become `DIR/<label>.jsonl`, so a
     /// multi-campaign run keeps one trace per virus.
@@ -120,7 +90,7 @@ pub fn all_experiments() -> Vec<(&'static str, ExperimentFn)> {
 }
 
 /// Ablation studies and §10 future-work extensions (not part of the
-/// paper's figures; run with the `ablations` / `extensions` binaries).
+/// paper's figures; `emvolt-experiments ablations` runs them all).
 pub fn all_extensions() -> Vec<(&'static str, ExperimentFn)> {
     vec![
         ("ablation_band", ablation_band as ExperimentFn),
@@ -145,19 +115,6 @@ pub fn run_experiment(name: &str, opts: &Options) -> Result<String, Box<dyn Erro
         }
     }
     Err(format!("unknown experiment `{name}`").into())
-}
-
-/// Standard main body for the per-figure binaries.
-///
-/// # Errors
-///
-/// Propagates experiment failures.
-pub fn experiment_main(f: ExperimentFn, csv_hint: &str) -> Result<(), Box<dyn Error>> {
-    let opts = Options::from_env();
-    let report = f(&opts)?;
-    println!("{report}");
-    println!("(CSV written under results/: {csv_hint})");
-    Ok(())
 }
 
 #[cfg(test)]

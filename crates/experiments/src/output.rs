@@ -1,4 +1,4 @@
-//! Text/CSV output helpers shared by all experiment binaries.
+//! Text/CSV output helpers shared by all experiments.
 
 use std::fmt::Write as _;
 use std::fs;

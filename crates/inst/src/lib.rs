@@ -29,10 +29,8 @@
 
 mod analyzer;
 mod scope;
-mod trigger;
 mod vna;
 
 pub use analyzer::{AnalyzerConfig, SpectrumAnalyzer, SweepReading};
 pub use scope::{Oscilloscope, ScopeConfig};
-pub use trigger::{Edge, TraceAccumulator, TraceMode, Trigger};
 pub use vna::Vna;

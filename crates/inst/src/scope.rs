@@ -77,11 +77,6 @@ impl Oscilloscope {
         &self.config
     }
 
-    /// Recentres the vertical range (set before undervolted captures).
-    pub fn set_center(&mut self, v_center: f64) {
-        self.config.v_center = v_center;
-    }
-
     /// Captures the analog waveform: resamples to the scope clock,
     /// adds input noise, clips to the vertical range and quantizes.
     pub fn capture<R: Rng>(&self, analog: &Trace, rng: &mut R) -> Trace {

@@ -1,6 +1,7 @@
 //! Architecture descriptions: operation classes, functional units and the
 //! per-operation timing/energy descriptors the CPU model consumes.
 
+use crate::instr::{Reg, RegClass};
 use serde::{Deserialize, Serialize};
 
 /// Which instruction-set architecture a description models.
@@ -704,6 +705,29 @@ impl Architecture {
     /// Number of usable FP/SIMD registers.
     pub fn fpr_count(&self) -> u8 {
         self.fpr_count
+    }
+
+    /// Checks that `reg` lies inside its register file on this
+    /// architecture — the one bound check shared by the assembly parser
+    /// and [`KernelSpec::to_kernel`](crate::KernelSpec::to_kernel).
+    ///
+    /// # Errors
+    ///
+    /// Names the file, the index and the file's size when the index is
+    /// past the end.
+    pub fn check_reg(&self, reg: Reg) -> Result<Reg, String> {
+        let (file, count) = match reg.class {
+            RegClass::Gpr => ("gpr", self.gpr_count),
+            RegClass::Fpr => ("fpr", self.fpr_count),
+        };
+        if reg.index < count {
+            Ok(reg)
+        } else {
+            Err(format!(
+                "{file} register index {} outside the {count} registers of {}",
+                reg.index, self.isa
+            ))
+        }
     }
 
     /// Number of 8-byte scratch-memory slots.

@@ -37,34 +37,33 @@ const X86_GPR_NAMES: [&str; 12] = [
     "rax", "rbx", "rcx", "rdx", "rsi", "rdi", "r8", "r9", "r10", "r11", "r12", "r13",
 ];
 
-fn parse_reg(isa: Isa, token: &str, line: usize) -> Result<Reg, ParseError> {
+fn parse_reg(arch: &Architecture, token: &str, line: usize) -> Result<Reg, ParseError> {
     let t = token.trim().trim_end_matches(',');
-    match isa {
-        Isa::ArmV8 => {
-            if let Some(n) = t.strip_prefix('x') {
-                if let Ok(i) = n.parse::<u8>() {
-                    return Ok(Reg::gpr(i));
-                }
-            }
-            if let Some(n) = t.strip_prefix('v') {
-                if let Ok(i) = n.parse::<u8>() {
-                    return Ok(Reg::fpr(i));
-                }
-            }
-            err(line, format!("unknown ARM register `{t}`"))
-        }
-        Isa::X86_64 => {
-            if let Some(i) = X86_GPR_NAMES.iter().position(|&n| n == t) {
-                return Ok(Reg::gpr(i as u8));
-            }
-            if let Some(n) = t.strip_prefix("xmm") {
-                if let Ok(i) = n.parse::<u8>() {
-                    return Ok(Reg::fpr(i));
-                }
-            }
-            err(line, format!("unknown x86 register `{t}`"))
-        }
-    }
+    let index = |prefix: &str| t.strip_prefix(prefix).and_then(|n| n.parse::<u8>().ok());
+    let (reg, family) = match arch.isa() {
+        Isa::ArmV8 => (
+            index("x")
+                .map(Reg::gpr)
+                .or_else(|| index("v").map(Reg::fpr)),
+            "ARM",
+        ),
+        Isa::X86_64 => (
+            X86_GPR_NAMES
+                .iter()
+                .position(|&n| n == t)
+                .map(|i| Reg::gpr(i as u8))
+                .or_else(|| index("xmm").map(Reg::fpr)),
+            "x86",
+        ),
+    };
+    let reg = reg.ok_or_else(|| ParseError {
+        line,
+        reason: format!("unknown {family} register `{t}`"),
+    })?;
+    arch.check_reg(reg).map_err(|reason| ParseError {
+        line,
+        reason: format!("`{t}`: {reason}"),
+    })
 }
 
 /// Parses a memory operand (`[x28, #off]` / `[rbp+off]`) into a slot.
@@ -202,21 +201,21 @@ fn parse_instr(arch: &Architecture, raw: &str, line: usize) -> Result<Instr, Par
             if operands.len() != 2 {
                 return err(line, "ldr expects `dst, [mem]`");
             }
-            dst = parse_reg(isa, &operands[0], line)?;
+            dst = parse_reg(arch, &operands[0], line)?;
             mem_slot = parse_mem(isa, &operands[1], line)?;
         }
         (Isa::ArmV8, OpClass::Store) => {
             if operands.len() != 2 {
                 return err(line, "str expects `src, [mem]`");
             }
-            srcs[0] = parse_reg(isa, &operands[0], line)?;
+            srcs[0] = parse_reg(arch, &operands[0], line)?;
             mem_slot = parse_mem(isa, &operands[1], line)?;
         }
         (Isa::X86_64, OpClass::IntShortMem | OpClass::IntLongMem) => {
             if operands.len() != 2 {
                 return err(line, "memory-form op expects `dst, [mem]`");
             }
-            dst = parse_reg(isa, &operands[0], line)?;
+            dst = parse_reg(arch, &operands[0], line)?;
             mem_slot = parse_mem(isa, &operands[1], line)?;
             if op.src_count >= 1 {
                 srcs[0] = dst;
@@ -227,7 +226,7 @@ fn parse_instr(arch: &Architecture, raw: &str, line: usize) -> Result<Instr, Par
             let mut it = operands.iter();
             if op.has_dst {
                 dst = parse_reg(
-                    isa,
+                    arch,
                     it.next().ok_or_else(|| ParseError {
                         line,
                         reason: "missing destination".into(),
@@ -238,7 +237,7 @@ fn parse_instr(arch: &Architecture, raw: &str, line: usize) -> Result<Instr, Par
             if op.src_count == 2 {
                 srcs[0] = dst;
                 srcs[1] = parse_reg(
-                    isa,
+                    arch,
                     it.next().ok_or_else(|| ParseError {
                         line,
                         reason: "missing source".into(),
@@ -247,7 +246,7 @@ fn parse_instr(arch: &Architecture, raw: &str, line: usize) -> Result<Instr, Par
                 )?;
             } else if op.src_count == 1 {
                 srcs[0] = parse_reg(
-                    isa,
+                    arch,
                     it.next().ok_or_else(|| ParseError {
                         line,
                         reason: "missing source".into(),
@@ -261,7 +260,7 @@ fn parse_instr(arch: &Architecture, raw: &str, line: usize) -> Result<Instr, Par
             let mut it = operands.iter();
             if op.has_dst {
                 dst = parse_reg(
-                    isa,
+                    arch,
                     it.next().ok_or_else(|| ParseError {
                         line,
                         reason: "missing destination".into(),
@@ -271,7 +270,7 @@ fn parse_instr(arch: &Architecture, raw: &str, line: usize) -> Result<Instr, Par
             }
             for (k, slot) in srcs.iter_mut().enumerate().take(op.src_count as usize) {
                 *slot = parse_reg(
-                    isa,
+                    arch,
                     it.next().ok_or_else(|| ParseError {
                         line,
                         reason: format!("missing source operand {k}"),
@@ -394,6 +393,17 @@ mod tests {
     #[test]
     fn reports_bad_registers_and_offsets() {
         assert!(parse_kernel(Isa::ArmV8, "add q1, x2, x3\n").is_err());
+        // Registers past the end of the file carry the line they are on.
+        for (isa, text) in [
+            (Isa::ArmV8, "add x1, x2, x3\nadd x12, x1, x2\n"),
+            (Isa::ArmV8, "add x1, x2, x3\nadd x200, x1, x2\n"),
+            (Isa::ArmV8, "add x1, x2, x3\nfmul v40, v1, v2\n"),
+            (Isa::X86_64, "add rax, rbx\nmulpd xmm12, xmm1\n"),
+        ] {
+            let e = parse_kernel(isa, text).unwrap_err();
+            assert_eq!(e.line, 2, "{text}: {e}");
+            assert!(e.reason.contains("outside the 12 registers"), "{e}");
+        }
         assert!(parse_kernel(Isa::ArmV8, "ldr x1, [x28, #7]\n").is_err());
         assert!(parse_kernel(Isa::X86_64, "add rax, [rsp+8]\n").is_err());
     }

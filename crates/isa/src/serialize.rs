@@ -71,26 +71,17 @@ impl std::error::Error for KernelSpecError {}
 /// Resolves a register against `arch`, rejecting indices past the end
 /// of its register file.
 fn reg_from_spec(arch: &Architecture, s: &RegSpec) -> Result<Reg, KernelSpecError> {
-    let (reg, count) = match s.file.as_str() {
-        "gpr" => (Reg::gpr(s.index), arch.gpr_count()),
-        "fpr" => (Reg::fpr(s.index), arch.fpr_count()),
+    let reg = match s.file.as_str() {
+        "gpr" => Reg::gpr(s.index),
+        "fpr" => Reg::fpr(s.index),
         other => {
             return Err(KernelSpecError {
                 reason: format!("unknown register file `{other}`"),
             })
         }
     };
-    if s.index >= count {
-        return Err(KernelSpecError {
-            reason: format!(
-                "{} register index {} outside the {count} registers of {}",
-                s.file,
-                s.index,
-                arch.isa()
-            ),
-        });
-    }
-    Ok(reg)
+    arch.check_reg(reg)
+        .map_err(|reason| KernelSpecError { reason })
 }
 
 impl KernelSpec {

@@ -16,12 +16,6 @@ pub struct SimClock {
     seconds: f64,
 }
 
-/// Former name of [`SimClock`], kept for downstream source compatibility.
-///
-/// The old name collided conceptually with wall-clock accounting; the
-/// clock only ever tracked *simulated* campaign seconds.
-pub type SessionClock = SimClock;
-
 impl SimClock {
     /// A fresh clock at zero.
     pub fn new() -> Self {
@@ -89,13 +83,5 @@ mod tests {
             c.advance(INDIVIDUAL_MEASUREMENT_SECONDS + INDIVIDUAL_OVERHEAD_SECONDS);
         }
         assert!(c.hours() > 14.0 && c.hours() < 18.0, "{}", c.hours());
-    }
-
-    #[test]
-    fn session_clock_alias_still_names_the_sim_clock() {
-        let mut c = SessionClock::new();
-        c.advance(1.5);
-        let as_sim: SimClock = c;
-        assert_eq!(as_sim.seconds(), 1.5);
     }
 }

@@ -43,8 +43,6 @@ pub enum DomainError {
         /// Cores in the cluster.
         total: usize,
     },
-    /// `run_sequence` called with no phases.
-    EmptyPhaseList,
     /// A measurement backend failed outside the simulation itself (e.g.
     /// a missing recording during replay, or a trace-store I/O error).
     Backend(String),
@@ -78,7 +76,6 @@ impl fmt::Display for DomainError {
             DomainError::InvalidCoreCount { requested, total } => {
                 write!(f, "active cores {requested} outside 1..={total}")
             }
-            DomainError::EmptyPhaseList => write!(f, "run_sequence needs at least one phase"),
             DomainError::Backend(msg) => write!(f, "measurement backend error: {msg}"),
             DomainError::Checkpoint(msg) => write!(f, "checkpoint error: {msg}"),
             DomainError::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
@@ -373,45 +370,6 @@ impl VoltageDomain {
     /// Propagates PDN analysis failures.
     pub fn run_idle(&self, config: &RunConfig) -> Result<DomainRun, DomainError> {
         DomainRunner::new(self, config.clone())?.run_idle()
-    }
-
-    /// Runs a sequence of phases — e.g. a workload alternating between a
-    /// compute-bound and a memory-bound kernel — and returns one
-    /// concatenated run. Each phase contributes `config.pdn_window`
-    /// seconds of trace; phase boundaries are where time-resolved views
-    /// (spectrograms, emergency rates) show the noise signature change.
-    ///
-    /// # Errors
-    ///
-    /// Propagates per-phase failures; fails on an empty phase list.
-    pub fn run_sequence(
-        &self,
-        phases: &[(&Kernel, usize)],
-        config: &RunConfig,
-    ) -> Result<DomainRun, DomainError> {
-        if phases.is_empty() {
-            return Err(DomainError::EmptyPhaseList);
-        }
-        let mut v_all: Vec<f64> = Vec::new();
-        let mut i_all: Vec<f64> = Vec::new();
-        let mut ipc_acc = 0.0;
-        let mut last = None;
-        for &(kernel, loaded) in phases {
-            let run = self.run(kernel, loaded, config)?;
-            v_all.extend_from_slice(run.v_die.samples());
-            i_all.extend_from_slice(run.i_die.samples());
-            ipc_acc += run.ipc;
-            last = Some(run);
-        }
-        let last = last.expect("non-empty phases");
-        Ok(DomainRun {
-            v_die: Trace::from_samples(config.pdn_dt, v_all),
-            i_die: Trace::from_samples(config.pdn_dt, i_all),
-            ipc: ipc_acc / phases.len() as f64,
-            cycles_per_iteration: last.cycles_per_iteration,
-            loop_frequency: last.loop_frequency,
-            supply_v: self.supply_v,
-        })
     }
 
     /// Drives the PDN with an arbitrary load waveform (used by the SCL
@@ -1040,71 +998,5 @@ mod tests {
         // The runner keeps the state it was built from.
         assert_eq!(runner.domain().voltage(), 1.0);
         assert_eq!(d.voltage(), 0.9);
-    }
-}
-
-#[cfg(test)]
-mod sequence_tests {
-    use super::*;
-    use emvolt_cpu::CoreModel;
-    use emvolt_isa::kernels::{resonant_stress_kernel, sweep_kernel};
-    use emvolt_isa::Isa;
-
-    fn domain() -> VoltageDomain {
-        VoltageDomain::new(
-            "A72",
-            CoreModel::cortex_a72(),
-            crate::boards::a72_pdn(),
-            1.2e9,
-        )
-    }
-
-    #[test]
-    fn sequence_concatenates_phases() {
-        let d = domain();
-        let cfg = RunConfig::fast();
-        let quiet = sweep_kernel(Isa::ArmV8);
-        let loud = resonant_stress_kernel(Isa::ArmV8, 12, 17);
-        let run = d.run_sequence(&[(&quiet, 1), (&loud, 2)], &cfg).unwrap();
-        let single = d.run(&quiet, 1, &cfg).unwrap();
-        assert_eq!(run.v_die.len(), 2 * single.v_die.len());
-        // The loud phase dominates the worst droop of the combined run.
-        let loud_only = d.run(&loud, 2, &cfg).unwrap();
-        assert!((run.max_droop() - loud_only.max_droop()).abs() < 5e-3);
-    }
-
-    #[test]
-    fn phase_change_is_visible_in_the_spectrogram() {
-        use emvolt_dsp::{Spectrogram, Window};
-        let d = domain();
-        let cfg = RunConfig::fast();
-        let quiet = sweep_kernel(Isa::ArmV8);
-        let loud = resonant_stress_kernel(Isa::ArmV8, 12, 17);
-        let run = d.run_sequence(&[(&quiet, 1), (&loud, 2)], &cfg).unwrap();
-        let n = run.i_die.len();
-        let sg = Spectrogram::of_samples(
-            run.i_die.samples(),
-            run.i_die.sample_rate(),
-            n / 8,
-            n / 8,
-            Window::Hann,
-        );
-        let f_res = d.expected_resonance_hz();
-        let track = sg.track(f_res);
-        let early: f64 = track[..track.len() / 2].iter().sum();
-        let late: f64 = track[track.len() / 2..].iter().sum();
-        assert!(
-            late > 3.0 * early,
-            "resonant phase must light up the track: early {early}, late {late}"
-        );
-    }
-
-    #[test]
-    fn empty_sequence_is_rejected() {
-        let d = domain();
-        assert!(matches!(
-            d.run_sequence(&[], &RunConfig::fast()),
-            Err(DomainError::EmptyPhaseList)
-        ));
     }
 }

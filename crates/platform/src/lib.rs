@@ -9,9 +9,9 @@
 //! * [`EmBench`] — the antenna + spectrum-analyzer rig and the full
 //!   measurement chain (kernel → current → PDN → radiation → analyzer).
 //! * [`workloads`] — SPEC2006-like, desktop and stability-test kernels.
-//! * [`SimClock`] — simulated campaign-time accounting (the legacy
-//!   [`SessionClock`] name remains as an alias). This clock models what
-//!   the physical session *would* have cost; it never reads host time.
+//! * [`SimClock`] — simulated campaign-time accounting. This clock
+//!   models what the physical session *would* have cost; it never reads
+//!   host time.
 //!
 //! # Examples
 //!
@@ -41,9 +41,7 @@ mod session;
 pub mod workloads;
 
 pub use boards::{a53_pdn, a72_pdn, amd_pdn, gpu_pdn, AmdDesktop, GpuCard, JunoBoard, JunoCluster};
-pub use clock::{
-    SessionClock, SimClock, INDIVIDUAL_MEASUREMENT_SECONDS, INDIVIDUAL_OVERHEAD_SECONDS,
-};
+pub use clock::{SimClock, INDIVIDUAL_MEASUREMENT_SECONDS, INDIVIDUAL_OVERHEAD_SECONDS};
 pub use domain::{DomainError, DomainRun, DomainRunner, Load, RunConfig, VoltageDomain};
 pub use emvolt_circuit::{BatchTransientScratch, KernelChoice};
 pub use measure::{

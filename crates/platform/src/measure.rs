@@ -444,20 +444,7 @@ pub struct SharedEmBench {
 
 impl SharedEmBench {
     /// Seeded counterpart of [`EmBench::measure_in_band`]: `n` sweeps over
-    /// `[lo, hi]` Hz with measurement noise drawn from `seed`.
-    pub fn measure_in_band_seeded(
-        &self,
-        run: &DomainRun,
-        lo: f64,
-        hi: f64,
-        n: usize,
-        seed: u64,
-    ) -> EmReading {
-        let mut scratch = MeasureScratch::new();
-        self.measure_in_band_seeded_with(run, lo, hi, n, seed, &mut scratch)
-    }
-
-    /// Like [`SharedEmBench::measure_in_band_seeded`], but reusing a
+    /// `[lo, hi]` Hz with measurement noise drawn from `seed`, reusing a
     /// caller-owned [`MeasureScratch`] so repeated measurements allocate
     /// nothing transient-sized at steady state. This is the one-lane call
     /// of [`SharedEmBench::measure_in_band_batch_seeded_with`].
@@ -622,6 +609,7 @@ mod tests {
     /// property the parallel GA evaluation path rests on.
     #[test]
     fn shared_measurements_are_order_invariant() {
+        let mut s = MeasureScratch::new();
         let d = domain();
         let bench = EmBench::new(7);
         let shared = bench.share();
@@ -631,25 +619,26 @@ mod tests {
             .run(&padded_sweep_kernel(Isa::ArmV8, 17), 2, &cfg)
             .unwrap();
 
-        let a_first = shared.measure_in_band_seeded(&run_a, 50e6, 200e6, 5, 11);
-        let b_second = shared.measure_in_band_seeded(&run_b, 50e6, 200e6, 5, 12);
+        let a_first = shared.measure_in_band_seeded_with(&run_a, 50e6, 200e6, 5, 11, &mut s);
+        let b_second = shared.measure_in_band_seeded_with(&run_b, 50e6, 200e6, 5, 12, &mut s);
         // Reversed order, fresh shared bench: identical readings.
         let shared2 = bench.share();
-        let b_first = shared2.measure_in_band_seeded(&run_b, 50e6, 200e6, 5, 12);
-        let a_second = shared2.measure_in_band_seeded(&run_a, 50e6, 200e6, 5, 11);
+        let b_first = shared2.measure_in_band_seeded_with(&run_b, 50e6, 200e6, 5, 12, &mut s);
+        let a_second = shared2.measure_in_band_seeded_with(&run_a, 50e6, 200e6, 5, 11, &mut s);
         assert_eq!(a_first, a_second);
         assert_eq!(b_first, b_second);
     }
 
     #[test]
     fn shared_elapsed_folds_back_into_the_bench() {
+        let mut s = MeasureScratch::new();
         let d = domain();
         let mut bench = EmBench::new(9);
         let run = d
             .run(&sweep_kernel(Isa::ArmV8), 1, &RunConfig::fast())
             .unwrap();
         let shared = bench.share();
-        let _ = shared.measure_in_band_seeded(&run, 50e6, 200e6, 30, 1);
+        let _ = shared.measure_in_band_seeded_with(&run, 50e6, 200e6, 30, 1, &mut s);
         assert!(
             (shared.elapsed() - 18.0).abs() < 1.0,
             "{}",
@@ -682,6 +671,7 @@ mod tests {
     /// band, so it is pinned to the forced-band reading too.
     #[test]
     fn band_path_matches_full_fft_within_tolerance() {
+        let mut s = MeasureScratch::new();
         let d = domain();
         let bench = EmBench::new(4);
         let run = d
@@ -691,12 +681,12 @@ mod tests {
         let mut full_bench = EmBench::new(4);
         full_bench.set_spectral(SpectralChoice::FullFft);
         let shared_full = full_bench.share();
-        let full = shared_full.measure_in_band_seeded(&run, 50e6, 200e6, 5, 21);
+        let full = shared_full.measure_in_band_seeded_with(&run, 50e6, 200e6, 5, 21, &mut s);
 
         let mut band_bench = EmBench::new(4);
         band_bench.set_spectral(SpectralChoice::BandGoertzel);
         let shared_band = band_bench.share();
-        let band = shared_band.measure_in_band_seeded(&run, 50e6, 200e6, 5, 21);
+        let band = shared_band.measure_in_band_seeded_with(&run, 50e6, 200e6, 5, 21, &mut s);
 
         assert!(
             (full.metric_dbm - band.metric_dbm).abs() < 1e-6,
@@ -707,7 +697,7 @@ mod tests {
         assert_eq!(full.dominant_hz, band.dominant_hz);
 
         let shared_auto = bench.share();
-        let auto = shared_auto.measure_in_band_seeded(&run, 50e6, 200e6, 5, 21);
+        let auto = shared_auto.measure_in_band_seeded_with(&run, 50e6, 200e6, 5, 21, &mut s);
         assert_eq!(auto, band, "Auto must resolve to the band path here");
     }
 
@@ -716,6 +706,7 @@ mod tests {
     /// the forced-FFT path.
     #[test]
     fn auto_takes_full_fft_for_wide_bands() {
+        let mut s = MeasureScratch::new();
         let d = domain();
         let run = d
             .run(&sweep_kernel(Isa::ArmV8), 2, &RunConfig::fast())
@@ -725,13 +716,13 @@ mod tests {
         let auto_bench = EmBench::new(6);
         let auto = auto_bench
             .share()
-            .measure_in_band_seeded(&run, 1e6, nyquist, 5, 33);
+            .measure_in_band_seeded_with(&run, 1e6, nyquist, 5, 33, &mut s);
 
         let mut fft_bench = EmBench::new(6);
         fft_bench.set_spectral(SpectralChoice::FullFft);
         let full = fft_bench
             .share()
-            .measure_in_band_seeded(&run, 1e6, nyquist, 5, 33);
+            .measure_in_band_seeded_with(&run, 1e6, nyquist, 5, 33, &mut s);
 
         assert_eq!(auto, full);
     }

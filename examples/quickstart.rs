@@ -5,8 +5,8 @@
 //! cargo run --release --example quickstart
 //! ```
 
+use emvolt::core::analyze_virus;
 use emvolt::prelude::*;
-use emvolt_ga::GaConfig;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. Build the platform: a dual-core out-of-order cluster on the
@@ -24,11 +24,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         domain.expected_resonance_hz() / 1e6
     );
 
-    let mut session = Characterization::new(domain, 42);
+    // Aim the simulated EM rig (antenna + spectrum analyzer) at it.
+    let run = RunConfig::fast();
+    let mut backend = LiveBackend::single(domain.clone(), EmBench::new(42), run.clone());
 
     // 2. §5.3: the fast loop-frequency sweep localizes the resonance in
     //    simulated minutes instead of a multi-hour GA run.
-    let sweep = session.find_resonance_fast()?;
+    let sweep_cfg = FastSweepConfig::for_max_frequency(domain.max_frequency());
+    let sweep = fast_resonance_sweep_on(&mut backend, "A72", &sweep_cfg)?;
     println!(
         "\nfast sweep: resonance ≈ {:.1} MHz (physical campaign {})",
         sweep.resonance_hz / 1e6,
@@ -48,7 +51,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         samples_per_individual: 5,
         ..VirusGenConfig::default()
     };
-    let virus = session.generate_virus("a72em-quick", &config)?;
+    let virus = generate_em_virus_on("a72em-quick", &mut backend, "A72", &config, |_| {})?;
     println!(
         "\nvirus after {} generations: {:.1} dBm at {:.1} MHz",
         virus.history.len(),
@@ -58,14 +61,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("generated loop body:\n{}", virus.kernel.render());
 
     // 4. §5.2: quantify how hard the virus stresses the margin.
-    let report = session.report(
-        &virus,
+    let report = analyze_virus(
+        &virus.name,
+        &domain,
+        &virus.kernel,
         &FailureModel::juno_a72(),
         &VminConfig {
             trials: 5,
             loaded_cores: 2,
             ..VminConfig::default()
         },
+        &run,
     )?;
     println!(
         "V_MIN margin below nominal: {:.0} mV (loop {:.1} MHz, dominant {:.1} MHz, IPC {:.2})",

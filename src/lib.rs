@@ -18,16 +18,19 @@
 //! use emvolt::prelude::*;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! // A Cortex-A72-class voltage domain with the paper's calibrated PDN.
+//! // A Cortex-A72-class voltage domain with the paper's calibrated PDN,
+//! // measured through the live simulated EM rig.
 //! let domain = VoltageDomain::new("A72", CoreModel::cortex_a72(), a72_pdn(), 1.2e9);
-//! let mut session = Characterization::new(domain, 42);
+//! let sweep_cfg = FastSweepConfig::for_max_frequency(domain.max_frequency());
+//! let mut backend = LiveBackend::single(domain, EmBench::new(42), RunConfig::fast());
 //!
 //! // §5.3: find the first-order resonance in simulated minutes.
-//! let sweep = session.find_resonance_fast()?;
+//! let sweep = fast_resonance_sweep_on(&mut backend, "A72", &sweep_cfg)?;
 //! println!("resonance ≈ {:.1} MHz", sweep.resonance_hz / 1e6);
 //!
 //! // §5.1: evolve a dI/dt virus guided only by EM amplitude.
-//! let virus = session.generate_virus("a72em", &VirusGenConfig::default())?;
+//! let config = VirusGenConfig::default();
+//! let virus = generate_em_virus_on("a72em", &mut backend, "A72", &config, |_| {})?;
 //! println!("virus radiates at {:.1} MHz", virus.dominant_hz / 1e6);
 //! println!("{}", virus.kernel.render());
 //! # Ok(())
@@ -75,8 +78,8 @@ pub use emvolt_vmin as vmin;
 pub mod prelude {
     pub use emvolt_backend::{BackendSpec, LiveBackend, MeasurementBackend};
     pub use emvolt_core::{
-        fast_resonance_sweep_on, generate_em_virus_on, generate_voltage_virus, Characterization,
-        FastSweepConfig, VirusGenConfig,
+        fast_resonance_sweep_on, generate_em_virus_on, generate_voltage_virus, FastSweepConfig,
+        VirusGenConfig,
     };
     pub use emvolt_cpu::{CoreModel, Cpu, SimConfig};
     pub use emvolt_ga::{GaConfig, GaState, KernelRepresentation};

@@ -64,45 +64,6 @@ fn scope_and_analyzer_agree_on_the_dominant_frequency() {
     );
 }
 
-/// Max-hold across a phased run captures the loud phase's spike even
-/// though most sweeps see the quiet phase.
-#[test]
-fn max_hold_catches_intermittent_noise() {
-    use emvolt::inst::{TraceAccumulator, TraceMode};
-    use emvolt::isa::kernels::{resonant_stress_kernel, sweep_kernel};
-
-    let board = JunoBoard::new();
-    let cfg = RunConfig::fast();
-    let quiet = board
-        .a72
-        .run(&sweep_kernel(Isa::ArmV8), 1, &cfg)
-        .expect("quiet run");
-    let loud = board
-        .a72
-        .run(&resonant_stress_kernel(Isa::ArmV8, 12, 17), 2, &cfg)
-        .expect("loud run");
-
-    let mut bench = EmBench::new(7);
-    let mut hold = TraceAccumulator::new(TraceMode::MaxHold);
-    for _ in 0..4 {
-        hold.add(&bench.sweep(&quiet));
-    }
-    hold.add(&bench.sweep(&loud)); // one loud sweep among many quiet ones
-    for _ in 0..4 {
-        hold.add(&bench.sweep(&quiet));
-    }
-    let (_, held) = hold.peak_in_band(50e6, 200e6).expect("band covered");
-    let quiet_only = bench
-        .sweep(&quiet)
-        .peak_in_band(50e6, 200e6)
-        .expect("band covered")
-        .1;
-    assert!(
-        held > quiet_only + 10.0,
-        "max-hold {held} dBm should retain the loud spike over {quiet_only} dBm"
-    );
-}
-
 /// The assembly parser loads what the CLI/docs print: a full round trip
 /// through text for a generated virus-sized kernel.
 #[test]
