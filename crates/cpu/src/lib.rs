@@ -31,5 +31,5 @@ mod func;
 mod model;
 
 pub use engine::{Cpu, SimConfig, SimError, SimOutput};
-pub use func::{execute, execute_with_faults, ArchState, FaultModel, FuncOutput};
+pub use func::{execute, execute_with_faults, FaultModel, FaultPlan, FuncOutput, Program};
 pub use model::CoreModel;

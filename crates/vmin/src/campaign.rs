@@ -13,7 +13,7 @@
 //! Every later batch is one voltage rung of `config.trials` trials.
 
 use crate::{gumbel, FailureModel, Outcome, VminConfig, VminResult};
-use emvolt_cpu::{execute, execute_with_faults, FaultModel};
+use emvolt_cpu::{FaultModel, FaultPlan, Program};
 use emvolt_engine::{
     drive, kernel_fingerprint, run_config_fingerprint, snap, Campaign, DriveOptions, DriveOutcome,
     Fingerprint, NullBackend, StepBatch, StepOutcome,
@@ -39,10 +39,19 @@ struct Anchor {
     v_crit: f64,
 }
 
+/// One trial of a rung between its draws and its outcome.
+enum Trial {
+    /// Decided by the margin alone: a pass or a system crash.
+    Settled(Outcome),
+    /// Inside the SDC band, awaiting its faulted run.
+    Faulted { severity: f64 },
+}
+
 /// The V_MIN test as a resumable step campaign (compute-only batches).
 pub struct VminCampaign {
     domain: VoltageDomain,
     kernel: Kernel,
+    program: Program,
     model: FailureModel,
     config: VminConfig,
     telemetry: Telemetry,
@@ -87,6 +96,7 @@ impl VminCampaign {
         VminCampaign {
             domain: domain.clone(),
             kernel: kernel.clone(),
+            program: Program::new(kernel),
             model: *model,
             config: config.clone(),
             telemetry,
@@ -104,6 +114,7 @@ impl VminCampaign {
     /// PDN is linear, so the droop waveform is supply-independent —
     /// simulate once and slide the DC level down the ladder.
     fn absorb_anchor(&mut self) -> Result<(), DomainError> {
+        validate(&self.model, &self.config)?;
         let mut dom = self.domain.clone();
         dom.try_set_voltage(self.config.start_v)?;
         let run = DomainRunner::new_with(&dom, self.config.run.clone(), self.telemetry.clone())?
@@ -111,29 +122,38 @@ impl VminCampaign {
         self.anchor = Some(Anchor {
             droop: run.max_droop(),
             peak_to_peak: run.peak_to_peak(),
-            golden: execute(&self.kernel, self.config.golden_iterations),
+            golden: self
+                .program
+                .run(self.config.golden_iterations, &[FaultPlan::default()])[0]
+                .digest,
             v_crit: self.model.v_crit_at(dom.frequency()),
         });
         Ok(())
     }
 
-    /// One voltage rung: `config.trials` trials at the current voltage,
-    /// consuming the trial RNG exactly as the legacy ladder loop did.
+    /// One voltage rung: `config.trials` trials at the current voltage.
+    ///
+    /// Pass 1 takes every trial's draws in trial order — its droop excess,
+    /// then, inside the SDC band, its fault plan — consuming the trial RNG
+    /// exactly as running the trials one by one would. Pass 2 executes
+    /// the SDC-band trials as one lane group, and the outcomes settle in
+    /// trial order.
     fn absorb_rung(&mut self) -> Result<(), DomainError> {
         let Some(anchor) = self.anchor else {
             return Err(ck("ladder rung absorbed before the anchor run"));
         };
         let v = self.v;
-        let mut outcomes = Vec::with_capacity(self.config.trials);
-        let mut saw_system_crash = false;
+        let iterations = self.config.golden_iterations;
+        let mut trials = Vec::with_capacity(self.config.trials);
+        let mut plans = Vec::new();
         for _ in 0..self.config.trials {
             let extra = gumbel(&mut self.rng, self.model.trial_sigma);
             let min_die = v - anchor.droop - extra;
             let margin = min_die - anchor.v_crit;
-            let outcome = if margin >= 0.0 {
-                Outcome::Pass
+            trials.push(if margin >= 0.0 {
+                Trial::Settled(Outcome::Pass)
             } else if -margin > self.model.sdc_band {
-                Outcome::SystemCrash
+                Trial::Settled(Outcome::SystemCrash)
             } else {
                 // Inside the SDC band: inject faults whose rate grows as
                 // the margin shrinks and compare against the golden run.
@@ -141,18 +161,25 @@ impl VminCampaign {
                 let fault = FaultModel {
                     per_instr_probability: 1e-4 + severity * 2e-3,
                 };
-                let out = execute_with_faults(
-                    &self.kernel,
-                    self.config.golden_iterations,
-                    fault,
-                    &mut self.rng,
-                );
-                if out.digest == anchor.golden {
-                    Outcome::Pass
-                } else if severity > 0.6 {
-                    Outcome::AppCrash
-                } else {
-                    Outcome::Sdc
+                plans.push(self.program.draw_faults(iterations, fault, &mut self.rng));
+                Trial::Faulted { severity }
+            });
+        }
+        let mut faulted = self.program.run(iterations, &plans).into_iter();
+        let mut outcomes = Vec::with_capacity(trials.len());
+        let mut saw_system_crash = false;
+        for trial in trials {
+            let outcome = match trial {
+                Trial::Settled(outcome) => outcome,
+                Trial::Faulted { severity } => {
+                    let out = faulted.next().expect("one faulted run per SDC-band trial");
+                    if out.digest == anchor.golden {
+                        Outcome::Pass
+                    } else if severity > 0.6 {
+                        Outcome::AppCrash
+                    } else {
+                        Outcome::Sdc
+                    }
                 }
             };
             if outcome.is_failure() && self.first_failure_v.is_nan() {
@@ -192,6 +219,38 @@ impl VminCampaign {
             ladder: self.ladder,
         })
     }
+}
+
+/// Rejects a model or ladder that would panic or never end: a NaN field
+/// turns the margin NaN and the fault probability with it, and a ladder
+/// that does not step down never reaches its floor.
+fn validate(model: &FailureModel, config: &VminConfig) -> Result<(), DomainError> {
+    let bad = |msg: String| Err(DomainError::InvalidConfig(msg));
+    let fields = [
+        ("v_crit", model.v_crit),
+        ("f_ref", model.f_ref),
+        ("freq_sensitivity", model.freq_sensitivity),
+        ("sdc_band", model.sdc_band),
+        ("trial_sigma", model.trial_sigma),
+    ];
+    if let Some((name, x)) = fields.iter().find(|(_, x)| !x.is_finite()) {
+        return bad(format!("failure model {name} {x} must be finite"));
+    }
+    if model.sdc_band <= 0.0 {
+        return bad(format!("sdc_band {} must be positive", model.sdc_band));
+    }
+    if model.trial_sigma < 0.0 {
+        return bad(format!(
+            "trial_sigma {} must not be negative",
+            model.trial_sigma
+        ));
+    }
+    for (name, x) in [("step_v", config.step_v), ("floor_v", config.floor_v)] {
+        if !(x.is_finite() && x > 0.0) {
+            return bad(format!("{name} {x} must be finite and positive"));
+        }
+    }
+    Ok(())
 }
 
 fn outcome_char(o: Outcome) -> char {

@@ -163,7 +163,10 @@ pub struct VminResult {
 ///
 /// # Errors
 ///
-/// Propagates simulation failures from the underlying domain runs.
+/// Propagates simulation failures from the underlying domain runs, and
+/// returns [`DomainError::InvalidConfig`] for a failure model with a
+/// non-finite field, a non-positive `sdc_band` or a negative
+/// `trial_sigma`, or a non-finite or non-positive `step_v`/`floor_v`.
 pub fn vmin_test(
     domain: &VoltageDomain,
     kernel: &Kernel,
@@ -181,7 +184,7 @@ pub fn vmin_test(
 ///
 /// # Errors
 ///
-/// Propagates simulation failures from the underlying domain run.
+/// As for [`vmin_test`].
 pub fn vmin_test_with(
     domain: &VoltageDomain,
     kernel: &Kernel,
@@ -257,6 +260,88 @@ mod tests {
                 matches!(err, DomainError::InvalidVoltage { requested_v } if requested_v.to_bits() == start_v.to_bits()),
                 "start_v {start_v}: {err}"
             );
+        }
+    }
+
+    /// Runs a campaign that must be refused before its anchor run, and
+    /// returns the message of its `InvalidConfig` error.
+    fn refused(model: FailureModel, cfg: VminConfig) -> String {
+        let err = vmin_test_resumable(
+            &a72_domain(),
+            &sweep_kernel(Isa::ArmV8),
+            &model,
+            &cfg,
+            Telemetry::noop(),
+            &DriveOptions::default(),
+        )
+        .expect_err("the campaign must be refused");
+        match err {
+            DomainError::InvalidConfig(msg) => msg,
+            other => panic!("expected InvalidConfig, got {other}"),
+        }
+    }
+
+    #[test]
+    fn non_finite_failure_model_is_a_typed_error() {
+        type Field = fn(&mut FailureModel) -> &mut f64;
+        let fields: [(&str, Field); 5] = [
+            ("v_crit", |m| &mut m.v_crit),
+            ("f_ref", |m| &mut m.f_ref),
+            ("freq_sensitivity", |m| &mut m.freq_sensitivity),
+            ("sdc_band", |m| &mut m.sdc_band),
+            ("trial_sigma", |m| &mut m.trial_sigma),
+        ];
+        for (name, field) in fields {
+            for x in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                let mut model = FailureModel::juno_a72();
+                *field(&mut model) = x;
+                let msg = refused(model, quick_cfg());
+                assert!(msg.contains(name), "{name} = {x}: {msg}");
+            }
+        }
+    }
+
+    #[test]
+    fn non_positive_sdc_band_is_a_typed_error() {
+        for sdc_band in [0.0, -0.01] {
+            let model = FailureModel {
+                sdc_band,
+                ..FailureModel::juno_a72()
+            };
+            assert!(refused(model, quick_cfg()).contains("sdc_band"));
+        }
+    }
+
+    #[test]
+    fn negative_trial_sigma_is_a_typed_error() {
+        let model = FailureModel {
+            trial_sigma: -0.001,
+            ..FailureModel::juno_a72()
+        };
+        assert!(refused(model, quick_cfg()).contains("trial_sigma"));
+    }
+
+    #[test]
+    fn bad_step_voltage_is_a_typed_error() {
+        for step_v in [f64::NAN, f64::INFINITY, 0.0, -0.01] {
+            let cfg = VminConfig {
+                step_v,
+                ..quick_cfg()
+            };
+            let msg = refused(FailureModel::juno_a72(), cfg);
+            assert!(msg.contains("step_v"), "step_v {step_v}: {msg}");
+        }
+    }
+
+    #[test]
+    fn bad_floor_voltage_is_a_typed_error() {
+        for floor_v in [f64::NAN, f64::INFINITY, 0.0, -0.5] {
+            let cfg = VminConfig {
+                floor_v,
+                ..quick_cfg()
+            };
+            let msg = refused(FailureModel::juno_a72(), cfg);
+            assert!(msg.contains("floor_v"), "floor_v {floor_v}: {msg}");
         }
     }
 
