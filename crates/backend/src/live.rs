@@ -84,12 +84,8 @@ pub struct LiveBackend {
 }
 
 impl LiveBackend {
-    /// Builds a backend over `domains` measuring through `bench`. The
-    /// run configuration's spectral-path selection is applied to the
-    /// bench (and its shared half), so `RunConfig::spectral` is
-    /// authoritative for every measurement through this backend.
-    pub fn new(domains: Vec<VoltageDomain>, mut bench: EmBench, run_config: RunConfig) -> Self {
-        bench.set_spectral(run_config.spectral);
+    /// Builds a backend over `domains` measuring through `bench`.
+    pub fn new(domains: Vec<VoltageDomain>, bench: EmBench, run_config: RunConfig) -> Self {
         let shared = bench.share();
         let n = domains.len();
         LiveBackend {
@@ -308,11 +304,10 @@ impl MeasurementBackend for LiveBackend {
     fn configure_run(&mut self, config: &RunConfig) -> Result<(), BackendError> {
         if *config != self.run_config {
             self.run_config = config.clone();
-            // Fold outstanding shared-analyzer time back before the
-            // shared half is rebuilt with the new spectral selection.
+            // Fold outstanding shared-analyzer time back: `elapsed_seconds`
+            // sums the two halves, so where the fold happens decides how
+            // the total rounds.
             self.bench.absorb_elapsed(&self.shared);
-            self.bench.set_spectral(config.spectral);
-            self.shared = self.bench.share();
             for pool in &self.pools {
                 pool.lock().clear();
             }

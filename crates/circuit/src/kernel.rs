@@ -39,8 +39,6 @@ pub enum KernelChoice {
     /// Always forward/backward substitution through the LU factors —
     /// the exact reference path.
     Lu,
-    /// Always the precomputed state-update kernel.
-    StateSpace,
 }
 
 impl KernelChoice {
@@ -55,26 +53,14 @@ impl KernelChoice {
         match self {
             KernelChoice::Auto => dim <= Self::AUTO_DIM_LIMIT,
             KernelChoice::Lu => false,
-            KernelChoice::StateSpace => true,
         }
     }
 
-    /// Parses a CLI-style name: `auto`, `lu` or `statespace`.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "auto" => Some(KernelChoice::Auto),
-            "lu" => Some(KernelChoice::Lu),
-            "statespace" => Some(KernelChoice::StateSpace),
-            _ => None,
-        }
-    }
-
-    /// The canonical name [`KernelChoice::parse`] accepts.
+    /// The choice's name, as hashed into run-configuration fingerprints.
     pub fn as_str(self) -> &'static str {
         match self {
             KernelChoice::Auto => "auto",
             KernelChoice::Lu => "lu",
-            KernelChoice::StateSpace => "statespace",
         }
     }
 }
@@ -194,18 +180,6 @@ impl StateKernel {
 mod tests {
     use super::*;
 
-    #[test]
-    fn choice_parsing_round_trips() {
-        for c in [
-            KernelChoice::Auto,
-            KernelChoice::Lu,
-            KernelChoice::StateSpace,
-        ] {
-            assert_eq!(KernelChoice::parse(c.as_str()), Some(c));
-        }
-        assert_eq!(KernelChoice::parse("bogus"), None);
-    }
-
     /// Deterministic pseudo-random doubles in (-1, 1) for layout tests.
     fn lcg_doubles(seed: u64, n: usize) -> Vec<f64> {
         let mut s = seed | 1;
@@ -257,6 +231,5 @@ mod tests {
         assert!(KernelChoice::Auto.picks_state_space(KernelChoice::AUTO_DIM_LIMIT));
         assert!(!KernelChoice::Auto.picks_state_space(KernelChoice::AUTO_DIM_LIMIT + 1));
         assert!(!KernelChoice::Lu.picks_state_space(4));
-        assert!(KernelChoice::StateSpace.picks_state_space(4096));
     }
 }

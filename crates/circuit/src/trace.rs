@@ -93,11 +93,6 @@ impl Trace {
         &self.values
     }
 
-    /// Consumes the trace and returns the raw samples.
-    pub fn into_samples(self) -> Vec<f64> {
-        self.values
-    }
-
     /// Time coordinate of sample `i`.
     pub fn time_at(&self, i: usize) -> f64 {
         self.t0 + i as f64 * self.dt

@@ -413,8 +413,9 @@ impl Circuit {
     /// Like [`Circuit::plan_transient`], with an explicit per-step
     /// [`KernelChoice`]. [`KernelChoice::Lu`] reproduces the historic
     /// forward/backward-substitution path bit-for-bit;
-    /// [`KernelChoice::StateSpace`] embeds the precomputed state-update
-    /// kernel (same math, different summation order — see DESIGN.md §9).
+    /// [`KernelChoice::Auto`] embeds the precomputed state-update kernel
+    /// for small systems (same math, different summation order — see
+    /// DESIGN.md §9).
     ///
     /// # Errors
     ///
@@ -1775,10 +1776,6 @@ mod tests {
             .plan_transient_kernel(1e-9, KernelChoice::Lu)
             .unwrap()
             .uses_state_kernel());
-        assert!(c
-            .plan_transient_kernel(1e-9, KernelChoice::StateSpace)
-            .unwrap()
-            .uses_state_kernel());
     }
 
     /// The state-space kernel sums the same solution in a different
@@ -1789,9 +1786,8 @@ mod tests {
         let (c, _vin, out, l, _load) = probe_test_circuit();
         let cfg = TransientConfig::new(0.1e-9, 1e-6).with_warmup(0.2e-6);
         let lu_plan = c.plan_transient_kernel(cfg.dt, KernelChoice::Lu).unwrap();
-        let ss_plan = c
-            .plan_transient_kernel(cfg.dt, KernelChoice::StateSpace)
-            .unwrap();
+        let ss_plan = c.plan_transient_kernel(cfg.dt, KernelChoice::Auto).unwrap();
+        assert!(ss_plan.uses_state_kernel());
         let probes = TransientProbes::none().with_node(out).with_inductor(l);
         let mut s_lu = TransientScratch::new();
         let mut s_ss = TransientScratch::new();
@@ -1835,8 +1831,9 @@ mod tests {
                 after: 0.8,
             },
         ];
-        for kernel in [KernelChoice::StateSpace, KernelChoice::Lu] {
+        for kernel in [KernelChoice::Auto, KernelChoice::Lu] {
             let plan = c.plan_transient_kernel(cfg.dt, kernel).unwrap();
+            assert_eq!(plan.uses_state_kernel(), kernel == KernelChoice::Auto);
             let mut batch = BatchTransientScratch::new();
             c.transient_batch_scoped(&plan, &cfg, &probes, load, &loads, &mut batch)
                 .unwrap();

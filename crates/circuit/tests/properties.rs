@@ -142,7 +142,7 @@ proptest! {
         let probes = TransientProbes::none().with_node(die);
 
         let plan_lu = c.plan_transient_kernel(dt, KernelChoice::Lu).unwrap();
-        let plan_ss = c.plan_transient_kernel(dt, KernelChoice::StateSpace).unwrap();
+        let plan_ss = c.plan_transient_kernel(dt, KernelChoice::Auto).unwrap();
         prop_assert!(!plan_lu.uses_state_kernel());
         prop_assert!(plan_ss.uses_state_kernel());
 
@@ -239,8 +239,9 @@ proptest! {
         let dt = 0.5e-9;
         let cfg = TransientConfig::new(dt, 600.0 * dt).with_warmup(200.0 * dt);
         let probes = TransientProbes::none().with_node(die);
-        let kernel = if use_lu == 1 { KernelChoice::Lu } else { KernelChoice::StateSpace };
+        let kernel = if use_lu == 1 { KernelChoice::Lu } else { KernelChoice::Auto };
         let plan = c.plan_transient_kernel(dt, kernel).unwrap();
+        prop_assert_eq!(plan.uses_state_kernel(), use_lu != 1);
 
         let mut batch = BatchTransientScratch::new();
         c.transient_batch_scoped(&plan, &cfg, &probes, load, &loads, &mut batch).unwrap();
@@ -325,8 +326,9 @@ fn group_width_never_changes_a_lanes_bits() {
             phase: 0.1 * (l % 8) as f64,
         })
         .collect();
-    for kernel in [KernelChoice::StateSpace, KernelChoice::Lu] {
+    for kernel in [KernelChoice::Auto, KernelChoice::Lu] {
         let plan = c.plan_transient_kernel(dt, kernel).unwrap();
+        assert_eq!(plan.uses_state_kernel(), kernel == KernelChoice::Auto);
         let lane_bits = |width: usize| -> Vec<Vec<u64>> {
             let mut batch = BatchTransientScratch::new();
             c.transient_batch_scoped(&plan, &cfg, &probes, load, &loads[..width], &mut batch)

@@ -24,17 +24,6 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hash::{Hash, Hasher};
 
-/// Which scope statistic drives the voltage-feedback GA (§3.1(b): "the
-/// target metric is either maximum voltage droop or peak to peak").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum VoltageMetric {
-    /// Maximise the worst excursion below nominal.
-    #[default]
-    MaxDroop,
-    /// Maximise the peak-to-peak voltage amplitude.
-    PeakToPeak,
-}
-
 /// Configuration for a virus-generation campaign.
 #[derive(Debug, Clone)]
 pub struct VirusGenConfig {
@@ -48,8 +37,6 @@ pub struct VirusGenConfig {
     pub samples_per_individual: usize,
     /// Search band in Hz; defaults to the paper's 50–200 MHz.
     pub band: (f64, f64),
-    /// Scope statistic used by the voltage-feedback variant.
-    pub voltage_metric: VoltageMetric,
     /// Physics fidelity per run.
     pub run: RunConfig,
     /// Worker threads for fitness evaluation: `0` picks the machine's
@@ -93,7 +80,6 @@ impl Default for VirusGenConfig {
             loaded_cores: 1,
             samples_per_individual: 30,
             band: RESONANCE_BAND,
-            voltage_metric: VoltageMetric::default(),
             run: RunConfig::fast(),
             threads: 0,
             lanes: 0,
@@ -394,10 +380,7 @@ pub fn generate_voltage_virus(
                         )?;
                         let mut rng = StdRng::seed_from_u64(ctx.seed);
                         let shot = scope.capture(&slot.run.v_die, &mut rng);
-                        Ok(match config.voltage_metric {
-                            VoltageMetric::MaxDroop => shot.max_droop_below(nominal_v),
-                            VoltageMetric::PeakToPeak => shot.peak_to_peak(),
-                        })
+                        Ok(shot.max_droop_below(nominal_v))
                     })
                     .unwrap_or(0.0)
             },
@@ -525,25 +508,6 @@ mod tests {
             virus.campaign.seconds() >= expected - 1e-6,
             "campaign {} < {expected}",
             virus.campaign.seconds()
-        );
-    }
-
-    #[test]
-    fn voltage_ga_peak_to_peak_metric_also_works() {
-        let domain = a72();
-        let scope = Oscilloscope::new(emvolt_inst::ScopeConfig::oc_dso());
-        let cfg = VirusGenConfig {
-            voltage_metric: VoltageMetric::PeakToPeak,
-            ..small_config()
-        };
-        let virus = generate_voltage_virus("p2p-test", &domain, &scope, &cfg, 4).unwrap();
-        assert!(virus.fitness > 0.0, "p2p {}", virus.fitness);
-        // Peak-to-peak is at least the droop for any trace, so the p2p-
-        // driven run's fitness should exceed a typical droop figure.
-        assert!(
-            virus.fitness > 0.02,
-            "p2p metric too small: {}",
-            virus.fitness
         );
     }
 

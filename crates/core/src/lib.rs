@@ -63,7 +63,7 @@ pub use campaigns::{fast_resonance_sweep_resumable, generate_em_virus_resumable}
 pub use fast_sweep::{fast_resonance_sweep_on, FastSweepConfig, FastSweepResult, SweepPoint};
 pub use ga_virus::{
     annotate_droop, dominant_from_run, generate_em_virus_on, generate_voltage_virus,
-    GenerationProgress, GenerationRecord, Virus, VirusGenConfig, VoltageMetric,
+    GenerationProgress, GenerationRecord, Virus, VirusGenConfig,
 };
 pub use predictor::MarginPredictor;
 pub use report::{analyze_virus, format_table2, VirusReport};

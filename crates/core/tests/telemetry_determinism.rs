@@ -111,9 +111,8 @@ fn seeded_campaign_trace_covers_all_layers_and_kinds() {
             "no event of kind {kind:?}"
         );
     }
-    // The DSP span is "goertzel": auto spectral selection takes the
-    // band path for the campaign's 50-200 MHz measurement band (the
-    // full-FFT path would emit "fft" instead).
+    // The DSP span is "goertzel": every in-band measurement takes the
+    // band path (only displayed spectra run the FFT and emit "fft").
     for span in [
         "transient_solve",
         "goertzel",

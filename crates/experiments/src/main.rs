@@ -42,6 +42,10 @@ fn usage_error(msg: &str) -> ! {
 }
 
 fn main() {
+    // A bad SIMD override is a usage error, reported before any work.
+    if let Err(e) = emvolt_simd::env_request() {
+        usage_error(&e);
+    }
     let mut opts = Options {
         quick: std::env::var("EMVOLT_QUICK").is_ok_and(|v| v == "1"),
         ..Options::default()

@@ -117,14 +117,6 @@ impl OpClass {
         }
     }
 
-    /// `true` for classes that access memory.
-    pub fn accesses_memory(self) -> bool {
-        matches!(
-            self,
-            OpClass::IntShortMem | OpClass::IntLongMem | OpClass::Load | OpClass::Store
-        )
-    }
-
     /// `true` for classes whose destination/operands live in the FP/SIMD
     /// register file.
     pub fn uses_fp_registers(self) -> bool {

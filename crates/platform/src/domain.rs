@@ -1,6 +1,5 @@
 //! A voltage domain: CPU cores sharing one PDN and one supply rail.
 
-use crate::measure::SpectralChoice;
 use emvolt_circuit::{
     BatchTransientScratch, KernelChoice, Stimulus, Trace, TransientConfig, TransientPlan,
 };
@@ -112,10 +111,6 @@ pub struct RunConfig {
     /// precomputed state-space form). `Auto` picks the state-space kernel
     /// for small systems like the paper's PDNs.
     pub kernel: KernelChoice,
-    /// How in-band measurements compute the received spectrum (full FFT
-    /// vs band-limited Goertzel). Consumed by the backend/CLI layers when
-    /// they build the measurement rig.
-    pub spectral: SpectralChoice,
     /// Name of the runtime-dispatched SIMD level the hot kernels run on
     /// (`emvolt_simd::level().as_str()` at construction). Descriptive
     /// metadata only: results are bit-identical at every level, so this
@@ -135,7 +130,6 @@ impl Default for RunConfig {
             pdn_window: 4e-6,
             pdn_warmup: 2e-6,
             kernel: KernelChoice::default(),
-            spectral: SpectralChoice::default(),
             simd: emvolt_simd::level().as_str(),
         }
     }
@@ -155,7 +149,6 @@ impl RunConfig {
             pdn_window: 2e-6,
             pdn_warmup: 1e-6,
             kernel: KernelChoice::default(),
-            spectral: SpectralChoice::default(),
             simd: emvolt_simd::level().as_str(),
         }
     }

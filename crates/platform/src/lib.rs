@@ -44,9 +44,7 @@ pub use boards::{a53_pdn, a72_pdn, amd_pdn, gpu_pdn, AmdDesktop, GpuCard, JunoBo
 pub use clock::{SimClock, INDIVIDUAL_MEASUREMENT_SECONDS, INDIVIDUAL_OVERHEAD_SECONDS};
 pub use domain::{DomainError, DomainRun, DomainRunner, Load, RunConfig, VoltageDomain};
 pub use emvolt_circuit::{BatchTransientScratch, KernelChoice};
-pub use measure::{
-    EmBench, EmReading, MeasureScratch, SharedEmBench, SpectralChoice, RESONANCE_BAND,
-};
+pub use measure::{EmBench, EmReading, MeasureScratch, SharedEmBench, RESONANCE_BAND};
 pub use scl::{Scl, SclPoint};
 pub use session::SessionCosts;
 pub use workloads::{desktop_suite, lbm_kernel, mix_kernel, spec2006_suite, Suite, Workload};

@@ -4,8 +4,7 @@
 
 use crate::domain::DomainRun;
 use emvolt_dsp::{
-    of_samples_band_multi_into, BandSpectrum, GoertzelScratch, SpectralBins, Spectrum,
-    SpectrumScratch, Window,
+    of_samples_band_multi_into, BandSpectrum, GoertzelScratch, Spectrum, SpectrumScratch, Window,
 };
 use emvolt_em::EmChannel;
 use emvolt_inst::{AnalyzerConfig, SpectrumAnalyzer, SweepReading};
@@ -16,78 +15,6 @@ use rand::SeedableRng;
 
 /// The paper's first-order search band: 50–200 MHz.
 pub const RESONANCE_BAND: (f64, f64) = (50e6, 200e6);
-
-/// How an in-band measurement turns the die-current trace into analyzer
-/// input: the full one-sided FFT spectrum, or Goertzel evaluation of only
-/// the bins the analyzer scan can reach.
-///
-/// The band path applies the identical window, per-bin recurrence scaling
-/// and channel transfer, so in-band readings agree with the full-FFT path
-/// to rounding (~1e-9 relative on bin amplitudes); displayed sweeps and
-/// spectrogram consumers always keep the full FFT.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum SpectralChoice {
-    /// Use the band path when the requested band (plus the analyzer's RBW
-    /// skirt) covers at most half of the spectrum's bins.
-    #[default]
-    Auto,
-    /// Always compute the full one-sided spectrum via FFT.
-    FullFft,
-    /// Always evaluate only the requested band via Goertzel.
-    BandGoertzel,
-}
-
-impl SpectralChoice {
-    /// Parses a CLI-style selector: `auto`, `fft` or `goertzel`.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "auto" => Some(SpectralChoice::Auto),
-            "fft" => Some(SpectralChoice::FullFft),
-            "goertzel" => Some(SpectralChoice::BandGoertzel),
-            _ => None,
-        }
-    }
-
-    /// The canonical selector string accepted by [`SpectralChoice::parse`].
-    pub fn as_str(self) -> &'static str {
-        match self {
-            SpectralChoice::Auto => "auto",
-            SpectralChoice::FullFft => "fft",
-            SpectralChoice::BandGoertzel => "goertzel",
-        }
-    }
-
-    /// Whether a measurement of `run` over the margin-widened band
-    /// `[lo_hz, hi_hz]` should take the Goertzel path.
-    fn picks_band(self, run: &DomainRun, lo_hz: f64, hi_hz: f64) -> bool {
-        match self {
-            SpectralChoice::FullFft => false,
-            SpectralChoice::BandGoertzel => true,
-            SpectralChoice::Auto => {
-                let n = run.i_die.samples().len();
-                if n == 0 {
-                    return false;
-                }
-                // Mirror the Goertzel bin selection: widened outward so
-                // every analyzer scan window is covered.
-                let total = n / 2 + 1;
-                let step = run.i_die.sample_rate() / n as f64;
-                let k0 = if lo_hz <= 0.0 {
-                    0
-                } else {
-                    ((lo_hz / step).floor() as usize).min(total)
-                };
-                let k1 = if hi_hz < lo_hz || hi_hz < 0.0 {
-                    0
-                } else {
-                    (((hi_hz / step).ceil() as usize) + 1).min(total)
-                };
-                let covered = k1.saturating_sub(k0);
-                covered > 0 && 2 * covered <= total
-            }
-        }
-    }
-}
 
 /// Widens `[lo, hi]` by the analyzer's Gaussian RBW skirt (the scan
 /// evaluates each display point over `f ± 4σ`, `σ = RBW / 2.355`), so the
@@ -197,14 +124,7 @@ impl Noise<'_> {
     }
 
     /// Lane `lane`'s `(metric_dbm, dominant_hz)` over `rx`.
-    fn peak<S: SpectralBins>(
-        &mut self,
-        lane: usize,
-        rx: &S,
-        lo: f64,
-        hi: f64,
-        n: usize,
-    ) -> (f64, f64) {
+    fn peak(&mut self, lane: usize, rx: &BandSpectrum, lo: f64, hi: f64, n: usize) -> (f64, f64) {
         match self {
             Noise::Rig { analyzer, rng } => analyzer.peak_metric(rx, lo, hi, n, *rng),
             Noise::Seeded {
@@ -226,17 +146,20 @@ impl Noise<'_> {
 /// `n` analyzer sweeps over `[lo, hi]` Hz for each lane of `runs`, in
 /// lane order.
 ///
-/// When every lane shares one record length and sample rate and the
-/// spectral choice resolves to the band path, the lanes go through the
-/// multi-lane Goertzel and the batched channel propagation together.
-/// Otherwise each lane takes its own path — band or full FFT — alone.
-/// Either way a lane's reading depends only on its run and its noise, so
-/// it is bit-identical whatever it was batched with, and per-lane
-/// measurement accounting is recorded in lane order.
-#[allow(clippy::too_many_arguments)]
+/// The received spectrum is evaluated only over the bins the analyzer
+/// scan can reach (the band plus its RBW skirt), by Goertzel. It applies
+/// the same window, per-bin scaling and channel transfer as the full
+/// FFT, so readings agree with an FFT-fed analyzer to rounding (~1e-9
+/// relative on bin amplitudes); displayed sweeps keep the full FFT.
+///
+/// Lanes sharing one record length and sample rate go through the
+/// multi-lane Goertzel and the batched channel propagation together;
+/// otherwise each lane goes alone. Either way a lane's reading depends
+/// only on its run and its noise, so it is bit-identical whatever it was
+/// batched with, and per-lane measurement accounting is recorded in lane
+/// order.
 fn measure_lanes(
     channel: &EmChannel,
-    spectral: SpectralChoice,
     runs: &[&DomainRun],
     lo: f64,
     hi: f64,
@@ -259,18 +182,9 @@ fn measure_lanes(
     };
     let mut readings = Vec::with_capacity(runs.len());
     for group in groups {
-        let band = spectral.picks_band(group[0], blo, bhi);
-        if band {
-            scratch.refresh_rx_bands(channel, group, blo, bhi);
-        }
-        for (i, run) in group.iter().enumerate() {
-            let lane = readings.len();
-            let (metric_dbm, dominant_hz) = if band {
-                noise.peak(lane, &scratch.rx_bands[i], lo, hi, n)
-            } else {
-                scratch.refresh_rx(channel, run);
-                noise.peak(lane, &scratch.rx, lo, hi, n)
-            };
+        scratch.refresh_rx_bands(channel, group, blo, bhi);
+        for rx in &scratch.rx_bands[..group.len()] {
+            let (metric_dbm, dominant_hz) = noise.peak(readings.len(), rx, lo, hi, n);
             record_measurement(&scratch.telemetry, lo, hi, n, metric_dbm, dominant_hz);
             readings.push(EmReading {
                 metric_dbm,
@@ -299,7 +213,6 @@ pub struct EmBench {
     pub analyzer: SpectrumAnalyzer,
     rng: StdRng,
     scratch: MeasureScratch,
-    spectral: SpectralChoice,
 }
 
 impl EmBench {
@@ -311,19 +224,7 @@ impl EmBench {
             analyzer: SpectrumAnalyzer::new(AnalyzerConfig::default()),
             rng: StdRng::seed_from_u64(seed),
             scratch: MeasureScratch::new(),
-            spectral: SpectralChoice::default(),
         }
-    }
-
-    /// Selects how in-band measurements compute the received spectrum;
-    /// [`EmBench::share`] copies the choice into the shared half.
-    pub fn set_spectral(&mut self, spectral: SpectralChoice) {
-        self.spectral = spectral;
-    }
-
-    /// The active spectral-path selection.
-    pub fn spectral(&self) -> SpectralChoice {
-        self.spectral
     }
 
     /// Received spectrum with several domains radiating at once (§6.1).
@@ -365,7 +266,6 @@ impl EmBench {
         };
         measure_lanes(
             &self.channel,
-            self.spectral,
             &[run],
             lo,
             hi,
@@ -388,7 +288,6 @@ impl EmBench {
         SharedEmBench {
             channel: self.channel.clone(),
             analyzer_config: self.analyzer.config().clone(),
-            spectral: self.spectral,
             elapsed_s: Mutex::new(0.0),
         }
     }
@@ -438,7 +337,6 @@ impl EmBench {
 pub struct SharedEmBench {
     channel: EmChannel,
     analyzer_config: AnalyzerConfig,
-    spectral: SpectralChoice,
     elapsed_s: Mutex<f64>,
 }
 
@@ -464,8 +362,8 @@ impl SharedEmBench {
     /// its measurement noise from `seeds[l]` on a throwaway analyzer.
     ///
     /// Lanes sharing one record length and sample rate go through the
-    /// band path together — one multi-lane Goertzel pass and one batched
-    /// channel propagation — when the spectral choice resolves to it.
+    /// band path together: one multi-lane Goertzel pass and one batched
+    /// channel propagation.
     /// Reading `l` depends only on `runs[l]` and `seeds[l]`, so it is
     /// bit-identical to measuring that lane alone, and counter totals and
     /// the accumulated sweep time do not depend on batching.
@@ -488,16 +386,7 @@ impl SharedEmBench {
             seeds,
             elapsed: &self.elapsed_s,
         };
-        measure_lanes(
-            &self.channel,
-            self.spectral,
-            runs,
-            lo,
-            hi,
-            n,
-            &mut noise,
-            scratch,
-        )
+        measure_lanes(&self.channel, runs, lo, hi, n, &mut noise, scratch)
     }
 
     /// Sweep time accumulated since creation (or the last
@@ -652,23 +541,41 @@ mod tests {
         assert!((bench.elapsed() - before - 18.0).abs() < 1.0);
     }
 
-    #[test]
-    fn spectral_choice_parsing_round_trips() {
-        for c in [
-            SpectralChoice::Auto,
-            SpectralChoice::FullFft,
-            SpectralChoice::BandGoertzel,
-        ] {
-            assert_eq!(SpectralChoice::parse(c.as_str()), Some(c));
+    /// The reading an FFT-fed analyzer gives: the full one-sided spectrum
+    /// of the die current, propagated through the channel, then a seeded
+    /// analyzer over `[lo, hi]`.
+    fn fft_reference(
+        bench: &EmBench,
+        run: &DomainRun,
+        lo: f64,
+        hi: f64,
+        n: usize,
+        seed: u64,
+    ) -> EmReading {
+        let mut i_spec = Spectrum::default();
+        let mut rx = Spectrum::default();
+        Spectrum::of_trace_into(
+            &run.i_die,
+            Window::Hann,
+            &mut SpectrumScratch::new(),
+            &mut i_spec,
+        );
+        bench
+            .channel
+            .received_spectrum_into_with(&i_spec, &mut rx, &Telemetry::noop());
+        let mut analyzer = SpectrumAnalyzer::new(bench.analyzer.config().clone());
+        let (metric_dbm, dominant_hz) =
+            analyzer.peak_metric(&rx, lo, hi, n, &mut StdRng::seed_from_u64(seed));
+        EmReading {
+            metric_dbm,
+            dominant_hz,
         }
-        assert_eq!(SpectralChoice::parse("bluestein"), None);
-        assert_eq!(SpectralChoice::default(), SpectralChoice::Auto);
     }
 
-    /// Forcing the Goertzel band path must reproduce the full-FFT reading
-    /// to rounding: same seed, same band, same sweep count. The default
-    /// `Auto` choice resolves to the band path for the paper's 50–200 MHz
-    /// band, so it is pinned to the forced-band reading too.
+    /// The Goertzel band path must reproduce the FFT-fed reading to
+    /// rounding: same seed, same band, same sweep count. It holds for the
+    /// paper's 50–200 MHz band and for a band spanning nearly the whole
+    /// spectrum.
     #[test]
     fn band_path_matches_full_fft_within_tolerance() {
         let mut s = MeasureScratch::new();
@@ -677,59 +584,24 @@ mod tests {
         let run = d
             .run(&sweep_kernel(Isa::ArmV8), 2, &RunConfig::fast())
             .unwrap();
-
-        let mut full_bench = EmBench::new(4);
-        full_bench.set_spectral(SpectralChoice::FullFft);
-        let shared_full = full_bench.share();
-        let full = shared_full.measure_in_band_seeded_with(&run, 50e6, 200e6, 5, 21, &mut s);
-
-        let mut band_bench = EmBench::new(4);
-        band_bench.set_spectral(SpectralChoice::BandGoertzel);
-        let shared_band = band_bench.share();
-        let band = shared_band.measure_in_band_seeded_with(&run, 50e6, 200e6, 5, 21, &mut s);
-
-        assert!(
-            (full.metric_dbm - band.metric_dbm).abs() < 1e-6,
-            "full {} vs band {}",
-            full.metric_dbm,
-            band.metric_dbm
-        );
-        assert_eq!(full.dominant_hz, band.dominant_hz);
-
-        let shared_auto = bench.share();
-        let auto = shared_auto.measure_in_band_seeded_with(&run, 50e6, 200e6, 5, 21, &mut s);
-        assert_eq!(auto, band, "Auto must resolve to the band path here");
-    }
-
-    /// When the requested band spans (nearly) the whole spectrum, `Auto`
-    /// falls back to the full FFT and the readings are bit-identical to
-    /// the forced-FFT path.
-    #[test]
-    fn auto_takes_full_fft_for_wide_bands() {
-        let mut s = MeasureScratch::new();
-        let d = domain();
-        let run = d
-            .run(&sweep_kernel(Isa::ArmV8), 2, &RunConfig::fast())
-            .unwrap();
         let nyquist = 0.5 * run.i_die.sample_rate();
-
-        let auto_bench = EmBench::new(6);
-        let auto = auto_bench
-            .share()
-            .measure_in_band_seeded_with(&run, 1e6, nyquist, 5, 33, &mut s);
-
-        let mut fft_bench = EmBench::new(6);
-        fft_bench.set_spectral(SpectralChoice::FullFft);
-        let full = fft_bench
-            .share()
-            .measure_in_band_seeded_with(&run, 1e6, nyquist, 5, 33, &mut s);
-
-        assert_eq!(auto, full);
+        let shared = bench.share();
+        for (lo, hi) in [RESONANCE_BAND, (1e6, nyquist)] {
+            let full = fft_reference(&bench, &run, lo, hi, 5, 21);
+            let band = shared.measure_in_band_seeded_with(&run, lo, hi, 5, 21, &mut s);
+            assert!(
+                (full.metric_dbm - band.metric_dbm).abs() < 1e-6,
+                "[{lo}, {hi}]: full {} vs band {}",
+                full.metric_dbm,
+                band.metric_dbm
+            );
+            assert_eq!(full.dominant_hz, band.dominant_hz, "[{lo}, {hi}]");
+        }
     }
 
     /// One batched call over L lanes must reproduce the L serial seeded
-    /// measurements bit-for-bit — on the amortized band path and on the
-    /// forced-FFT fallback alike — and accumulate the same sweep time.
+    /// measurements bit-for-bit, for a narrow band and a near-full-span
+    /// one alike, and accumulate the same sweep time.
     #[test]
     fn batched_measurements_match_serial_seeded_calls() {
         let d = domain();
@@ -742,20 +614,14 @@ mod tests {
         ];
         let refs: Vec<&DomainRun> = runs.iter().collect();
         let seeds = [101u64, 202, 303];
+        let nyquist = 0.5 * runs[0].i_die.sample_rate();
 
-        for spectral in [SpectralChoice::Auto, SpectralChoice::FullFft] {
-            let mut bench = EmBench::new(5);
-            bench.set_spectral(spectral);
+        for (lo, hi) in [RESONANCE_BAND, (1e6, nyquist)] {
+            let bench = EmBench::new(5);
             let shared = bench.share();
             let mut scratch = MeasureScratch::new();
-            let batched = shared.measure_in_band_batch_seeded_with(
-                &refs,
-                50e6,
-                200e6,
-                4,
-                &seeds,
-                &mut scratch,
-            );
+            let batched =
+                shared.measure_in_band_batch_seeded_with(&refs, lo, hi, 4, &seeds, &mut scratch);
             let batched_elapsed = shared.take_elapsed();
 
             let serial_shared = bench.share();
@@ -764,8 +630,8 @@ mod tests {
             for ((run, &seed), got) in refs.iter().zip(&seeds).zip(&batched) {
                 let want = serial_shared.measure_in_band_seeded_with(
                     run,
-                    50e6,
-                    200e6,
+                    lo,
+                    hi,
                     4,
                     seed,
                     &mut serial_scratch,

@@ -191,22 +191,26 @@ fn detect() -> SimdLevel {
     SimdLevel::Scalar
 }
 
-/// The `EMVOLT_SIMD` request, read once per process. `auto` and an
-/// unset/empty variable mean "no request".
+/// The `EMVOLT_SIMD` request, read once per process: `Ok(None)` for
+/// `auto` or an unset/empty variable, else the requested level.
+/// Binaries call this before any work so a bad value is a clean error;
+/// [`level`] panics on it instead, because a misspelled override
+/// silently running a different path would defeat its testing purpose.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics on an unrecognized value — a misspelled override silently
-/// running a different path would defeat its testing purpose.
-fn env_request() -> Option<SimdLevel> {
-    static ENV: OnceLock<Option<SimdLevel>> = OnceLock::new();
-    *ENV.get_or_init(|| match std::env::var("EMVOLT_SIMD") {
-        Err(_) => None,
-        Ok(v) if v.is_empty() || v == "auto" => None,
-        Ok(v) => Some(SimdLevel::parse(&v).unwrap_or_else(|| {
-            panic!("EMVOLT_SIMD=`{v}` is not one of scalar|sse2|avx2|neon|auto")
-        })),
+/// Returns a message naming the value and the accepted ones when the
+/// variable is set to an unrecognized level.
+pub fn env_request() -> Result<Option<SimdLevel>, String> {
+    static ENV: OnceLock<Result<Option<SimdLevel>, String>> = OnceLock::new();
+    ENV.get_or_init(|| match std::env::var("EMVOLT_SIMD") {
+        Err(_) => Ok(None),
+        Ok(v) if v.is_empty() || v == "auto" => Ok(None),
+        Ok(v) => SimdLevel::parse(&v)
+            .map(Some)
+            .ok_or_else(|| format!("EMVOLT_SIMD=`{v}` is not one of scalar|sse2|avx2|neon|auto")),
     })
+    .clone()
 }
 
 /// In-process override installed by [`force_level`]: 0 = none, else a
@@ -238,11 +242,16 @@ fn clamp(requested: SimdLevel) -> SimdLevel {
 /// The level the process dispatches to right now: the [`force_level`]
 /// override if set, else the `EMVOLT_SIMD` request, else detection —
 /// always clamped to what the host supports.
+///
+/// # Panics
+///
+/// Panics when `EMVOLT_SIMD` holds an unrecognized value (see
+/// [`env_request`]) and no override is forced.
 pub fn level() -> SimdLevel {
     if let Some(forced) = SimdLevel::from_code(FORCED.load(Ordering::Relaxed)) {
         return clamp(forced);
     }
-    match env_request() {
+    match env_request().unwrap_or_else(|e| panic!("{e}")) {
         Some(requested) => clamp(requested),
         None => detected_level(),
     }

@@ -80,13 +80,6 @@ OPTIONS:
                                  batches, writing a final checkpoint (requires
                                  --checkpoint); the deterministic stand-in for
                                  killing a campaign mid-flight
-    --kernel auto|lu|statespace  sweep/virus: transient solver kernel — `auto`
-                                 (default) picks the fused state-space form for
-                                 small PDNs, `lu` forces back-substitution
-    --spectrum auto|fft|goertzel sweep/virus: in-band spectral path — `auto`
-                                 (default) evaluates only the measured band via
-                                 Goertzel when it is narrow, `fft` forces the
-                                 full Bluestein FFT
     --progress                   virus: print one line per GA generation
     --backend SPEC               sweep/virus: measurement backend — `live` (the
                                  default simulated chain), `record:PATH` (live,
@@ -101,7 +94,8 @@ ENVIRONMENT:
                                  requests above the host's capability are
                                  clamped. Results are bit-identical at every
                                  level; `--lanes 0` auto-width follows the
-                                 resolved level.
+                                 resolved level. Any other value is an error,
+                                 reported before the command runs.
 ";
 
 /// The flag group every measurement campaign shares, declared once so
@@ -144,12 +138,9 @@ impl FlagSpec {
                 valued: Vec::new(),
                 boolean: Vec::new(),
             },
-            "sweep" => FlagSpec::campaign(&["kernel", "spectrum"], &[]),
+            "sweep" => FlagSpec::campaign(&[], &[]),
             "impedance" => FlagSpec::campaign(&[], &[]),
-            "virus" => FlagSpec::campaign(
-                &["population", "generations", "kernel", "spectrum"],
-                &["progress"],
-            ),
+            "virus" => FlagSpec::campaign(&["population", "generations"], &["progress"]),
             "vmin" => FlagSpec::campaign(&["workload"], &["stress"]),
             _ => return None,
         };
@@ -474,23 +465,6 @@ fn report_interrupted(what: &str, tel: &Telemetry, opts: &DriveOptions) {
     );
 }
 
-/// Applies `--kernel` and `--spectrum` to a run configuration; both
-/// default to `auto` when absent.
-fn apply_solver_flags(
-    flags: &HashMap<String, String>,
-    run: &mut RunConfig,
-) -> Result<(), Box<dyn Error>> {
-    if let Some(k) = flags.get("kernel") {
-        run.kernel = emvolt::platform::KernelChoice::parse(k)
-            .ok_or_else(|| format!("--kernel {k}: expected auto|lu|statespace"))?;
-    }
-    if let Some(s) = flags.get("spectrum") {
-        run.spectral = emvolt::platform::SpectralChoice::parse(s)
-            .ok_or_else(|| format!("--spectrum {s}: expected auto|fft|goertzel"))?;
-    }
-    Ok(())
-}
-
 fn cmd_platforms() {
     println!("platform  cores  clock      nominal  analytic resonance");
     for (tag, domain) in [
@@ -513,11 +487,10 @@ fn cmd_sweep(flags: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
     let domain = build_platform(flags)?;
     let (tel, trace) = telemetry_from(flags)?;
     let opts = drive_options_from(flags)?;
-    let mut cfg = FastSweepConfig {
+    let cfg = FastSweepConfig {
         telemetry: tel.clone(),
         ..FastSweepConfig::for_domain(&domain)
     };
-    apply_solver_flags(flags, &mut cfg.run)?;
     let mut backend = backend_from(flags, &domain, seed(flags)?, &cfg.run)?;
     eprintln!(
         "sweeping {} ({} powered cores) ...",
@@ -602,7 +575,7 @@ fn cmd_virus(flags: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
     let (tel, trace) = telemetry_from(flags)?;
     let opts = drive_options_from(flags)?;
     let progress = flags.contains_key("progress");
-    let mut cfg = VirusGenConfig {
+    let cfg = VirusGenConfig {
         ga: GaConfig {
             population,
             generations,
@@ -614,7 +587,6 @@ fn cmd_virus(flags: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
         telemetry: tel.clone(),
         ..VirusGenConfig::default()
     };
-    apply_solver_flags(flags, &mut cfg.run)?;
     let mut backend = backend_from(flags, &domain, seed, &cfg.run)?;
     eprintln!(
         "evolving a dI/dt virus on {} ({population} x {generations}) ...",
@@ -758,6 +730,11 @@ fn run(command: &str, rest: &[String]) -> Result<(), Box<dyn Error>> {
 }
 
 fn main() -> ExitCode {
+    // A bad SIMD override is a usage error, reported before any work.
+    if let Err(e) = emvolt_simd::env_request() {
+        eprintln!("error: {e}");
+        return ExitCode::FAILURE;
+    }
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(command) = args.first() else {
         eprint!("{USAGE}");
@@ -1065,40 +1042,37 @@ mod tests {
         assert!(err.contains("tape"), "{err}");
     }
 
+    /// The run configs that `sweep` and `virus` hand their backend keep
+    /// the automatic solver: the transient kernel follows the system's
+    /// dimension and no command-line flag reaches it.
     #[test]
     fn solver_flags_apply_to_the_run_config() {
-        let spec = FlagSpec::for_command("sweep").unwrap();
-        let flags = parse_flags(
-            "sweep",
-            &argv(&["--kernel", "lu", "--spectrum", "fft"]),
-            &spec,
-        )
-        .unwrap();
-        let mut run = RunConfig::fast();
-        apply_solver_flags(&flags, &mut run).unwrap();
-        assert_eq!(run.kernel, emvolt::platform::KernelChoice::Lu);
-        assert_eq!(run.spectral, emvolt::platform::SpectralChoice::FullFft);
-        // Absent flags leave the auto defaults.
-        let mut auto = RunConfig::fast();
-        apply_solver_flags(&HashMap::new(), &mut auto).unwrap();
-        assert_eq!(auto.kernel, emvolt::platform::KernelChoice::Auto);
-        assert_eq!(auto.spectral, emvolt::platform::SpectralChoice::Auto);
+        let domain = JunoBoard::new().a72;
+        let sweep = FastSweepConfig::for_domain(&domain);
+        assert_eq!(sweep.run.kernel, emvolt::platform::KernelChoice::Auto);
+        let virus = VirusGenConfig::default();
+        assert_eq!(virus.run.kernel, emvolt::platform::KernelChoice::Auto);
     }
 
+    /// The transient kernel and the in-band spectral path follow the
+    /// system, not the command line: no subcommand takes a selector, so
+    /// every value of one — valid before or not — is an unknown flag.
     #[test]
     fn bad_solver_flag_values_are_rejected() {
-        let mut run = RunConfig::fast();
-        let mut flags = HashMap::new();
-        flags.insert("kernel".to_owned(), "cholesky".to_owned());
-        let err = apply_solver_flags(&flags, &mut run)
-            .unwrap_err()
-            .to_string();
-        assert!(err.contains("auto|lu|statespace"), "{err}");
-        let mut flags = HashMap::new();
-        flags.insert("spectrum".to_owned(), "bluestein".to_owned());
-        let err = apply_solver_flags(&flags, &mut run)
-            .unwrap_err()
-            .to_string();
-        assert!(err.contains("auto|fft|goertzel"), "{err}");
+        for command in ["sweep", "virus"] {
+            let spec = FlagSpec::for_command(command).unwrap();
+            for (name, value) in [
+                ("kernel", "lu"),
+                ("kernel", "cholesky"),
+                ("spectrum", "fft"),
+                ("spectrum", "bluestein"),
+            ] {
+                let flag = format!("--{name}");
+                let err = parse_flags(command, &argv(&[&flag, value]), &spec)
+                    .unwrap_err()
+                    .to_string();
+                assert!(err.contains(&format!("unknown flag `{flag}`")), "{err}");
+            }
+        }
     }
 }

@@ -22,3 +22,27 @@ fn vmin_runs_on_the_amd_platform() {
     );
     assert!(String::from_utf8_lossy(&out.stdout).contains("V_MIN ="));
 }
+
+/// A misspelled `EMVOLT_SIMD` override is reported as a usage error
+/// before any work, not as a panic from deep inside the first kernel.
+#[test]
+fn bad_simd_override_is_a_clean_error() {
+    let out = Command::new(env!("CARGO_BIN_EXE_emvolt"))
+        .args([
+            "virus",
+            "--platform",
+            "a53",
+            "--population",
+            "4",
+            "--generations",
+            "1",
+        ])
+        .env("EMVOLT_SIMD", "bogus")
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("error: EMVOLT_SIMD=`bogus`"), "{stderr}");
+    assert!(stderr.contains("scalar|sse2|avx2|neon|auto"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
