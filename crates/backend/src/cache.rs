@@ -14,12 +14,13 @@
 
 use crate::request::{CombinedSource, DomainInfo, EmObservation, MeasureRequest};
 use crate::trace::request_key;
-use crate::{BackendError, MeasurementBackend};
+use crate::{BackendError, MeasurementBackend, Served};
 use emvolt_inst::SweepReading;
 use emvolt_obs::{CounterId, Telemetry};
 use emvolt_platform::{RunConfig, SessionCosts};
 use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::ops::ControlFlow;
 
 #[derive(Debug, Clone)]
 enum CachedResult {
@@ -114,6 +115,15 @@ impl<B: MeasurementBackend> MeasurementBackend for CachingBackend<B> {
         telemetry: &Telemetry,
     ) -> Result<EmObservation, BackendError> {
         self.inner.measure_serial(req, telemetry)
+    }
+
+    fn measure_serial_batch(
+        &mut self,
+        reqs: &[MeasureRequest<'_>],
+        telemetry: &Telemetry,
+        on_result: &mut dyn FnMut(Served) -> ControlFlow<()>,
+    ) {
+        self.inner.measure_serial_batch(reqs, telemetry, on_result)
     }
 
     fn capture_combined(

@@ -65,6 +65,7 @@ use emvolt_inst::SweepReading;
 use emvolt_obs::Telemetry;
 use emvolt_platform::{DomainError, RunConfig, SessionCosts};
 use std::fmt;
+use std::ops::ControlFlow;
 
 /// Error from a measurement backend.
 #[derive(Debug)]
@@ -127,17 +128,34 @@ impl BackendError {
     }
 }
 
+/// One result of [`MeasurementBackend::measure_serial_batch`].
+#[derive(Debug)]
+pub struct Served {
+    /// What the one-request [`MeasurementBackend::measure_serial`] call
+    /// would have returned.
+    pub result: Result<EmObservation, BackendError>,
+    /// The backend's [`MeasurementBackend::elapsed_seconds`] right after
+    /// this request, so a wrapper can charge each request its own
+    /// analyzer time while the inner call is still running.
+    pub elapsed_s: f64,
+    /// The backend's [`MeasurementBackend::rig_state`] right after this
+    /// request, so the caller can checkpoint between results.
+    pub rig: Vec<(String, String)>,
+}
+
 /// The observable surface a measurement campaign needs.
 ///
 /// One backend instance serves one or more named voltage domains and is
 /// used for the length of a campaign: [`configure_run`] pins the physics
 /// fidelity, [`measure`] serves the parallel seeded fitness path,
-/// [`measure_serial`] the coordinator's stateful-rig path, and
-/// [`finish`] flushes any store.
+/// [`measure_serial`] (one request) and [`measure_serial_batch`] (a run
+/// of requests) the coordinator's stateful-rig path, and [`finish`]
+/// flushes any store.
 ///
 /// [`configure_run`]: MeasurementBackend::configure_run
 /// [`measure`]: MeasurementBackend::measure
 /// [`measure_serial`]: MeasurementBackend::measure_serial
+/// [`measure_serial_batch`]: MeasurementBackend::measure_serial_batch
 /// [`finish`]: MeasurementBackend::finish
 pub trait MeasurementBackend: Send + Sync {
     /// Short tag for logs and trace headers: `"live"`, `"record"`,
@@ -212,6 +230,37 @@ pub trait MeasurementBackend: Send + Sync {
         req: &MeasureRequest<'_>,
         telemetry: &Telemetry,
     ) -> Result<EmObservation, BackendError>;
+
+    /// Slice form of [`MeasurementBackend::measure_serial`]: serves
+    /// `reqs` in order and hands each result to `on_result` as soon as it
+    /// exists, before the next request draws rig noise or emits
+    /// telemetry. Results, rig state and every emission are those of the
+    /// loop of one-request calls the default provides; the caller may
+    /// therefore charge telemetry between results (the step engine
+    /// absorbs each outcome there). `on_result` returning
+    /// [`ControlFlow::Break`] stops the call: no later request is served.
+    ///
+    /// The live backend runs the physics of consecutive rig requests as
+    /// one lane group, then draws each request's noise and emits its
+    /// telemetry one request at a time.
+    fn measure_serial_batch(
+        &mut self,
+        reqs: &[MeasureRequest<'_>],
+        telemetry: &Telemetry,
+        on_result: &mut dyn FnMut(Served) -> ControlFlow<()>,
+    ) {
+        for req in reqs {
+            let result = self.measure_serial(req, telemetry);
+            let served = Served {
+                result,
+                elapsed_s: self.elapsed_seconds(),
+                rig: self.rig_state(),
+            };
+            if on_result(served).is_break() {
+                return;
+            }
+        }
+    }
 
     /// Runs every source and captures one combined analyzer sweep of
     /// their superimposed emissions (multi-domain monitoring, §6.1).
@@ -315,6 +364,15 @@ impl<B: MeasurementBackend + ?Sized> MeasurementBackend for &mut B {
         telemetry: &Telemetry,
     ) -> Result<EmObservation, BackendError> {
         (**self).measure_serial(req, telemetry)
+    }
+
+    fn measure_serial_batch(
+        &mut self,
+        reqs: &[MeasureRequest<'_>],
+        telemetry: &Telemetry,
+        on_result: &mut dyn FnMut(Served) -> ControlFlow<()>,
+    ) {
+        (**self).measure_serial_batch(reqs, telemetry, on_result)
     }
 
     fn capture_combined(

@@ -8,10 +8,11 @@
 
 use emvolt_backend::{LiveBackend, MeasurementBackend, RecordBackend, ReplayBackend};
 use emvolt_core::{
-    fast_resonance_sweep_on, generate_em_virus_on, FastSweepConfig, FastSweepResult, Virus,
-    VirusGenConfig,
+    fast_resonance_sweep_on, fast_resonance_sweep_resumable, generate_em_virus_on, FastSweepConfig,
+    FastSweepResult, Virus, VirusGenConfig,
 };
 use emvolt_cpu::CoreModel;
+use emvolt_engine::DriveOptions;
 use emvolt_ga::GaConfig;
 use emvolt_obs::{JsonlRecorder, Telemetry};
 use emvolt_platform::{a72_pdn, EmBench, RunConfig, VoltageDomain};
@@ -215,6 +216,40 @@ fn fast_sweep_replay_is_bit_identical_to_live() {
     assert_eq!(tel_live, tel_rep, "replay sweep trace diverged from live");
 
     let _ = std::fs::remove_file(&trace);
+}
+
+/// The sweep hands its points to the backend a lane width at a time;
+/// recorded at one point per call or eight, it writes the same trace
+/// file byte for byte — one entry per point, in visit order, each with
+/// its own events, counters and analyzer time — and the same telemetry.
+#[test]
+fn sweep_trace_does_not_depend_on_lane_width() {
+    let record = |lanes: usize| {
+        let trace = trace_path(&format!("sweep-lanes{lanes}"));
+        let (tel, buf) = telemetry();
+        let cfg = FastSweepConfig {
+            telemetry: tel,
+            ..FastSweepConfig::for_max_frequency(1.2e9)
+        };
+        let mut rec = RecordBackend::create(live(5), &trace).expect("trace file opens");
+        let result =
+            fast_resonance_sweep_resumable(&mut rec, "A72", &cfg, &DriveOptions::pool(1, lanes))
+                .unwrap()
+                .expect("no batch limit");
+        let file = std::fs::read(&trace).expect("trace written");
+        let _ = std::fs::remove_file(&trace);
+        let events = buf.0.lock().unwrap().clone();
+        (sweep_fingerprint(&result), file, events)
+    };
+    let (fp1, file1, tel1) = record(1);
+    let (fp8, file8, tel8) = record(8);
+    assert_eq!(fp1, fp8);
+    assert_eq!(
+        String::from_utf8(file1),
+        String::from_utf8(file8),
+        "lane width changed the trace file"
+    );
+    assert_eq!(tel1, tel8, "lane width changed the telemetry");
 }
 
 #[test]

@@ -375,10 +375,11 @@ fn chain_job<'a>(
         })
         .collect();
     let seeds = vec![7u64; lanes];
+    let clocks = vec![runner.domain().frequency(); lanes];
     let mut outs = vec![DomainRun::empty(); lanes];
     Box::new(move || {
         runner
-            .run_batch_into(&loads, &mut outs)
+            .run_batch_into(&loads, &clocks, &mut outs)
             .expect("the benchmark kernel simulates");
         let runs: Vec<&DomainRun> = outs.iter().collect();
         let readings =
@@ -404,13 +405,14 @@ fn lu_fft_chain_job<'a>(bench: &EmBench, kernel: &'a Kernel) -> Box<dyn FnMut() 
         kernel,
         loaded_cores: 1,
     }];
+    let clocks = [runner.domain().frequency()];
     let mut outs = vec![DomainRun::empty()];
     let mut spec = SpectrumScratch::new();
     let mut i_spec = Spectrum::default();
     let mut rx = Spectrum::default();
     Box::new(move || {
         runner
-            .run_batch_into(&loads, &mut outs)
+            .run_batch_into(&loads, &clocks, &mut outs)
             .expect("the benchmark kernel simulates");
         Spectrum::of_trace_into(&outs[0].i_die, Window::Hann, &mut spec, &mut i_spec);
         channel.received_spectrum_into_with(&i_spec, &mut rx, &Telemetry::noop());

@@ -619,6 +619,7 @@ impl Circuit {
             &mut batch.lanes,
             &mut batch.soa,
         )?;
+        batch.sched = sched;
         report_runs(&batch.telemetry, plan, &sched, &batch.lanes, probes);
         Ok(())
     }
@@ -1090,7 +1091,7 @@ impl<'a> GroupLoads<'a> {
 
 /// How many steps a run takes and from which step recording starts —
 /// computed once in the setup and shared by every step path.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct StepSchedule {
     n_steps: usize,
     record_start_idx: usize,
@@ -1188,6 +1189,8 @@ pub struct BatchTransientScratch {
     lanes: Vec<TransientScratch>,
     soa: LaneRows,
     telemetry: Telemetry,
+    /// The most recent batch's schedule, kept for [`BatchTransientScratch::report_lane`].
+    sched: StepSchedule,
 }
 
 /// Charges a finished run's solver counters to `telemetry` and, for an
@@ -1289,6 +1292,13 @@ impl BatchTransientScratch {
         self.telemetry = telemetry;
     }
 
+    /// Frees every lane's buffers (recorded waveforms included); the next
+    /// batch allocates them afresh. For callers whose work between
+    /// batches is memory-heavy, so the two peaks do not stack.
+    pub fn release_lanes(&mut self) {
+        self.lanes.clear();
+    }
+
     /// Number of lanes recorded by the most recent batch run.
     pub fn n_lanes(&self) -> usize {
         self.lanes.len()
@@ -1301,6 +1311,32 @@ impl BatchTransientScratch {
     /// Panics if `i` is outside the most recent batch.
     pub fn lane(&self, i: usize) -> &TransientResult {
         &self.lanes[i].out
+    }
+
+    /// Charges and emits to `telemetry` what lane `i` of the most recent
+    /// batch would have charged and emitted run alone: its solver
+    /// counters, a `transient_solve` span and its plain probe waveforms.
+    /// Paired with a batch run on an inert handle, this reports a lane
+    /// group as the sequence of single runs it replaces. `plan` and
+    /// `probes` must be the ones the batch ran with.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is outside the most recent batch.
+    pub fn report_lane(
+        &self,
+        plan: &TransientPlan,
+        probes: &TransientProbes,
+        i: usize,
+        telemetry: &Telemetry,
+    ) {
+        report_runs(
+            telemetry,
+            plan,
+            &self.sched,
+            std::slice::from_ref(&self.lanes[i]),
+            probes,
+        );
     }
 }
 

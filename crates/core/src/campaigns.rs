@@ -37,7 +37,7 @@ use emvolt_platform::{
     DomainError, EmReading, SimClock, INDIVIDUAL_MEASUREMENT_SECONDS, INDIVIDUAL_OVERHEAD_SECONDS,
 };
 use serde::{Deserialize, Serialize, Value};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// Maps a checkpoint decode error into the domain error space.
 fn ck(e: impl std::fmt::Display) -> DomainError {
@@ -131,10 +131,11 @@ struct EvalRecord {
 /// Phases are *derived* from the state rather than stored: while the GA
 /// has generations left, each batch is one generation's population
 /// (lane-dispatched, seeds derived from `(seed, generation, index)`);
-/// then each not-yet-memoized generation champion is re-measured for its
-/// dominant frequency (serial, 5 samples, memoized by kernel identity);
-/// then the overall best is re-measured once at full sample count; then
-/// the campaign is complete.
+/// then the not-yet-memoized generation champions are re-measured for
+/// their dominant frequency (one serial batch, 5 samples, one request
+/// per kernel identity, absorbed one at a time into the memo); then the
+/// overall best is re-measured once at full sample count; then the
+/// campaign is complete.
 struct VirusCampaign<F: FnMut(&GenerationProgress)> {
     name: String,
     domain_name: String,
@@ -537,9 +538,22 @@ impl<F: FnMut(&GenerationProgress)> Campaign for VirusCampaign<F> {
                 .collect();
             return Some(StepBatch::lanes(requests));
         }
-        if let Some((_, kernel)) = self.next_dominant() {
-            let req = self.rig_request(kernel, 5);
-            return Some(StepBatch::serial(vec![req]));
+        // Every champion not yet memoized, once per kernel identity: a
+        // repeated champion is measured once, since one extra rig draw
+        // would shift every later reading.
+        let mut seen = HashSet::new();
+        let requests: Vec<StepRequest> = self
+            .state
+            .generation_best
+            .iter()
+            .filter(|k| {
+                let key = kernel_identity(k);
+                !self.memo.contains_key(&key) && seen.insert(key)
+            })
+            .map(|k| self.rig_request(k, 5))
+            .collect();
+        if !requests.is_empty() {
+            return Some(StepBatch::serial(requests));
         }
         if self.final_obs.is_none() {
             let best = &self
@@ -761,7 +775,9 @@ fn run_virus_engine<B: MeasurementBackend + ?Sized>(
 }
 
 /// The fast resonance sweep as a resumable step campaign: one serial
-/// rig measurement per DVFS point, in visit order.
+/// rig measurement per DVFS point, in visit order. The remaining points
+/// form one serial batch, so the driver hands them to the backend a lane
+/// width at a time and absorbs each point as its reading arrives.
 struct SweepCampaign {
     domain_name: String,
     config: FastSweepConfig,
@@ -847,21 +863,31 @@ impl Campaign for SweepCampaign {
         self.tel.clone()
     }
 
+    /// Every point not yet measured, as one serial batch: the driver
+    /// absorbs them one at a time, in visit order.
     fn next_batch(&mut self) -> Option<StepBatch> {
-        let f_cpu = *self.config.cpu_freqs_hz.get(self.next_point)?;
-        Some(StepBatch::serial(vec![StepRequest {
-            domain: self.domain_name.clone(),
-            load: StepLoad::Kernel {
-                kernel: self.kernel.clone(),
-                loaded_cores: self.config.loaded_cores,
-            },
-            freq_hz: Some(f_cpu.min(self.max_frequency_hz)),
-            band: BandSpec::AroundLoop {
-                halfwidth_hz: self.config.marker_halfwidth_hz,
-            },
-            samples: self.config.samples_per_point,
-            seed: None,
-        }]))
+        let remaining = self
+            .config
+            .cpu_freqs_hz
+            .get(self.next_point..)
+            .filter(|rest| !rest.is_empty())?;
+        let requests = remaining
+            .iter()
+            .map(|&f_cpu| StepRequest {
+                domain: self.domain_name.clone(),
+                load: StepLoad::Kernel {
+                    kernel: self.kernel.clone(),
+                    loaded_cores: self.config.loaded_cores,
+                },
+                freq_hz: Some(f_cpu.min(self.max_frequency_hz)),
+                band: BandSpec::AroundLoop {
+                    halfwidth_hz: self.config.marker_halfwidth_hz,
+                },
+                samples: self.config.samples_per_point,
+                seed: None,
+            })
+            .collect();
+        Some(StepBatch::serial(requests))
     }
 
     fn absorb(&mut self, outcomes: &[StepOutcome]) -> Result<(), DomainError> {
@@ -945,6 +971,11 @@ impl Campaign for SweepCampaign {
 /// checkpoint/resume/interrupt wiring. Returns `None` when the batch
 /// limit interrupted the sweep.
 ///
+/// `opts.lanes` is how many DVFS points go to the backend per call
+/// (`0` = the detected SIMD level's preferred width, as for the virus
+/// search). Output is bit-identical at any width, and every point
+/// counts as one step toward `max_batches` and the checkpoint cadence.
+///
 /// # Errors
 ///
 /// As for [`fast_resonance_sweep_on`](crate::fast_resonance_sweep_on),
@@ -963,7 +994,11 @@ pub fn fast_resonance_sweep_resumable<B: MeasurementBackend + ?Sized>(
         .domain_info(domain_name)
         .ok_or_else(|| DomainError::Backend(format!("unknown domain `{domain_name}`")))?;
     let mut campaign = SweepCampaign::new(domain_name, info.isa, info.max_frequency_hz, config);
-    match drive(backend, &mut campaign, opts)? {
+    let opts = DriveOptions {
+        lanes: resolve_lanes(opts.lanes),
+        ..opts.clone()
+    };
+    match drive(backend, &mut campaign, &opts)? {
         DriveOutcome::Complete => campaign.into_result(backend).map(Some),
         DriveOutcome::Interrupted => Ok(None),
     }

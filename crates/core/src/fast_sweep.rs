@@ -53,9 +53,11 @@ pub struct FastSweepConfig {
     pub marker_halfwidth_hz: f64,
     /// Physics fidelity per point.
     pub run: emvolt_platform::RunConfig,
-    /// Telemetry handle: the sweep is serial, so one `sweep` span per
-    /// DVFS point is emitted in visit order, stamped with the simulated
-    /// campaign clock. Defaults to the inert handle.
+    /// Telemetry handle: the points run a lane group at a time but are
+    /// reported one by one, so each point's solver, analyzer and `sweep`
+    /// events are emitted in visit order, stamped with the simulated
+    /// campaign clock — the same trace at any lane width. Defaults to
+    /// the inert handle.
     pub telemetry: Telemetry,
 }
 
@@ -90,9 +92,11 @@ impl FastSweepConfig {
 /// Runs the fast sweep over any [`MeasurementBackend`] — the live chain
 /// ([`LiveBackend::single`](emvolt_backend::LiveBackend::single)), a
 /// recording wrapper or a replayed trace. Each DVFS point is one serial
-/// rig measurement (the backend keeps a single warm runner — the PDN
-/// netlist, its factorizations and the transient scratch are built once
-/// and reused across every point).
+/// rig measurement, and the points go to the backend a lane width at a
+/// time ([`emvolt_simd::preferred_lanes`]): the live backend runs their
+/// physics as one lane group with a clock per lane on a single warm
+/// runner (PDN netlist, factorizations and transient scratch built once),
+/// then draws each point's analyzer noise in visit order.
 ///
 /// # Errors
 ///

@@ -30,12 +30,13 @@ pub use checkpoint::{Checkpoint, TelemetrySnapshot, CHECKPOINT_FORMAT_VERSION};
 pub use emvolt_backend::{kernel_fingerprint, run_config_fingerprint};
 
 use emvolt_backend::{
-    BackendError, BandSpec, EmObservation, Load, MeasureRequest, MeasurementBackend,
+    BackendError, BandSpec, EmObservation, Load, MeasureRequest, MeasurementBackend, Served,
 };
 use emvolt_isa::Kernel;
 use emvolt_obs::{CounterId, Telemetry};
 use emvolt_platform::DomainError;
 use serde::Value;
+use std::ops::ControlFlow;
 use std::path::{Path, PathBuf};
 
 /// Owned analogue of [`Load`]: what runs on the domain during a step.
@@ -113,7 +114,12 @@ pub enum BatchMode {
     /// telemetry clone.
     Lanes,
     /// In-order serial dispatch on the coordinator thread with the
-    /// campaign's full telemetry handle (the stateful rig path).
+    /// campaign's full telemetry handle (the stateful rig path). Each
+    /// request is one step: the driver absorbs its outcome alone, before
+    /// the next request draws rig noise, and counts it toward the
+    /// checkpoint cadence and batch limit. Up to a lane width of
+    /// requests go to the backend as one
+    /// [`MeasurementBackend::measure_serial_batch`] call.
     Serial,
 }
 
@@ -139,7 +145,8 @@ impl StepBatch {
         }
     }
 
-    /// A serial batch.
+    /// A serial batch: measured in order on the stateful rig and
+    /// absorbed one request at a time.
     pub fn serial(requests: Vec<StepRequest>) -> Self {
         StepBatch {
             mode: BatchMode::Serial,
@@ -168,7 +175,11 @@ impl StepBatch {
 /// * `absorb` receives outcomes in request order and is called from
 ///   the single-threaded coordinator, so it may emit telemetry events
 ///   freely — this is where generation barriers, spans and histograms
-///   are charged, exactly as the legacy serial sections did.
+///   are charged, exactly as the legacy serial sections did. A lane
+///   batch is absorbed whole; a serial batch one request at a time (a
+///   one-outcome slice per request), and the driver may ask for the
+///   next batch after any of them — so after absorbing a prefix of a
+///   serial batch, `next_batch` must propose the rest of it.
 /// * [`snapshot`](Campaign::snapshot) / [`restore`](Campaign::restore)
 ///   round-trip every bit of in-flight state (RNG streams included):
 ///   a restored campaign must produce the same remaining batches, and
@@ -269,7 +280,7 @@ impl<'a, B: MeasurementBackend + ?Sized> StepDriver<'a, B> {
         self
     }
 
-    /// Requests per lane group (clamped to at least 1).
+    /// Requests per backend call (clamped to at least 1).
     #[must_use]
     fn lanes(mut self, lanes: usize) -> Self {
         self.lanes = lanes.max(1);
@@ -383,25 +394,23 @@ impl<'a, B: MeasurementBackend + ?Sized> StepDriver<'a, B> {
                 self.enqueue_checkpoint(campaign, writer)?;
                 return Ok(DriveOutcome::Interrupted);
             }
-            let outcomes = self.execute(campaign, &batch);
-            campaign.absorb(&outcomes)?;
+            match batch.mode {
+                BatchMode::Lanes => {
+                    let outcomes = self.execute_lanes(campaign, &batch.requests);
+                    campaign.absorb(&outcomes)?;
+                }
+                BatchMode::Serial if batch.requests.is_empty() => campaign.absorb(&[])?,
+                BatchMode::Serial => {
+                    self.execute_serial(campaign, &batch.requests, writer)?;
+                    continue;
+                }
+            }
             self.batches_done += 1;
             if writer.is_some() && self.batches_done.is_multiple_of(self.checkpoint_every) {
                 self.enqueue_checkpoint(campaign, writer)?;
             }
         }
         Ok(DriveOutcome::Complete)
-    }
-
-    fn execute<C: Campaign + ?Sized>(
-        &mut self,
-        campaign: &C,
-        batch: &StepBatch,
-    ) -> Vec<StepOutcome> {
-        match batch.mode {
-            BatchMode::Lanes => self.execute_lanes(campaign, &batch.requests),
-            BatchMode::Serial => self.execute_serial(campaign, &batch.requests),
-        }
     }
 
     /// Lane-grouped dispatch: requests are chunked into lane groups,
@@ -432,16 +441,62 @@ impl<'a, B: MeasurementBackend + ?Sized> StepDriver<'a, B> {
         grouped.into_iter().flatten().collect()
     }
 
+    /// Serial dispatch: the leading requests, up to a lane width, go to
+    /// the backend as one `measure_serial_batch` call on the campaign's
+    /// full telemetry handle. Each outcome is absorbed as it arrives and
+    /// counts as one step; a step that lands on the checkpoint cadence is
+    /// checkpointed right there, inside the call, with the rig state the
+    /// backend reports for that request — the snapshot a one-request step
+    /// would take. The chunk stops at the batch limit, so an interrupted
+    /// run stops exactly where one-request steps would.
     fn execute_serial<C: Campaign + ?Sized>(
         &mut self,
-        campaign: &C,
+        campaign: &mut C,
         requests: &[StepRequest],
-    ) -> Vec<StepOutcome> {
+        writer: &mut Option<CheckpointWriter>,
+    ) -> Result<(), DomainError> {
+        let mut room = self.lanes as u64;
+        if let Some(limit) = self.max_batches {
+            room = room.min(limit - self.batches_done);
+        }
+        let chunk = &requests[..requests.len().min(room as usize)];
+        let reqs: Vec<MeasureRequest<'_>> = chunk.iter().map(StepRequest::as_measure).collect();
         let tel = campaign.telemetry();
-        requests
-            .iter()
-            .map(|req| outcome_of(self.backend.measure_serial(&req.as_measure(), &tel)))
-            .collect()
+        let every = self.checkpoint_every;
+        let before = self.batches_done;
+        let batches_done = &mut self.batches_done;
+        let mut failed = None;
+        self.backend
+            .measure_serial_batch(&reqs, &tel, &mut |Served { result, rig, .. }| {
+                let step = campaign.absorb(&[outcome_of(result)]).and_then(|()| {
+                    *batches_done += 1;
+                    match writer.as_mut() {
+                        Some(w) if batches_done.is_multiple_of(every) => {
+                            send_checkpoint(campaign, w, *batches_done, rig)
+                        }
+                        _ => Ok(()),
+                    }
+                });
+                match step {
+                    Ok(()) => ControlFlow::Continue(()),
+                    Err(e) => {
+                        failed = Some(e);
+                        ControlFlow::Break(())
+                    }
+                }
+            });
+        if let Some(e) = failed {
+            return Err(e);
+        }
+        let served = self.batches_done - before;
+        if served != chunk.len() as u64 {
+            return Err(DomainError::Backend(format!(
+                "backend `{}` served {served} of {} serial requests",
+                self.backend.label(),
+                chunk.len()
+            )));
+        }
+        Ok(())
     }
 
     fn enqueue_checkpoint<C: Campaign + ?Sized>(
@@ -449,21 +504,37 @@ impl<'a, B: MeasurementBackend + ?Sized> StepDriver<'a, B> {
         campaign: &C,
         writer: &mut Option<CheckpointWriter>,
     ) -> Result<(), DomainError> {
-        let Some(writer) = writer.as_mut() else {
-            return Ok(());
-        };
-        let tel = campaign.telemetry();
-        tel.count(CounterId::CheckpointWrites, 1);
-        let pending = PendingCheckpoint {
-            campaign: campaign.kind().to_string(),
-            fingerprint: campaign.fingerprint(),
-            batches: self.batches_done,
-            state: campaign.snapshot_deferred(),
-            rig: self.backend.rig_state(),
-            telemetry: TelemetrySnapshot::capture(&tel),
-        };
-        writer.send(pending)
+        match writer.as_mut() {
+            Some(writer) => send_checkpoint(
+                campaign,
+                writer,
+                self.batches_done,
+                self.backend.rig_state(),
+            ),
+            None => Ok(()),
+        }
     }
+}
+
+/// Hands `writer` a snapshot of `campaign` after `batches` steps, with the
+/// backend's rig state at that point.
+fn send_checkpoint<C: Campaign + ?Sized>(
+    campaign: &C,
+    writer: &mut CheckpointWriter,
+    batches: u64,
+    rig: Vec<(String, String)>,
+) -> Result<(), DomainError> {
+    let tel = campaign.telemetry();
+    tel.count(CounterId::CheckpointWrites, 1);
+    let pending = PendingCheckpoint {
+        campaign: campaign.kind().to_string(),
+        fingerprint: campaign.fingerprint(),
+        batches,
+        state: campaign.snapshot_deferred(),
+        rig,
+        telemetry: TelemetrySnapshot::capture(&tel),
+    };
+    writer.send(pending)
 }
 
 /// A checkpoint captured at a batch boundary but not yet rendered:
@@ -560,7 +631,10 @@ pub struct DriveOptions {
     /// Worker threads for lane batches (`<= 1` = serial dispatch; the
     /// caller resolves `0 = auto` before building this).
     pub threads: usize,
-    /// Lane width for batched dispatch (resolved by the caller).
+    /// Requests per backend call: the lane group of a lane batch, the
+    /// chunk of a serial batch (resolved by the caller; the campaign
+    /// entry points resolve `0` to the detected SIMD level's preferred
+    /// width).
     pub lanes: usize,
     /// Checkpoint file; `None` disables checkpointing.
     pub checkpoint: Option<PathBuf>,

@@ -333,6 +333,23 @@ impl Pdn {
             l_pkg_id: self.l_pkg_id,
         }
     }
+
+    /// Reports lane `i` of the most recent [`Pdn::transient_batch`]
+    /// through `batch` to `telemetry` as the single run it stands for
+    /// (see [`BatchTransientScratch::report_lane`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is outside the most recent batch.
+    pub fn report_die_lane(
+        &self,
+        plan: &TransientPlan,
+        batch: &BatchTransientScratch,
+        i: usize,
+        telemetry: &emvolt_obs::Telemetry,
+    ) {
+        batch.report_lane(plan, &self.die_probes, i, telemetry);
+    }
 }
 
 #[cfg(test)]

@@ -268,13 +268,19 @@ impl VoltageDomain {
     ///
     /// Returns [`DomainError::InvalidFrequency`] for out-of-range `hz`.
     pub fn try_set_frequency(&mut self, hz: f64) -> Result<(), DomainError> {
+        self.check_frequency(hz)?;
+        self.freq_hz = hz;
+        Ok(())
+    }
+
+    /// Rejects clocks outside `(0, max]`.
+    fn check_frequency(&self, hz: f64) -> Result<(), DomainError> {
         if !(hz > 0.0 && hz <= self.max_freq_hz) {
             return Err(DomainError::InvalidFrequency {
                 requested_hz: hz,
                 max_hz: self.max_freq_hz,
             });
         }
-        self.freq_hz = hz;
         Ok(())
     }
 
@@ -416,25 +422,45 @@ impl<'a> Load<'a> {
 /// bit-identical results (the cached plan holds the same factorization a
 /// fresh run would compute).
 ///
-/// Every run goes through [`DomainRunner::run_batch_into`]; a single run
-/// is a batch of one.
+/// Every run goes through one lane group of
+/// [`DomainRunner::run_batch_into`]; a single run is a batch of one. Each
+/// lane names its own clock: the clock only enters through the core
+/// timing model, so lanes at different DVFS points share the PDN plan.
 ///
-/// The runner snapshots the domain's control state (frequency, voltage,
-/// gating) at construction; build a new runner after changing any of
-/// them. Each runner is independently usable from its own thread.
+/// The runner snapshots the domain's voltage and gating at construction;
+/// build a new runner after changing either. The domain's clock is only
+/// the default for [`DomainRunner::run`], [`DomainRunner::run_into`] and
+/// [`DomainRunner::run_idle`]. Each runner is independently usable from
+/// its own thread.
 #[derive(Debug, Clone)]
 pub struct DomainRunner {
     domain: VoltageDomain,
     config: RunConfig,
+    /// The core at the clock of the most recent simulated lane; a lane at
+    /// another clock rebuilds it (a [`Cpu`] is only a model and a clock).
     cpu: Cpu,
     pdn: Pdn,
     plan: TransientPlan,
     transient_cfg: TransientConfig,
     batch: BatchTransientScratch,
     telemetry: emvolt_obs::Telemetry,
-    /// Per-cycle issue-slot occupancy from the last traced core sim;
-    /// only filled while the telemetry handle has a live wave sink.
-    occupancy: Vec<u32>,
+    /// Per-lane issue-slot occupancy from the last traced core sims; only
+    /// filled while the telemetry handle has a live wave sink.
+    occupancy: Vec<Vec<u32>>,
+    /// What each lane of the most recent batch took from its core sim.
+    lanes: Vec<LaneCore>,
+}
+
+/// What one lane's core sim leaves for its run record.
+#[derive(Debug, Clone)]
+struct LaneCore {
+    ipc: f64,
+    cycles_per_iteration: f64,
+    loop_frequency: f64,
+    /// The sim itself, kept only while a later lane of the batch reuses
+    /// it, or, for a traced held batch, until
+    /// [`DomainRunner::report_lane`] emits its core-side waveforms.
+    sim: Option<emvolt_cpu::SimOutput>,
 }
 
 impl DomainRunner {
@@ -478,6 +504,7 @@ impl DomainRunner {
             batch,
             telemetry,
             occupancy: Vec::new(),
+            lanes: Vec::new(),
         })
     }
 
@@ -497,19 +524,16 @@ impl DomainRunner {
         &self.config
     }
 
-    /// Retunes the runner's clock (DVFS) without rebuilding the PDN or
-    /// refactoring its matrices — frequency only enters through the CPU
-    /// timing model, so results stay bit-identical to a runner freshly
-    /// built at the new frequency.
+    /// Sets the default clock (DVFS) of runs that name none, without
+    /// rebuilding the PDN or refactoring its matrices — results stay
+    /// bit-identical to a runner freshly built at the new frequency.
     ///
     /// # Errors
     ///
     /// Returns [`DomainError::InvalidFrequency`] for out-of-range `hz`;
     /// on error the runner is left unchanged.
     pub fn try_set_frequency(&mut self, hz: f64) -> Result<(), DomainError> {
-        self.domain.try_set_frequency(hz)?;
-        self.cpu = Cpu::new(self.domain.core_model.clone(), hz);
-        Ok(())
+        self.domain.try_set_frequency(hz)
     }
 
     /// Runs `kernel` on `loaded_cores` cores; see [`VoltageDomain::run`].
@@ -524,8 +548,9 @@ impl DomainRunner {
         Ok(out)
     }
 
-    /// Runs `kernel` into an existing [`DomainRun`], reusing its trace
-    /// buffers — a one-entry [`DomainRunner::run_batch_into`].
+    /// Runs `kernel` at the domain's clock into an existing
+    /// [`DomainRun`], reusing its trace buffers — a one-entry
+    /// [`DomainRunner::run_batch_into`].
     ///
     /// # Errors
     ///
@@ -541,12 +566,15 @@ impl DomainRunner {
             kernel,
             loaded_cores,
         };
-        self.run_batch_into(&[load], std::slice::from_mut(out))
+        let clock = self.domain.freq_hz;
+        self.run_batch_into(&[load], &[clock], std::slice::from_mut(out))
     }
 
-    /// Runs every load of `loads` through one batched transient, filling
-    /// one [`DomainRun`] per entry. Entry `i` is bit-identical whatever
-    /// the batch size and whatever else is in the batch.
+    /// Runs every load of `loads` through one batched transient, lane `i`
+    /// with its core clocked at `clocks[i]` (idle lanes ignore their
+    /// clock), filling one [`DomainRun`] per entry. Entry `i` is
+    /// bit-identical whatever the batch size and whatever else is in the
+    /// batch.
     ///
     /// A traced batch of one kernel also opens a wave epoch and emits the
     /// core-side waveforms (per-cycle current and issue-slot occupancy),
@@ -554,12 +582,14 @@ impl DomainRunner {
     ///
     /// # Errors
     ///
-    /// Returns [`DomainError`] for invalid core counts, failed
-    /// simulations, an empty batch, or when `outs` is shorter than
-    /// `loads`; on error `outs` is left unchanged.
+    /// Returns [`DomainError`] for clocks outside the domain's range,
+    /// invalid core counts, failed simulations, an empty batch, or when
+    /// `outs` or `clocks` is shorter than `loads`; on error `outs` is
+    /// left unchanged.
     pub fn run_batch_into(
         &mut self,
         loads: &[Load<'_>],
+        clocks: &[f64],
         outs: &mut [DomainRun],
     ) -> Result<(), DomainError> {
         if outs.len() < loads.len() {
@@ -569,80 +599,184 @@ impl DomainRunner {
                 loads.len()
             )));
         }
-        let mut sims: Vec<Option<emvolt_cpu::SimOutput>> = Vec::with_capacity(loads.len());
+        self.run_lanes(loads, clocks, false)?;
+        for (i, out) in outs[..loads.len()].iter_mut().enumerate() {
+            self.fill_run(i, out);
+        }
+        Ok(())
+    }
+
+    /// [`DomainRunner::run_batch_into`] that emits nothing and fills
+    /// nothing: the physics runs on an inert handle, and
+    /// [`DomainRunner::report_lane`] then charges and emits, lane by lane,
+    /// what a one-entry run of that lane would have, and fills its run.
+    /// This lets a caller interleave each lane's report with its own
+    /// per-lane work (the serial rig draws analyzer noise between points)
+    /// so the trace reads as the sequence of single runs — and one run
+    /// buffer serves the whole group.
+    ///
+    /// # Errors
+    ///
+    /// As for [`DomainRunner::run_batch_into`].
+    pub fn run_batch_held(
+        &mut self,
+        loads: &[Load<'_>],
+        clocks: &[f64],
+    ) -> Result<(), DomainError> {
+        self.run_lanes(loads, clocks, true)
+    }
+
+    /// Emits what a one-entry run of lane `i` of the last
+    /// [`DomainRunner::run_batch_held`] batch would have emitted — the
+    /// wave epoch and core-side waveforms of a traced kernel lane, then
+    /// the lane's transient counters, `transient_solve` span and probe
+    /// waveforms — and fills `out` with the lane's run.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is outside the most recent batch.
+    pub fn report_lane(&self, i: usize, out: &mut DomainRun) {
+        if let Some(sim) = &self.lanes[i].sim {
+            self.telemetry.wave_epoch();
+            self.emit_cpu_waves(sim, &self.occupancy[i]);
+        }
+        self.pdn
+            .report_die_lane(&self.plan, &self.batch, i, &self.telemetry);
+        self.fill_run(i, out);
+    }
+
+    /// Copies lane `i` of the most recent batch into `out`.
+    fn fill_run(&self, i: usize, out: &mut DomainRun) {
+        let die = self.pdn.die_lane(&self.batch, i);
+        out.v_die.refill(die.dt(), die.start_time(), die.v_die());
+        out.i_die.refill(die.dt(), die.start_time(), die.i_die());
+        let core = &self.lanes[i];
+        out.ipc = core.ipc;
+        out.cycles_per_iteration = core.cycles_per_iteration;
+        out.loop_frequency = core.loop_frequency;
+        out.supply_v = self.domain.supply_v;
+    }
+
+    /// Simulates every lane's core and steps all lanes through one
+    /// batched transient — on an inert handle when `hold` is set.
+    fn run_lanes(
+        &mut self,
+        loads: &[Load<'_>],
+        clocks: &[f64],
+        hold: bool,
+    ) -> Result<(), DomainError> {
+        if clocks.len() < loads.len() {
+            return Err(DomainError::Backend(format!(
+                "run_batch_into: {} clocks for {} entries",
+                clocks.len(),
+                loads.len()
+            )));
+        }
+        if hold {
+            // The previous group's recorded lanes were all reported; free
+            // them so the core sims below do not stack on top of them.
+            self.batch.release_lanes();
+        }
+        let traced = self.telemetry.wave_enabled();
+        if traced && self.occupancy.len() < loads.len() {
+            self.occupancy.resize_with(loads.len(), Vec::new);
+        }
+        // Identical-kernel dedupe: the cycle-level core sim depends only
+        // on the kernel and the clock, and GA populations repeat genomes
+        // (elites, clones that mutation left untouched) — a lane reuses
+        // the sim of the first lane with the same kernel at the same
+        // clock instead of re-simulating. Bit-identical: `Cpu::simulate`
+        // is a pure function of the kernel and the clock.
+        let same_core = |j: usize, kernel: &Kernel, clock: f64| {
+            clocks[j].to_bits() == clock.to_bits()
+                && loads[j]
+                    .kernel()
+                    .is_some_and(|k| std::ptr::eq(k, kernel) || k == kernel)
+        };
+        self.lanes.clear();
         let mut stimuli = Vec::with_capacity(loads.len());
         for (i, load) in loads.iter().enumerate() {
-            let (sim, stimulus) = match *load {
+            let (core, stimulus) = match *load {
                 Load::Kernel {
                     kernel,
                     loaded_cores,
                 } => {
-                    // Identical-kernel dedupe: the cycle-level core sim
-                    // depends only on the kernel, and GA populations
-                    // repeat genomes (elites, clones that mutation left
-                    // untouched) — reuse the first matching lane's output
-                    // instead of re-simulating. Bit-identical:
-                    // `Cpu::simulate` is a pure function of the kernel.
-                    let dup = loads[..i].iter().position(|l| {
-                        l.kernel()
-                            .is_some_and(|k| std::ptr::eq(k, kernel) || k == kernel)
-                    });
-                    let sim = match dup.and_then(|j| sims[j].clone()) {
-                        Some(sim) => sim,
-                        None => self.simulate(kernel, loaded_cores)?,
+                    let clock = clocks[i];
+                    self.domain.check_frequency(clock)?;
+                    let sim = match (0..i).find(|&j| same_core(j, kernel, clock)) {
+                        Some(j) => {
+                            if traced {
+                                let (head, tail) = self.occupancy.split_at_mut(i);
+                                tail[0].clone_from(&head[j]);
+                            }
+                            self.lanes[j]
+                                .sim
+                                .clone()
+                                .expect("a reused lane keeps its sim")
+                        }
+                        None => self.simulate(kernel, loaded_cores, clock, i)?,
                     };
                     let stimulus = self.cluster_load(&sim, loaded_cores)?;
-                    (Some(sim), stimulus)
+                    let keep = traced || (i + 1..loads.len()).any(|k| same_core(k, kernel, clock));
+                    let core = LaneCore {
+                        ipc: sim.ipc,
+                        cycles_per_iteration: sim.cycles_per_iteration,
+                        loop_frequency: sim.loop_frequency(),
+                        sim: keep.then_some(sim),
+                    };
+                    (core, stimulus)
                 }
                 Load::Idle => {
                     let idle =
                         self.domain.active_cores as f64 * self.domain.core_model.idle_current;
-                    (None, Stimulus::Dc(idle))
+                    let core = LaneCore {
+                        ipc: 0.0,
+                        cycles_per_iteration: f64::INFINITY,
+                        loop_frequency: 0.0,
+                        sim: None,
+                    };
+                    (core, Stimulus::Dc(idle))
                 }
             };
-            sims.push(sim);
+            self.lanes.push(core);
             stimuli.push(stimulus);
         }
-        if let [Some(sim)] = sims.as_slice() {
-            if self.telemetry.wave_enabled() {
+        if hold {
+            self.batch.set_telemetry(emvolt_obs::Telemetry::noop());
+        } else if let [LaneCore { sim: Some(sim), .. }] = self.lanes.as_slice() {
+            if traced {
                 // One epoch per run keeps the digital (per-cycle) and
                 // analog (per-pdn_dt) signals on a shared, monotonically
                 // advancing time axis; the transient below emits the
                 // pdn.* waves under the same epoch.
                 self.telemetry.wave_epoch();
-                self.emit_cpu_waves(sim);
+                self.emit_cpu_waves(sim, &self.occupancy[0]);
             }
         }
-        self.pdn
-            .transient_batch(&self.plan, &self.transient_cfg, &stimuli, &mut self.batch)?;
-        for (i, (out, sim)) in outs.iter_mut().zip(&sims).enumerate() {
-            let die = self.pdn.die_lane(&self.batch, i);
-            out.v_die.refill(die.dt(), die.start_time(), die.v_die());
-            out.i_die.refill(die.dt(), die.start_time(), die.i_die());
-            match sim {
-                Some(sim) => {
-                    out.ipc = sim.ipc;
-                    out.cycles_per_iteration = sim.cycles_per_iteration;
-                    out.loop_frequency = sim.loop_frequency();
-                }
-                None => {
-                    out.ipc = 0.0;
-                    out.cycles_per_iteration = f64::INFINITY;
-                    out.loop_frequency = 0.0;
-                }
-            }
-            out.supply_v = self.domain.supply_v;
+        let solved =
+            self.pdn
+                .transient_batch(&self.plan, &self.transient_cfg, &stimuli, &mut self.batch);
+        if hold {
+            self.batch.set_telemetry(self.telemetry.clone());
         }
+        if !(hold && traced) {
+            for core in &mut self.lanes {
+                core.sim = None;
+            }
+        }
+        solved?;
         Ok(())
     }
 
-    /// Simulates `kernel` on one core, checking `loaded_cores` against
-    /// the powered cores first; traced runs also record issue-slot
-    /// occupancy.
+    /// Simulates `kernel` on one core clocked at `clock`, checking
+    /// `loaded_cores` against the powered cores first; traced runs also
+    /// record lane `lane`'s issue-slot occupancy.
     fn simulate(
         &mut self,
         kernel: &Kernel,
         loaded_cores: usize,
+        clock: f64,
+        lane: usize,
     ) -> Result<emvolt_cpu::SimOutput, DomainError> {
         let active = self.domain.active_cores;
         if loaded_cores > active {
@@ -651,18 +785,21 @@ impl DomainRunner {
                 active,
             });
         }
+        if self.cpu.frequency().to_bits() != clock.to_bits() {
+            self.cpu = Cpu::new(self.domain.core_model.clone(), clock);
+        }
         Ok(if self.telemetry.wave_enabled() {
             self.cpu
-                .simulate_traced(kernel, &self.config.sim, &mut self.occupancy)?
+                .simulate_traced(kernel, &self.config.sim, &mut self.occupancy[lane])?
         } else {
             self.cpu.simulate(kernel, &self.config.sim)?
         })
     }
 
-    /// Emits the digital-side waveforms of the last traced core sim —
-    /// per-cycle core current and issue-slot occupancy — decimated by the
-    /// sink's stride. Only called when the wave sink is live.
-    fn emit_cpu_waves(&self, sim: &emvolt_cpu::SimOutput) {
+    /// Emits the digital-side waveforms of a traced core sim — per-cycle
+    /// core current and issue-slot occupancy — decimated by the sink's
+    /// stride. Only called when the wave sink is live.
+    fn emit_cpu_waves(&self, sim: &emvolt_cpu::SimOutput, occupancy: &[u32]) {
         let tel = &self.telemetry;
         let stride = tel.wave_stride();
         let i_id = tel.wave_register("cpu.i_core", emvolt_obs::WaveKind::Real);
@@ -672,7 +809,7 @@ impl DomainRunner {
         let s_id = tel.wave_register("cpu.issue_slots", emvolt_obs::WaveKind::Int);
         let dt = sim.current.dt();
         let t0 = sim.current.start_time();
-        for (k, &slots) in self.occupancy.iter().step_by(stride).enumerate() {
+        for (k, &slots) in occupancy.iter().step_by(stride).enumerate() {
             tel.wave_int(s_id, t0 + (k * stride) as f64 * dt, u64::from(slots));
         }
     }
@@ -692,7 +829,7 @@ impl DomainRunner {
             });
         }
         let idle_extra = (active - loaded_cores) as f64 * self.domain.core_model.idle_current;
-        let total: Vec<f64> = sim
+        let total: Arc<[f64]> = sim
             .current
             .samples()
             .iter()
@@ -700,7 +837,7 @@ impl DomainRunner {
             .collect();
         Ok(Stimulus::Samples {
             dt: sim.current.dt(),
-            values: Arc::from(total),
+            values: total,
             repeat: true,
         })
     }
@@ -712,7 +849,8 @@ impl DomainRunner {
     /// Propagates PDN analysis failures.
     pub fn run_idle(&mut self) -> Result<DomainRun, DomainError> {
         let mut out = DomainRun::empty();
-        self.run_batch_into(&[Load::Idle], std::slice::from_mut(&mut out))?;
+        let clock = self.domain.freq_hz;
+        self.run_batch_into(&[Load::Idle], &[clock], std::slice::from_mut(&mut out))?;
         Ok(out)
     }
 
@@ -940,7 +1078,8 @@ mod tests {
         loads.insert(1, Load::Idle);
 
         let mut outs = vec![DomainRun::empty(); loads.len()];
-        runner.run_batch_into(&loads, &mut outs).unwrap();
+        let clocks = vec![d.frequency(); loads.len()];
+        runner.run_batch_into(&loads, &clocks, &mut outs).unwrap();
 
         for (load, batched) in loads.iter().zip(&outs) {
             let serial = match *load {
@@ -958,6 +1097,139 @@ mod tests {
         }
     }
 
+    /// A lane group whose lanes run at different DVFS clocks is
+    /// bit-identical, lane by lane, to one-lane runs at those clocks —
+    /// and one kernel at two clocks is two core sims, not one.
+    #[test]
+    fn mixed_clock_lanes_match_one_lane_runs_at_their_clocks() {
+        let d = domain();
+        let k = sweep_kernel(Isa::ArmV8);
+        let other = emvolt_isa::kernels::padded_sweep_kernel(Isa::ArmV8, 9);
+        let loads = [
+            Load::Kernel {
+                kernel: &k,
+                loaded_cores: 1,
+            },
+            Load::Kernel {
+                kernel: &k,
+                loaded_cores: 1,
+            },
+            Load::Idle,
+            Load::Kernel {
+                kernel: &other,
+                loaded_cores: 2,
+            },
+            Load::Kernel {
+                kernel: &k,
+                loaded_cores: 1,
+            },
+        ];
+        let clocks = [1.2e9, 0.6e9, 0.9e9, 0.75e9, 1.2e9];
+        let mut runner = DomainRunner::new(&d, RunConfig::fast()).unwrap();
+        let mut outs = vec![DomainRun::empty(); loads.len()];
+        runner.run_batch_into(&loads, &clocks, &mut outs).unwrap();
+
+        for ((load, &clock), batched) in loads.iter().zip(&clocks).zip(&outs) {
+            let mut at = d.clone();
+            at.try_set_frequency(clock).unwrap();
+            let alone = match *load {
+                Load::Kernel {
+                    kernel,
+                    loaded_cores,
+                } => at.run(kernel, loaded_cores, &RunConfig::fast()).unwrap(),
+                Load::Idle => at.run_idle(&RunConfig::fast()).unwrap(),
+            };
+            let bits = |t: &Trace| t.samples().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&alone.v_die), bits(&batched.v_die), "v_die at {clock}");
+            assert_eq!(bits(&alone.i_die), bits(&batched.i_die), "i_die at {clock}");
+            assert_eq!(alone.ipc.to_bits(), batched.ipc.to_bits());
+            assert_eq!(
+                alone.loop_frequency.to_bits(),
+                batched.loop_frequency.to_bits()
+            );
+        }
+        // The same kernel at half the clock loops at half the frequency:
+        // the (kernel, clock) dedupe key kept the two sims apart.
+        let ratio = outs[0].loop_frequency / outs[1].loop_frequency;
+        assert!((ratio - 2.0).abs() < 0.1, "ratio {ratio}");
+        assert_eq!(
+            outs[0].loop_frequency.to_bits(),
+            outs[4].loop_frequency.to_bits()
+        );
+    }
+
+    /// A held lane group reported lane by lane charges and emits exactly
+    /// what the sequence of one-lane runs does: the same JSONL events,
+    /// waveform database and counters.
+    #[test]
+    fn held_batch_reports_like_one_lane_runs() {
+        use emvolt_obs::{CounterId, JsonlRecorder, Telemetry, WaveDb};
+        use std::sync::Mutex;
+
+        #[derive(Clone, Default)]
+        struct Buf(Arc<Mutex<Vec<u8>>>);
+        impl std::io::Write for Buf {
+            fn write(&mut self, b: &[u8]) -> std::io::Result<usize> {
+                self.0.lock().unwrap().extend_from_slice(b);
+                Ok(b.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let traced = || {
+            let buf = Buf::default();
+            let db = Arc::new(WaveDb::new());
+            let tel = Telemetry::with_waves(Arc::new(JsonlRecorder::new(buf.clone())), db.clone());
+            (tel, buf, db)
+        };
+
+        let d = domain();
+        let k = sweep_kernel(Isa::ArmV8);
+        let loads = [
+            Load::Kernel {
+                kernel: &k,
+                loaded_cores: 1,
+            },
+            Load::Idle,
+            Load::Kernel {
+                kernel: &k,
+                loaded_cores: 2,
+            },
+        ];
+        let clocks = [1.2e9, 1.2e9, 0.6e9];
+
+        let (tel_one, buf_one, db_one) = traced();
+        let mut one = DomainRunner::new_with(&d, RunConfig::fast(), tel_one.clone()).unwrap();
+        let (tel_held, buf_held, db_held) = traced();
+        let mut held = DomainRunner::new_with(&d, RunConfig::fast(), tel_held.clone()).unwrap();
+
+        held.run_batch_held(&loads, &clocks).unwrap();
+        assert!(
+            buf_held.0.lock().unwrap().is_empty(),
+            "a held batch emits nothing"
+        );
+        let (mut alone, mut reported) = (DomainRun::empty(), DomainRun::empty());
+        for (i, (load, clock)) in loads.iter().zip(clocks).enumerate() {
+            let t = i as f64 * 3.0;
+            tel_one.set_sim_time(t);
+            tel_held.set_sim_time(t);
+            one.run_batch_into(&[*load], &[clock], std::slice::from_mut(&mut alone))
+                .unwrap();
+            held.report_lane(i, &mut reported);
+            assert_eq!(alone.v_die.samples(), reported.v_die.samples());
+            assert_eq!(
+                alone.loop_frequency.to_bits(),
+                reported.loop_frequency.to_bits()
+            );
+        }
+        assert_eq!(*buf_one.0.lock().unwrap(), *buf_held.0.lock().unwrap());
+        assert_eq!(db_one.to_vcd_string(), db_held.to_vcd_string());
+        for id in [CounterId::TransientRuns, CounterId::SolverSteps] {
+            assert_eq!(tel_one.counter(id), tel_held.counter(id), "{id:?}");
+        }
+    }
+
     #[test]
     fn batched_runs_validate_inputs() {
         let d = domain();
@@ -968,18 +1240,28 @@ mod tests {
             kernel: &k,
             loaded_cores,
         };
-        // More entries than outputs.
+        let clocks = [1.2e9; 2];
+        // More entries than outputs, or than clocks.
         assert!(matches!(
-            runner.run_batch_into(&[load(1), load(2)], &mut outs),
+            runner.run_batch_into(&[load(1), load(2)], &clocks, &mut outs),
+            Err(DomainError::Backend(_))
+        ));
+        let mut outs = vec![DomainRun::empty(); 2];
+        assert!(matches!(
+            runner.run_batch_into(&[load(1), load(2)], &clocks[..1], &mut outs),
             Err(DomainError::Backend(_))
         ));
         // An empty batch has no lanes to step.
-        assert!(runner.run_batch_into(&[], &mut outs).is_err());
+        assert!(runner.run_batch_into(&[], &clocks, &mut outs).is_err());
         // One lane loading more cores than are powered fails the batch.
-        let mut outs = vec![DomainRun::empty(); 2];
         assert!(matches!(
-            runner.run_batch_into(&[load(1), load(3)], &mut outs),
+            runner.run_batch_into(&[load(1), load(3)], &clocks, &mut outs),
             Err(DomainError::TooManyLoadedCores { .. })
+        ));
+        // So does one lane clocked above the domain's maximum.
+        assert!(matches!(
+            runner.run_batch_into(&[load(1), load(2)], &[1.2e9, 1.3e9], &mut outs),
+            Err(DomainError::InvalidFrequency { .. })
         ));
     }
 

@@ -5,14 +5,18 @@
 //! resume than at interrupt.
 
 use emvolt::backend::LiveBackend;
-use emvolt::core::{generate_em_virus_resumable, VirusGenConfig};
+use emvolt::core::{
+    fast_resonance_sweep_resumable, generate_em_virus_resumable, FastSweepConfig, FastSweepResult,
+    VirusGenConfig,
+};
 use emvolt::engine::DriveOptions;
 use emvolt::ga::GaConfig;
 use emvolt::isa::kernels::resonant_stress_kernel;
-use emvolt::obs::Telemetry;
+use emvolt::obs::{JsonlRecorder, Telemetry};
 use emvolt::prelude::*;
 use emvolt::vmin::{vmin_test_resumable, FailureModel, VminConfig};
 use std::path::PathBuf;
+use std::sync::{Arc, Mutex};
 
 fn a72() -> VoltageDomain {
     VoltageDomain::new("A72", CoreModel::cortex_a72(), a72_pdn(), 1.2e9)
@@ -82,6 +86,84 @@ fn virus_resume_is_identical_at_any_thread_count() {
         assert_same_virus(&baseline, &resumed);
         std::fs::remove_file(&path).ok();
     }
+}
+
+/// In-memory JSONL sink, so event streams compare byte for byte.
+#[derive(Clone, Default)]
+struct SharedBuf(Arc<Mutex<Vec<u8>>>);
+
+impl std::io::Write for SharedBuf {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.0.lock().unwrap().extend_from_slice(buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// Runs the first 20 points of the A72 sweep under `opts`, returning the
+/// result (if it completed) and the JSONL events it emitted.
+fn run_sweep(opts: &DriveOptions) -> (Option<FastSweepResult>, Vec<u8>) {
+    let buf = SharedBuf::default();
+    let domain = a72();
+    let mut cfg = FastSweepConfig {
+        telemetry: Telemetry::new(Arc::new(JsonlRecorder::new(buf.clone()))),
+        ..FastSweepConfig::for_domain(&domain)
+    };
+    cfg.cpu_freqs_hz.truncate(20);
+    let mut backend = LiveBackend::single(domain, EmBench::new(5), cfg.run.clone());
+    let result = fast_resonance_sweep_resumable(&mut backend, "A72", &cfg, opts).unwrap();
+    cfg.telemetry.flush();
+    let events = buf.0.lock().unwrap().clone();
+    (result, events)
+}
+
+/// The sweep hands its points to the backend a lane width at a time, but
+/// counts each point as one step: interrupted at a point that is not a
+/// multiple of the width and resumed at another width, it reproduces the
+/// uninterrupted points, and the two legs' events concatenate to the
+/// uninterrupted event stream.
+#[test]
+fn sweep_resume_mid_chunk_is_identical() {
+    let (baseline, events) = run_sweep(&DriveOptions::pool(1, 1));
+    let baseline = baseline.expect("uninterrupted sweep completes");
+    let path = scratch("sweep");
+    let (interrupted, mut legs) = run_sweep(&DriveOptions {
+        lanes: 3,
+        checkpoint: Some(path.clone()),
+        checkpoint_every: 1,
+        max_batches: Some(13),
+        ..DriveOptions::default()
+    });
+    assert!(interrupted.is_none(), "13 of 20 points should interrupt");
+    let (resumed, rest) = run_sweep(&DriveOptions {
+        lanes: 8,
+        resume: Some(path.clone()),
+        ..DriveOptions::default()
+    });
+    std::fs::remove_file(&path).ok();
+    let resumed = resumed.expect("resumed sweep completes");
+    let bits = |r: &FastSweepResult| -> Vec<[u64; 3]> {
+        r.points
+            .iter()
+            .map(|p| {
+                [
+                    p.cpu_freq_hz.to_bits(),
+                    p.loop_freq_hz.to_bits(),
+                    p.amplitude_dbm.to_bits(),
+                ]
+            })
+            .collect()
+    };
+    assert_eq!(bits(&baseline), bits(&resumed));
+    assert_eq!(
+        baseline.campaign.seconds().to_bits(),
+        resumed.campaign.seconds().to_bits()
+    );
+    legs.extend_from_slice(&rest);
+    assert_eq!(String::from_utf8(events), String::from_utf8(legs));
 }
 
 #[test]
