@@ -6,7 +6,9 @@
 //! (a) forwarded to the caller's handle — quiet worker handles drop the
 //! events, full handles emit them, exactly as the live path would — and
 //! (b) stored in the trace entry, so replay can forward the identical
-//! emissions later.
+//! emissions later. Waveform samples skip the capture: the handle writes
+//! them straight to the caller's wave sink, so a recorded run's VCD is
+//! the live run's. The trace stores no waves, so a replay writes none.
 //!
 //! Parallel `measure` calls append entries in completion order, so two
 //! recordings of one campaign at different thread counts may order lines
@@ -62,10 +64,11 @@ struct Capture {
 }
 
 impl Capture {
-    /// A fresh capture handle stamping events at `tel`'s sim time.
+    /// A fresh capture handle stamping events at `tel`'s sim time and
+    /// writing waveforms to `tel`'s wave sink, as the live call would.
     fn new(tel: &Telemetry) -> Self {
         let recorder = Arc::new(CaptureRecorder::default());
-        let cap = Telemetry::new(recorder.clone());
+        let cap = tel.sharing_waves(recorder.clone());
         cap.set_sim_time(tel.sim_time());
         Capture {
             recorder,

@@ -1,6 +1,6 @@
-//! Times the emvolt evaluation chain and a reduced GA campaign, and
-//! gates every record against the baseline pinned in the last line of
-//! `BENCH_history.jsonl` at the repository root.
+//! Times the emvolt evaluation chain, the core sim alone and a reduced GA
+//! campaign, and gates every record against the baseline pinned in the last
+//! line of `BENCH_history.jsonl` at the repository root.
 //!
 //! ```text
 //! bench_gate                      # time every record and check it
@@ -40,12 +40,12 @@
 
 use emvolt_backend::LiveBackend;
 use emvolt_core::{generate_em_virus_resumable, VirusGenConfig};
-use emvolt_cpu::CoreModel;
+use emvolt_cpu::{CoreModel, Cpu};
 use emvolt_dsp::{Spectrum, SpectrumScratch, Window};
 use emvolt_engine::DriveOptions;
 use emvolt_ga::GaConfig;
 use emvolt_inst::SpectrumAnalyzer;
-use emvolt_isa::{InstructionPool, Isa, Kernel};
+use emvolt_isa::{kernels::sweep_kernel, InstructionPool, Isa, Kernel};
 use emvolt_obs::{JsonlRecorder, NoopRecorder, Telemetry, WaveDb};
 use emvolt_platform::{
     a72_pdn, DomainRun, DomainRunner, EmBench, KernelChoice, Load, MeasureScratch, RunConfig,
@@ -458,6 +458,32 @@ fn eval_floors() -> Floors {
     time_group(&mut group, 50, 120)
 }
 
+/// The cycle-level core sim alone, the top layer of a GA evaluation: a
+/// random GA kernel, and the sweep kernel whose eight adds wait on two
+/// ALUs, the case where most ready ops are blocked on a busy unit. Its
+/// speed moves with code layout as well as with source changes, so
+/// these floors catch a codegen shift the full chain would blur.
+fn cpu_floors() -> Floors {
+    let cpu = Cpu::new(CoreModel::cortex_a72(), 1.2e9);
+    let cfg = RunConfig::fast().sim;
+    let ga = arm_kernel();
+    let sweep = sweep_kernel(Isa::ArmV8);
+    let (cpu, cfg) = (&cpu, &cfg);
+    let sim = |kernel: Kernel| -> Box<dyn FnMut() + '_> {
+        Box::new(move || {
+            let out = cpu
+                .simulate(&kernel, cfg)
+                .expect("the benchmark kernel simulates");
+            std::hint::black_box(out.ipc);
+        })
+    };
+    let mut group: Vec<Job<'_>> = vec![
+        ("cpu_simulate_ga", sim(ga)),
+        ("cpu_simulate_sweep", sim(sweep)),
+    ];
+    time_group(&mut group, 50, 300)
+}
+
 /// The lane-major response-column fold, the innermost per-step loop of
 /// a batched transient, at the dispatched level and at the scalar tier.
 /// The two differ only in instruction selection, so their ratio
@@ -580,6 +606,7 @@ fn main() -> ExitCode {
     };
 
     let mut eval_min_ms = eval_floors();
+    eval_min_ms.extend(cpu_floors());
     eval_min_ms.extend(simd_floors());
     let fresh = Snapshot {
         stamp: rebaseline.clone().unwrap_or_default(),

@@ -96,6 +96,19 @@ impl Telemetry {
         Telemetry::build_full(recorder, None, waves)
     }
 
+    /// A fresh handle sinking events to `recorder`, with its own
+    /// counters, histograms and simulated clock, that routes waveform
+    /// samples to this handle's wave sink. It emits exactly the waves this
+    /// handle would: none when this handle is quiet.
+    pub fn sharing_waves(&self, recorder: Arc<dyn Recorder>) -> Self {
+        let waves = if self.silent {
+            Arc::new(NoopWaveSink)
+        } else {
+            Arc::clone(&self.inner.waves)
+        };
+        Telemetry::build_full(recorder, None, waves)
+    }
+
     fn build(recorder: Arc<dyn Recorder>, wall: Option<WallClockFn>) -> Self {
         Telemetry::build_full(recorder, wall, Arc::new(NoopWaveSink))
     }
@@ -503,6 +516,23 @@ mod tests {
         quiet.wave_append(id, 3.0);
         assert_eq!(db.signal_count(), 1);
         assert_eq!(db.samples_written(), 1);
+    }
+
+    #[test]
+    fn sharing_waves_keeps_the_sink_but_not_the_counts() {
+        use crate::wavetrace::WaveDb;
+        let db = Arc::new(WaveDb::new());
+        let tel = Telemetry::with_waves(Arc::new(crate::NoopRecorder), db.clone());
+        let cap = tel.sharing_waves(Arc::new(crate::NoopRecorder));
+        cap.count(CounterId::ALL[0], 2);
+        assert_eq!(tel.counter(CounterId::ALL[0]), 0);
+        let id = cap.wave_register("cpu.i_core", WaveKind::Real);
+        cap.wave_epoch();
+        cap.wave_real(id, 0.0, 1.0);
+        assert_eq!((db.signal_count(), db.samples_written()), (1, 1));
+        // A quiet handle's capture emits no waves, as the handle would not.
+        let quiet = tel.quiet().sharing_waves(Arc::new(crate::NoopRecorder));
+        assert!(!quiet.wave_enabled());
     }
 
     #[test]

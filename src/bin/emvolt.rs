@@ -100,7 +100,9 @@ OPTIONS:
                                  default simulated chain), `record:PATH` (live,
                                  persisting every measurement to a JSONL trace)
                                  or `replay:PATH` (serve a recorded trace; the
-                                 circuit solver never runs)
+                                 circuit solver never runs). Traces hold no
+                                 waveforms, so `--trace-vcd` under replay
+                                 writes only the VCD header
 
 ENVIRONMENT:
     EMVOLT_SIMD=auto|scalar|sse2|avx2|neon

@@ -138,3 +138,36 @@ fn sweep_output_does_not_depend_on_lanes_or_interruption() {
     std::fs::remove_dir_all(&dir).ok();
     assert_eq!(one, resumed);
 }
+
+/// A `record:` run writes the live run's waveform trace: the capture
+/// handle behind each recorded call shares the caller's wave sink.
+#[test]
+fn recorded_sweep_writes_the_live_vcd() {
+    let dir = std::env::temp_dir().join(format!("emvolt_cli_record_vcd_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let sweep = |args: &[&str]| {
+        let out = Command::new(env!("CARGO_BIN_EXE_emvolt"))
+            .args(["sweep", "--platform", "a53"])
+            .args(args)
+            .current_dir(&dir)
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "{args:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        out.stdout
+    };
+    let live = sweep(&["--trace-vcd", "live.vcd"]);
+    let recorded = sweep(&["--backend", "record:trace.jsonl", "--trace-vcd", "rec.vcd"]);
+    let live_vcd = std::fs::read(dir.join("live.vcd")).unwrap();
+    let recorded_vcd = std::fs::read(dir.join("rec.vcd")).unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(live, recorded);
+    assert!(live_vcd.len() > 1000, "the live sweep traces its waveforms");
+    assert!(
+        live_vcd == recorded_vcd,
+        "the recorded VCD differs from the live one"
+    );
+}
