@@ -67,14 +67,12 @@ impl KernelChoice {
 
 /// The precomputed response columns: node voltages per unit input, flat
 /// row-major `[n_inputs x n_nodes]`. Input order is capacitors,
-/// inductors, current sources, voltage sources — the same order
-/// `StateKernel::fold` consumers fill the input vector in, fixed so
-/// the floating-point summation order (and therefore the result) is
-/// deterministic.
+/// inductors, current sources, voltage sources — the order the
+/// transient's step kernel folds its gathered histories and staged
+/// sources in, fixed so the floating-point summation order (and
+/// therefore the result) is deterministic.
 #[derive(Debug, Clone)]
 pub struct StateKernel {
-    n_nodes: usize,
-    n_inputs: usize,
     cols: Vec<f64>,
 }
 
@@ -127,104 +125,19 @@ impl StateKernel {
             e[n_nodes + k] = 1.0;
             push_col(&mut e, &mut x);
         }
-        StateKernel {
-            n_nodes,
-            n_inputs,
-            cols,
-        }
+        StateKernel { cols }
     }
 
-    /// Number of scalar inputs the kernel folds per step.
-    pub fn n_inputs(&self) -> usize {
-        self.n_inputs
-    }
-
-    /// Accumulates `xn = Σ_j inputs[j] · cols[j]` over the contiguous
-    /// response rows. `xn` must hold exactly `n_nodes` elements and
-    /// `inputs` exactly `n_inputs`.
-    ///
-    /// Runs on the runtime-dispatched SIMD level; every level performs
-    /// the identical fused (`mul_add`) per-element sequence, so results
-    /// are bit-identical across levels (see `emvolt-simd`).
-    #[inline]
-    pub(crate) fn fold(&self, inputs: &[f64], xn: &mut [f64]) {
-        debug_assert_eq!(inputs.len(), self.n_inputs);
-        debug_assert_eq!(xn.len(), self.n_nodes);
-        emvolt_simd::level().fold_cols(&self.cols, self.n_nodes, inputs, xn);
-    }
-
-    /// Lane-major batched fold: `lanes` independent input vectors folded
-    /// through the response columns in one pass.
-    ///
-    /// `inputs` is input-major `[n_inputs x lanes]` (`inputs[j*lanes + l]`
-    /// is lane `l`'s weight for column `j`) and `xn` node-major
-    /// `[n_nodes x lanes]` (`xn[i*lanes + l]` is lane `l`'s voltage at
-    /// node `i`). Each response column entry `c_ji` is broadcast once per
-    /// block of lane vectors and FMAed into register-resident
-    /// accumulators — the memory traffic of one serial fold amortized
-    /// over all lanes. Per lane the operation
-    /// sequence (zero, then `x_i = w_j.mul_add(c_ji, x_i)` in `j` order)
-    /// is exactly [`StateKernel::fold`]'s, so each lane's result is
-    /// bit-identical to a serial fold of that lane alone — at every
-    /// dispatched SIMD level.
-    #[inline]
-    pub(crate) fn fold_lanes(&self, inputs: &[f64], lanes: usize, xn: &mut [f64]) {
-        debug_assert!(lanes > 0);
-        debug_assert_eq!(inputs.len(), self.n_inputs * lanes);
-        debug_assert_eq!(xn.len(), self.n_nodes * lanes);
-        emvolt_simd::level().fold_cols_lanes(&self.cols, self.n_nodes, inputs, lanes, xn);
+    /// The response columns, row-major `[n_inputs x n_nodes]`, as the
+    /// state-space step kernel folds them.
+    pub(crate) fn cols(&self) -> &[f64] {
+        &self.cols
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Deterministic pseudo-random doubles in (-1, 1) for layout tests.
-    fn lcg_doubles(seed: u64, n: usize) -> Vec<f64> {
-        let mut s = seed | 1;
-        (0..n)
-            .map(|_| {
-                s = s
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                ((s >> 11) as f64 / (1u64 << 53) as f64) * 2.0 - 1.0
-            })
-            .collect()
-    }
-
-    /// Every lane of `fold_lanes` must reproduce a serial `fold` of that
-    /// lane bit-for-bit, for lane counts on both sides of the 8/4 block
-    /// widths (exercising full blocks plus every remainder shape).
-    #[test]
-    fn fold_lanes_is_bit_identical_to_serial_folds() {
-        let n_nodes = 7;
-        let n_inputs = 5;
-        let kernel = StateKernel {
-            n_nodes,
-            n_inputs,
-            cols: lcg_doubles(0xC01, n_inputs * n_nodes),
-        };
-        for lanes in 1..=13usize {
-            let all_inputs = lcg_doubles(0xF00D + lanes as u64, n_inputs * lanes);
-            // Lane-major layout: inputs[j*lanes + l].
-            let mut batched = vec![0.0; n_nodes * lanes];
-            kernel.fold_lanes(&all_inputs, lanes, &mut batched);
-            for l in 0..lanes {
-                let lane_inputs: Vec<f64> =
-                    (0..n_inputs).map(|j| all_inputs[j * lanes + l]).collect();
-                let mut serial = vec![0.0; n_nodes];
-                kernel.fold(&lane_inputs, &mut serial);
-                for i in 0..n_nodes {
-                    assert_eq!(
-                        serial[i].to_bits(),
-                        batched[i * lanes + l].to_bits(),
-                        "lane {l} of {lanes} diverged at node {i}"
-                    );
-                }
-            }
-        }
-    }
 
     #[test]
     fn auto_respects_the_dimension_limit() {

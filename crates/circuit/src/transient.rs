@@ -15,6 +15,7 @@ use crate::netlist::{Circuit, ISourceId, InductorId, NodeId};
 use crate::stimulus::{held_sample, sample_index, Stimulus};
 use crate::trace::Trace;
 use emvolt_obs::{CounterId, Layer, Telemetry, WaveKind};
+use emvolt_simd::{StepOperands, StepRows};
 
 /// Configuration for a transient run.
 #[derive(Debug, Clone, PartialEq)]
@@ -187,6 +188,18 @@ impl TransientResult {
             buf.push(ind_i[idx * stride + lane]);
         }
         self.len += 1;
+    }
+
+    /// Appends `n_steps` steps of probe rows, `[n_steps x n_probes x
+    /// stride]` with the node probes first (the state kernel's probe
+    /// block), read at lane `lane`.
+    fn record_rows(&mut self, rows: &[f64], n_steps: usize, stride: usize, lane: usize) {
+        let step_len = (self.node_bufs.len() + self.ind_bufs.len()) * stride;
+        let bufs = self.node_bufs.iter_mut().chain(self.ind_bufs.iter_mut());
+        for (p, buf) in bufs.enumerate() {
+            buf.extend((0..n_steps).map(|s| rows[s * step_len + p * stride + lane]));
+        }
+        self.len += n_steps;
     }
 }
 
@@ -734,7 +747,7 @@ impl Circuit {
             ..
         } = scratch;
         let LaneRows {
-            inputs,
+            hist,
             state: v,
             cap_v,
             cap_i,
@@ -742,18 +755,25 @@ impl Circuit {
             ind_i,
             cap_rows,
             ind_rows,
+            probe_nodes,
+            probe_inds,
+            ..
         } = rows;
         resize_zeroed(v, self.node_count());
         v[1..=n_nodes].copy_from_slice(&dc_x[..n_nodes]);
         ind_i.clear();
         ind_i.extend_from_slice(&dc_x[n_nodes + n_vs..]);
 
-        // Node-row tables for the dispatched companion-update kernels
+        // Node-row and probe-row tables for the state-space step kernel
         // (node counts fit `u32` by construction).
         cap_rows.clear();
         cap_rows.extend(self.capacitors.iter().map(|c| [c.a as u32, c.b as u32]));
         ind_rows.clear();
         ind_rows.extend(self.inductors.iter().map(|l| [l.a as u32, l.b as u32]));
+        probe_nodes.clear();
+        probe_nodes.extend(out.node_slots.iter().map(|&n| n as u32));
+        probe_inds.clear();
+        probe_inds.extend(out.ind_slots.iter().map(|&l| l as u32));
 
         // Capacitor state: (voltage across, current through).
         cap_v.clear();
@@ -762,7 +782,7 @@ impl Circuit {
         resize_zeroed(ind_v, self.inductors.len());
         resize_zeroed(b, dim);
         resize_zeroed(x, dim);
-        resize_zeroed(inputs, plan.state.as_ref().map_or(0, |k| k.n_inputs()));
+        resize_zeroed(hist, self.capacitors.len() + self.inductors.len());
 
         let n_steps = (config.duration / h).round() as usize;
         let record_start_idx = (config.record_from / h).ceil() as usize;
@@ -903,17 +923,16 @@ impl Circuit {
     /// vectorisation axis follows the group width:
     ///
     /// * **One lane** steps in place in its own [`TransientScratch`]: its
-    ///   `v`, element-state and `inputs` vectors already are the 1-lane
-    ///   SoA rows, so there is no packing and no padding, and the fold
-    ///   runs node-vectorised ([`StateKernel::fold`]).
+    ///   `v`, element-state and history vectors already are the 1-lane SoA
+    ///   rows, so there is no packing and no padding, and the kernel folds
+    ///   node-vectorised.
     /// * **Two or more lanes** are packed into the lane-contiguous rows of
-    ///   `soa`, padded to a whole number of vectors, and the fold runs
-    ///   lane-vectorised ([`StateKernel::fold_lanes`]). Each padding lane
-    ///   replays lane 0 — its state and its load — and is never unpacked
-    ///   or recorded; lanes are independent, so padding cannot change a
-    ///   real lane's bits.
+    ///   `soa`, padded to a whole number of vectors, and the kernel folds
+    ///   lane-vectorised. Each padding lane replays lane 0 — its state and
+    ///   its load — and is never unpacked or recorded; lanes are
+    ///   independent, so padding cannot change a real lane's bits.
     ///
-    /// Per lane both kernels compute the same operation sequence, so a
+    /// Per lane both folds compute the same operation sequence, so a
     /// lane's bits do not depend on the width of the group it ran in.
     fn group_steps(
         &self,
@@ -924,11 +943,11 @@ impl Circuit {
         lanes: &mut [TransientScratch],
         soa: &mut LaneRows,
     ) {
-        let loads = swept.map(|(source, loads)| (source, GroupLoads::new(loads)));
+        let mut loads = swept.map(|(source, loads)| SweptLoads::new(source, loads));
         if let [lane] = lanes {
             let TransientScratch { rows, out, .. } = lane;
-            self.step_rows(plan, kernel, sched, loads.as_ref(), 1, rows, |v, ind_i| {
-                out.record(v, ind_i, 1, 0);
+            self.step_rows(plan, kernel, sched, loads.as_mut(), rows, |probes, n| {
+                out.record_rows(probes, n, 1, 0);
             });
             return;
         }
@@ -937,45 +956,37 @@ impl Circuit {
         debug_assert!(width <= MAX_GROUP_LANES);
         let stride = width.next_multiple_of(emvolt_simd::level().vector_f64s());
         soa.pack(lanes, stride);
-        self.step_rows(
-            plan,
-            kernel,
-            sched,
-            loads.as_ref(),
-            width,
-            soa,
-            |state, ind_i| {
-                for (l, lane) in lanes.iter_mut().enumerate() {
-                    lane.out.record(state, ind_i, stride, l);
-                }
-            },
-        );
+        self.step_rows(plan, kernel, sched, loads.as_mut(), soa, |probes, n| {
+            for (l, lane) in lanes.iter_mut().enumerate() {
+                lane.out.record_rows(probes, n, stride, l);
+            }
+        });
         soa.unpack(lanes, stride);
     }
 
-    /// The state-space step loop over one group's rows, `width` real
-    /// lanes padded to the rows' stride. Each step gathers the kernel
-    /// inputs in its fixed order (capacitor histories, inductor
-    /// histories, current sources, voltage sources), folds them through
-    /// the precomputed response columns, runs the trapezoidal companion
-    /// updates, and hands the solved node and inductor-current rows to
-    /// `record`. Every stage runs on the dispatched SIMD level and is
-    /// bit-identical across levels.
-    #[allow(clippy::too_many_arguments)]
+    /// The state-space step loop over one group's rows, in blocks of
+    /// [`STEP_BLOCK`] steps. For each block it samples every source at
+    /// each step's time `step * dt` into the staged `[steps x sources x
+    /// stride]` rows (the kernel's inputs are the capacitor and inductor
+    /// histories, then current sources, then voltage sources), makes one
+    /// dispatched [`emvolt_simd::SimdLevel::state_steps`] call, and hands
+    /// `record` the probe rows of the block's steps inside the recording
+    /// window with their count. With `swept`, each lane drives the swept
+    /// current source with its own load; every other source is
+    /// lane-invariant, sampled once per step and broadcast.
     fn step_rows(
         &self,
         plan: &TransientPlan,
         kernel: &StateKernel,
         sched: &StepSchedule,
-        loads: Option<&(usize, GroupLoads<'_>)>,
-        width: usize,
+        mut swept: Option<&mut SweptLoads<'_>>,
         rows: &mut LaneRows,
-        mut record: impl FnMut(&[f64], &[f64]),
+        mut record: impl FnMut(&[f64], usize),
     ) {
         // `state` holds one row of `stride` lanes per node, ground included.
         let stride = rows.state.len() / (plan.n_nodes + 1);
         let LaneRows {
-            inputs,
+            hist,
             state,
             cap_v,
             cap_i,
@@ -983,108 +994,220 @@ impl Circuit {
             ind_i,
             cap_rows,
             ind_rows,
+            probe_nodes,
+            probe_inds,
+            sources,
+            probes,
         } = rows;
+        let src_len = (self.isources.len() + self.vsources.len()) * stride;
+        let probe_len = (probe_nodes.len() + probe_inds.len()) * stride;
+        resize_zeroed(sources, STEP_BLOCK * src_len);
+        resize_zeroed(probes, STEP_BLOCK * probe_len);
+        let ops = StepOperands {
+            cols: kernel.cols(),
+            n_nodes: plan.n_nodes,
+            cap_g: &plan.cap_g,
+            ind_g: &plan.ind_g,
+            cap_rows,
+            ind_rows,
+            probe_nodes,
+            probe_inds,
+        };
+        let swept_source = swept.as_ref().map(|loads| loads.source);
         let lv = emvolt_simd::level();
-        let (cap_g, ind_g) = (&plan.cap_g, &plan.ind_g);
-        let (nc, nl) = (cap_g.len(), ind_g.len());
-        for step in 1..=sched.n_steps {
-            let t_next = step as f64 * plan.dt;
-            lv.gather_hist(cap_g, cap_v, cap_i, stride, &mut inputs[..nc * stride]);
-            lv.gather_hist(
-                ind_g,
+        let mut done = 0;
+        while done < sched.n_steps {
+            let n = STEP_BLOCK.min(sched.n_steps - done);
+            let block = &mut sources[..n * src_len];
+            for s in 0..n {
+                let t_next = (done + s + 1) as f64 * plan.dt;
+                let step_src = &mut block[s * src_len..(s + 1) * src_len];
+                let mut src_rows = step_src.chunks_exact_mut(stride);
+                for (si, (is, out)) in self.isources.iter().zip(src_rows.by_ref()).enumerate() {
+                    if swept_source != Some(si) {
+                        out.fill(is.stimulus.value_at(t_next));
+                    }
+                }
+                for (vs, out) in self.vsources.iter().zip(src_rows) {
+                    out.fill(vs.stimulus.value_at(t_next));
+                }
+            }
+            if let Some(loads) = swept.as_deref_mut() {
+                loads.stage(done + 1, n, plan.dt, stride, block);
+            }
+            let mut step_state = StepRows {
+                stride,
+                state,
+                cap_v,
+                cap_i,
                 ind_v,
                 ind_i,
-                stride,
-                &mut inputs[nc * stride..(nc + nl) * stride],
+                hist,
+            };
+            lv.state_steps(
+                &ops,
+                &mut step_state,
+                n,
+                block,
+                &mut probes[..n * probe_len],
             );
-            let mut j = nc + nl;
-            for (si, is) in self.isources.iter().enumerate() {
-                let out = &mut inputs[j * stride..(j + 1) * stride];
-                match loads {
-                    Some((source, loads)) if *source == si => {
-                        loads.sample(t_next, &mut out[..width]);
-                        let lane0 = out[0];
-                        out[width..].fill(lane0);
-                    }
-                    // Lane-invariant source: sample once, broadcast.
-                    _ => out.fill(is.stimulus.value_at(t_next)),
-                }
-                j += 1;
-            }
-            for vs in &self.vsources {
-                inputs[j * stride..(j + 1) * stride].fill(vs.stimulus.value_at(t_next));
-                j += 1;
-            }
-            debug_assert_eq!(j * stride, inputs.len());
-
-            // Row 0 of the node state is ground (always zero).
-            if stride == 1 {
-                kernel.fold(inputs, &mut state[1..]);
-            } else {
-                kernel.fold_lanes(inputs, stride, &mut state[stride..]);
-            }
-            lv.cap_updates(cap_g, cap_rows, state, stride, cap_v, cap_i);
-            lv.ind_updates(ind_g, ind_rows, state, stride, ind_v, ind_i);
-
-            if step >= sched.record_start_idx {
-                record(state, ind_i);
-            }
+            // Steps `done + 1 ..= done + n` ran; those from
+            // `record_start_idx` on are recorded.
+            let first = sched.record_start_idx.saturating_sub(done + 1).min(n);
+            record(&probes[first * probe_len..n * probe_len], n - first);
+            done += n;
         }
     }
 }
+
+/// Steps per dispatched state-kernel call: the sources of this many
+/// steps are staged, and their probe rows returned, in one block.
+const STEP_BLOCK: usize = 64;
 
 /// Widest lane group the state-space driver steps together: two 4-wide
 /// vectors per SoA row, the same budget as `emvolt_simd::preferred_lanes`
 /// on AVX2.
 const MAX_GROUP_LANES: usize = 8;
 
-/// How one lane group samples its swept loads each step.
-enum GroupLoads<'a> {
-    /// Every load is a [`Stimulus::Samples`] trace with the same `dt`
-    /// bits, so one `floor(t / dt)` per step indexes every lane's trace.
-    /// Each lane reads exactly the value [`Stimulus::value_at`] would.
-    Shared {
+/// One lane's swept load, sampled a block of steps at a time.
+#[derive(Clone, Copy)]
+enum LaneLoad<'a> {
+    /// A [`Stimulus::Samples`] trace read through a cursor. The
+    /// zero-order-hold index `floor(t / dt)` never decreases as the steps
+    /// advance, so a repeating trace carries its wrapped index from step
+    /// to step and divides by the trace length only when it wraps. Each
+    /// step reads exactly the value [`Stimulus::value_at`] would.
+    Held {
         dt: f64,
-        traces: [(&'a [f64], bool); MAX_GROUP_LANES],
+        values: &'a [f64],
+        repeat: bool,
+        /// The last step's hold index and its wrap `idx % values.len()`.
+        idx: usize,
+        wrapped: usize,
     },
-    /// Any other mix: every lane evaluates its own stimulus.
-    Each(&'a [Stimulus]),
+    /// Any other stimulus, evaluated at every step.
+    Other(&'a Stimulus),
 }
 
-impl<'a> GroupLoads<'a> {
-    fn new(loads: &'a [Stimulus]) -> Self {
-        let Some(Stimulus::Samples { dt, .. }) = loads.first() else {
-            return GroupLoads::Each(loads);
-        };
-        let mut traces: [(&[f64], bool); MAX_GROUP_LANES] = [(&[], false); MAX_GROUP_LANES];
-        for (slot, load) in traces.iter_mut().zip(loads) {
-            match load {
-                Stimulus::Samples {
-                    dt: d,
-                    values,
-                    repeat,
-                } if d.to_bits() == dt.to_bits() => *slot = (values, *repeat),
-                _ => return GroupLoads::Each(loads),
-            }
+impl<'a> LaneLoad<'a> {
+    fn new(load: &'a Stimulus) -> Self {
+        match load {
+            Stimulus::Samples { dt, values, repeat } => LaneLoad::Held {
+                dt: *dt,
+                values,
+                repeat: *repeat,
+                idx: 0,
+                wrapped: 0,
+            },
+            other => LaneLoad::Other(other),
         }
-        GroupLoads::Shared { dt: *dt, traces }
     }
 
-    /// Writes every lane's load value at time `t` into `out`.
-    #[inline]
-    fn sample(&self, t: f64, out: &mut [f64]) {
+    /// The trace's sample spacing, for a held load.
+    fn held_dt(&self) -> Option<f64> {
         match self {
-            GroupLoads::Shared { dt, traces } => {
-                let idx = sample_index(*dt, t);
-                for (o, &(values, repeat)) in out.iter_mut().zip(traces) {
-                    *o = held_sample(values, repeat, idx);
+            LaneLoad::Held { dt, .. } => Some(*dt),
+            LaneLoad::Other(_) => None,
+        }
+    }
+
+    /// Writes the load at steps `first .. first + n` (time `step * h`) to
+    /// `out[s * step_len]`, `s` counting from 0. `shared_idx`, when
+    /// given, holds each step's hold index `floor(t / dt)` for this held
+    /// load's `dt`, computed once for a group whose lanes all share it.
+    fn sample(
+        &mut self,
+        first: usize,
+        n: usize,
+        h: f64,
+        shared_idx: Option<&[usize]>,
+        out: &mut [f64],
+        step_len: usize,
+    ) {
+        for (s, o) in out.iter_mut().step_by(step_len).take(n).enumerate() {
+            let t = (first + s) as f64 * h;
+            *o = match self {
+                LaneLoad::Other(load) => load.value_at(t),
+                LaneLoad::Held {
+                    dt,
+                    values,
+                    repeat,
+                    idx,
+                    wrapped,
+                } => {
+                    let next = shared_idx.map_or_else(|| sample_index(*dt, t), |ix| ix[s]);
+                    let len = values.len();
+                    if *repeat && len > 0 {
+                        *wrapped = match next.checked_sub(*idx) {
+                            Some(d) if d < len - *wrapped => *wrapped + d,
+                            _ => next % len,
+                        };
+                        *idx = next;
+                        values[*wrapped]
+                    } else {
+                        held_sample(values, *repeat, next)
+                    }
                 }
+            };
+        }
+    }
+}
+
+/// A lane group's swept loads, staged a block of steps at a time.
+struct SweptLoads<'a> {
+    /// Index of the current source (in `Circuit::isources`) the loads
+    /// drive.
+    source: usize,
+    /// One cursor per real lane, the first `width` entries.
+    lanes: [LaneLoad<'a>; MAX_GROUP_LANES],
+    width: usize,
+    /// The `dt` every lane's held trace has, when they all have one `dt`
+    /// (by bits): each step's hold index is then computed once for the
+    /// group.
+    shared_dt: Option<f64>,
+}
+
+impl<'a> SweptLoads<'a> {
+    fn new(source: usize, loads: &'a [Stimulus]) -> Self {
+        let mut lanes = [LaneLoad::Other(&Stimulus::Dc(0.0)); MAX_GROUP_LANES];
+        for (lane, load) in lanes.iter_mut().zip(loads) {
+            *lane = LaneLoad::new(load);
+        }
+        let width = loads.len();
+        let shared_dt = lanes[0].held_dt().filter(|dt| {
+            lanes[..width]
+                .iter()
+                .all(|l| l.held_dt().map(f64::to_bits) == Some(dt.to_bits()))
+        });
+        SweptLoads {
+            source,
+            lanes,
+            width,
+            shared_dt,
+        }
+    }
+
+    /// Writes every lane's load at steps `first .. first + n` (time
+    /// `step * h`) into the swept source's row of each step of `block`,
+    /// the staged `[n x sources x stride]` rows; padding lanes replay
+    /// lane 0.
+    fn stage(&mut self, first: usize, n: usize, h: f64, stride: usize, block: &mut [f64]) {
+        let step_len = block.len() / n;
+        let mut idx = [0usize; STEP_BLOCK];
+        let shared = self.shared_dt.map(|dt| {
+            for (s, ix) in idx[..n].iter_mut().enumerate() {
+                *ix = sample_index(dt, (first + s) as f64 * h);
             }
-            GroupLoads::Each(loads) => {
-                for (o, load) in out.iter_mut().zip(*loads) {
-                    *o = load.value_at(t);
-                }
-            }
+            &idx[..n]
+        });
+        let col = self.source * stride;
+        for (l, lane) in self.lanes[..self.width].iter_mut().enumerate() {
+            lane.sample(first, n, h, shared, &mut block[col + l..], step_len);
+        }
+        for row in block.chunks_exact_mut(step_len) {
+            let out = &mut row[col..col + stride];
+            let lane0 = out[0];
+            out[self.width..].fill(lane0);
         }
     }
 }
@@ -1106,17 +1229,24 @@ struct StepSchedule {
 /// so each lane's scratch ends exactly as a 1-lane run leaves it.
 #[derive(Debug, Clone, Default)]
 struct LaneRows {
-    inputs: Vec<f64>,
+    /// Working rows for the gathered companion histories.
+    hist: Vec<f64>,
     state: Vec<f64>,
     cap_v: Vec<f64>,
     cap_i: Vec<f64>,
     ind_v: Vec<f64>,
     ind_i: Vec<f64>,
-    /// `[node_a, node_b]` row pairs per capacitor / inductor, the gather
-    /// tables the dispatched companion-update kernels index node state
-    /// with.
+    /// `[node_a, node_b]` row pairs per capacitor / inductor, the tables
+    /// the step kernel's companion updates index node state with.
     cap_rows: Vec<[u32; 2]>,
     ind_rows: Vec<[u32; 2]>,
+    /// The node-state and inductor rows each step records.
+    probe_nodes: Vec<u32>,
+    probe_inds: Vec<u32>,
+    /// One block of staged source rows, `[STEP_BLOCK x sources x stride]`.
+    sources: Vec<f64>,
+    /// One block of recorded probe rows, `[STEP_BLOCK x probes x stride]`.
+    probes: Vec<f64>,
 }
 
 impl LaneRows {
@@ -1135,9 +1265,11 @@ impl LaneRows {
     /// lanes past `lanes.len()` replay lane 0.
     fn pack(&mut self, lanes: &[TransientScratch], stride: usize) {
         let lane0 = &lanes[0].rows;
-        resize_zeroed(&mut self.inputs, lane0.inputs.len() * stride);
+        resize_zeroed(&mut self.hist, lane0.hist.len() * stride);
         self.cap_rows.clone_from(&lane0.cap_rows);
         self.ind_rows.clone_from(&lane0.ind_rows);
+        self.probe_nodes.clone_from(&lane0.probe_nodes);
+        self.probe_inds.clone_from(&lane0.probe_inds);
         let lane0_rows = [
             &lane0.state,
             &lane0.cap_v,
@@ -1896,6 +2028,182 @@ mod tests {
                     .zip(lane.inductor_current_samples(l))
                 {
                     assert_eq!(a.to_bits(), b.to_bits(), "{kernel:?} lane {i} current");
+                }
+            }
+        }
+    }
+
+    /// The state-space sequence of one lane written out literally with
+    /// `mul_add`, from the lane's seeded scratch: each step gathers the
+    /// histories, evaluates every source at `step * dt` (the swept one
+    /// from `load`), folds in input order, updates the companions and,
+    /// inside the recording window, appends the probed rows.
+    fn literal_steps(
+        c: &Circuit,
+        plan: &TransientPlan,
+        sched: &StepSchedule,
+        (source, load): (usize, &Stimulus),
+        lane: &mut TransientScratch,
+    ) -> Vec<Vec<f64>> {
+        let cols = plan.state.as_ref().expect("state-space plan").cols();
+        let n = plan.n_nodes;
+        let LaneRows {
+            state,
+            cap_v,
+            cap_i,
+            ind_v,
+            ind_i,
+            ..
+        } = &mut lane.rows;
+        let out = &lane.out;
+        let mut rec: Vec<Vec<f64>> = out.node_bufs.iter().chain(&out.ind_bufs).cloned().collect();
+        for step in 1..=sched.n_steps {
+            let t = step as f64 * plan.dt;
+            let mut w: Vec<f64> = Vec::new();
+            for (k, &g) in plan.cap_g.iter().enumerate() {
+                w.push(g.mul_add(cap_v[k], cap_i[k]));
+            }
+            for (k, &g) in plan.ind_g.iter().enumerate() {
+                w.push(g.mul_add(ind_v[k], ind_i[k]));
+            }
+            for (si, is) in c.isources.iter().enumerate() {
+                let stim = if si == source { load } else { &is.stimulus };
+                w.push(stim.value_at(t));
+            }
+            w.extend(c.vsources.iter().map(|vs| vs.stimulus.value_at(t)));
+            for i in 0..n {
+                let mut x = 0.0;
+                for (j, &wj) in w.iter().enumerate() {
+                    x = wj.mul_add(cols[j * n + i], x);
+                }
+                state[i + 1] = x;
+            }
+            for (k, (e, &g)) in c.capacitors.iter().zip(&plan.cap_g).enumerate() {
+                let vn = state[e.a] - state[e.b];
+                let hist = g.mul_add(cap_v[k], cap_i[k]);
+                cap_i[k] = g.mul_add(vn, -hist);
+                cap_v[k] = vn;
+            }
+            for (k, (e, &g)) in c.inductors.iter().zip(&plan.ind_g).enumerate() {
+                let vn = state[e.a] - state[e.b];
+                let hist = g.mul_add(ind_v[k], ind_i[k]);
+                ind_i[k] = g.mul_add(vn, hist);
+                ind_v[k] = vn;
+            }
+            if step >= sched.record_start_idx {
+                let rows = out.node_slots.iter().map(|&r| state[r]);
+                let rows = rows.chain(out.ind_slots.iter().map(|&r| ind_i[r]));
+                for (buf, x) in rec.iter_mut().zip(rows) {
+                    buf.push(x);
+                }
+            }
+        }
+        rec
+    }
+
+    /// Every lane of the block driver matches the literal step loop bit
+    /// for bit: runs ending on both sides of each block boundary, the
+    /// recording window opening at step 0, mid-block and on the last
+    /// step, and groups of 1, 3, 8 and 9 lanes mixing held traces of one
+    /// `dt`, of several `dt`s, clamped and repeating, and a sinusoid.
+    #[test]
+    fn block_driver_matches_literal_step_loop() {
+        let mut c = Circuit::new();
+        let vin = c.node("vin");
+        let n1 = c.node("n1");
+        let n2 = c.node("n2");
+        c.voltage_source(vin, NodeId::GROUND, Stimulus::Dc(1.0))
+            .unwrap();
+        let l1 = c.inductor(vin, n1, 2e-9).unwrap();
+        let l2 = c.inductor(n1, n2, 1e-9).unwrap();
+        c.capacitor(n1, NodeId::GROUND, 3e-9).unwrap();
+        c.capacitor(n2, NodeId::GROUND, 5e-9).unwrap();
+        c.resistor(n2, NodeId::GROUND, 0.5).unwrap();
+        c.current_source(NodeId::GROUND, n1, Stimulus::square(0.0, 0.05, 90e6))
+            .unwrap();
+        let load = c
+            .current_source(NodeId::GROUND, n2, Stimulus::Dc(0.1))
+            .unwrap();
+        let probes = TransientProbes::none()
+            .with_node(n2)
+            .with_node(NodeId::GROUND)
+            .with_inductor(l2)
+            .with_inductor(l1);
+        let dt = 0.1e-9;
+        let plan = c.plan_transient(dt).unwrap();
+        let trace = |seed: u64, len: usize| -> std::sync::Arc<[f64]> {
+            (0..len)
+                .map(|i| 0.1 + 0.05 * (((i as u64 * 7 + seed) % 13) as f64))
+                .collect()
+        };
+        // Short traces wrap many times within a run; a `dt` below the
+        // step's advances several samples a step, some past a wrap.
+        let held = |cpu_dt: f64, seed: u64, repeat: bool| Stimulus::Samples {
+            dt: cpu_dt,
+            values: trace(seed, 3 + seed as usize % 5),
+            repeat,
+        };
+        let sine = Stimulus::Sine {
+            offset: 0.1,
+            amplitude: 0.3,
+            freq: 120e6,
+            phase: 0.5,
+        };
+        let shared: Vec<Stimulus> = (0..9).map(|s| held(0.23e-9, s, true)).collect();
+        let mixed: Vec<Stimulus> = (0..9)
+            .map(|s| match s % 5 {
+                0 => held(0.23e-9 + s as f64 * 0.01e-9, s, true),
+                1 => held(0.07e-9, s, false),
+                2 => sine.clone(),
+                3 => held(0.05e-9, s, true),
+                _ => held(1.9e-9, s, true),
+            })
+            .collect();
+        for n_steps in [1usize, 63, 64, 65, 129, 193] {
+            let duration = n_steps as f64 * dt;
+            let mid = (n_steps / 2).max(1);
+            for (from, want_start) in [
+                (0.0, 0),
+                ((mid as f64 - 0.5) * dt, mid),
+                ((n_steps as f64 - 0.5) * dt, n_steps),
+            ] {
+                let cfg = TransientConfig::new(dt, duration).with_warmup(from);
+                for loads in [&shared, &mixed] {
+                    for width in [1usize, 3, 8, 9] {
+                        let loads = &loads[..width];
+                        let mut batch = BatchTransientScratch::new();
+                        c.transient_batch_scoped(&plan, &cfg, &probes, load, loads, &mut batch)
+                            .unwrap();
+                        assert_eq!(batch.sched.n_steps, n_steps);
+                        assert_eq!(batch.sched.record_start_idx, want_start);
+                        for (l, stim) in loads.iter().enumerate() {
+                            let mut lane = TransientScratch::new();
+                            let sched = c
+                                .transient_setup(
+                                    &plan,
+                                    &cfg,
+                                    &probes,
+                                    &mut lane,
+                                    Some((load.index(), stim)),
+                                )
+                                .unwrap();
+                            let want =
+                                literal_steps(&c, &plan, &sched, (load.index(), stim), &mut lane);
+                            let got = batch.lane(l);
+                            let got: Vec<&Vec<f64>> =
+                                got.node_bufs.iter().chain(&got.ind_bufs).collect();
+                            assert_eq!(got.len(), want.len());
+                            for (p, (g, w)) in got.iter().zip(&want).enumerate() {
+                                let bits =
+                                    |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                                assert_eq!(
+                                    bits(g),
+                                    bits(w),
+                                    "{n_steps} steps from {want_start}, {width} lanes, lane {l}, probe {p}"
+                                );
+                            }
+                        }
+                    }
                 }
             }
         }

@@ -782,6 +782,13 @@ impl Cpu {
         let mut iters_in_window: usize = 0;
         let mut picked = Vec::with_capacity(self.model.issue_width as usize);
 
+        // With no warm-up the recording window is open from cycle 0;
+        // nothing has issued yet, so the window's cells start at 0.
+        if config.warmup_iterations == 0 {
+            record_start = Some(0);
+            engine.current.open(0, &statics);
+        }
+
         let mut jitter_rng = StdRng::seed_from_u64(config.jitter_seed);
         let mut fetch_stall: u32 = 0;
         // Per-cycle probability of an interference event.
@@ -952,6 +959,32 @@ mod exactness {
         }
     }
 
+    /// With no warm-up the window is open from cycle 0: every preset
+    /// records its duration and returns well under a cap a few times that
+    /// long, in both engines alike.
+    #[test]
+    fn warmup_zero_records_from_the_first_cycle() {
+        for model in 0..4 {
+            let (m, top) = preset(model);
+            let cpu = Cpu::new(m, top);
+            for isa in [Isa::ArmV8, Isa::X86_64] {
+                let k = kernel(isa, 24, model as u64, false);
+                let cfg = SimConfig {
+                    warmup_iterations: 0,
+                    min_duration: 1e-6,
+                    max_cycles: 20_000,
+                    interference_interval_s: 250e-9,
+                    ..SimConfig::default()
+                };
+                let out = cpu.simulate(&k, &cfg).expect("warmup 0 must record");
+                let duration = ((cfg.min_duration * top).ceil() as usize).max(24 * 4);
+                assert_eq!(out.current.len(), duration, "preset {model} {isa:?}");
+                assert!(out.ipc > 0.0);
+                assert_same(&cpu, &k, &cfg);
+            }
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -987,8 +1020,6 @@ mod exactness {
             let cfg = SimConfig {
                 warmup_iterations,
                 min_duration,
-                // Warmup 0 never opens the recording window, so those
-                // runs end at this cap.
                 max_cycles: 60_000,
                 interference_interval_s: interference,
                 jitter_seed,

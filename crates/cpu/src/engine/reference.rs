@@ -119,6 +119,11 @@ pub(super) fn simulate(
     let mut issued_since_start: u64 = 0;
     let mut fu_issues: std::collections::BTreeMap<FuKind, u64> = std::collections::BTreeMap::new();
     let mut iter_start_cycle: Option<u64> = None;
+    // With no warm-up the recording window is open from cycle 0.
+    if config.warmup_iterations == 0 {
+        record_start = Some(0);
+        iter_start_cycle = Some(0);
+    }
     let mut iters_in_window: usize = 0;
 
     let duration_cycles = (config.min_duration * cpu.freq_hz).ceil() as u64;

@@ -193,19 +193,30 @@ impl SpectralBins for BandSpectrum {
 }
 
 /// Reusable buffers for repeated band evaluations: the windowed copy of
-/// the input plus the per-bin recurrence state. At steady state (same
-/// record length and band across calls) [`of_samples_band_into`]
-/// performs no heap allocation.
+/// the input, the per-bin recurrence state, and the plan of the last
+/// record shape. At steady state (same record length and band across
+/// calls) [`of_samples_band_into`] performs no heap allocation.
+///
+/// The plan is what depends only on the record shape: the per-sample
+/// window coefficients and their coherent gain, kept for the last
+/// `(window, n)`, and the per-bin recurrence coefficients `2·cos(2πk/n)`,
+/// kept for the last `(n, k0, k1)`. A call with another shape recomputes
+/// the part whose key changed with the same expressions, so a plan never
+/// changes a bit.
 #[derive(Debug, Clone, Default)]
 pub struct GoertzelScratch {
     windowed: Vec<f64>,
-    coeff: Vec<f64>,
     s1: Vec<f64>,
     s2: Vec<f64>,
     /// Per-sample window coefficients, shared by the windowing pass and
     /// the coherent-gain sum (and across every lane of a multi-lane
-    /// call).
+    /// call), with that gain and the `(window, n)` they are for.
     wcoef: Vec<f64>,
+    gain: f64,
+    wkey: Option<(Window, usize)>,
+    /// Per-bin recurrence coefficients and the `(n, k0, k1)` they are for.
+    coeff: Vec<f64>,
+    ckey: Option<(usize, usize, usize)>,
     telemetry: Telemetry,
 }
 
@@ -342,24 +353,30 @@ pub fn of_samples_band_multi_into(
     }
     let nb = k1 - k0;
 
-    // The window coefficients are computed once into `wcoef`, the
-    // windowed products run through the dispatched SIMD multiply, and the
-    // coherent gain sums the same coefficients in the same order as
-    // `Window::coherent_gain` — every value is identical to the historic
-    // in-place `Window::apply` path.
+    // The window coefficients are computed once per `(window, n)` into
+    // `wcoef`, the windowed products run through the dispatched SIMD
+    // multiply, and the coherent gain sums the same coefficients in the
+    // same order as `Window::coherent_gain` — every value is identical to
+    // the historic in-place `Window::apply` path.
     let GoertzelScratch {
         windowed,
-        coeff,
         s1,
         s2,
         wcoef,
+        gain,
+        wkey,
+        coeff,
+        ckey,
         ..
     } = scratch;
     let lv = emvolt_simd::level();
-    wcoef.clear();
-    wcoef.extend((0..n).map(|i| window.value(i, n)));
-    let gain = (wcoef.iter().sum::<f64>() / n as f64).max(1e-12);
-    let scale = 1.0 / (n as f64 * gain);
+    if *wkey != Some((window, n)) {
+        wcoef.clear();
+        wcoef.extend((0..n).map(|i| window.value(i, n)));
+        *gain = (wcoef.iter().sum::<f64>() / n as f64).max(1e-12);
+        *wkey = Some((window, n));
+    }
+    let scale = 1.0 / (n as f64 * *gain);
 
     // Windowed copies, lane-major `[L][n]`.
     windowed.clear();
@@ -368,11 +385,14 @@ pub fn of_samples_band_multi_into(
         lv.mul(samples, wcoef, lane_w);
     }
 
-    coeff.clear();
-    coeff.extend((k0..k1).map(|k| {
-        let w = 2.0 * std::f64::consts::PI * k as f64 / n as f64;
-        2.0 * w.cos()
-    }));
+    if *ckey != Some((n, k0, k1)) {
+        coeff.clear();
+        coeff.extend((k0..k1).map(|k| {
+            let w = 2.0 * std::f64::consts::PI * k as f64 / n as f64;
+            2.0 * w.cos()
+        }));
+        *ckey = Some((n, k0, k1));
+    }
 
     // Sample-outer / bin-inner recurrence on the dispatched SIMD level:
     // the inner loop has no cross-iteration dependency, so it vectorizes
@@ -509,6 +529,37 @@ mod tests {
         assert_eq!(SpectralBins::len(&inverted), 129);
         let empty = band_of(&[], fs, Window::Hann, 0.0, 100.0);
         assert!(SpectralBins::is_empty(&empty));
+    }
+
+    /// One scratch fed alternating record lengths, windows and bands
+    /// must equal a fresh scratch on every call: a stale window, gain or
+    /// bin coefficient would show here.
+    #[test]
+    fn plan_follows_every_shape_change() {
+        let fs = 1000.0;
+        let mut scratch = GoertzelScratch::new();
+        let mut out = BandSpectrum::default();
+        let shapes = [
+            (1000usize, Window::Hann, 20.0, 200.0),
+            (1000, Window::Blackman, 20.0, 200.0),
+            (512, Window::Blackman, 20.0, 200.0),
+            (512, Window::Blackman, 40.0, 90.0),
+            (1000, Window::Hann, 40.0, 90.0),
+            (1000, Window::Hann, 20.0, 200.0),
+            (512, Window::Rectangular, 0.0, 500.0),
+        ];
+        for round in 0..2 {
+            for (i, &(n, window, lo, hi)) in shapes.iter().enumerate() {
+                let s = tone(n, fs, 50.0 + i as f64 * 7.0, 1.3);
+                let fresh = band_of(&s, fs, window, lo, hi);
+                of_samples_band_into(&s, fs, window, lo, hi, &mut scratch, &mut out);
+                let bits = |b: &BandSpectrum| -> Vec<u64> {
+                    b.amplitudes().iter().map(|a| a.to_bits()).collect()
+                };
+                assert_eq!(fresh, out, "round {round}, shape {i}");
+                assert_eq!(bits(&fresh), bits(&out), "round {round}, shape {i}");
+            }
+        }
     }
 
     #[test]

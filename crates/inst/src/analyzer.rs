@@ -166,61 +166,44 @@ impl SpectrumAnalyzer {
     /// outside its covered range.
     pub fn sweep<R: Rng, S: SpectralBins>(&mut self, input: &S, rng: &mut R) -> SweepReading {
         self.elapsed_s += self.config.sweep_time_s;
-        let (sigma, floor_w) = self.level_constants();
-        let points = (0..self.config.points)
-            .map(|i| {
-                let f_center = self.display_freq(i);
-                let level = self.noise_free_level(input, f_center, sigma, floor_w)
+        let mut plan = AnalyzerPlan::new();
+        plan.prepare(&self.config, input, f64::NEG_INFINITY, f64::INFINITY);
+        let floor_w = dbm_to_watts(self.config.noise_floor_dbm);
+        let points = plan
+            .points
+            .iter()
+            .map(|p| {
+                let level = self.noise_free_level(input, p, &plan.weights, floor_w)
                     + sample_normal(rng, self.config.noise_sigma_db);
-                (f_center, level)
+                (p.freq, level)
             })
             .collect();
         SweepReading { points }
     }
 
-    /// Frequency of display point `i`.
-    fn display_freq(&self, i: usize) -> f64 {
-        let c = &self.config;
-        c.start_hz + (c.stop_hz - c.start_hz) * i as f64 / (c.points - 1) as f64
-    }
-
-    /// The RBW filter's Gaussian sigma in Hz and the noise floor in watts,
-    /// the inputs [`SpectrumAnalyzer::noise_free_level`] takes.
-    fn level_constants(&self) -> (f64, f64) {
-        let sigma = self.config.rbw_hz / 2.355; // FWHM -> sigma
-        (sigma, dbm_to_watts(self.config.noise_floor_dbm))
-    }
-
-    /// Displayed level in dBm at `f_center` before measurement noise is
-    /// added. It depends only on the input and the configuration, so it is
-    /// the same in every sweep of one input.
+    /// Displayed level in dBm at display point `point` (of a plan for
+    /// this configuration and `input`'s shape) before measurement noise
+    /// is added. It depends only on the input and the configuration, so
+    /// it is the same in every sweep of one input.
     fn noise_free_level<S: SpectralBins>(
         &self,
         input: &S,
-        f_center: f64,
-        sigma: f64,
+        point: &PlanPoint,
+        weights: &[f64],
         floor_w: f64,
     ) -> f64 {
         // Positive-peak detector through the Gaussian RBW filter: the
         // displayed level is the strongest RBW-weighted component in
         // view, which reads a narrowband spike at exactly its power
         // without double-counting the analysis window's main lobe.
-        let lo = f_center - 4.0 * sigma;
-        let hi = f_center + 4.0 * sigma;
         let mut power_w = 0.0f64;
-        if !input.is_empty() {
-            let k0 = ((lo / input.freq_step()).floor().max(0.0)) as usize;
-            let k1 = (((hi / input.freq_step()).ceil()) as usize).min(input.len() - 1);
-            for k in k0..=k1 {
-                let a = input.amplitude_at(k);
-                if a == 0.0 {
-                    continue;
-                }
-                let df = input.freq_at(k) - f_center;
-                let w = (-0.5 * (df / sigma) * (df / sigma)).exp();
-                // Sine of amplitude a into R: P = a^2 / (2R).
-                power_w = power_w.max(w * a * a / (2.0 * self.config.input_ohms));
+        for (k, &w) in (point.k0..).zip(&weights[point.weights.clone()]) {
+            let a = input.amplitude_at(k);
+            if a == 0.0 {
+                continue;
             }
+            // Sine of amplitude a into R: P = a^2 / (2R).
+            power_w = power_w.max(w * a * a / (2.0 * self.config.input_ohms));
         }
         watts_to_dbm(power_w + floor_w)
     }
@@ -238,6 +221,9 @@ impl SpectrumAnalyzer {
     /// computed once per call, and each sweep only adds noise to the
     /// points that can still be the band peak.
     ///
+    /// This is [`SpectrumAnalyzer::peak_metric_planned`] with a plan of
+    /// its own.
+    ///
     /// Returns `(metric_dbm, dominant_frequency_hz)`.
     pub fn peak_metric<R: Rng, S: SpectralBins>(
         &mut self,
@@ -247,16 +233,43 @@ impl SpectrumAnalyzer {
         n: usize,
         rng: &mut R,
     ) -> (f64, f64) {
-        let (sigma, floor_w) = self.level_constants();
+        self.peak_metric_planned(input, lo, hi, n, rng, &mut AnalyzerPlan::new())
+    }
+
+    /// [`SpectrumAnalyzer::peak_metric`] through a caller-kept
+    /// [`AnalyzerPlan`]: repeated measurements of inputs of one shape over
+    /// one band under one configuration reuse its display points, bin
+    /// ranges and RBW weights instead of recomputing them. The plan is
+    /// rebuilt first whenever the shape, the band or the configuration
+    /// differs from the one it was made for, so the result is the same
+    /// for any plan passed.
+    pub fn peak_metric_planned<R: Rng, S: SpectralBins>(
+        &mut self,
+        input: &S,
+        lo: f64,
+        hi: f64,
+        n: usize,
+        rng: &mut R,
+        plan: &mut AnalyzerPlan,
+    ) -> (f64, f64) {
+        plan.prepare(&self.config, input, lo, hi);
+        let floor_w = dbm_to_watts(self.config.noise_floor_dbm);
         // `(display index, frequency, noise-free level)` of the in-band
         // points, in display order.
-        let mut candidates: Vec<(usize, f64, f64)> = (0..self.config.points)
-            .filter_map(|i| {
-                let f = self.display_freq(i);
-                (f >= lo && f <= hi)
-                    .then(|| (i, f, self.noise_free_level(input, f, sigma, floor_w)))
-            })
-            .collect();
+        let AnalyzerPlan {
+            points,
+            weights,
+            candidates,
+            ..
+        } = plan;
+        candidates.clear();
+        candidates.extend(points.iter().map(|p| {
+            (
+                p.index,
+                p.freq,
+                self.noise_free_level(input, p, weights, floor_w),
+            )
+        }));
         // Noise never moves a reading by more than `bound`, so a point
         // whose highest possible reading is below the top point's lowest
         // possible reading can never be the peak (not even on a tie, where
@@ -287,7 +300,7 @@ impl SpectrumAnalyzer {
             self.elapsed_s += c.sweep_time_s;
             let mut peak: Option<(f64, f64)> = None;
             let mut next = 0;
-            for &(i, f, level) in &candidates {
+            for &(i, f, level) in candidates.iter() {
                 skip_normals(rng, i - next);
                 let reading = level + sample_normal(rng, c.noise_sigma_db);
                 // `>=` keeps the last of equal maxima, like `max_by`.
@@ -315,6 +328,107 @@ impl SpectrumAnalyzer {
         }
         let rms_w = (acc / hits as f64).sqrt();
         (watts_to_dbm(rms_w), best_freq)
+    }
+}
+
+/// The input-independent part of an analyzer's displayed levels for one
+/// input shape and band: the frequency of every display point in the
+/// band, the range of bins its Gaussian RBW filter reaches (`f ± 4σ`,
+/// `σ = RBW / 2.355`, clamped to the spectrum) and the filter weight of
+/// each of those bins.
+///
+/// A plan is keyed by the input's frequency step (by bits), its bin
+/// count, the band edges (by bits) and the analyzer configuration fields
+/// it reads (by bits), and [`SpectrumAnalyzer::peak_metric_planned`]
+/// rebuilds it whenever one of them differs. The weights are computed by
+/// the expressions the per-bin scan used, so a planned level is
+/// bit-identical to an unplanned one.
+#[derive(Debug, Clone, Default)]
+pub struct AnalyzerPlan {
+    key: Option<PlanKey>,
+    points: Vec<PlanPoint>,
+    /// RBW filter weights, point after point.
+    weights: Vec<f64>,
+    /// `(display index, frequency, noise-free level)` of the points of
+    /// the current call.
+    candidates: Vec<(usize, f64, f64)>,
+}
+
+/// What an [`AnalyzerPlan`] was built for.
+#[derive(Debug, Clone, PartialEq)]
+struct PlanKey {
+    freq_step: u64,
+    total_bins: usize,
+    /// `lo` and `hi` by bits.
+    band: [u64; 2],
+    /// `start_hz`, `stop_hz`, `rbw_hz` by bits, and `points`.
+    config: [u64; 4],
+}
+
+/// One display point of an [`AnalyzerPlan`].
+#[derive(Debug, Clone)]
+struct PlanPoint {
+    /// Position on the display.
+    index: usize,
+    freq: f64,
+    /// First bin the RBW filter reaches.
+    k0: usize,
+    /// The point's span of [`AnalyzerPlan::weights`], one weight per bin
+    /// from `k0` on.
+    weights: std::ops::Range<usize>,
+}
+
+impl AnalyzerPlan {
+    /// An empty plan; the first measurement through it builds it.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Rebuilds the plan for `config`, `input`'s shape and the display
+    /// points in `[lo, hi]` unless it was built for them already.
+    fn prepare<S: SpectralBins>(&mut self, config: &AnalyzerConfig, input: &S, lo: f64, hi: f64) {
+        let key = PlanKey {
+            freq_step: input.freq_step().to_bits(),
+            total_bins: input.len(),
+            band: [lo.to_bits(), hi.to_bits()],
+            config: [
+                config.start_hz.to_bits(),
+                config.stop_hz.to_bits(),
+                config.rbw_hz.to_bits(),
+                config.points as u64,
+            ],
+        };
+        if self.key.as_ref() == Some(&key) {
+            return;
+        }
+        let sigma = config.rbw_hz / 2.355; // FWHM -> sigma
+        self.points.clear();
+        self.weights.clear();
+        for i in 0..config.points {
+            let f_center = config.start_hz
+                + (config.stop_hz - config.start_hz) * i as f64 / (config.points - 1) as f64;
+            if !(f_center >= lo && f_center <= hi) {
+                continue;
+            }
+            let (f_lo, f_hi) = (f_center - 4.0 * sigma, f_center + 4.0 * sigma);
+            let first = self.weights.len();
+            let mut k0 = 0;
+            if !input.is_empty() {
+                k0 = ((f_lo / input.freq_step()).floor().max(0.0)) as usize;
+                let k1 = (((f_hi / input.freq_step()).ceil()) as usize).min(input.len() - 1);
+                self.weights.extend((k0..=k1).map(|k| {
+                    let df = input.freq_at(k) - f_center;
+                    (-0.5 * (df / sigma) * (df / sigma)).exp()
+                }));
+            }
+            self.points.push(PlanPoint {
+                index: i,
+                freq: f_center,
+                k0,
+                weights: first..self.weights.len(),
+            });
+        }
+        self.key = Some(key);
     }
 }
 
@@ -438,6 +552,55 @@ mod tests {
         }
         // The RNG streams stayed aligned across the whole sweep.
         assert_eq!(rng_dense.gen::<u64>(), rng_band.gen::<u64>());
+    }
+
+    /// One plan fed alternating input shapes, bands and configurations
+    /// must give what a fresh plan gives on every call: a stale display
+    /// point, bin range or weight would show here.
+    #[test]
+    fn plan_follows_every_shape_and_config_change() {
+        let narrow = AnalyzerConfig {
+            rbw_hz: 3e6,
+            points: 101,
+            start_hz: 40e6,
+            ..AnalyzerConfig::default()
+        };
+        let inputs = [tone_spectrum(67e6, 1e-3), {
+            let s: Vec<f64> = (0..3000)
+                .map(|i| 1e-3 * (2.0 * std::f64::consts::PI * 91e6 * i as f64 / 1e9).sin())
+                .collect();
+            Spectrum::of_samples(&s, 1e9, Window::Hann)
+        }];
+        let calls = [
+            (0, AnalyzerConfig::default(), (50e6, 200e6)),
+            (1, AnalyzerConfig::default(), (50e6, 200e6)),
+            (1, narrow.clone(), (50e6, 200e6)),
+            (1, narrow.clone(), (80e6, 100e6)),
+            (0, narrow, (80e6, 100e6)),
+            (0, AnalyzerConfig::default(), (60e6, 70e6)),
+        ];
+        let mut plan = AnalyzerPlan::new();
+        for round in 0..2 {
+            for (c, (input, config, (lo, hi))) in calls.iter().enumerate() {
+                let input = &inputs[*input];
+                let mut fresh = SpectrumAnalyzer::new(config.clone());
+                let mut planned = SpectrumAnalyzer::new(config.clone());
+                let want = fresh.peak_metric(input, *lo, *hi, 7, &mut StdRng::seed_from_u64(3));
+                let got = planned.peak_metric_planned(
+                    input,
+                    *lo,
+                    *hi,
+                    7,
+                    &mut StdRng::seed_from_u64(3),
+                    &mut plan,
+                );
+                assert_eq!(
+                    (want.0.to_bits(), want.1.to_bits()),
+                    (got.0.to_bits(), got.1.to_bits()),
+                    "round {round}, call {c}"
+                );
+            }
+        }
     }
 
     /// The Box–Muller extremes, `u1` at its 1e-12 floor with `cos = ±1`,

@@ -31,6 +31,6 @@ mod analyzer;
 mod scope;
 mod vna;
 
-pub use analyzer::{AnalyzerConfig, SpectrumAnalyzer, SweepReading};
+pub use analyzer::{AnalyzerConfig, AnalyzerPlan, SpectrumAnalyzer, SweepReading};
 pub use scope::{Oscilloscope, ScopeConfig};
 pub use vna::Vna;

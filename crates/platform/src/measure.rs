@@ -7,7 +7,7 @@ use emvolt_dsp::{
     of_samples_band_multi_into, BandSpectrum, GoertzelScratch, Spectrum, SpectrumScratch, Window,
 };
 use emvolt_em::EmChannel;
-use emvolt_inst::{AnalyzerConfig, SpectrumAnalyzer, SweepReading};
+use emvolt_inst::{AnalyzerConfig, AnalyzerPlan, SpectrumAnalyzer, SweepReading};
 use emvolt_obs::{CounterId, HistId, Layer, Telemetry};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
@@ -40,6 +40,9 @@ pub struct MeasureScratch {
     rx_bands: Vec<BandSpectrum>,
     /// Shared per-bin channel-transfer values.
     transfer: Vec<f64>,
+    /// The analyzer's display points, bin ranges and RBW weights for the
+    /// last band shape, reused by the serial rig and the seeded lanes.
+    analyzer: AnalyzerPlan,
     telemetry: Telemetry,
 }
 
@@ -123,10 +126,18 @@ impl Noise<'_> {
         }
     }
 
-    /// Lane `lane`'s `(metric_dbm, dominant_hz)` over `rx`.
-    fn peak(&mut self, lane: usize, rx: &BandSpectrum, lo: f64, hi: f64, n: usize) -> (f64, f64) {
+    /// Lane `lane`'s `(metric_dbm, dominant_hz)` over `rx`, through
+    /// `plan`.
+    fn peak(
+        &mut self,
+        lane: usize,
+        rx: &BandSpectrum,
+        (lo, hi): (f64, f64),
+        n: usize,
+        plan: &mut AnalyzerPlan,
+    ) -> (f64, f64) {
         match self {
-            Noise::Rig { analyzer, rng } => analyzer.peak_metric(rx, lo, hi, n, *rng),
+            Noise::Rig { analyzer, rng } => analyzer.peak_metric_planned(rx, lo, hi, n, *rng, plan),
             Noise::Seeded {
                 config,
                 seeds,
@@ -134,7 +145,7 @@ impl Noise<'_> {
             } => {
                 let mut analyzer = SpectrumAnalyzer::new((*config).clone());
                 let mut rng = StdRng::seed_from_u64(seeds[lane]);
-                let reading = analyzer.peak_metric(rx, lo, hi, n, &mut rng);
+                let reading = analyzer.peak_metric_planned(rx, lo, hi, n, &mut rng, plan);
                 *elapsed.lock() += analyzer.elapsed();
                 reading
             }
@@ -184,7 +195,8 @@ fn measure_lanes(
     for group in groups {
         scratch.refresh_rx_bands(channel, group, blo, bhi);
         for rx in &scratch.rx_bands[..group.len()] {
-            let (metric_dbm, dominant_hz) = noise.peak(readings.len(), rx, lo, hi, n);
+            let (metric_dbm, dominant_hz) =
+                noise.peak(readings.len(), rx, (lo, hi), n, &mut scratch.analyzer);
             record_measurement(&scratch.telemetry, lo, hi, n, metric_dbm, dominant_hz);
             readings.push(EmReading {
                 metric_dbm,
@@ -644,6 +656,55 @@ mod tests {
                 serial_shared.take_elapsed().to_bits(),
                 "sweep-time accounting must not depend on batching"
             );
+        }
+    }
+
+    /// One scratch fed alternating record lengths, bands and analyzer
+    /// configurations must read exactly what a fresh scratch reads on
+    /// every call: a stale Goertzel or analyzer plan would show here.
+    #[test]
+    fn one_scratch_follows_record_band_and_config_changes() {
+        let d = domain();
+        let kernel = sweep_kernel(Isa::ArmV8);
+        let runs = [
+            d.run(&kernel, 2, &RunConfig::fast()).unwrap(),
+            d.run(&kernel, 2, &RunConfig::default()).unwrap(),
+        ];
+        assert_ne!(runs[0].i_die.samples().len(), runs[1].i_die.samples().len());
+        let mut wide = EmBench::new(1);
+        wide.analyzer = SpectrumAnalyzer::new(AnalyzerConfig {
+            rbw_hz: 3e6,
+            points: 201,
+            ..AnalyzerConfig::default()
+        });
+        let benches = [EmBench::new(1).share(), wide.share()];
+        let calls = [
+            (0, 0, RESONANCE_BAND),
+            (1, 0, RESONANCE_BAND),
+            (1, 1, RESONANCE_BAND),
+            (1, 1, (70e6, 90e6)),
+            (0, 1, (70e6, 90e6)),
+            (0, 0, (70e6, 90e6)),
+        ];
+        let mut scratch = MeasureScratch::new();
+        for round in 0..2 {
+            for (c, &(run, bench, (lo, hi))) in calls.iter().enumerate() {
+                let (run, shared) = (&runs[run], &benches[bench]);
+                let want = shared.measure_in_band_seeded_with(
+                    run,
+                    lo,
+                    hi,
+                    6,
+                    9,
+                    &mut MeasureScratch::new(),
+                );
+                let got = shared.measure_in_band_seeded_with(run, lo, hi, 6, 9, &mut scratch);
+                assert_eq!(
+                    (want.metric_dbm.to_bits(), want.dominant_hz.to_bits()),
+                    (got.metric_dbm.to_bits(), got.dominant_hz.to_bits()),
+                    "round {round}, call {c}"
+                );
+            }
         }
     }
 

@@ -18,26 +18,28 @@
 //! type's target features are available (see [`crate::vector::Vf64`]).
 
 use crate::vector::Vf64;
+use crate::{StepOperands, StepRows};
 
 /// Emits one `#[target_feature]` entry point per kernel, instantiated
 /// at a vector type — invoked once per dispatch tier by the per-arch
 /// modules.
 macro_rules! target_kernels {
     ($feat:literal, $vec:ty) => {
-        /// [`crate::SimdLevel::fold_cols`] at this tier's width.
+        /// [`crate::SimdLevel::state_steps`] at this tier's width.
         ///
         /// # Safety
         ///
         /// The tier's target features must be present at runtime.
         #[target_feature(enable = $feat)]
-        pub(crate) unsafe fn fold_cols(
-            cols: &[f64],
-            n_nodes: usize,
-            inputs: &[f64],
-            xn: &mut [f64],
+        pub(crate) unsafe fn state_steps(
+            ops: &crate::StepOperands<'_>,
+            rows: &mut crate::StepRows<'_>,
+            n_steps: usize,
+            sources: &[f64],
+            probes: &mut [f64],
         ) {
             // SAFETY: forwarded contract.
-            unsafe { crate::kernels::fold_cols::<$vec>(cols, n_nodes, inputs, xn) }
+            unsafe { crate::kernels::state_steps::<$vec>(ops, rows, n_steps, sources, probes) }
         }
 
         /// [`crate::SimdLevel::fold_cols_lanes`] at this tier's width.
@@ -55,59 +57,6 @@ macro_rules! target_kernels {
         ) {
             // SAFETY: forwarded contract.
             unsafe { crate::kernels::fold_cols_lanes::<$vec>(cols, n_nodes, inputs, lanes, xn) }
-        }
-
-        /// [`crate::SimdLevel::gather_hist`] at this tier's width.
-        ///
-        /// # Safety
-        ///
-        /// The tier's target features must be present at runtime.
-        #[target_feature(enable = $feat)]
-        pub(crate) unsafe fn gather_hist(
-            g: &[f64],
-            v: &[f64],
-            i: &[f64],
-            lanes: usize,
-            out: &mut [f64],
-        ) {
-            // SAFETY: forwarded contract.
-            unsafe { crate::kernels::gather_hist::<$vec>(g, v, i, lanes, out) }
-        }
-
-        /// [`crate::SimdLevel::cap_updates`] at this tier's width.
-        ///
-        /// # Safety
-        ///
-        /// The tier's target features must be present at runtime.
-        #[target_feature(enable = $feat)]
-        pub(crate) unsafe fn cap_updates(
-            g: &[f64],
-            rows: &[[u32; 2]],
-            state: &[f64],
-            lanes: usize,
-            v: &mut [f64],
-            i: &mut [f64],
-        ) {
-            // SAFETY: forwarded contract.
-            unsafe { crate::kernels::cap_updates::<$vec>(g, rows, state, lanes, v, i) }
-        }
-
-        /// [`crate::SimdLevel::ind_updates`] at this tier's width.
-        ///
-        /// # Safety
-        ///
-        /// The tier's target features must be present at runtime.
-        #[target_feature(enable = $feat)]
-        pub(crate) unsafe fn ind_updates(
-            g: &[f64],
-            rows: &[[u32; 2]],
-            state: &[f64],
-            lanes: usize,
-            v: &mut [f64],
-            i: &mut [f64],
-        ) {
-            // SAFETY: forwarded contract.
-            unsafe { crate::kernels::ind_updates::<$vec>(g, rows, state, lanes, v, i) }
         }
 
         /// [`crate::SimdLevel::goertzel`] at this tier's width.
@@ -190,59 +139,97 @@ unsafe fn for_blocks<V: Vf64, B: Block>(n: usize, body: &mut B) {
     }
 }
 
-/// Serial response-column fold; see [`crate::SimdLevel::fold_cols`].
-/// Blocks run across the node dimension; each block's accumulators stay
-/// in registers over every column and are stored once.
+/// Folds response columns into nodes `i0 .. i0 + NB` of the `LV` lane
+/// vectors a lane-major tile covers, keeping `NB x LV` accumulator chains
+/// in registers over every column and storing each once. The input
+/// weights are read from up to two runs of rows `stride` apart (`parts`,
+/// `(first row, row count)` in column order), so the step kernel folds
+/// its gathered histories and its staged source rows without copying
+/// them together. Per element the sequence is the reference one: zero,
+/// then `x = w_j.mul_add(c_ji, x)` in ascending `j`.
+///
+/// # Safety
+///
+/// Each part's rows must hold `LV * U::W` readable lanes at their
+/// pointers, `cols` must hold one `n_nodes`-long column per part row with
+/// `i0 + NB <= n_nodes`, `out` must head `NB` rows `stride` apart of
+/// `LV * U::W` writable lanes, and `U`'s target features must be present.
 #[inline(always)]
-pub(crate) unsafe fn fold_cols<V: Vf64>(
+unsafe fn lane_tile<U: Vf64, const LV: usize, const NB: usize>(
     cols: &[f64],
     n_nodes: usize,
-    inputs: &[f64],
-    xn: &mut [f64],
+    i0: usize,
+    parts: [(*const f64, usize); 2],
+    stride: usize,
+    out: *mut f64,
 ) {
-    assert_eq!(xn.len(), n_nodes);
-    assert_eq!(Some(cols.len()), n_nodes.checked_mul(inputs.len()));
-    struct Nodes<'a> {
-        cols: &'a [f64],
-        n_nodes: usize,
-        inputs: &'a [f64],
-        xn: &'a mut [f64],
-    }
-    impl Block for Nodes<'_> {
-        #[inline(always)]
-        unsafe fn run<U: Vf64, const LV: usize>(&mut self, i0: usize) {
-            let mut acc = [U::splat(0.0); LV];
-            for (j, &w) in self.inputs.iter().enumerate() {
-                let wv = U::splat(w);
-                // SAFETY: column `j` holds `n_nodes` entries and the block
-                // covers nodes `i0 .. i0 + LV * U::W <= n_nodes`.
-                let col = unsafe { self.cols.as_ptr().add(j * self.n_nodes + i0) };
-                for (q, a) in acc.iter_mut().enumerate() {
-                    // SAFETY: as above.
-                    *a = wv.fmadd(unsafe { U::load(col.add(q * U::W)) }, *a);
+    let mut acc = [[U::splat(0.0); LV]; NB];
+    let mut j = 0;
+    for (first, n_rows) in parts {
+        for r in 0..n_rows {
+            // SAFETY: row `r` of this part holds the tile's lanes, and
+            // column `j` holds `n_nodes >= i0 + NB` entries.
+            let (w_row, c_row) =
+                unsafe { (first.add(r * stride), cols.as_ptr().add(j * n_nodes + i0)) };
+            let mut w = [U::splat(0.0); LV];
+            for (q, wq) in w.iter_mut().enumerate() {
+                // SAFETY: as above.
+                *wq = unsafe { U::load(w_row.add(q * U::W)) };
+            }
+            for (b, row) in acc.iter_mut().enumerate() {
+                // SAFETY: as above.
+                let c = U::splat(unsafe { *c_row.add(b) });
+                for (a, &wq) in row.iter_mut().zip(&w) {
+                    *a = wq.fmadd(c, *a);
                 }
             }
-            let out = self.xn.as_mut_ptr();
-            for (q, a) in acc.into_iter().enumerate() {
-                // SAFETY: as above, within `xn` (length `n_nodes`).
-                unsafe { a.store(out.add(i0 + q * U::W)) };
-            }
+            j += 1;
         }
     }
-    let mut body = Nodes {
-        cols,
-        n_nodes,
-        inputs,
-        xn,
-    };
-    // SAFETY: forwarded target-feature contract; extents checked above.
-    unsafe { for_blocks::<V, _>(n_nodes, &mut body) }
+    for (b, row) in acc.into_iter().enumerate() {
+        for (q, a) in row.into_iter().enumerate() {
+            // SAFETY: output row `b < NB`, lanes as the caller provides.
+            unsafe { a.store(out.add(b * stride + q * U::W)) };
+        }
+    }
+}
+
+/// Runs [`lane_tile`] over every node of one lane block: tiles of four
+/// nodes, then one tile of the 1–3 left over. `out` heads node row 0 of
+/// the block.
+///
+/// # Safety
+///
+/// As [`lane_tile`], for node rows `0 .. n_nodes`.
+#[inline(always)]
+unsafe fn lane_fold<U: Vf64, const LV: usize>(
+    cols: &[f64],
+    n_nodes: usize,
+    parts: [(*const f64, usize); 2],
+    stride: usize,
+    out: *mut f64,
+) {
+    let mut i0 = 0;
+    // SAFETY (every tile): the tile ends at `i0 + NB <= n_nodes`.
+    while i0 + 4 <= n_nodes {
+        unsafe { lane_tile::<U, LV, 4>(cols, n_nodes, i0, parts, stride, out.add(i0 * stride)) };
+        i0 += 4;
+    }
+    unsafe {
+        let out = out.add(i0 * stride);
+        match n_nodes - i0 {
+            0 => {}
+            1 => lane_tile::<U, LV, 1>(cols, n_nodes, i0, parts, stride, out),
+            2 => lane_tile::<U, LV, 2>(cols, n_nodes, i0, parts, stride, out),
+            _ => lane_tile::<U, LV, 3>(cols, n_nodes, i0, parts, stride, out),
+        }
+    }
 }
 
 /// Lane-major batched fold; see [`crate::SimdLevel::fold_cols_lanes`].
-/// Blocks run across the lane dimension; within a block, tiles of up to
-/// four nodes keep `4 x LV` independent accumulator chains in registers
-/// over every column, loading each column's lane weights once per tile.
+/// Blocks run across the lane dimension; within a block, [`lane_fold`]
+/// tiles keep `4 x LV` independent accumulator chains in registers over
+/// every column, loading each column's lane weights once per tile.
 #[inline(always)]
 pub(crate) unsafe fn fold_cols_lanes<V: Vf64>(
     cols: &[f64],
@@ -265,63 +252,23 @@ pub(crate) unsafe fn fold_cols_lanes<V: Vf64>(
         lanes: usize,
         xn: &'a mut [f64],
     }
-    impl Lanes<'_> {
-        /// Folds nodes `i0 .. i0 + NB` for the block's lanes.
-        ///
-        /// # Safety
-        ///
-        /// As [`Block::run`], and `i0 + NB <= n_nodes`.
-        #[inline(always)]
-        unsafe fn tile<U: Vf64, const LV: usize, const NB: usize>(&mut self, i0: usize, l0: usize) {
-            let mut acc = [[U::splat(0.0); LV]; NB];
-            let n_inputs = self.inputs.len() / self.lanes;
-            for j in 0..n_inputs {
-                // SAFETY: input row `j` holds `lanes` weights and the block
-                // covers lanes `l0 .. l0 + LV * U::W <= lanes`; column `j`
-                // holds `n_nodes` entries and the tile covers nodes
-                // `i0 .. i0 + NB <= n_nodes`.
-                let w_row = unsafe { self.inputs.as_ptr().add(j * self.lanes + l0) };
-                // SAFETY: as above.
-                let c_row = unsafe { self.cols.as_ptr().add(j * self.n_nodes + i0) };
-                let mut w = [U::splat(0.0); LV];
-                for (q, wq) in w.iter_mut().enumerate() {
-                    // SAFETY: as above.
-                    *wq = unsafe { U::load(w_row.add(q * U::W)) };
-                }
-                for (b, row) in acc.iter_mut().enumerate() {
-                    // SAFETY: as above.
-                    let c = U::splat(unsafe { *c_row.add(b) });
-                    for (a, &wq) in row.iter_mut().zip(&w) {
-                        *a = wq.fmadd(c, *a);
-                    }
-                }
-            }
-            let out = self.xn.as_mut_ptr();
-            for (b, row) in acc.into_iter().enumerate() {
-                for (q, a) in row.into_iter().enumerate() {
-                    // SAFETY: node `i0 + b < n_nodes`, lanes as above.
-                    unsafe { a.store(out.add((i0 + b) * self.lanes + l0 + q * U::W)) };
-                }
-            }
-        }
-    }
     impl Block for Lanes<'_> {
         #[inline(always)]
         unsafe fn run<U: Vf64, const LV: usize>(&mut self, l0: usize) {
-            let mut i0 = 0;
-            while i0 + 4 <= self.n_nodes {
-                // SAFETY: the tile ends at `i0 + 4 <= n_nodes`.
-                unsafe { self.tile::<U, LV, 4>(i0, l0) };
-                i0 += 4;
-            }
-            // SAFETY: each tile ends exactly at `n_nodes`.
+            let n_inputs = self.inputs.len() / self.lanes;
+            // SAFETY: input row `j` and node row `i` hold `lanes` entries
+            // and the block covers lanes `l0 .. l0 + LV * U::W <= lanes`.
             unsafe {
-                match self.n_nodes - i0 {
-                    0 => {}
-                    1 => self.tile::<U, LV, 1>(i0, l0),
-                    2 => self.tile::<U, LV, 2>(i0, l0),
-                    _ => self.tile::<U, LV, 3>(i0, l0),
-                }
+                lane_fold::<U, LV>(
+                    self.cols,
+                    self.n_nodes,
+                    [
+                        (self.inputs.as_ptr().add(l0), n_inputs),
+                        (std::ptr::null(), 0),
+                    ],
+                    self.lanes,
+                    self.xn.as_mut_ptr().add(l0),
+                )
             }
         }
     }
@@ -336,188 +283,386 @@ pub(crate) unsafe fn fold_cols_lanes<V: Vf64>(
     unsafe { for_blocks::<V, _>(lanes, &mut body) }
 }
 
-/// Trapezoidal history gather; see [`crate::SimdLevel::gather_hist`].
+/// One trapezoidal companion update: with `vn = sa - sb` and `hist =
+/// g.mul_add(v, i)`, returns `(vn, g.mul_add(vn, -hist))` for a
+/// capacitor (`CAP = true`) or `(vn, g.mul_add(vn, hist))` for an
+/// inductor — the new `(v, i)`.
 #[inline(always)]
-pub(crate) unsafe fn gather_hist<V: Vf64>(
-    g: &[f64],
-    v: &[f64],
-    i: &[f64],
-    lanes: usize,
-    out: &mut [f64],
+fn companion<U: Vf64, const CAP: bool>(g: U, sa: U, sb: U, v: U, i: U) -> (U, U) {
+    let vn = sa.sub(sb);
+    let hist = g.fmadd(v, i);
+    let next = if CAP {
+        g.fmsub(vn, hist)
+    } else {
+        g.fmadd(vn, hist)
+    };
+    (vn, next)
+}
+
+/// The fused state-space step loop; see [`crate::SimdLevel::state_steps`].
+///
+/// Every extent is checked once per call, up front; the steps then run
+/// on raw pointers. A group of one lane (`stride == 1`) steps with a
+/// node-vectorised fold ([`Steps::serial`]). A wider group runs
+/// lane-major: each lane block takes all `n_steps` on its own
+/// ([`Block::run`] of [`Steps`]), since lanes never mix, so its rows stay
+/// in cache across the block of steps.
+#[inline(always)]
+pub(crate) unsafe fn state_steps<V: Vf64>(
+    ops: &StepOperands<'_>,
+    rows: &mut StepRows<'_>,
+    n_steps: usize,
+    sources: &[f64],
+    probes: &mut [f64],
 ) {
-    assert!(lanes > 0);
-    assert_eq!(Some(out.len()), g.len().checked_mul(lanes));
-    assert_eq!(v.len(), out.len());
-    assert_eq!(i.len(), out.len());
-    /// Serial gather (`lanes == 1`): blocks run across the elements.
-    struct Elems<'a> {
-        g: &'a [f64],
-        v: &'a [f64],
-        i: &'a [f64],
-        out: &'a mut [f64],
-    }
-    impl Block for Elems<'_> {
-        #[inline(always)]
-        unsafe fn run<U: Vf64, const LV: usize>(&mut self, e0: usize) {
-            for q in 0..LV {
-                let e = e0 + q * U::W;
-                // SAFETY: the block covers elements `< g.len()`, and every
-                // slice is `g.len()` long.
-                unsafe {
-                    U::load(self.g.as_ptr().add(e))
-                        .fmadd(
-                            U::load(self.v.as_ptr().add(e)),
-                            U::load(self.i.as_ptr().add(e)),
-                        )
-                        .store(self.out.as_mut_ptr().add(e))
-                };
-            }
+    let ops = *ops;
+    let stride = rows.stride;
+    assert!(stride > 0);
+    let (nc, nl) = (ops.cap_g.len(), ops.ind_g.len());
+    let n_rows = ops.n_nodes + 1;
+    assert_eq!(ops.cap_rows.len(), nc);
+    assert_eq!(ops.ind_rows.len(), nl);
+    assert_eq!(Some(rows.state.len()), n_rows.checked_mul(stride));
+    assert_eq!(Some(rows.cap_v.len()), nc.checked_mul(stride));
+    assert_eq!(rows.cap_i.len(), rows.cap_v.len());
+    assert_eq!(Some(rows.ind_v.len()), nl.checked_mul(stride));
+    assert_eq!(rows.ind_i.len(), rows.ind_v.len());
+    assert_eq!(Some(rows.hist.len()), (nc + nl).checked_mul(stride));
+    let rows_ok = |rows: &[[u32; 2]]| rows.iter().flatten().all(|&r| (r as usize) < n_rows);
+    assert!(rows_ok(ops.cap_rows) && rows_ok(ops.ind_rows));
+    assert!(ops.probe_nodes.iter().all(|&r| (r as usize) < n_rows));
+    assert!(ops.probe_inds.iter().all(|&r| (r as usize) < nl));
+    let Some(step_len) = n_steps.checked_mul(stride).filter(|&len| len > 0) else {
+        assert!(sources.is_empty() && probes.is_empty());
+        return;
+    };
+    assert_eq!(sources.len() % step_len, 0);
+    let n_src = sources.len() / step_len;
+    assert_eq!(
+        Some(ops.cols.len()),
+        (nc + nl + n_src).checked_mul(ops.n_nodes)
+    );
+    let n_probes = ops.probe_nodes.len() + ops.probe_inds.len();
+    assert_eq!(Some(probes.len()), n_probes.checked_mul(step_len));
+
+    let mut body = Steps {
+        ops,
+        stride,
+        n_steps,
+        n_src,
+        n_probes,
+        sources: sources.as_ptr(),
+        state: rows.state.as_mut_ptr(),
+        cap_v: rows.cap_v.as_mut_ptr(),
+        cap_i: rows.cap_i.as_mut_ptr(),
+        ind_v: rows.ind_v.as_mut_ptr(),
+        ind_i: rows.ind_i.as_mut_ptr(),
+        hist: rows.hist.as_mut_ptr(),
+        probes: probes.as_mut_ptr(),
+    };
+    // SAFETY: forwarded target-feature contract; extents checked above.
+    unsafe {
+        if stride == 1 {
+            body.serial::<V>();
+        } else {
+            for_blocks::<V, _>(stride, &mut body);
         }
     }
-    /// Batched gather: blocks run across the lanes of every element row.
-    struct Lanes<'a> {
-        g: &'a [f64],
-        v: &'a [f64],
-        i: &'a [f64],
-        lanes: usize,
-        out: &'a mut [f64],
-    }
-    impl Block for Lanes<'_> {
-        #[inline(always)]
-        unsafe fn run<U: Vf64, const LV: usize>(&mut self, l0: usize) {
-            for (k, &gk) in self.g.iter().enumerate() {
-                let gv = U::splat(gk);
+}
+
+/// The operands and row pointers of one [`state_steps`] call, every
+/// extent already checked against `stride`, `n_steps`, `n_src` and
+/// `n_probes`. Element `k` of lane `l` sits at `[k * stride + l]`.
+struct Steps<'a> {
+    ops: StepOperands<'a>,
+    stride: usize,
+    n_steps: usize,
+    n_src: usize,
+    n_probes: usize,
+    sources: *const f64,
+    state: *mut f64,
+    cap_v: *mut f64,
+    cap_i: *mut f64,
+    ind_v: *mut f64,
+    ind_i: *mut f64,
+    hist: *mut f64,
+    probes: *mut f64,
+}
+
+impl Steps<'_> {
+    /// One lane: per step, the history gathers vectorised across elements,
+    /// the fold across nodes, then scalar companion updates through the
+    /// node-row tables and the probe copies.
+    ///
+    /// # Safety
+    ///
+    /// `stride == 1`, and `V`'s target features must be present.
+    #[inline(always)]
+    unsafe fn serial<V: Vf64>(&mut self) {
+        /// `out[k] = g[k].mul_add(v[k], i[k])` across elements.
+        struct Gather {
+            g: *const f64,
+            v: *const f64,
+            i: *const f64,
+            out: *mut f64,
+        }
+        impl Block for Gather {
+            #[inline(always)]
+            unsafe fn run<U: Vf64, const LV: usize>(&mut self, e0: usize) {
                 for q in 0..LV {
-                    let e = k * self.lanes + l0 + q * U::W;
-                    // SAFETY: row `k` holds `lanes` entries and the block
-                    // covers lanes `< lanes`.
+                    let e = e0 + q * U::W;
+                    // SAFETY: the block covers elements of the gathered row.
                     unsafe {
-                        gv.fmadd(
-                            U::load(self.v.as_ptr().add(e)),
-                            U::load(self.i.as_ptr().add(e)),
-                        )
-                        .store(self.out.as_mut_ptr().add(e))
+                        U::load(self.g.add(e))
+                            .fmadd(U::load(self.v.add(e)), U::load(self.i.add(e)))
+                            .store(self.out.add(e))
                     };
                 }
             }
         }
-    }
-    // SAFETY: forwarded target-feature contract; extents checked above.
-    unsafe {
-        if lanes == 1 {
-            for_blocks::<V, _>(g.len(), &mut Elems { g, v, i, out });
-        } else {
-            for_blocks::<V, _>(
-                lanes,
-                &mut Lanes {
-                    g,
-                    v,
-                    i,
-                    lanes,
-                    out,
-                },
-            );
+        /// One lane's fold across nodes, weights from the gathered
+        /// histories then the step's source row.
+        struct Nodes<'a> {
+            cols: &'a [f64],
+            n_nodes: usize,
+            weights: [(*const f64, usize); 2],
+            xn: *mut f64,
         }
-    }
-}
-
-/// Companion update shared by capacitors (`CAP = true`, history enters
-/// with a minus) and inductors (`CAP = false`, plus); see
-/// [`crate::SimdLevel::cap_updates`] / [`crate::SimdLevel::ind_updates`].
-/// Blocks run across the lanes of every element row.
-#[inline(always)]
-unsafe fn elem_updates<V: Vf64, const CAP: bool>(
-    g: &[f64],
-    rows: &[[u32; 2]],
-    state: &[f64],
-    lanes: usize,
-    v: &mut [f64],
-    i: &mut [f64],
-) {
-    assert!(lanes > 0);
-    assert_eq!(rows.len(), g.len());
-    assert_eq!(Some(v.len()), g.len().checked_mul(lanes));
-    assert_eq!(i.len(), v.len());
-    let n_rows = state.len() / lanes;
-    assert!(rows.iter().flatten().all(|&r| (r as usize) < n_rows));
-    struct Lanes<'a, const CAP: bool> {
-        g: &'a [f64],
-        rows: &'a [[u32; 2]],
-        state: &'a [f64],
-        lanes: usize,
-        v: &'a mut [f64],
-        i: &'a mut [f64],
-    }
-    impl<const CAP: bool> Block for Lanes<'_, CAP> {
-        #[inline(always)]
-        unsafe fn run<U: Vf64, const LV: usize>(&mut self, l0: usize) {
-            for (k, (&gk, row)) in self.g.iter().zip(self.rows).enumerate() {
-                let gv = U::splat(gk);
-                let a = row[0] as usize * self.lanes + l0;
-                let b = row[1] as usize * self.lanes + l0;
-                let base = k * self.lanes + l0;
-                for q in 0..LV {
-                    let o = q * U::W;
-                    // SAFETY: the rows are inside `state` (checked above),
-                    // row `k` of `v`/`i` holds `lanes` entries, and the
-                    // block covers lanes `< lanes`.
-                    unsafe {
-                        let sp = self.state.as_ptr();
-                        let vn = U::load(sp.add(a + o)).sub(U::load(sp.add(b + o)));
-                        let hist = gv.fmadd(
-                            U::load(self.v.as_ptr().add(base + o)),
-                            U::load(self.i.as_ptr().add(base + o)),
-                        );
-                        let next = if CAP {
-                            gv.fmsub(vn, hist)
-                        } else {
-                            gv.fmadd(vn, hist)
+        impl Block for Nodes<'_> {
+            #[inline(always)]
+            unsafe fn run<U: Vf64, const LV: usize>(&mut self, i0: usize) {
+                let mut acc = [U::splat(0.0); LV];
+                let mut j = 0;
+                for (first, n) in self.weights {
+                    for r in 0..n {
+                        // SAFETY: `r` is inside this weight run, column `j`
+                        // holds `n_nodes` entries and the block covers nodes
+                        // `i0 .. i0 + LV * U::W <= n_nodes`.
+                        let (wv, col) = unsafe {
+                            (
+                                U::splat(*first.add(r)),
+                                self.cols.as_ptr().add(j * self.n_nodes + i0),
+                            )
                         };
-                        next.store(self.i.as_mut_ptr().add(base + o));
-                        vn.store(self.v.as_mut_ptr().add(base + o));
+                        for (q, a) in acc.iter_mut().enumerate() {
+                            // SAFETY: as above.
+                            *a = wv.fmadd(unsafe { U::load(col.add(q * U::W)) }, *a);
+                        }
+                        j += 1;
                     }
+                }
+                for (q, a) in acc.into_iter().enumerate() {
+                    // SAFETY: as above, inside the node rows.
+                    unsafe { a.store(self.xn.add(i0 + q * U::W)) };
+                }
+            }
+        }
+        let ops = self.ops;
+        let (nc, nl) = (ops.cap_g.len(), ops.ind_g.len());
+        // SAFETY: every pointer below stays inside the rows whose extents
+        // `state_steps` checked, at `stride == 1`.
+        unsafe {
+            for s in 0..self.n_steps {
+                for_blocks::<V, _>(
+                    nc,
+                    &mut Gather {
+                        g: ops.cap_g.as_ptr(),
+                        v: self.cap_v,
+                        i: self.cap_i,
+                        out: self.hist,
+                    },
+                );
+                for_blocks::<V, _>(
+                    nl,
+                    &mut Gather {
+                        g: ops.ind_g.as_ptr(),
+                        v: self.ind_v,
+                        i: self.ind_i,
+                        out: self.hist.add(nc),
+                    },
+                );
+                let src = self.sources.add(s * self.n_src);
+                // Row 0 of the node state is ground (always zero).
+                for_blocks::<V, _>(
+                    ops.n_nodes,
+                    &mut Nodes {
+                        cols: ops.cols,
+                        n_nodes: ops.n_nodes,
+                        weights: [(self.hist, nc + nl), (src, self.n_src)],
+                        xn: self.state.add(1),
+                    },
+                );
+                let st = self.state;
+                serial_updates::<true>(ops.cap_g, ops.cap_rows, st, self.cap_v, self.cap_i);
+                serial_updates::<false>(ops.ind_g, ops.ind_rows, st, self.ind_v, self.ind_i);
+                let prb = self.probes.add(s * self.n_probes);
+                for (p, &r) in ops.probe_nodes.iter().enumerate() {
+                    *prb.add(p) = *st.add(r as usize);
+                }
+                let prb = prb.add(ops.probe_nodes.len());
+                for (p, &r) in ops.probe_inds.iter().enumerate() {
+                    *prb.add(p) = *self.ind_i.add(r as usize);
                 }
             }
         }
     }
-    let mut body = Lanes::<CAP> {
-        g,
-        rows,
-        state,
-        lanes,
-        v,
-        i,
-    };
-    // SAFETY: forwarded target-feature contract; extents checked above.
-    unsafe { for_blocks::<V, _>(lanes, &mut body) }
 }
 
-/// Capacitor companion update; see [`crate::SimdLevel::cap_updates`].
+/// The companion updates of one element class for one lane, reading
+/// node-state entries `rows[k]`.
+///
+/// # Safety
+///
+/// `v` and `i` must hold `g.len()` entries, and every row in `rows` must
+/// be an entry of `state`.
 #[inline(always)]
-pub(crate) unsafe fn cap_updates<V: Vf64>(
+unsafe fn serial_updates<const CAP: bool>(
     g: &[f64],
     rows: &[[u32; 2]],
-    state: &[f64],
-    lanes: usize,
-    v: &mut [f64],
-    i: &mut [f64],
+    state: *const f64,
+    v: *mut f64,
+    i: *mut f64,
 ) {
-    // SAFETY: forwarded contract.
-    unsafe { elem_updates::<V, true>(g, rows, state, lanes, v, i) }
+    for (k, (&gk, row)) in g.iter().zip(rows).enumerate() {
+        // SAFETY: forwarded from the caller.
+        unsafe {
+            let (sa, sb) = (*state.add(row[0] as usize), *state.add(row[1] as usize));
+            (*v.add(k), *i.add(k)) = companion::<f64, CAP>(gk, sa, sb, *v.add(k), *i.add(k));
+        }
+    }
 }
 
-/// Inductor companion update; see [`crate::SimdLevel::ind_updates`].
+impl Block for Steps<'_> {
+    /// One lane block of a multi-lane group through every step: gathers,
+    /// the [`lane_fold`] tiles, companion updates and probe copies, all on
+    /// the block's `LV` vectors.
+    #[inline(always)]
+    unsafe fn run<U: Vf64, const LV: usize>(&mut self, l0: usize) {
+        let ops = self.ops;
+        let stride = self.stride;
+        let nc = ops.cap_g.len();
+        let nh = nc + ops.ind_g.len();
+        // SAFETY: every row below holds `stride` lanes, the block covers
+        // lanes `l0 .. l0 + LV * U::W <= stride`, and every row index was
+        // checked by `state_steps`.
+        unsafe {
+            let at = |p: *mut f64| p.add(l0);
+            let (state, hist) = (at(self.state), at(self.hist));
+            let (cap_v, cap_i, ind_v, ind_i) = (
+                at(self.cap_v),
+                at(self.cap_i),
+                at(self.ind_v),
+                at(self.ind_i),
+            );
+            for s in 0..self.n_steps {
+                lane_gather::<U, LV>(ops.cap_g, cap_v, cap_i, hist, stride);
+                lane_gather::<U, LV>(ops.ind_g, ind_v, ind_i, hist.add(nc * stride), stride);
+                let src = self.sources.add(s * self.n_src * stride + l0);
+                // Row 0 of the node state is ground (always zero).
+                lane_fold::<U, LV>(
+                    ops.cols,
+                    ops.n_nodes,
+                    [(hist, nh), (src, self.n_src)],
+                    stride,
+                    state.add(stride),
+                );
+                lane_updates::<U, LV, true>(ops.cap_g, ops.cap_rows, state, cap_v, cap_i, stride);
+                lane_updates::<U, LV, false>(ops.ind_g, ops.ind_rows, state, ind_v, ind_i, stride);
+                let prb = self.probes.add(s * self.n_probes * stride + l0);
+                lane_copy::<U, LV>(state, ops.probe_nodes, prb, stride);
+                let prb = prb.add(ops.probe_nodes.len() * stride);
+                lane_copy::<U, LV>(ind_i, ops.probe_inds, prb, stride);
+            }
+        }
+    }
+}
+
+/// `h[k] = g[k].mul_add(v[k], i[k])` for every element `k` of one class on
+/// one lane block; each pointer heads that block in row 0, rows `stride`
+/// apart.
+///
+/// # Safety
+///
+/// Each of the `g.len()` rows must hold the block's `LV * U::W` lanes,
+/// and `U`'s target features must be present.
 #[inline(always)]
-pub(crate) unsafe fn ind_updates<V: Vf64>(
+unsafe fn lane_gather<U: Vf64, const LV: usize>(
+    g: &[f64],
+    v: *const f64,
+    i: *const f64,
+    h: *mut f64,
+    stride: usize,
+) {
+    for (k, &gk) in g.iter().enumerate() {
+        let gv = U::splat(gk);
+        for q in 0..LV {
+            let o = k * stride + q * U::W;
+            // SAFETY: forwarded from the caller.
+            unsafe {
+                gv.fmadd(U::load(v.add(o)), U::load(i.add(o)))
+                    .store(h.add(o))
+            };
+        }
+    }
+}
+
+/// The companion updates of one element class on one lane block, reading
+/// node-state rows `rows[k]`; pointers as in [`lane_gather`].
+///
+/// # Safety
+///
+/// As [`lane_gather`], and every row in `rows` must be a row of `state`.
+#[inline(always)]
+unsafe fn lane_updates<U: Vf64, const LV: usize, const CAP: bool>(
     g: &[f64],
     rows: &[[u32; 2]],
-    state: &[f64],
-    lanes: usize,
-    v: &mut [f64],
-    i: &mut [f64],
+    state: *const f64,
+    v: *mut f64,
+    i: *mut f64,
+    stride: usize,
 ) {
-    // SAFETY: forwarded contract.
-    unsafe { elem_updates::<V, false>(g, rows, state, lanes, v, i) }
+    for (k, (&gk, row)) in g.iter().zip(rows).enumerate() {
+        let gv = U::splat(gk);
+        let (a, b) = (row[0] as usize * stride, row[1] as usize * stride);
+        for q in 0..LV {
+            let (o, e) = (q * U::W, k * stride + q * U::W);
+            // SAFETY: forwarded from the caller.
+            unsafe {
+                let (vn, next) = companion::<U, CAP>(
+                    gv,
+                    U::load(state.add(a + o)),
+                    U::load(state.add(b + o)),
+                    U::load(v.add(e)),
+                    U::load(i.add(e)),
+                );
+                next.store(i.add(e));
+                vn.store(v.add(e));
+            }
+        }
+    }
+}
+
+/// Copies rows `rows` of `from` into consecutive rows of `to`, one lane
+/// block; pointers as in [`lane_gather`].
+///
+/// # Safety
+///
+/// As [`lane_gather`], for the rows of `from` named in `rows` and
+/// `rows.len()` rows of `to`.
+#[inline(always)]
+unsafe fn lane_copy<U: Vf64, const LV: usize>(
+    from: *const f64,
+    rows: &[u32],
+    to: *mut f64,
+    stride: usize,
+) {
+    for (p, &r) in rows.iter().enumerate() {
+        for q in 0..LV {
+            let o = q * U::W;
+            // SAFETY: forwarded from the caller.
+            unsafe { U::load(from.add(r as usize * stride + o)).store(to.add(p * stride + o)) };
+        }
+    }
 }
 
 /// Goertzel recurrence; see [`crate::SimdLevel::goertzel`]. Quad-sample

@@ -1,9 +1,10 @@
 //! # emvolt-simd
 //!
 //! Runtime-dispatched SIMD kernels for the measurement chain's hot
-//! loops: the state-space response-column folds, the SoA history
-//! gather / companion-update loops, the Goertzel recurrence and the
-//! elementwise products of the band pipeline.
+//! loops: the fused state-space transient step loop (one dispatched call
+//! per block of steps), the lane-major response-column fold, the
+//! Goertzel recurrence and the elementwise products of the band
+//! pipeline.
 //!
 //! ## Dispatch contract
 //!
@@ -272,6 +273,52 @@ pub fn preferred_lanes() -> usize {
     (level().vector_f64s() * 2).max(4)
 }
 
+/// The read-only operands of [`SimdLevel::state_steps`]: one
+/// state-space transient plan's response columns and companion tables,
+/// and the rows each step records.
+#[derive(Debug, Clone, Copy)]
+pub struct StepOperands<'a> {
+    /// Response columns, row-major `[n_inputs x n_nodes]`, in input order:
+    /// capacitor histories, inductor histories, then sources.
+    pub cols: &'a [f64],
+    /// Solved node rows (ground excluded).
+    pub n_nodes: usize,
+    /// Capacitor companion conductances.
+    pub cap_g: &'a [f64],
+    /// Inductor companion conductances.
+    pub ind_g: &'a [f64],
+    /// `[row_a, row_b]` node-state rows per capacitor (row 0 is ground).
+    pub cap_rows: &'a [[u32; 2]],
+    /// `[row_a, row_b]` node-state rows per inductor.
+    pub ind_rows: &'a [[u32; 2]],
+    /// Node-state rows each step records, first.
+    pub probe_nodes: &'a [u32],
+    /// Inductor-current rows each step records, after the node rows.
+    pub probe_inds: &'a [u32],
+}
+
+/// The rows of one lane group that [`SimdLevel::state_steps`] advances in
+/// place, `stride` lanes per row: element `k` of lane `l` sits at
+/// `[k * stride + l]`.
+#[derive(Debug)]
+pub struct StepRows<'a> {
+    /// Lanes per row.
+    pub stride: usize,
+    /// Node state `[(n_nodes + 1) x stride]`, row 0 the ground row.
+    pub state: &'a mut [f64],
+    /// Capacitor voltages `[n_caps x stride]`.
+    pub cap_v: &'a mut [f64],
+    /// Capacitor currents `[n_caps x stride]`.
+    pub cap_i: &'a mut [f64],
+    /// Inductor voltages `[n_inds x stride]`.
+    pub ind_v: &'a mut [f64],
+    /// Inductor currents `[n_inds x stride]`.
+    pub ind_i: &'a mut [f64],
+    /// Working rows for the gathered histories, `[(n_caps + n_inds) x
+    /// stride]`; their contents on entry are never read.
+    pub hist: &'a mut [f64],
+}
+
 macro_rules! dispatch_ops {
     ($($(#[$doc:meta])* fn $name:ident($($arg:ident : $ty:ty),* $(,)?);)+) => {
         impl SimdLevel {
@@ -313,56 +360,46 @@ macro_rules! dispatch_ops {
 }
 
 dispatch_ops! {
-    /// Serial response-column fold: zeroes `xn` (length `n_nodes`), then
-    /// accumulates `xn[i] = inputs[j].mul_add(cols[j*n_nodes + i], xn[i])`
-    /// in ascending `j` — the state-space kernel's per-step solve.
-    /// Vectorized across the node dimension, with each block of node
-    /// accumulators held in registers across every `j` and written once;
-    /// the `j` accumulation order is preserved exactly.
-    fn fold_cols(cols: &[f64], n_nodes: usize, inputs: &[f64], xn: &mut [f64]);
+    /// Advances one lane group of a state-space transient by `n_steps`
+    /// trapezoidal steps in one call. Each step, per lane:
+    ///
+    /// 1. gathers the companion histories into `rows.hist`,
+    ///    `g[k].mul_add(v[k], i[k])`, capacitors then inductors;
+    /// 2. folds the inputs through the response columns: zero each solved
+    ///    node, then `x_i = w_j.mul_add(cols[j*n_nodes + i], x_i)` in
+    ///    ascending `j`, the weights being the gathered histories and then
+    ///    the step's `n_src` staged source rows, written to state rows
+    ///    `1..=n_nodes` (row 0 is ground and is never written);
+    /// 3. runs the companion updates with `vn = state[a] - state[b]`:
+    ///    `hist = g.mul_add(v, i)`, then `i = g.mul_add(vn, -hist)` for a
+    ///    capacitor or `g.mul_add(vn, hist)` for an inductor, and `v = vn`;
+    /// 4. copies the probed node rows, then the probed inductor-current
+    ///    rows, into the step's `[n_probes x stride]` slab of `probes`.
+    ///
+    /// `sources` is step-major `[n_steps x n_src x stride]`, so `n_src` is
+    /// `sources.len() / (n_steps * stride)`; `probes` is `[n_steps x
+    /// n_probes x stride]`. Every extent and row index is checked once
+    /// per call. One lane (`stride == 1`) folds vectorised across nodes;
+    /// wider groups run each block of lane vectors through all the steps
+    /// in turn, lane-major. Lanes never mix, so a lane's bits do not
+    /// depend on the group it ran in.
+    fn state_steps(
+        ops: &StepOperands<'_>,
+        rows: &mut StepRows<'_>,
+        n_steps: usize,
+        sources: &[f64],
+        probes: &mut [f64],
+    );
 
     /// Lane-major batched fold: `inputs` is `[n_inputs x lanes]`, `xn`
-    /// `[n_nodes x lanes]`; per lane the operation sequence is exactly
-    /// [`SimdLevel::fold_cols`]'s. Vectorized across the lane dimension
-    /// in register-resident tiles of four nodes, so each response-column
-    /// entry is broadcast once per lane block and each output written
-    /// once. Any `lanes` is accepted; a multiple of
-    /// [`SimdLevel::vector_f64s`] runs whole vectors only.
+    /// `[n_nodes x lanes]`; per lane, zero every node, then accumulate
+    /// `xn[i] = inputs[j].mul_add(cols[j*n_nodes + i], xn[i])` in
+    /// ascending `j` — the fold step of [`SimdLevel::state_steps`].
+    /// Vectorized across the lane dimension in register-resident tiles of
+    /// four nodes, so each response-column entry is broadcast once per
+    /// lane block and each output written once. Any `lanes` is accepted;
+    /// a multiple of [`SimdLevel::vector_f64s`] runs whole vectors only.
     fn fold_cols_lanes(cols: &[f64], n_nodes: usize, inputs: &[f64], lanes: usize, xn: &mut [f64]);
-
-    /// Trapezoidal history gather, `out[k*lanes + l] =
-    /// g[k].mul_add(v[k*lanes + l], i[k*lanes + l])` — the per-step
-    /// input for one reactive-element class. With `lanes == 1` this is
-    /// the serial gather, vectorized across elements; with wider lanes
-    /// it vectorizes across the lane dimension per element.
-    fn gather_hist(g: &[f64], v: &[f64], i: &[f64], lanes: usize, out: &mut [f64]);
-
-    /// Capacitor companion update over lane-major SoA state: per element
-    /// `k` (node rows `rows[k]`) and lane `l`, with `vn = state[a+l] -
-    /// state[b+l]`: `hist = g[k].mul_add(v, i); i = g[k].mul_add(vn,
-    /// -hist); v = vn` — the fused form of the trapezoidal capacitor
-    /// step. `state` is node-major `[rows x lanes]` (`lanes == 1` is a
-    /// serial scratch's `v`).
-    fn cap_updates(
-        g: &[f64],
-        rows: &[[u32; 2]],
-        state: &[f64],
-        lanes: usize,
-        v: &mut [f64],
-        i: &mut [f64],
-    );
-
-    /// Inductor companion update, the `+hist` counterpart of
-    /// [`SimdLevel::cap_updates`]: `hist = g[k].mul_add(v, i); i =
-    /// g[k].mul_add(vn, hist); v = vn`.
-    fn ind_updates(
-        g: &[f64],
-        rows: &[[u32; 2]],
-        state: &[f64],
-        lanes: usize,
-        v: &mut [f64],
-        i: &mut [f64],
-    );
 
     /// Goertzel recurrence over one sample record for all bins: per bin
     /// `j` and sample `x`, `t = coeff[j].mul_add(s1[j], x - s2[j]);
@@ -461,39 +498,47 @@ mod tests {
                 lv.fold_cols_lanes(&cols, n_nodes, &inputs, lanes, &mut got);
                 assert_eq!(bits(&want), bits(&got), "fold_cols_lanes {lanes} @ {lv:?}");
 
-                let n_elems = 5;
-                let g = lcg(1, n_elems);
-                let v = lcg(2, n_elems * lanes);
-                let i = lcg(3, n_elems * lanes);
-                let mut want = vec![0.0; n_elems * lanes];
-                let mut got = want.clone();
-                SimdLevel::Scalar.gather_hist(&g, &v, &i, lanes, &mut want);
-                lv.gather_hist(&g, &v, &i, lanes, &mut got);
-                assert_eq!(bits(&want), bits(&got), "gather_hist {lanes} @ {lv:?}");
-
-                let rows: Vec<[u32; 2]> = (0..n_elems as u32).map(|k| [k + 1, k % 2]).collect();
-                let state = lcg(4, (n_elems + 1) * lanes);
-                for cap in [true, false] {
-                    let (mut v1, mut i1) = (v.clone(), i.clone());
-                    let (mut v2, mut i2) = (v.clone(), i.clone());
-                    if cap {
-                        SimdLevel::Scalar.cap_updates(&g, &rows, &state, lanes, &mut v1, &mut i1);
-                        lv.cap_updates(&g, &rows, &state, lanes, &mut v2, &mut i2);
-                    } else {
-                        SimdLevel::Scalar.ind_updates(&g, &rows, &state, lanes, &mut v1, &mut i1);
-                        lv.ind_updates(&g, &rows, &state, lanes, &mut v2, &mut i2);
-                    }
-                    assert_eq!(bits(&v1), bits(&v2), "updates v cap={cap} @ {lv:?}");
-                    assert_eq!(bits(&i1), bits(&i2), "updates i cap={cap} @ {lv:?}");
-                }
+                // Two capacitors, two inductors and one source on the
+                // seven nodes above, stepped five times.
+                let (nc, nl, n_steps) = (2usize, 2usize, 5usize);
+                let cap_rows = [[1, 0], [3, 2]];
+                let ind_rows = [[4, 5], [7, 6]];
+                let ops = StepOperands {
+                    cols: &cols,
+                    n_nodes,
+                    cap_g: &[0.3, -1.1],
+                    ind_g: &[0.7, 0.05],
+                    cap_rows: &cap_rows,
+                    ind_rows: &ind_rows,
+                    probe_nodes: &[0, 7, 2],
+                    probe_inds: &[1],
+                };
+                let sources = lcg(0x50 + lanes as u64, n_steps * lanes);
+                let run = |lv: SimdLevel| {
+                    let mut state = lcg(1, (n_nodes + 1) * lanes);
+                    state[..lanes].fill(0.0);
+                    let (mut cap_v, mut cap_i) = (lcg(2, nc * lanes), lcg(3, nc * lanes));
+                    let (mut ind_v, mut ind_i) = (lcg(4, nl * lanes), lcg(5, nl * lanes));
+                    let mut hist = vec![f64::NAN; (nc + nl) * lanes];
+                    let mut probes = vec![f64::NAN; n_steps * 4 * lanes];
+                    let mut rows = StepRows {
+                        stride: lanes,
+                        state: &mut state,
+                        cap_v: &mut cap_v,
+                        cap_i: &mut cap_i,
+                        ind_v: &mut ind_v,
+                        ind_i: &mut ind_i,
+                        hist: &mut hist,
+                    };
+                    lv.state_steps(&ops, &mut rows, n_steps, &sources, &mut probes);
+                    [state, cap_v, cap_i, ind_v, ind_i, probes].map(|r| bits(&r))
+                };
+                assert_eq!(
+                    run(SimdLevel::Scalar),
+                    run(lv),
+                    "state_steps {lanes} @ {lv:?}"
+                );
             }
-
-            let serial = lcg(5, n_inputs);
-            let mut want = vec![0.0; n_nodes];
-            let mut got = want.clone();
-            SimdLevel::Scalar.fold_cols(&cols, n_nodes, &serial, &mut want);
-            lv.fold_cols(&cols, n_nodes, &serial, &mut got);
-            assert_eq!(bits(&want), bits(&got), "fold_cols @ {lv:?}");
 
             for (n, nb) in [(13usize, 6usize), (16, 1), (4, 5), (3, 9)] {
                 let samples = lcg(6, n);

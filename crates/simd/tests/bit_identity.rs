@@ -1,6 +1,8 @@
 //! Pins the crate's bit-equality contract against an independent
 //! reference: every op's historic scalar sequence is written out below
-//! as plain `f64::mul_add` loops, sharing no code with the kernels, and
+//! as plain `f64::mul_add` loops, sharing no code with the kernels (the
+//! fused transient step kernel against a step loop built from the
+//! gather, fold and companion-update references), and
 //! every dispatch level the host supports must reproduce it
 //! byte-for-byte. Comparing levels only against `SimdLevel::Scalar`
 //! would not do: the scalar level runs the same generic kernel body, so
@@ -12,7 +14,7 @@
 //! signed zeros and subnormals, which would expose a changed zero
 //! initialization or a lost fused rounding.
 
-use emvolt_simd::{supported_levels, SimdLevel};
+use emvolt_simd::{supported_levels, SimdLevel, StepOperands, StepRows};
 
 /// SplitMix64 stream of test doubles.
 struct Values(u64);
@@ -75,19 +77,8 @@ fn assert_levels_match(
 
 // --- The historic sequences, written out literally ------------------
 
-/// Zero every node, then `x_i = w_j.mul_add(c_ji, x_i)` in ascending `j`.
-fn ref_fold_cols(cols: &[f64], n_nodes: usize, inputs: &[f64]) -> Vec<f64> {
-    let mut xn = vec![0.0; n_nodes];
-    for (j, &w) in inputs.iter().enumerate() {
-        for (i, x) in xn.iter_mut().enumerate() {
-            *x = w.mul_add(cols[j * n_nodes + i], *x);
-        }
-    }
-    xn
-}
-
-/// Per lane exactly [`ref_fold_cols`]: inputs `[n_inputs x lanes]`,
-/// result `[n_nodes x lanes]`.
+/// Per lane: zero every node, then `x_i = w_j.mul_add(c_ji, x_i)` in
+/// ascending `j`; inputs `[n_inputs x lanes]`, result `[n_nodes x lanes]`.
 fn ref_fold_cols_lanes(cols: &[f64], n_nodes: usize, inputs: &[f64], lanes: usize) -> Vec<f64> {
     let mut xn = vec![0.0; n_nodes * lanes];
     for j in 0..inputs.len() / lanes {
@@ -140,6 +131,60 @@ fn ref_updates(
     }
 }
 
+/// The rows of one lane group, `lanes` per row: node state (row 0 is
+/// ground), capacitor and inductor voltages and currents.
+#[derive(Clone)]
+struct Group {
+    state: Vec<f64>,
+    cap_v: Vec<f64>,
+    cap_i: Vec<f64>,
+    ind_v: Vec<f64>,
+    ind_i: Vec<f64>,
+}
+
+/// The historic per-step sequence, op by op: gather both history
+/// classes, fold histories then the step's source rows, update
+/// capacitors then inductors, then copy the probed node rows and
+/// inductor-current rows. Returns the probe rows `[n_steps x n_probes x
+/// lanes]`.
+fn ref_state_steps(
+    ops: &StepOperands<'_>,
+    lanes: usize,
+    g: &mut Group,
+    n_steps: usize,
+    sources: &[f64],
+) -> Vec<f64> {
+    let n_src = if n_steps == 0 {
+        0
+    } else {
+        sources.len() / (n_steps * lanes)
+    };
+    let mut probes = Vec::new();
+    for s in 0..n_steps {
+        let mut inputs = ref_gather_hist(ops.cap_g, &g.cap_v, &g.cap_i, lanes);
+        inputs.extend(ref_gather_hist(ops.ind_g, &g.ind_v, &g.ind_i, lanes));
+        inputs.extend_from_slice(&sources[s * n_src * lanes..(s + 1) * n_src * lanes]);
+        let xn = ref_fold_cols_lanes(ops.cols, ops.n_nodes, &inputs, lanes);
+        g.state[lanes..].copy_from_slice(&xn);
+        let Group {
+            state,
+            cap_v,
+            cap_i,
+            ind_v,
+            ind_i,
+        } = g;
+        ref_updates(true, ops.cap_g, ops.cap_rows, state, lanes, cap_v, cap_i);
+        ref_updates(false, ops.ind_g, ops.ind_rows, state, lanes, ind_v, ind_i);
+        for &r in ops.probe_nodes {
+            probes.extend_from_slice(&state[r as usize * lanes..][..lanes]);
+        }
+        for &r in ops.probe_inds {
+            probes.extend_from_slice(&ind_i[r as usize * lanes..][..lanes]);
+        }
+    }
+    probes
+}
+
 /// One sample at a time per bin: `t = c.mul_add(s1, x - s2); s2 = s1;
 /// s1 = t`.
 fn ref_goertzel(samples: &[f64], coeff: &[f64], s1: &mut [f64], s2: &mut [f64]) {
@@ -153,23 +198,6 @@ fn ref_goertzel(samples: &[f64], coeff: &[f64], s1: &mut [f64], s2: &mut [f64]) 
 }
 
 // --- Level sweeps ----------------------------------------------------
-
-#[test]
-fn fold_cols_matches_reference() {
-    let mut vals = Values::new(1);
-    for n_nodes in 1..=20 {
-        for n_inputs in 0..=12 {
-            let cols = vals.vec(n_nodes * n_inputs);
-            let inputs = vals.vec(n_inputs);
-            let want = ref_fold_cols(&cols, n_nodes, &inputs);
-            assert_levels_match(&format!("fold_cols {n_nodes}x{n_inputs}"), &[want], |lv| {
-                let mut xn = vec![f64::NAN; n_nodes];
-                lv.fold_cols(&cols, n_nodes, &inputs, &mut xn);
-                vec![xn]
-            });
-        }
-    }
-}
 
 #[test]
 fn fold_cols_lanes_matches_reference() {
@@ -191,52 +219,188 @@ fn fold_cols_lanes_matches_reference() {
     }
 }
 
-#[test]
-fn gather_hist_matches_reference() {
-    let mut vals = Values::new(3);
-    for lanes in 1..=17 {
-        for n in 0..=20 {
-            let g = vals.vec(n);
-            let v = vals.vec(n * lanes);
-            let i = vals.vec(n * lanes);
-            let want = ref_gather_hist(&g, &v, &i, lanes);
-            assert_levels_match(&format!("gather_hist {n} lanes {lanes}"), &[want], |lv| {
-                let mut out = vec![f64::NAN; n * lanes];
-                lv.gather_hist(&g, &v, &i, lanes, &mut out);
-                vec![out]
-            });
-        }
-    }
+/// A random state-space step problem: `nc` capacitors and `nl`
+/// inductors between random node rows (ground included), `n_src`
+/// sources, and a probe set mixing node rows (ground too) and inductors.
+struct StepProblem {
+    cols: Vec<f64>,
+    n_nodes: usize,
+    cap_g: Vec<f64>,
+    ind_g: Vec<f64>,
+    cap_rows: Vec<[u32; 2]>,
+    ind_rows: Vec<[u32; 2]>,
+    probe_nodes: Vec<u32>,
+    probe_inds: Vec<u32>,
+    group: Group,
+    n_src: usize,
 }
 
-#[test]
-fn companion_updates_match_reference() {
-    let mut vals = Values::new(4);
-    for lanes in 1..=17 {
-        for n in 0..=20 {
-            let n_rows = 13;
-            let rows: Vec<[u32; 2]> = (0..n)
+impl StepProblem {
+    fn new(vals: &mut Values, lanes: usize, n_nodes: usize) -> Self {
+        let nc = (vals.next_u64() % 5) as usize;
+        let nl = (vals.next_u64() % 6) as usize;
+        let n_src = (vals.next_u64() % 3) as usize;
+        let n_rows = n_nodes as u64 + 1;
+        let mut pairs = |n: usize| -> Vec<[u32; 2]> {
+            (0..n)
                 .map(|_| {
                     let r = vals.next_u64();
                     [(r % n_rows) as u32, ((r >> 32) % n_rows) as u32]
                 })
-                .collect();
-            let g = vals.vec(n);
-            let state = vals.vec(n_rows as usize * lanes);
-            let v0 = vals.vec(n * lanes);
-            let i0 = vals.vec(n * lanes);
-            for cap in [true, false] {
-                let (mut v, mut i) = (v0.clone(), i0.clone());
-                ref_updates(cap, &g, &rows, &state, lanes, &mut v, &mut i);
-                let what = format!("updates cap={cap} {n} lanes {lanes}");
-                assert_levels_match(&what, &[v, i], |lv| {
-                    let (mut v, mut i) = (v0.clone(), i0.clone());
-                    if cap {
-                        lv.cap_updates(&g, &rows, &state, lanes, &mut v, &mut i);
-                    } else {
-                        lv.ind_updates(&g, &rows, &state, lanes, &mut v, &mut i);
-                    }
-                    vec![v, i]
+                .collect()
+        };
+        let (cap_rows, ind_rows) = (pairs(nc), pairs(nl));
+        let probe_nodes = vec![0, n_nodes as u32, (vals.next_u64() % n_rows) as u32];
+        let probe_inds = (0..nl as u32).rev().step_by(2).collect();
+        // Small conductances keep a long run's state finite.
+        let mut g = |n: usize| -> Vec<f64> { vals.vec(n).iter().map(|x| x * 1e-4).collect() };
+        let (cap_g, ind_g) = (g(nc), g(nl));
+        let cols = vals
+            .vec((nc + nl + n_src) * n_nodes)
+            .iter()
+            .map(|x| x * 1e-4)
+            .collect();
+        let mut state = vals.vec((n_nodes + 1) * lanes);
+        state[..lanes].fill(0.0);
+        let group = Group {
+            state,
+            cap_v: vals.vec(nc * lanes),
+            cap_i: vals.vec(nc * lanes),
+            ind_v: vals.vec(nl * lanes),
+            ind_i: vals.vec(nl * lanes),
+        };
+        StepProblem {
+            cols,
+            n_nodes,
+            cap_g,
+            ind_g,
+            cap_rows,
+            ind_rows,
+            probe_nodes,
+            probe_inds,
+            group,
+            n_src,
+        }
+    }
+
+    fn ops(&self) -> StepOperands<'_> {
+        StepOperands {
+            cols: &self.cols,
+            n_nodes: self.n_nodes,
+            cap_g: &self.cap_g,
+            ind_g: &self.ind_g,
+            cap_rows: &self.cap_rows,
+            ind_rows: &self.ind_rows,
+            probe_nodes: &self.probe_nodes,
+            probe_inds: &self.probe_inds,
+        }
+    }
+
+    fn n_probes(&self) -> usize {
+        self.probe_nodes.len() + self.probe_inds.len()
+    }
+
+    /// The reference run: final rows, then the probe rows.
+    fn reference(&self, lanes: usize, n_steps: usize, sources: &[f64]) -> Vec<Vec<f64>> {
+        let mut g = self.group.clone();
+        let probes = ref_state_steps(&self.ops(), lanes, &mut g, n_steps, sources);
+        vec![g.state, g.cap_v, g.cap_i, g.ind_v, g.ind_i, probes]
+    }
+
+    /// The kernel at `lv`, called once per `block` steps (the last call
+    /// takes the rest), each call with its own slices of the staged
+    /// sources and the probe rows.
+    fn kernel(
+        &self,
+        lv: SimdLevel,
+        lanes: usize,
+        n_steps: usize,
+        block: usize,
+        sources: &[f64],
+    ) -> Vec<Vec<f64>> {
+        let mut g = self.group.clone();
+        let mut hist = vec![f64::NAN; (self.cap_g.len() + self.ind_g.len()) * lanes];
+        let (src_len, probe_len) = (self.n_src * lanes, self.n_probes() * lanes);
+        let mut probes = vec![f64::NAN; n_steps * probe_len];
+        let mut done = 0;
+        loop {
+            let n = block.min(n_steps - done);
+            let mut rows = StepRows {
+                stride: lanes,
+                state: &mut g.state,
+                cap_v: &mut g.cap_v,
+                cap_i: &mut g.cap_i,
+                ind_v: &mut g.ind_v,
+                ind_i: &mut g.ind_i,
+                hist: &mut hist,
+            };
+            lv.state_steps(
+                &self.ops(),
+                &mut rows,
+                n,
+                &sources[done * src_len..(done + n) * src_len],
+                &mut probes[done * probe_len..(done + n) * probe_len],
+            );
+            done += n;
+            if done == n_steps {
+                break;
+            }
+        }
+        vec![g.state, g.cap_v, g.cap_i, g.ind_v, g.ind_i, probes]
+    }
+}
+
+/// The transient stages its sources and runs the kernel in blocks of
+/// this many steps.
+const BLOCK: usize = 64;
+
+/// Every lane count and node count, a few steps, one call.
+#[test]
+fn state_steps_match_reference_step_loop() {
+    let mut vals = Values::new(3);
+    for lanes in 1..=17 {
+        for n_nodes in 1..=20 {
+            let p = StepProblem::new(&mut vals, lanes, n_nodes);
+            for n_steps in [0, 1, 3] {
+                let sources = vals.vec(n_steps * p.n_src * lanes);
+                let want = p.reference(lanes, n_steps, &sources);
+                let what = format!("state_steps {n_nodes} nodes, {lanes} lanes, {n_steps} steps");
+                assert_levels_match(&what, &want, |lv| {
+                    p.kernel(lv, lanes, n_steps, BLOCK, &sources)
+                });
+            }
+        }
+    }
+}
+
+/// Long runs on both sides of every block boundary up to `3 * BLOCK +
+/// 1` steps, called in blocks as the transient does and in one call:
+/// the step count and the split never change a bit.
+#[test]
+fn state_steps_match_reference_across_block_boundaries() {
+    let mut vals = Values::new(4);
+    for (lanes, n_nodes) in [(1, 12), (3, 7), (4, 12), (8, 12), (9, 20)] {
+        let p = StepProblem::new(&mut vals, lanes, n_nodes);
+        let n_max = 3 * BLOCK + 1;
+        let sources = vals.vec(n_max * p.n_src * lanes);
+        for n_steps in [
+            0,
+            1,
+            2,
+            BLOCK - 1,
+            BLOCK,
+            BLOCK + 1,
+            2 * BLOCK + 5,
+            3 * BLOCK,
+            n_max,
+        ] {
+            let sources = &sources[..n_steps * p.n_src * lanes];
+            let want = p.reference(lanes, n_steps, sources);
+            for block in [BLOCK, n_steps.max(1)] {
+                let what =
+                    format!("state_steps {lanes} lanes, {n_steps} steps in blocks of {block}");
+                assert_levels_match(&what, &want, |lv| {
+                    p.kernel(lv, lanes, n_steps, block, sources)
                 });
             }
         }
