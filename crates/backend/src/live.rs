@@ -12,6 +12,7 @@
 use crate::request::{CombinedSource, DomainInfo, EmObservation, Load, MeasureRequest};
 use crate::{BackendError, MeasurementBackend, Served};
 use emvolt_inst::SweepReading;
+use emvolt_obs::snap::{parse_bits, Bits};
 use emvolt_obs::{CounterId, Telemetry};
 use emvolt_platform::{
     DomainError, DomainRun, DomainRunner, EmBench, EmReading, MeasureScratch, RunConfig,
@@ -86,16 +87,9 @@ fn rig_pairs(bench: &EmBench, elapsed_s: f64) -> Vec<(String, String)> {
     vec![
         (
             "rig_rng".to_string(),
-            words
-                .iter()
-                .map(|w| format!("{w:016x}"))
-                .collect::<Vec<_>>()
-                .join(":"),
+            words.map(|w| Bits(w).to_string()).join(":"),
         ),
-        (
-            "elapsed".to_string(),
-            format!("{:016x}", elapsed_s.to_bits()),
-        ),
+        ("elapsed".to_string(), Bits(elapsed_s.to_bits()).to_string()),
     ]
 }
 
@@ -462,10 +456,9 @@ impl MeasurementBackend for LiveBackend {
     }
 
     /// Each run of consecutive unseeded requests on one domain is served
-    /// by [`LiveBackend::serve_rig`] as held lane groups of at most
-    /// [`MAX_HELD_LANES`]; seeded requests take the
-    /// [`MeasurementBackend::measure`] path and an unknown domain fails
-    /// its request alone.
+    /// by the rig as held lane groups of at most four requests; seeded
+    /// requests take the [`MeasurementBackend::measure`] path and an
+    /// unknown domain fails its request alone.
     fn measure_serial_batch(
         &mut self,
         reqs: &[MeasureRequest<'_>],
@@ -558,20 +551,17 @@ impl MeasurementBackend for LiveBackend {
                 "rig_rng" => {
                     let words = value
                         .split(':')
-                        .map(|w| u64::from_str_radix(w, 16))
+                        .map(parse_bits)
                         .collect::<Result<Vec<_>, _>>()
-                        .map_err(|e| {
-                            BackendError::Store(format!("bad rig_rng word in `{value}`: {e}"))
-                        })?;
+                        .map_err(|e| BackendError::Store(format!("bad rig_rng word: {e}")))?;
                     let words: [u64; 4] = words.try_into().map_err(|w: Vec<u64>| {
                         BackendError::Store(format!("rig_rng holds {} words, expected 4", w.len()))
                     })?;
                     self.bench.set_rng_state(words);
                 }
                 "elapsed" => {
-                    let bits = u64::from_str_radix(value, 16).map_err(|e| {
-                        BackendError::Store(format!("bad elapsed bits `{value}`: {e}"))
-                    })?;
+                    let bits = parse_bits(value)
+                        .map_err(|e| BackendError::Store(format!("bad elapsed bits: {e}")))?;
                     self.bench.restore_elapsed(f64::from_bits(bits));
                 }
                 other => {

@@ -16,8 +16,8 @@ use crate::request::{CombinedSource, DomainInfo, EmObservation, MeasureRequest};
 use crate::trace::{combined_key, request_key, TraceHeader, TraceLine, TracePayload};
 use crate::{fingerprint::run_config_fingerprint, BackendError, MeasurementBackend};
 use emvolt_inst::SweepReading;
-use emvolt_obs::CounterId;
-use emvolt_obs::{Event, HistId, Telemetry};
+use emvolt_obs::snap::{parse_bits, Bits};
+use emvolt_obs::{CounterId, Event, HistId, Telemetry};
 use emvolt_platform::{RunConfig, SessionCosts};
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
@@ -234,7 +234,7 @@ impl MeasurementBackend for ReplayBackend {
             .collect();
         state.push((
             "elapsed".to_string(),
-            format!("{:016x}", self.elapsed.lock().to_bits()),
+            Bits(self.elapsed.lock().to_bits()).to_string(),
         ));
         state
     }
@@ -251,15 +251,14 @@ impl MeasurementBackend for ReplayBackend {
                 let queue = entries
                     .get_mut(entry_key)
                     .ok_or_else(|| BackendError::MissingRecording(entry_key.to_string()))?;
-                for _ in 0..n {
-                    if queue.len() > 1 {
-                        queue.pop_front();
-                    }
-                }
+                // Keep the last call, as `serve` does. The count comes from
+                // the file, so it is capped, never iterated.
+                let pops = n.min(queue.len() as u64 - 1) as usize;
+                queue.drain(..pops);
                 *self.served.lock().entry(entry_key.to_string()).or_insert(0) = n;
             } else if key == "elapsed" {
-                let bits = u64::from_str_radix(value, 16)
-                    .map_err(|e| BackendError::Store(format!("bad elapsed bits `{value}`: {e}")))?;
+                let bits = parse_bits(value)
+                    .map_err(|e| BackendError::Store(format!("bad elapsed bits: {e}")))?;
                 *self.elapsed.lock() = f64::from_bits(bits);
             } else {
                 return Err(BackendError::Store(format!(
@@ -268,5 +267,63 @@ impl MeasurementBackend for ReplayBackend {
             }
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::trace::TraceEntry;
+    use std::time::{Duration, Instant};
+
+    /// A replay of one `rig` key recorded three times, the calls told
+    /// apart by their analyzer time.
+    fn three_calls_of_one_key(tag: &str) -> ReplayBackend {
+        let header = TraceHeader {
+            backend: "live".to_string(),
+            costs: SessionCosts::default(),
+            domains: Vec::new(),
+        };
+        let mut text = header.to_line() + "\n";
+        for elapsed_s in [1.0, 2.0, 3.0] {
+            let entry = TraceEntry {
+                key: "k".to_string(),
+                payload: TracePayload::Failed("recorded".to_string()),
+                counters: Vec::new(),
+                hists: Vec::new(),
+                events: Vec::new(),
+                elapsed_s,
+            };
+            text += &(entry.to_line() + "\n");
+        }
+        let path =
+            std::env::temp_dir().join(format!("emvolt_replay_{tag}_{}.jsonl", std::process::id()));
+        std::fs::write(&path, text).unwrap();
+        let backend = ReplayBackend::open(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        backend
+    }
+
+    /// The calls left to serve after restoring `served:k` = `n`.
+    fn cursor_after(n: &str, tag: &str) -> Vec<f64> {
+        let mut backend = three_calls_of_one_key(tag);
+        backend
+            .restore_rig_state(&[("served:k".to_string(), n.to_string())])
+            .unwrap();
+        let entries = backend.entries.lock();
+        entries["k"].iter().map(|call| call.elapsed_s).collect()
+    }
+
+    /// The served count comes from a checkpoint file: a hand-edited count
+    /// near `u64::MAX` restores at once, to the cursor of the largest
+    /// count that still keeps the last call.
+    #[test]
+    fn a_huge_served_count_restores_at_once() {
+        let start = Instant::now();
+        let capped = cursor_after("18446744073709551615", "served_max");
+        assert!(start.elapsed() < Duration::from_secs(5));
+        assert_eq!(capped, cursor_after("2", "served_two"));
+        assert_eq!(capped, [3.0]);
+        assert_eq!(cursor_after("1", "served_one"), [2.0, 3.0]);
     }
 }

@@ -16,17 +16,17 @@
 //!
 //! ## Bit-exact floats
 //!
-//! The vendored JSON number path cannot round-trip every `f64` (`-0.0`
-//! and integers above 2^53 lose their bit pattern), and replay promises
-//! `to_bits()`-level equality with the recorded run. All floats in the
-//! trace are therefore stored as 16-hex-digit `f64::to_bits` strings;
+//! Replay promises `to_bits()`-level equality with the recorded run, so
+//! every line goes through [`emvolt_obs::snap`], the codec the checkpoint
+//! shares: all floats are stored as 16-hex-digit `f64::to_bits` strings;
 //! only human-auxiliary numbers (sample counts, counter deltas) use JSON
 //! numbers.
 
 use crate::fingerprint::{kernel_fingerprint, Fnv};
 use crate::request::{BandSpec, CombinedSource, DomainInfo, EmObservation, Load, MeasureRequest};
 use emvolt_isa::Isa;
-use emvolt_obs::{CounterId, Event, HistId};
+use emvolt_obs::snap::{arr, entries, field, hex, obj, to_line, tuple, unhex, Bits};
+use emvolt_obs::{snap, CounterId, Event, HistId};
 use emvolt_platform::{EmReading, SessionCosts};
 use serde::{DeError, Deserialize, Serialize, Value};
 
@@ -42,26 +42,28 @@ pub fn request_key(req: &MeasureRequest<'_>, cfg_fp: u64) -> String {
         Load::Kernel {
             kernel,
             loaded_cores,
-        } => format!("k{:016x}x{loaded_cores}", kernel_fingerprint(kernel)),
+        } => format!("k{}x{loaded_cores}", Bits(kernel_fingerprint(kernel))),
         Load::Idle => "idle".to_string(),
     };
     let freq = match req.freq_hz {
-        Some(hz) => format!("{:016x}", hz.to_bits()),
+        Some(hz) => Bits(hz.to_bits()).to_string(),
         None => "default".to_string(),
     };
     let band = match req.band {
         BandSpec::Explicit { lo_hz, hi_hz } => {
-            format!("b{:016x}:{:016x}", lo_hz.to_bits(), hi_hz.to_bits())
+            format!("b{}:{}", Bits(lo_hz.to_bits()), Bits(hi_hz.to_bits()))
         }
-        BandSpec::AroundLoop { halfwidth_hz } => format!("l{:016x}", halfwidth_hz.to_bits()),
+        BandSpec::AroundLoop { halfwidth_hz } => format!("l{}", Bits(halfwidth_hz.to_bits())),
     };
     let seed = match req.seed {
-        Some(s) => format!("s{s:016x}"),
+        Some(s) => format!("s{}", Bits(s)),
         None => "rig".to_string(),
     };
     format!(
-        "{}|{load}|{freq}|{band}|n{}|{seed}|c{cfg_fp:016x}",
-        req.domain, req.samples
+        "{}|{load}|{freq}|{band}|n{}|{seed}|c{}",
+        req.domain,
+        req.samples,
+        Bits(cfg_fp)
     )
 }
 
@@ -80,28 +82,12 @@ pub fn combined_key(sources: &[CombinedSource<'_>], seed: u64, cfg_fp: u64) -> S
         }
         h.write(b";");
     }
-    format!("combined|{:016x}|s{seed:016x}|c{cfg_fp:016x}", h.finish())
-}
-
-/// Wraps a hand-built [`Value`] so the vendored `serde_json::to_string`
-/// (which takes `T: Serialize`) can print it.
-struct Raw(Value);
-
-impl Serialize for Raw {
-    fn to_value(&self) -> Value {
-        self.0.clone()
-    }
-}
-
-fn hex(v: f64) -> Value {
-    Value::Str(format!("{:016x}", v.to_bits()))
-}
-
-fn unhex(v: &Value) -> Result<f64, DeError> {
-    let s = String::from_value(v)?;
-    let bits = u64::from_str_radix(&s, 16)
-        .map_err(|e| DeError::new(format!("bad f64 bit string `{s}`: {e}")))?;
-    Ok(f64::from_bits(bits))
+    format!(
+        "combined|{}|s{}|c{}",
+        Bits(h.finish()),
+        Bits(seed),
+        Bits(cfg_fp)
+    )
 }
 
 fn isa_str(isa: Isa) -> &'static str {
@@ -119,15 +105,6 @@ fn isa_parse(s: &str) -> Result<Isa, DeError> {
     }
 }
 
-fn obj(fields: Vec<(&str, Value)>) -> Value {
-    Value::Obj(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
-}
-
 fn domain_info_value(d: &DomainInfo) -> Value {
     obj(vec![
         ("name", Value::Str(d.name.clone())),
@@ -142,13 +119,13 @@ fn domain_info_value(d: &DomainInfo) -> Value {
 
 fn domain_info_from(v: &Value) -> Result<DomainInfo, DeError> {
     Ok(DomainInfo {
-        name: String::from_value(v.field_value("name")?)?,
-        isa: isa_parse(&String::from_value(v.field_value("isa")?)?)?,
-        max_frequency_hz: unhex(v.field_value("max_freq")?)?,
-        frequency_hz: unhex(v.field_value("freq")?)?,
-        voltage_v: unhex(v.field_value("voltage")?)?,
-        active_cores: usize::from_value(v.field_value("active_cores")?)?,
-        expected_resonance_hz: unhex(v.field_value("resonance")?)?,
+        name: String::from_value(field(v, "name")?)?,
+        isa: isa_parse(&String::from_value(field(v, "isa")?)?)?,
+        max_frequency_hz: unhex(field(v, "max_freq")?)?,
+        frequency_hz: unhex(field(v, "freq")?)?,
+        voltage_v: unhex(field(v, "voltage")?)?,
+        active_cores: usize::from_value(field(v, "active_cores")?)?,
+        expected_resonance_hz: unhex(field(v, "resonance")?)?,
     })
 }
 
@@ -183,40 +160,31 @@ impl TraceHeader {
                 Value::Arr(self.domains.iter().map(domain_info_value).collect()),
             ),
         ]);
-        serde_json::to_string(&Raw(v)).expect("vendored JSON serialization is infallible")
+        to_line(&v)
     }
 
     pub(crate) fn from_value(v: &Value) -> Result<Self, DeError> {
-        let version = u64::from_value(v.field_value("version")?)?;
+        let version = u64::from_value(field(v, "version")?)?;
         if version != TRACE_FORMAT_VERSION {
             return Err(DeError::new(format!(
                 "trace format version {version}, this build reads {TRACE_FORMAT_VERSION}"
             )));
         }
-        let cv = v.field_value("costs")?;
+        let cv = field(v, "costs")?;
         let costs = SessionCosts {
-            upload_s: unhex(cv.field_value("upload")?)?,
-            compile_s: unhex(cv.field_value("compile")?)?,
-            launch_s: unhex(cv.field_value("launch")?)?,
-            sample_s: unhex(cv.field_value("sample")?)?,
-            teardown_s: unhex(cv.field_value("teardown")?)?,
-        };
-        let domains = match v.field_value("domains")? {
-            Value::Arr(items) => items
-                .iter()
-                .map(domain_info_from)
-                .collect::<Result<Vec<_>, _>>()?,
-            other => {
-                return Err(DeError::new(format!(
-                    "expected array for `domains`, found {}",
-                    other.kind()
-                )))
-            }
+            upload_s: unhex(field(cv, "upload")?)?,
+            compile_s: unhex(field(cv, "compile")?)?,
+            launch_s: unhex(field(cv, "launch")?)?,
+            sample_s: unhex(field(cv, "sample")?)?,
+            teardown_s: unhex(field(cv, "teardown")?)?,
         };
         Ok(TraceHeader {
-            backend: String::from_value(v.field_value("backend")?)?,
+            backend: String::from_value(field(v, "backend")?)?,
             costs,
-            domains,
+            domains: arr(field(v, "domains")?)?
+                .iter()
+                .map(domain_info_from)
+                .collect::<Result<_, _>>()?,
         })
     }
 }
@@ -264,18 +232,15 @@ fn observation_value(o: &EmObservation) -> Value {
 fn observation_from(v: &Value) -> Result<EmObservation, DeError> {
     Ok(EmObservation {
         reading: EmReading {
-            metric_dbm: unhex(v.field_value("metric")?)?,
-            dominant_hz: unhex(v.field_value("dominant")?)?,
+            metric_dbm: unhex(field(v, "metric")?)?,
+            dominant_hz: unhex(field(v, "dominant")?)?,
         },
-        loop_frequency_hz: unhex(v.field_value("loop")?)?,
-        ipc: unhex(v.field_value("ipc")?)?,
-        max_droop_v: unhex(v.field_value("droop")?)?,
-        peak_to_peak_v: unhex(v.field_value("p2p")?)?,
-        band: (
-            unhex(v.field_value("band_lo")?)?,
-            unhex(v.field_value("band_hi")?)?,
-        ),
-        cached: bool::from_value(v.field_value("cached")?)?,
+        loop_frequency_hz: unhex(field(v, "loop")?)?,
+        ipc: unhex(field(v, "ipc")?)?,
+        max_droop_v: unhex(field(v, "droop")?)?,
+        peak_to_peak_v: unhex(field(v, "p2p")?)?,
+        band: (unhex(field(v, "band_lo")?)?, unhex(field(v, "band_hi")?)?),
+        cached: bool::from_value(field(v, "cached")?)?,
     })
 }
 
@@ -335,106 +300,51 @@ impl TraceEntry {
             Value::Arr(self.events.iter().map(Serialize::to_value).collect()),
         ));
         fields.push(("elapsed", hex(self.elapsed_s)));
-        serde_json::to_string(&Raw(obj(fields))).expect("vendored JSON serialization is infallible")
+        to_line(&obj(fields))
     }
 
     pub(crate) fn from_value(v: &Value) -> Result<Self, DeError> {
-        let key = String::from_value(v.field_value("key")?)?;
-        let ok = bool::from_value(v.field_value("ok")?)?;
-        let payload = if !ok {
-            TracePayload::Failed(String::from_value(v.field_value("err")?)?)
-        } else if let Ok(points) = v.field_value("points") {
-            match points {
-                Value::Arr(items) => TracePayload::Points(
-                    items
-                        .iter()
-                        .map(|item| match item {
-                            Value::Arr(pair) if pair.len() == 2 => {
-                                Ok((unhex(&pair[0])?, unhex(&pair[1])?))
-                            }
-                            other => Err(DeError::new(format!(
-                                "expected [freq, amp] pair, found {}",
-                                other.kind()
-                            ))),
-                        })
-                        .collect::<Result<Vec<_>, _>>()?,
-                ),
-                other => {
-                    return Err(DeError::new(format!(
-                        "expected array for `points`, found {}",
-                        other.kind()
-                    )))
-                }
-            }
+        let payload = if !bool::from_value(field(v, "ok")?)? {
+            TracePayload::Failed(String::from_value(field(v, "err")?)?)
+        } else if let Ok(points) = field(v, "points") {
+            TracePayload::Points(
+                arr(points)?
+                    .iter()
+                    .map(|pair| {
+                        let [f, a] = tuple(pair)?;
+                        Ok((unhex(f)?, unhex(a)?))
+                    })
+                    .collect::<Result<_, DeError>>()?,
+            )
         } else {
-            TracePayload::Observation(observation_from(v.field_value("obs")?)?)
+            TracePayload::Observation(observation_from(field(v, "obs")?)?)
         };
-        let counters = match v.field_value("counters")? {
-            Value::Obj(entries) => entries
-                .iter()
-                .map(|(name, nv)| {
-                    let id = CounterId::ALL
-                        .into_iter()
-                        .find(|id| id.name() == name)
-                        .ok_or_else(|| DeError::new(format!("unknown counter `{name}`")))?;
-                    Ok((id, u64::from_value(nv)?))
-                })
-                .collect::<Result<Vec<_>, DeError>>()?,
-            other => {
-                return Err(DeError::new(format!(
-                    "expected object for `counters`, found {}",
-                    other.kind()
-                )))
-            }
-        };
-        let hists = match v.field_value("hists")? {
-            Value::Obj(entries) => entries
-                .iter()
-                .map(|(name, hv)| {
-                    let id = HistId::ALL
-                        .into_iter()
-                        .find(|id| id.name() == name)
-                        .ok_or_else(|| DeError::new(format!("unknown histogram `{name}`")))?;
-                    let values = match hv {
-                        Value::Arr(items) => {
-                            items.iter().map(unhex).collect::<Result<Vec<_>, _>>()?
-                        }
-                        other => {
-                            return Err(DeError::new(format!(
-                                "expected array for histogram `{name}`, found {}",
-                                other.kind()
-                            )))
-                        }
-                    };
-                    Ok((id, values))
-                })
-                .collect::<Result<Vec<_>, DeError>>()?,
-            other => {
-                return Err(DeError::new(format!(
-                    "expected object for `hists`, found {}",
-                    other.kind()
-                )))
-            }
-        };
-        let events = match v.field_value("events")? {
-            Value::Arr(items) => items
-                .iter()
-                .map(Event::from_value)
-                .collect::<Result<Vec<_>, _>>()?,
-            other => {
-                return Err(DeError::new(format!(
-                    "expected array for `events`, found {}",
-                    other.kind()
-                )))
-            }
-        };
+        let counters = entries(field(v, "counters")?)?
+            .iter()
+            .map(|(name, n)| {
+                let id = CounterId::from_name(name)
+                    .ok_or_else(|| DeError::new(format!("unknown counter `{name}`")))?;
+                Ok((id, u64::from_value(n)?))
+            })
+            .collect::<Result<_, DeError>>()?;
+        let hists = entries(field(v, "hists")?)?
+            .iter()
+            .map(|(name, vs)| {
+                let id = HistId::from_name(name)
+                    .ok_or_else(|| DeError::new(format!("unknown histogram `{name}`")))?;
+                Ok((id, arr(vs)?.iter().map(unhex).collect::<Result<_, _>>()?))
+            })
+            .collect::<Result<_, DeError>>()?;
         Ok(TraceEntry {
-            key,
+            key: String::from_value(field(v, "key")?)?,
             payload,
             counters,
             hists,
-            events,
-            elapsed_s: unhex(v.field_value("elapsed")?)?,
+            events: arr(field(v, "events")?)?
+                .iter()
+                .map(Event::from_value)
+                .collect::<Result<_, _>>()?,
+            elapsed_s: unhex(field(v, "elapsed")?)?,
         })
     }
 }
@@ -447,35 +357,14 @@ pub(crate) enum TraceLine {
 }
 
 impl TraceLine {
-    pub(crate) fn parse(line: &str) -> Result<Self, String> {
-        let v: Value = parse_value(line)?;
-        let kind = String::from_value(v.field_value("k").map_err(|e| e.to_string())?)
-            .map_err(|e| e.to_string())?;
-        match kind.as_str() {
-            "header" => Ok(TraceLine::Header(
-                TraceHeader::from_value(&v).map_err(|e| e.to_string())?,
-            )),
-            "entry" => Ok(TraceLine::Entry(
-                TraceEntry::from_value(&v).map_err(|e| e.to_string())?,
-            )),
-            other => Err(format!("unknown trace line kind `{other}`")),
+    pub(crate) fn parse(line: &str) -> Result<Self, DeError> {
+        let v = snap::parse_line(line)?;
+        match String::from_value(field(&v, "k")?)?.as_str() {
+            "header" => Ok(TraceLine::Header(TraceHeader::from_value(&v)?)),
+            "entry" => Ok(TraceLine::Entry(TraceEntry::from_value(&v)?)),
+            other => Err(DeError::new(format!("unknown trace line kind `{other}`"))),
         }
     }
-}
-
-/// Parses one JSON line into a raw value tree.
-fn parse_value(line: &str) -> Result<Value, String> {
-    // The vendored `from_str` needs a `Deserialize` target; a passthrough
-    // newtype exposes the raw tree.
-    struct Passthrough(Value);
-    impl Deserialize for Passthrough {
-        fn from_value(v: &Value) -> Result<Self, DeError> {
-            Ok(Passthrough(v.clone()))
-        }
-    }
-    serde_json::from_str::<Passthrough>(line)
-        .map(|p| p.0)
-        .map_err(|e| e.to_string())
 }
 
 #[cfg(test)]

@@ -26,23 +26,18 @@ use emvolt_backend::{
     MeasurementBackend,
 };
 use emvolt_engine::{
-    drive, snap, Campaign, DriveOptions, DriveOutcome, Fingerprint, StepBatch, StepLoad,
-    StepOutcome, StepRequest,
+    drive, Campaign, DriveOptions, DriveOutcome, Fingerprint, StepBatch, StepLoad, StepOutcome,
+    StepRequest,
 };
 use emvolt_ga::{derive_eval_seed, GaState, GenerationStats, KernelRepresentation};
 use emvolt_isa::kernels::sweep_kernel;
 use emvolt_isa::{InstructionPool, Kernel, KernelSpec};
-use emvolt_obs::{CounterId, HistId, Layer, Telemetry};
+use emvolt_obs::{snap, CounterId, HistId, Layer, Telemetry};
 use emvolt_platform::{
     DomainError, EmReading, SimClock, INDIVIDUAL_MEASUREMENT_SECONDS, INDIVIDUAL_OVERHEAD_SECONDS,
 };
-use serde::{Deserialize, Serialize, Value};
+use serde::{DeError, Deserialize, Serialize, Value};
 use std::collections::{HashMap, HashSet};
-
-/// Maps a checkpoint decode error into the domain error space.
-fn ck(e: impl std::fmt::Display) -> DomainError {
-    DomainError::Checkpoint(e.to_string())
-}
 
 /// Serializes a kernel through its stable interchange form.
 fn kernel_value(kernel: &Kernel) -> Value {
@@ -50,9 +45,9 @@ fn kernel_value(kernel: &Kernel) -> Value {
 }
 
 /// Restores a kernel written by [`kernel_value`].
-fn kernel_from_value(v: &Value) -> Result<Kernel, DomainError> {
-    let spec = KernelSpec::from_value(v).map_err(ck)?;
-    spec.to_kernel().map_err(ck)
+fn kernel_from_value(v: &Value) -> Result<Kernel, DeError> {
+    let spec = KernelSpec::from_value(v)?;
+    spec.to_kernel().map_err(|e| DeError::new(e.to_string()))
 }
 
 /// Serializes an observation (all floats bit-exact).
@@ -71,8 +66,8 @@ fn obs_value(o: &EmObservation) -> Value {
 }
 
 /// Restores an observation written by [`obs_value`].
-fn obs_from_value(v: &Value) -> Result<EmObservation, DomainError> {
-    let f = |key| snap::unhex(snap::field(v, key).map_err(ck)?).map_err(ck);
+fn obs_from_value(v: &Value) -> Result<EmObservation, DeError> {
+    let f = |key| snap::unhex(snap::field(v, key)?);
     Ok(EmObservation {
         reading: EmReading {
             metric_dbm: f("metric_dbm")?,
@@ -83,26 +78,8 @@ fn obs_from_value(v: &Value) -> Result<EmObservation, DomainError> {
         max_droop_v: f("droop_v")?,
         peak_to_peak_v: f("p2p_v")?,
         band: (f("band_lo")?, f("band_hi")?),
-        cached: bool::from_value(snap::field(v, "cached").map_err(ck)?).map_err(ck)?,
+        cached: bool::from_value(snap::field(v, "cached")?)?,
     })
-}
-
-/// Serializes mid-stream RNG words.
-fn rng_value(rng: &rand::rngs::StdRng) -> Value {
-    Value::Arr(rng.state().iter().map(|&w| snap::hex_u64(w)).collect())
-}
-
-/// Restores an RNG written by [`rng_value`].
-fn rng_from_value(v: &Value) -> Result<rand::rngs::StdRng, DomainError> {
-    let words = snap::arr(v).map_err(ck)?;
-    if words.len() != 4 {
-        return Err(ck("rng state must hold 4 words"));
-    }
-    let mut state = [0u64; 4];
-    for (slot, w) in state.iter_mut().zip(words) {
-        *slot = snap::unhex_u64(w).map_err(ck)?;
-    }
-    Ok(rand::rngs::StdRng::from_state(state))
 }
 
 /// The first outcome of a single-request batch, or the failure it carried.
@@ -460,7 +437,7 @@ fn render_virus_snapshot(
         ])
     };
     snap::obj(vec![
-        ("rng", rng_value(&state.rng)),
+        ("rng", snap::hex_words(state.rng.state())),
         ("generation", Value::Num(state.generation as f64)),
         ("population", kernels(&state.population)),
         (
@@ -605,43 +582,38 @@ impl<F: FnMut(&GenerationProgress)> Campaign for VirusCampaign<F> {
         Box::new(move || render_virus_snapshot(&state, clock_s, &dominant, final_obs.as_ref()))
     }
 
-    fn restore(&mut self, state: &Value) -> Result<(), DomainError> {
-        let kernels = |v: &Value| -> Result<Vec<Kernel>, DomainError> {
-            snap::arr(v)
-                .map_err(ck)?
-                .iter()
-                .map(kernel_from_value)
-                .collect()
+    fn restore(&mut self, state: &Value) -> Result<(), DeError> {
+        let kernels = |v: &Value| -> Result<Vec<Kernel>, DeError> {
+            snap::arr(v)?.iter().map(kernel_from_value).collect()
         };
-        self.state.rng = rng_from_value(snap::field(state, "rng").map_err(ck)?)?;
-        self.state.generation = snap::usize_field(state, "generation").map_err(ck)?;
-        self.state.population = kernels(snap::field(state, "population").map_err(ck)?)?;
-        self.state.best = match snap::field(state, "best").map_err(ck)? {
+        self.state.rng =
+            rand::rngs::StdRng::from_state(snap::unhex_words(snap::field(state, "rng")?)?);
+        self.state.generation = snap::usize_field(state, "generation")?;
+        self.state.population = kernels(snap::field(state, "population")?)?;
+        self.state.best = match snap::field(state, "best")? {
             Value::Null => None,
             v => Some((
-                kernel_from_value(snap::field(v, "kernel").map_err(ck)?)?,
-                snap::unhex(snap::field(v, "fitness").map_err(ck)?).map_err(ck)?,
+                kernel_from_value(snap::field(v, "kernel")?)?,
+                snap::unhex(snap::field(v, "fitness")?)?,
             )),
         };
-        self.state.history = snap::arr(snap::field(state, "history").map_err(ck)?)
-            .map_err(ck)?
+        self.state.history = snap::arr(snap::field(state, "history")?)?
             .iter()
             .map(|v| {
                 Ok(GenerationStats {
-                    index: snap::usize_field(v, "index").map_err(ck)?,
-                    best_fitness: snap::unhex(snap::field(v, "best").map_err(ck)?).map_err(ck)?,
-                    mean_fitness: snap::unhex(snap::field(v, "mean").map_err(ck)?).map_err(ck)?,
-                    best_so_far: snap::unhex(snap::field(v, "best_so_far").map_err(ck)?)
-                        .map_err(ck)?,
+                    index: snap::usize_field(v, "index")?,
+                    best_fitness: snap::unhex(snap::field(v, "best")?)?,
+                    mean_fitness: snap::unhex(snap::field(v, "mean")?)?,
+                    best_so_far: snap::unhex(snap::field(v, "best_so_far")?)?,
                 })
             })
-            .collect::<Result<_, DomainError>>()?;
-        self.state.generation_best = kernels(snap::field(state, "generation_best").map_err(ck)?)?;
+            .collect::<Result<_, DeError>>()?;
+        self.state.generation_best = kernels(snap::field(state, "generation_best")?)?;
 
         // Cross-field sanity: a corrupt-but-parseable snapshot must fail
         // here with a typed error, not panic later in the drive.
         if self.state.generation_best.len() != self.state.history.len() {
-            return Err(ck(format!(
+            return Err(DeError::new(format!(
                 "snapshot records {} generation champions but {} history entries",
                 self.state.generation_best.len(),
                 self.state.history.len()
@@ -650,40 +622,39 @@ impl<F: FnMut(&GenerationProgress)> Campaign for VirusCampaign<F> {
         if !self.state.is_done(&self.config.ga)
             && self.state.population.len() != self.config.ga.population
         {
-            return Err(ck(format!(
+            return Err(DeError::new(format!(
                 "snapshot population holds {} individuals, config expects {}",
                 self.state.population.len(),
                 self.config.ga.population
             )));
         }
         if self.state.is_done(&self.config.ga) && self.state.best.is_none() {
-            return Err(ck("completed GA state is missing its best individual"));
+            return Err(DeError::new(
+                "completed GA state is missing its best individual",
+            ));
         }
 
         self.clock = SimClock::new();
         self.clock
-            .advance(snap::unhex(snap::field(state, "clock_s").map_err(ck)?).map_err(ck)?);
+            .advance(snap::unhex(snap::field(state, "clock_s")?)?);
 
         // Rebuild the memo by re-deriving each champion's identity: the
         // snapshot never trusts hash values across binaries.
         self.dominant.clear();
         self.memo.clear();
-        for pair in snap::arr(snap::field(state, "dominant").map_err(ck)?).map_err(ck)? {
-            let pair = snap::arr(pair).map_err(ck)?;
-            let [index_v, hz_v] = pair else {
-                return Err(ck("dominant entry must be an [index, hz] pair"));
-            };
-            let index = f64::from_value(index_v).map_err(ck)? as usize;
+        for pair in snap::arr(snap::field(state, "dominant")?)? {
+            let [index_v, hz_v] = snap::tuple(pair)?;
+            let index = f64::from_value(index_v)? as usize;
             let kernel = self
                 .state
                 .generation_best
                 .get(index)
-                .ok_or_else(|| ck(format!("dominant index {index} out of range")))?;
-            let hz = snap::unhex(hz_v).map_err(ck)?;
+                .ok_or_else(|| DeError::new(format!("dominant index {index} out of range")))?;
+            let hz = snap::unhex(hz_v)?;
             self.memo.insert(kernel_identity(kernel), hz);
             self.dominant.push((index, hz));
         }
-        self.final_obs = match snap::field(state, "final").map_err(ck)? {
+        self.final_obs = match snap::field(state, "final")? {
             Value::Null => None,
             v => Some(obs_from_value(v)?),
         };
@@ -936,25 +907,21 @@ impl Campaign for SweepCampaign {
         ])
     }
 
-    fn restore(&mut self, state: &Value) -> Result<(), DomainError> {
-        self.next_point = snap::usize_field(state, "next_point").map_err(ck)?;
-        self.points = snap::arr(snap::field(state, "points").map_err(ck)?)
-            .map_err(ck)?
+    fn restore(&mut self, state: &Value) -> Result<(), DeError> {
+        self.next_point = snap::usize_field(state, "next_point")?;
+        self.points = snap::arr(snap::field(state, "points")?)?
             .iter()
             .map(|p| {
-                let p = snap::arr(p).map_err(ck)?;
-                let [cpu, lp, amp] = p else {
-                    return Err(ck("sweep point must be a [cpu, loop, amplitude] triple"));
-                };
+                let [cpu, lp, amp] = snap::tuple(p)?;
                 Ok(SweepPoint {
-                    cpu_freq_hz: snap::unhex(cpu).map_err(ck)?,
-                    loop_freq_hz: snap::unhex(lp).map_err(ck)?,
-                    amplitude_dbm: snap::unhex(amp).map_err(ck)?,
+                    cpu_freq_hz: snap::unhex(cpu)?,
+                    loop_freq_hz: snap::unhex(lp)?,
+                    amplitude_dbm: snap::unhex(amp)?,
                 })
             })
-            .collect::<Result<_, DomainError>>()?;
+            .collect::<Result<_, DeError>>()?;
         if self.next_point != self.points.len() {
-            return Err(ck(format!(
+            return Err(DeError::new(format!(
                 "sweep cursor {} disagrees with {} recorded points",
                 self.next_point,
                 self.points.len()
@@ -962,7 +929,7 @@ impl Campaign for SweepCampaign {
         }
         self.clock = SimClock::new();
         self.clock
-            .advance(snap::unhex(snap::field(state, "clock_s").map_err(ck)?).map_err(ck)?);
+            .advance(snap::unhex(snap::field(state, "clock_s")?)?);
         Ok(())
     }
 }

@@ -13,6 +13,7 @@
 use std::process::ExitCode;
 
 use emvolt_engine::Checkpoint;
+use emvolt_obs::snap::Bits;
 
 fn main() -> ExitCode {
     let paths: Vec<String> = std::env::args().skip(1).collect();
@@ -51,10 +52,10 @@ fn validate_file(path: &str) -> Result<String, String> {
         );
     }
     Ok(format!(
-        "`{}` campaign, fingerprint {:016x}, {} batches, {} rig pairs, \
+        "`{}` campaign, fingerprint {}, {} batches, {} rig pairs, \
          {} counters, {} histograms ok",
         cp.campaign,
-        cp.fingerprint,
+        Bits(cp.fingerprint),
         cp.batches,
         cp.rig.len(),
         cp.telemetry.counters.len(),

@@ -14,13 +14,14 @@
 //!    and the simulated clock, so a resumed run's summary and trace
 //!    continue exactly where the interrupted run stopped.
 //!
-//! Every float crosses the file as the hex form of its IEEE-754 bits
-//! ([`crate::snap`]), so `-0.0`, NaN payloads and values past 2^53
-//! survive the round trip bit-for-bit.
+//! Every line goes through [`emvolt_obs::snap`], the one codec shared
+//! with the backend's record trace: every float crosses the file as the
+//! hex form of its IEEE-754 bits, so `-0.0`, NaN payloads and values
+//! past 2^53 survive the round trip bit-for-bit.
 //!
 //! [`Campaign::snapshot`]: crate::Campaign::snapshot
 
-use crate::snap::{self, arr, field, hex, hex_u64, obj, unhex, unhex_u64};
+use emvolt_obs::snap::{self, arr, field, hex, hex_u64, obj, tuple, unhex, unhex_u64};
 use emvolt_obs::{CounterId, HistId, Telemetry};
 use serde::{DeError, Deserialize, Value};
 use std::fs;
@@ -106,19 +107,17 @@ impl TelemetrySnapshot {
     fn from_value(v: &Value) -> Result<Self, DeError> {
         let mut counters = Vec::new();
         for pair in arr(field(v, "counters")?)? {
-            let (name, n) = name_value_pair(pair)?;
-            let id = CounterId::ALL
-                .into_iter()
-                .find(|id| id.name() == name)
+            let [name, n] = tuple(pair)?;
+            let name = String::from_value(name)?;
+            let id = CounterId::from_name(&name)
                 .ok_or_else(|| DeError::new(format!("unknown counter `{name}`")))?;
             counters.push((id, unhex_u64(n)?));
         }
         let mut hists = Vec::new();
         for pair in arr(field(v, "hists")?)? {
-            let (name, vs) = name_value_pair(pair)?;
-            let id = HistId::ALL
-                .into_iter()
-                .find(|id| id.name() == name)
+            let [name, vs] = tuple(pair)?;
+            let name = String::from_value(name)?;
+            let id = HistId::from_name(&name)
                 .ok_or_else(|| DeError::new(format!("unknown histogram `{name}`")))?;
             let vs = arr(vs)?
                 .iter()
@@ -131,13 +130,6 @@ impl TelemetrySnapshot {
             hists,
             sim_t: unhex(field(v, "sim_t")?)?,
         })
-    }
-}
-
-fn name_value_pair(pair: &Value) -> Result<(String, &Value), DeError> {
-    match pair {
-        Value::Arr(items) if items.len() == 2 => Ok((String::from_value(&items[0])?, &items[1])),
-        _ => Err(DeError::new("expected a [name, value] pair")),
     }
 }
 
@@ -207,16 +199,13 @@ impl Checkpoint {
         let mut lines = text.lines().filter(|l| !l.trim().is_empty());
         let mut next = |what: &str| {
             let line = lines.next().ok_or_else(|| format!("missing {what} line"))?;
-            let v = snap::parse_line(line).map_err(|e| format!("{what} line: {e}"))?;
-            let kind = String::from_value(
-                v.field_value("k")
-                    .map_err(|e| format!("{what} line: {e}"))?,
-            )
-            .map_err(|e| format!("{what} line: {e}"))?;
-            if kind != what {
-                return Err(format!("expected {what} line, found `{kind}`"));
+            let v = snap::parse_line(line)
+                .and_then(|v| Ok((String::from_value(field(&v, "k")?)?, v)))
+                .map_err(|e| format!("{what} line: {e}"));
+            match v? {
+                (kind, v) if kind == what => Ok(v),
+                (kind, _) => Err(format!("expected {what} line, found `{kind}`")),
             }
-            Ok(v)
         };
 
         let header = next("checkpoint")?;
@@ -228,39 +217,28 @@ impl Checkpoint {
                  {CHECKPOINT_FORMAT_VERSION}"
             ));
         }
-        let campaign = String::from_value(field(&header, "campaign").map_err(|e| e.to_string())?)
-            .map_err(|e| e.to_string())?;
-        let fingerprint = unhex_u64(field(&header, "fingerprint").map_err(|e| e.to_string())?)
-            .map_err(|e| e.to_string())?;
-        let batches = unhex_u64(field(&header, "batches").map_err(|e| e.to_string())?)
-            .map_err(|e| e.to_string())?;
-
-        let state = field(&next("state")?, "data")
-            .map_err(|e| e.to_string())?
-            .clone();
-
-        let rig_v = next("rig")?;
-        let mut rig = Vec::new();
-        for pair in
-            arr(field(&rig_v, "pairs").map_err(|e| e.to_string())?).map_err(|e| e.to_string())?
-        {
-            let (k, v) = name_value_pair(pair).map_err(|e| e.to_string())?;
-            rig.push((k, String::from_value(v).map_err(|e| e.to_string())?));
-        }
-
-        let telemetry =
-            TelemetrySnapshot::from_value(&next("telemetry")?).map_err(|e| e.to_string())?;
+        let (state, rig, telemetry) = (next("state")?, next("rig")?, next("telemetry")?);
         if lines.next().is_some() {
             return Err("trailing content after telemetry line".to_string());
         }
-        Ok(Checkpoint {
-            campaign,
-            fingerprint,
-            batches,
-            state,
-            rig,
-            telemetry,
-        })
+        let decode = || -> Result<Self, DeError> {
+            let rig = arr(field(&rig, "pairs")?)?
+                .iter()
+                .map(|pair| {
+                    let [k, v] = tuple(pair)?;
+                    Ok((String::from_value(k)?, String::from_value(v)?))
+                })
+                .collect::<Result<_, DeError>>()?;
+            Ok(Checkpoint {
+                campaign: String::from_value(field(&header, "campaign")?)?,
+                fingerprint: unhex_u64(field(&header, "fingerprint")?)?,
+                batches: unhex_u64(field(&header, "batches")?)?,
+                state: field(&state, "data")?.clone(),
+                rig,
+                telemetry: TelemetrySnapshot::from_value(&telemetry)?,
+            })
+        };
+        decode().map_err(|e| e.to_string())
     }
 
     /// Writes the snapshot atomically: a sibling temp file is renamed

@@ -15,8 +15,8 @@
 //!   state to a versioned JSONL file every N batches, as configured by
 //!   [`DriveOptions`].
 //! * [`checkpoint`] — the on-disk snapshot format (floats as hex bit
-//!   patterns, run-config fingerprint guard against resuming on a
-//!   different chip/config).
+//!   patterns through [`emvolt_obs::snap`], run-config fingerprint
+//!   guard against resuming on a different chip/config).
 //!
 //! The driver never emits telemetry events of its own from worker
 //! threads: lane batches run against a quiet clone of the campaign's
@@ -24,7 +24,6 @@
 //! and lane width.
 
 pub mod checkpoint;
-pub mod snap;
 
 pub use checkpoint::{Checkpoint, TelemetrySnapshot, CHECKPOINT_FORMAT_VERSION};
 pub use emvolt_backend::{kernel_fingerprint, run_config_fingerprint};
@@ -33,9 +32,9 @@ use emvolt_backend::{
     BackendError, BandSpec, EmObservation, Load, MeasureRequest, MeasurementBackend, Served,
 };
 use emvolt_isa::Kernel;
-use emvolt_obs::{CounterId, Telemetry};
+use emvolt_obs::{snap::Bits, CounterId, Telemetry};
 use emvolt_platform::DomainError;
-use serde::Value;
+use serde::{DeError, Value};
 use std::ops::ControlFlow;
 use std::path::{Path, PathBuf};
 
@@ -227,8 +226,9 @@ pub trait Campaign {
     ///
     /// # Errors
     ///
-    /// [`DomainError::Checkpoint`] on a malformed or incompatible tree.
-    fn restore(&mut self, state: &Value) -> Result<(), DomainError>;
+    /// [`DeError`] on a malformed or incompatible tree; resume reports
+    /// it as [`DomainError::Checkpoint`].
+    fn restore(&mut self, state: &Value) -> Result<(), DeError>;
 
     /// Called once when the campaign starts fresh (not on resume) —
     /// the place to charge start-of-run counters that a resumed run
@@ -329,14 +329,16 @@ impl<'a, B: MeasurementBackend + ?Sized> StepDriver<'a, B> {
         }
         if cp.fingerprint != campaign.fingerprint() {
             return Err(DomainError::Checkpoint(format!(
-                "{} was taken with config fingerprint {:016x}, but this run has {:016x}; \
+                "{} was taken with config fingerprint {}, but this run has {}; \
                  refusing to resume against a different chip/config",
                 path.display(),
-                cp.fingerprint,
-                campaign.fingerprint()
+                Bits(cp.fingerprint),
+                Bits(campaign.fingerprint())
             )));
         }
-        campaign.restore(&cp.state)?;
+        campaign
+            .restore(&cp.state)
+            .map_err(|e| DomainError::Checkpoint(e.to_string()))?;
         self.backend
             .restore_rig_state(&cp.rig)
             .map_err(|e| DomainError::Checkpoint(e.to_string()))?;

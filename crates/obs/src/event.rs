@@ -146,10 +146,7 @@ impl Event {
         match self.kind {
             EventKind::Span => Ok(()),
             EventKind::Counter => {
-                let Some(id) = crate::metrics::CounterId::ALL
-                    .into_iter()
-                    .find(|c| c.name() == self.name)
-                else {
+                let Some(id) = crate::metrics::CounterId::from_name(&self.name) else {
                     return Err(format!(
                         "counter `{}` is not in the counter registry",
                         self.name

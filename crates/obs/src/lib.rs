@@ -24,6 +24,9 @@
 //! current, die voltage, instrument readings) behind the same zero-cost
 //! noop discipline and dump VCD or a compact binary.
 //!
+//! [`snap`] is the bit-exact codec behind every JSONL line emvolt
+//! writes and later reads back (record traces, checkpoints, rig state).
+//!
 //! Timestamps come from the simulated campaign clock (`emvolt-platform`'s
 //! `SimClock`, propagated via [`Telemetry::set_sim_time`]); an optional
 //! caller-injected wall-clock closure adds a `wall` field when real-time
@@ -35,6 +38,7 @@
 mod event;
 mod metrics;
 mod recorder;
+pub mod snap;
 mod summary;
 mod telemetry;
 mod wavetrace;

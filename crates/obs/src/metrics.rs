@@ -106,6 +106,11 @@ impl CounterId {
         CounterId::StepsResumed,
     ];
 
+    /// Looks a counter up by its wire [`name`](Self::name).
+    pub fn from_name(name: &str) -> Option<CounterId> {
+        CounterId::ALL.into_iter().find(|id| id.name() == name)
+    }
+
     /// Wire name used in counter events and summaries.
     pub fn name(self) -> &'static str {
         match self {
@@ -233,6 +238,11 @@ impl HistId {
         HistId::FitnessWorst,
         HistId::BandAmplitudeDbm,
     ];
+
+    /// Looks a histogram up by its wire [`name`](Self::name).
+    pub fn from_name(name: &str) -> Option<HistId> {
+        HistId::ALL.into_iter().find(|id| id.name() == name)
+    }
 
     /// Wire name used in hist events and summaries.
     pub fn name(self) -> &'static str {

@@ -122,17 +122,6 @@ impl CampaignSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use serde::{DeError, Deserialize};
-
-    /// Captures the raw value tree (the vendored `Value` has no
-    /// `Deserialize` impl of its own).
-    struct RawValue(Value);
-
-    impl Deserialize for RawValue {
-        fn from_value(v: &Value) -> Result<Self, DeError> {
-            Ok(RawValue(v.clone()))
-        }
-    }
 
     fn sample() -> CampaignSummary {
         CampaignSummary {
@@ -153,7 +142,7 @@ mod tests {
     fn json_line_is_stable_and_parseable() {
         let line = sample().to_json_line();
         assert_eq!(line, sample().to_json_line());
-        let RawValue(value) = serde_json::from_str(&line).unwrap();
+        let value: Value = serde_json::from_str(&line).unwrap();
         assert_eq!(
             value.field_value("label").unwrap(),
             &Value::Str("virus".to_string())

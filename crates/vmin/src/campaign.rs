@@ -15,20 +15,15 @@
 use crate::{gumbel, FailureModel, Outcome, VminConfig, VminResult};
 use emvolt_cpu::{FaultModel, FaultPlan, Program};
 use emvolt_engine::{
-    drive, kernel_fingerprint, run_config_fingerprint, snap, Campaign, DriveOptions, DriveOutcome,
+    drive, kernel_fingerprint, run_config_fingerprint, Campaign, DriveOptions, DriveOutcome,
     Fingerprint, NullBackend, StepBatch, StepOutcome,
 };
 use emvolt_isa::Kernel;
-use emvolt_obs::Telemetry;
+use emvolt_obs::{snap, Telemetry};
 use emvolt_platform::{DomainError, DomainRunner, VoltageDomain};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Value};
-
-/// Maps a checkpoint decode error into the domain error space.
-fn ck(e: impl std::fmt::Display) -> DomainError {
-    DomainError::Checkpoint(e.to_string())
-}
+use serde::{DeError, Deserialize, Value};
 
 /// Everything the ladder derives from its single physical run.
 #[derive(Debug, Clone, Copy)]
@@ -140,7 +135,9 @@ impl VminCampaign {
     /// trial order.
     fn absorb_rung(&mut self) -> Result<(), DomainError> {
         let Some(anchor) = self.anchor else {
-            return Err(ck("ladder rung absorbed before the anchor run"));
+            return Err(DomainError::Checkpoint(
+                "ladder rung absorbed before the anchor run".to_string(),
+            ));
         };
         let v = self.v;
         let iterations = self.config.golden_iterations;
@@ -204,7 +201,9 @@ impl VminCampaign {
     /// [`DomainError::Checkpoint`] if the anchor batch never ran.
     pub fn into_result(self) -> Result<VminResult, DomainError> {
         let Some(anchor) = self.anchor else {
-            return Err(ck("campaign finished without an anchor run"));
+            return Err(DomainError::Checkpoint(
+                "campaign finished without an anchor run".to_string(),
+            ));
         };
         let vmin_v = if self.first_failure_v.is_nan() {
             self.config.floor_v
@@ -262,13 +261,13 @@ fn outcome_char(o: Outcome) -> char {
     }
 }
 
-fn outcome_from_char(c: char) -> Result<Outcome, DomainError> {
+fn outcome_from_char(c: char) -> Result<Outcome, DeError> {
     match c {
         'P' => Ok(Outcome::Pass),
         'S' => Ok(Outcome::Sdc),
         'A' => Ok(Outcome::AppCrash),
         'X' => Ok(Outcome::SystemCrash),
-        other => Err(ck(format!("unknown outcome code `{other}`"))),
+        other => Err(DeError::new(format!("unknown outcome code `{other}`"))),
     }
 }
 
@@ -305,10 +304,7 @@ impl Campaign for VminCampaign {
 
     fn snapshot(&self) -> Value {
         snap::obj(vec![
-            (
-                "rng",
-                Value::Arr(self.rng.state().iter().map(|&w| snap::hex_u64(w)).collect()),
-            ),
+            ("rng", snap::hex_words(self.rng.state())),
             (
                 "anchor",
                 match &self.anchor {
@@ -341,50 +337,33 @@ impl Campaign for VminCampaign {
         ])
     }
 
-    fn restore(&mut self, state: &Value) -> Result<(), DomainError> {
-        let words = snap::arr(snap::field(state, "rng").map_err(ck)?).map_err(ck)?;
-        if words.len() != 4 {
-            return Err(ck("rng state must hold 4 words"));
-        }
-        let mut rng_state = [0u64; 4];
-        for (slot, w) in rng_state.iter_mut().zip(words) {
-            *slot = snap::unhex_u64(w).map_err(ck)?;
-        }
-        self.rng = StdRng::from_state(rng_state);
-
-        self.anchor = match snap::field(state, "anchor").map_err(ck)? {
+    fn restore(&mut self, state: &Value) -> Result<(), DeError> {
+        self.rng = StdRng::from_state(snap::unhex_words(snap::field(state, "rng")?)?);
+        self.anchor = match snap::field(state, "anchor")? {
             Value::Null => None,
             v => Some(Anchor {
-                droop: snap::unhex(snap::field(v, "droop").map_err(ck)?).map_err(ck)?,
-                peak_to_peak: snap::unhex(snap::field(v, "p2p").map_err(ck)?).map_err(ck)?,
-                golden: snap::unhex_u64(snap::field(v, "golden").map_err(ck)?).map_err(ck)?,
-                v_crit: snap::unhex(snap::field(v, "v_crit").map_err(ck)?).map_err(ck)?,
+                droop: snap::unhex(snap::field(v, "droop")?)?,
+                peak_to_peak: snap::unhex(snap::field(v, "p2p")?)?,
+                golden: snap::unhex_u64(snap::field(v, "golden")?)?,
+                v_crit: snap::unhex(snap::field(v, "v_crit")?)?,
             }),
         };
-
-        self.ladder = snap::arr(snap::field(state, "ladder").map_err(ck)?)
-            .map_err(ck)?
+        self.ladder = snap::arr(snap::field(state, "ladder")?)?
             .iter()
             .map(|rung| {
-                let rung = snap::arr(rung).map_err(ck)?;
-                let [v, codes] = rung else {
-                    return Err(ck("ladder rung must be a [voltage, outcomes] pair"));
-                };
-                let codes = String::from_value(codes).map_err(ck)?;
+                let [v, codes] = snap::tuple(rung)?;
                 Ok((
-                    snap::unhex(v).map_err(ck)?,
-                    codes
+                    snap::unhex(v)?,
+                    String::from_value(codes)?
                         .chars()
                         .map(outcome_from_char)
                         .collect::<Result<Vec<_>, _>>()?,
                 ))
             })
-            .collect::<Result<_, DomainError>>()?;
-
-        self.first_failure_v =
-            snap::unhex(snap::field(state, "first_failure_v").map_err(ck)?).map_err(ck)?;
-        self.v = snap::unhex(snap::field(state, "v").map_err(ck)?).map_err(ck)?;
-        self.crashed = bool::from_value(snap::field(state, "crashed").map_err(ck)?).map_err(ck)?;
+            .collect::<Result<_, DeError>>()?;
+        self.first_failure_v = snap::unhex(snap::field(state, "first_failure_v")?)?;
+        self.v = snap::unhex(snap::field(state, "v")?)?;
+        self.crashed = bool::from_value(snap::field(state, "crashed")?)?;
         Ok(())
     }
 }

@@ -307,3 +307,58 @@ fn corrupted_register_index_is_a_typed_restore_error() {
         "unexpected error: {err}"
     );
 }
+
+/// A replayed sweep resumes too: the replay cursor and analyzer time in
+/// the checkpoint's rig line carry over to a fresh `replay:` backend.
+/// Interrupted at a point that is not a multiple of the lane width and
+/// resumed, it prints the uninterrupted replay's bytes, and the two
+/// legs' telemetry concatenates to the uninterrupted trace.
+#[test]
+fn replayed_sweep_resumes_mid_chunk() {
+    let dir = std::env::temp_dir().join(format!("emvolt_resume_replay_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let sweep = |args: &[&str]| {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_emvolt"))
+            .args(["sweep", "--platform", "a53"])
+            .args(args)
+            .current_dir(&dir)
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "{args:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        out.stdout
+    };
+    let recorded = sweep(&["--backend", "record:trace.jsonl"]);
+    let replay = ["--backend", "replay:trace.jsonl"];
+    let full = sweep(&[&replay[..], &["--telemetry", "full.jsonl"]].concat());
+    assert_eq!(recorded, full);
+    let interrupted = sweep(
+        &[
+            &replay[..],
+            &["--lanes", "3", "--telemetry", "part1.jsonl"],
+            &["--checkpoint", "ck.jsonl", "--step-limit", "13"],
+        ]
+        .concat(),
+    );
+    assert!(
+        interrupted.is_empty(),
+        "an interrupted sweep prints no table"
+    );
+    let resumed = sweep(
+        &[
+            &replay[..],
+            &["--lanes", "8", "--telemetry", "part2.jsonl"],
+            &["--resume", "ck.jsonl"],
+        ]
+        .concat(),
+    );
+    let read = |name: &str| std::fs::read(dir.join(name)).unwrap();
+    let (whole, mut legs) = (read("full.jsonl"), read("part1.jsonl"));
+    legs.extend(read("part2.jsonl"));
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(full, resumed);
+    assert!(whole == legs, "the legs' telemetry differs from the whole");
+}
