@@ -68,7 +68,7 @@ use std::fmt;
 use std::ops::ControlFlow;
 
 /// Error from a measurement backend.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub enum BackendError {
     /// The underlying simulation failed (live backends only).
     Domain(DomainError),

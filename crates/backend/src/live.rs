@@ -71,27 +71,14 @@ struct SerialSlot {
     run: DomainRun,
 }
 
-/// Most requests one held serial lane group runs. During the batched
+/// Most requests one rig lane group runs. During the batched
 /// transient every lane holds its load stimulus and recorded die
 /// waveforms (≈85 KB per lane on the A72, ≈115 KB on the Athlon at
 /// `RunConfig::fast`), so a longer run of rig requests is served as
 /// several groups: four lanes raise the DVFS sweep's peak RSS about 7%
 /// over one-lane runs, where eight cost ~15%, and already take most of
 /// the batched transient's per-lane saving.
-const MAX_HELD_LANES: usize = 4;
-
-/// The rig's checkpoint state: the analyzer noise RNG's words and the
-/// total analyzer time `elapsed_s`.
-fn rig_pairs(bench: &EmBench, elapsed_s: f64) -> Vec<(String, String)> {
-    let words = bench.rng_state();
-    vec![
-        (
-            "rig_rng".to_string(),
-            words.map(|w| Bits(w).to_string()).join(":"),
-        ),
-        ("elapsed".to_string(), Bits(elapsed_s.to_bits()).to_string()),
-    ]
-}
+const MAX_RIG_LANES: usize = 4;
 
 /// [`MeasurementBackend`] over the full simulation chain.
 #[derive(Debug)]
@@ -178,12 +165,12 @@ impl LiveBackend {
     }
 
     /// Serves a run of unseeded requests on domain `idx` on the serial
-    /// rig: their physics runs as one held lane group, then each request
-    /// in turn has its run reported to `telemetry`, draws its analyzer
+    /// rig: their physics runs as one lane group, then each request in
+    /// turn has its lane reported to `telemetry`, draws its analyzer
     /// noise from the bench's own RNG and goes to `on_result` — the
-    /// emissions and rig draws of one-request calls, in their order. A
-    /// group that fails is served one request at a time, so each request
-    /// gets the outcome it would get alone.
+    /// emissions, rig draws and outcomes of one-request calls, in their
+    /// order. The previous group's lanes are freed first, so its recorded
+    /// waveforms do not stack on this group's core sims.
     fn serve_rig(
         &mut self,
         idx: usize,
@@ -197,23 +184,32 @@ impl LiveBackend {
             .iter()
             .map(|r| r.freq_hz.unwrap_or(default_clock))
             .collect();
-        let held = self
-            .serial_slot(idx, telemetry)
-            .and_then(|slot| Ok(slot.runner.run_batch_held(&loads, &clocks)?));
-        if let Err(e) = held {
-            if reqs.len() == 1 {
-                let served = Served {
-                    result: Err(e),
-                    elapsed_s: self.elapsed_seconds(),
-                    rig: self.rig_state(),
-                };
-                return on_result(served);
-            }
-            for one in reqs.chunks(1) {
-                self.serve_rig(idx, one, telemetry, on_result)?;
-            }
-            return ControlFlow::Continue(());
+        let ran = self.serial_slot(idx, telemetry).and_then(|slot| {
+            slot.runner.release_lanes();
+            Ok(slot.runner.run_lanes(&loads, &clocks)?)
+        });
+        for (i, req) in reqs.iter().enumerate() {
+            let result = ran
+                .clone()
+                .and_then(|()| self.measure_rig_lane(idx, i, req, telemetry));
+            on_result(Served {
+                result,
+                elapsed_s: self.elapsed_seconds(),
+                rig: self.rig_state(),
+            })?;
         }
+        ControlFlow::Continue(())
+    }
+
+    /// Reports lane `i` of domain `idx`'s rig group and measures it on the
+    /// serial rig: the bench's own RNG advances call over call.
+    fn measure_rig_lane(
+        &mut self,
+        idx: usize,
+        i: usize,
+        req: &MeasureRequest<'_>,
+        telemetry: &Telemetry,
+    ) -> Result<EmObservation, BackendError> {
         let LiveBackend {
             bench,
             shared,
@@ -221,23 +217,12 @@ impl LiveBackend {
             ..
         } = self;
         let slot = serial[idx].as_mut().expect("slot installed");
-        for (i, req) in reqs.iter().enumerate() {
-            bench.absorb_elapsed(shared);
-            bench.set_telemetry(telemetry.clone());
-            slot.runner.report_lane(i, &mut slot.run);
-            let run = &slot.run;
-            let band = req.band.resolve(run.loop_frequency);
-            // The serial rig: the bench's own RNG advances call over call.
-            let reading = bench.measure_in_band(run, band.0, band.1, req.samples);
-            let elapsed_s = bench.elapsed() + shared.elapsed();
-            let served = Served {
-                result: Ok(Self::observation(run, reading, band)),
-                elapsed_s,
-                rig: rig_pairs(bench, elapsed_s),
-            };
-            on_result(served)?;
-        }
-        ControlFlow::Continue(())
+        slot.runner.report_lane(i, &mut slot.run)?;
+        bench.absorb_elapsed(shared);
+        bench.set_telemetry(telemetry.clone());
+        let band = req.band.resolve(slot.run.loop_frequency);
+        let reading = bench.measure_in_band(&slot.run, band.0, band.1, req.samples);
+        Ok(Self::observation(&slot.run, reading, band))
     }
 
     /// Serves one group of seeded requests on one domain: checks out a
@@ -272,12 +257,11 @@ impl LiveBackend {
         results
     }
 
-    /// Runs every lane of `reqs` through one batched transient on `slot`,
-    /// then measures each run of consecutive lanes sharing a resolved band
-    /// and sweep count together, so measurement accounting follows
-    /// request order. A failed run is retried lane by lane, so each
-    /// request gets the outcome it would get alone (e.g. one lane loading
-    /// more cores than are powered fails only that lane).
+    /// Runs every lane of `reqs` as one lane group on `slot`, then
+    /// measures each run of consecutive lanes sharing a resolved band and
+    /// sweep count together, so measurement accounting follows request
+    /// order. A lane that fails gets the outcome it would get alone (e.g.
+    /// one lane loading more cores than are powered fails only that lane).
     fn run_lanes(
         &self,
         slot: &mut EvalSlot,
@@ -293,28 +277,30 @@ impl LiveBackend {
         if slot.runs.len() < n {
             slot.runs.resize_with(n, DomainRun::empty);
         }
-        if let Err(e) = slot
-            .runner
-            .run_batch_into(&loads, &clocks, &mut slot.runs[..n])
-        {
-            if n == 1 {
-                return vec![Err(e.into())];
-            }
-            return reqs
-                .chunks(1)
-                .flat_map(|one| self.run_lanes(slot, domain, one))
-                .collect();
-        }
-        let runs = &slot.runs[..n];
-        let bands: Vec<(f64, f64)> = reqs
-            .iter()
-            .zip(runs)
-            .map(|(r, run)| r.band.resolve(run.loop_frequency))
+        let ran = slot.runner.run_lanes(&loads, &clocks);
+        let bands: Vec<Result<(f64, f64), DomainError>> = (0..n)
+            .map(|l| {
+                ran.clone()?;
+                slot.runner.report_lane(l, &mut slot.runs[l])?;
+                Ok(reqs[l].band.resolve(slot.runs[l].loop_frequency))
+            })
             .collect();
-        let key = |l: usize| (bands[l].0.to_bits(), bands[l].1.to_bits(), reqs[l].samples);
+        let runs = &slot.runs[..n];
+        let key = |l: usize| {
+            let band = bands[l].as_ref().ok()?;
+            Some((band.0.to_bits(), band.1.to_bits(), reqs[l].samples))
+        };
         let mut results = Vec::with_capacity(n);
         let mut start = 0;
         while start < n {
+            let (lo, hi) = match &bands[start] {
+                Ok(band) => *band,
+                Err(e) => {
+                    results.push(Err(e.clone().into()));
+                    start += 1;
+                    continue;
+                }
+            };
             let lanes = start..start + (start..n).take_while(|&m| key(m) == key(start)).count();
             start = lanes.end;
             let lane_runs: Vec<&DomainRun> = runs[lanes.clone()].iter().collect();
@@ -322,7 +308,6 @@ impl LiveBackend {
                 .iter()
                 .map(|r| r.seed.expect("measure_batch checked the seeds"))
                 .collect();
-            let (lo, hi) = bands[lanes.start];
             let readings = self.shared.measure_in_band_batch_seeded_with(
                 &lane_runs,
                 lo,
@@ -334,7 +319,7 @@ impl LiveBackend {
             results.extend(
                 lanes
                     .zip(readings)
-                    .map(|(m, reading)| Ok(Self::observation(&runs[m], reading, bands[m]))),
+                    .map(|(m, reading)| Ok(Self::observation(&runs[m], reading, (lo, hi)))),
             );
         }
         results
@@ -403,11 +388,13 @@ impl MeasurementBackend for LiveBackend {
     /// Serves every request shape through the lane-group chain. Each run
     /// of consecutive requests on one domain is a lane group: it checks
     /// out one warm slot, runs all its loads (kernels and idle alike,
-    /// each at its own clock) through one batched transient, and
-    /// measures lanes that share a resolved band and sweep count in one
+    /// each at its own clock) through one batched transient, reports
+    /// each lane as the one-request run it stands for, and measures
+    /// lanes that share a resolved band and sweep count in one
     /// multi-lane pass. Reading `l` depends only on request `l`, so it is
-    /// bit-identical whatever the batch holds; groups are served in
-    /// request order and `ScratchCheckouts` is charged once per request.
+    /// bit-identical whatever the batch holds, and a failing lane gets
+    /// the error it would get alone; groups are served in request order
+    /// and `ScratchCheckouts` is charged once per request.
     fn measure_batch(
         &self,
         reqs: &[MeasureRequest<'_>],
@@ -456,7 +443,7 @@ impl MeasurementBackend for LiveBackend {
     }
 
     /// Each run of consecutive unseeded requests on one domain is served
-    /// by the rig as held lane groups of at most four requests; seeded
+    /// by the rig as lane groups of at most four requests; seeded
     /// requests take the [`MeasurementBackend::measure`] path and an
     /// unknown domain fails its request alone.
     fn measure_serial_batch(
@@ -475,7 +462,7 @@ impl MeasurementBackend for LiveBackend {
                 Some(idx) => {
                     let len = rest
                         .iter()
-                        .take(MAX_HELD_LANES)
+                        .take(MAX_RIG_LANES)
                         .take_while(|r| rig_domain(self, r) == Some(idx))
                         .count();
                     let flow = self.serve_rig(idx, &rest[..len], telemetry, on_result);
@@ -538,8 +525,16 @@ impl MeasurementBackend for LiveBackend {
         SessionCosts::default()
     }
 
+    /// The analyzer noise RNG's words and the total analyzer time.
     fn rig_state(&self) -> Vec<(String, String)> {
-        rig_pairs(&self.bench, self.elapsed_seconds())
+        let words = self.bench.rng_state().map(|w| Bits(w).to_string());
+        vec![
+            ("rig_rng".to_string(), words.join(":")),
+            (
+                "elapsed".to_string(),
+                Bits(self.elapsed_seconds().to_bits()).to_string(),
+            ),
+        ]
     }
 
     fn restore_rig_state(&mut self, state: &[(String, String)]) -> Result<(), BackendError> {
@@ -562,7 +557,14 @@ impl MeasurementBackend for LiveBackend {
                 "elapsed" => {
                     let bits = parse_bits(value)
                         .map_err(|e| BackendError::Store(format!("bad elapsed bits: {e}")))?;
-                    self.bench.restore_elapsed(f64::from_bits(bits));
+                    let total = f64::from_bits(bits);
+                    // The analyzer's clock only runs forward.
+                    if !(total.is_finite() && total >= self.bench.elapsed()) {
+                        return Err(BackendError::Store(format!(
+                            "elapsed {total} s is not a time the analyzer can reach"
+                        )));
+                    }
+                    self.bench.restore_elapsed(total);
                 }
                 other => {
                     return Err(BackendError::Store(format!(
@@ -893,8 +895,9 @@ mod tests {
     }
 
     /// A batch mixing every request shape — idle loads, bands around the
-    /// loop frequency, two clocks, a lane loading more cores than are
-    /// powered, a missing seed and an unknown domain — returns, lane by
+    /// loop frequency, two clocks, a lane clocked above the maximum
+    /// between two lanes measured in one band, a lane loading more cores
+    /// than are powered, a missing seed and an unknown domain — returns, lane by
     /// lane, exactly what one-request calls return, and records its
     /// measurements in the same order.
     #[test]
@@ -920,8 +923,9 @@ mod tests {
         let around = BandSpec::AroundLoop { halfwidth_hz: 3e6 };
         let reqs = [
             req(on(&kernel, 1), None, explicit, Some(1), "A72"),
-            req(on(&other, 2), None, around, Some(6), "A72"),
+            req(on(&kernel, 1), Some(2.0e9), explicit, Some(8), "A72"),
             req(Load::Idle, None, explicit, Some(2), "A72"),
+            req(on(&other, 2), None, around, Some(6), "A72"),
             req(on(&other, 2), Some(0.6e9), around, Some(3), "A72"),
             req(on(&kernel, 3), Some(0.6e9), explicit, Some(4), "A72"),
             req(on(&kernel, 1), None, explicit, None, "A72"),
@@ -948,9 +952,10 @@ mod tests {
                 (want, got) => panic!("lane {i}: one-request {want:?} vs batched {got:?}"),
             }
         }
-        assert!(matches!(batched[4], Err(BackendError::Domain(_))));
-        assert!(matches!(batched[5], Err(BackendError::SeedRequired)));
-        assert!(matches!(batched[6], Err(BackendError::UnknownDomain(_))));
+        assert!(matches!(batched[1], Err(BackendError::Domain(_))));
+        assert!(matches!(batched[5], Err(BackendError::Domain(_))));
+        assert!(matches!(batched[6], Err(BackendError::SeedRequired)));
+        assert!(matches!(batched[7], Err(BackendError::UnknownDomain(_))));
         let bits = |t: &Telemetry| -> Vec<u64> {
             t.hist_values(HistId::BandAmplitudeDbm)
                 .iter()
@@ -967,7 +972,7 @@ mod tests {
     /// The slice-form rig path serves a run of requests — clocks across
     /// the DVFS range, idle and kernel loads, a seeded request, an
     /// unknown domain, a clock above the maximum and a lane loading more
-    /// cores than are powered, over more than one held group — exactly
+    /// cores than are powered, over more than one lane group — exactly
     /// as one-request calls do: results, emitted events, rig state and
     /// analyzer time. A `Break` stops it after that result.
     #[test]
@@ -1054,6 +1059,31 @@ mod tests {
             }
         });
         assert_eq!(served, 2);
+    }
+
+    /// An analyzer time the rig cannot reach — NaN, -inf, negative, or
+    /// behind the analyzer's own clock — is a store error, not a panic.
+    #[test]
+    fn an_unreachable_analyzer_time_is_refused() {
+        let mut be = backend();
+        let tel = Telemetry::noop();
+        be.restore_rig_state(&be.rig_state()).unwrap();
+        let req = MeasureRequest {
+            domain: "A72",
+            load: Load::Idle,
+            freq_hz: None,
+            band: BandSpec::AroundLoop { halfwidth_hz: 3e6 },
+            samples: 1,
+            seed: None,
+        };
+        be.measure_serial(&req, &tel).unwrap();
+        for t in [f64::NAN, f64::NEG_INFINITY, -2.0, 0.0] {
+            let state = [("elapsed".to_string(), Bits(t.to_bits()).to_string())];
+            assert!(
+                matches!(be.restore_rig_state(&state), Err(BackendError::Store(_))),
+                "{t}"
+            );
+        }
     }
 
     #[test]

@@ -328,11 +328,6 @@ impl TransientScratch {
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
         self.telemetry = telemetry;
     }
-
-    /// The attached telemetry handle.
-    pub fn telemetry(&self) -> &Telemetry {
-        &self.telemetry
-    }
 }
 
 /// Clears and re-zeroes a buffer in place, keeping its capacity.
@@ -578,13 +573,7 @@ impl Circuit {
             std::slice::from_mut(scratch),
             &mut LaneRows::default(),
         )?;
-        report_runs(
-            &scratch.telemetry,
-            plan,
-            &sched,
-            std::slice::from_ref(scratch),
-            probes,
-        );
+        report_run(&scratch.telemetry, plan, &sched, &scratch.out, probes);
         Ok(&scratch.out)
     }
 
@@ -598,6 +587,9 @@ impl Circuit {
     /// plan, whatever the batch size: a state-space plan steps lanes in
     /// groups of up to eight, and an LU-only plan steps each lane through
     /// the exact LU reference.
+    ///
+    /// The batch charges and emits nothing: each lane is reported as the
+    /// single run it stands for by [`BatchTransientScratch::report_lane`].
     ///
     /// # Errors
     ///
@@ -633,7 +625,6 @@ impl Circuit {
             &mut batch.soa,
         )?;
         batch.sched = sched;
-        report_runs(&batch.telemetry, plan, &sched, &batch.lanes, probes);
         Ok(())
     }
 
@@ -1320,92 +1311,62 @@ impl LaneRows {
 pub struct BatchTransientScratch {
     lanes: Vec<TransientScratch>,
     soa: LaneRows,
-    telemetry: Telemetry,
     /// The most recent batch's schedule, kept for [`BatchTransientScratch::report_lane`].
     sched: StepSchedule,
 }
 
 /// Charges a finished run's solver counters to `telemetry` and, for an
-/// emitting handle, reports it: one lane as the single run it is (a
-/// `transient_solve` span and plain probe waveforms), several lanes as
-/// one `transient_batch` span plus lane-suffixed waveforms.
-fn report_runs(
+/// emitting handle, reports it: a `transient_solve` span and its probe
+/// waveforms.
+fn report_run(
     telemetry: &Telemetry,
     plan: &TransientPlan,
     sched: &StepSchedule,
-    lanes: &[TransientScratch],
+    out: &TransientResult,
     probes: &TransientProbes,
 ) {
-    let dim = (plan.n_nodes + plan.n_vs) as f64;
-    telemetry.count(CounterId::TransientRuns, lanes.len() as u64);
-    telemetry.count(CounterId::SolverSteps, (sched.n_steps * lanes.len()) as u64);
-    if let [lane] = lanes {
-        telemetry.span(
-            "transient_solve",
-            Layer::Circuit,
-            &[
-                ("steps", sched.n_steps as f64),
-                ("dim", dim),
-                ("recorded", lane.out.len as f64),
-            ],
-        );
-        emit_probe_waves(telemetry, &lane.out, probes, None);
-        return;
-    }
+    telemetry.count(CounterId::TransientRuns, 1);
+    telemetry.count(CounterId::SolverSteps, sched.n_steps as u64);
     telemetry.span(
-        "transient_batch",
+        "transient_solve",
         Layer::Circuit,
         &[
             ("steps", sched.n_steps as f64),
-            ("lanes", lanes.len() as f64),
-            ("dim", dim),
+            ("dim", (plan.n_nodes + plan.n_vs) as f64),
+            ("recorded", out.len as f64),
         ],
     );
-    for (i, lane) in lanes.iter().enumerate() {
-        emit_probe_waves(telemetry, &lane.out, probes, Some(i));
-    }
+    emit_probe_waves(telemetry, out, probes);
 }
 
-/// Emits the probed waveforms a finished lane recorded in `out` through
+/// Emits the probed waveforms a finished run recorded in `out` through
 /// `telemetry`'s wave sink. Runs entirely *after* the step loop, from the
 /// already-recorded buffers, so solver arithmetic (and its SIMD dispatch)
 /// stays byte-identical whether or not tracing is on; with tracing off
-/// this is one branch. `lane` suffixes signal names (`pdn.v_die.lane3`)
-/// so the lanes of a batch stay distinct.
-fn emit_probe_waves(
-    telemetry: &Telemetry,
-    out: &TransientResult,
-    probes: &TransientProbes,
-    lane: Option<usize>,
-) {
+/// this is one branch.
+fn emit_probe_waves(telemetry: &Telemetry, out: &TransientResult, probes: &TransientProbes) {
     if !telemetry.wave_enabled() || out.len == 0 {
         return;
     }
     let stride = telemetry.wave_stride();
-    let suffixed = |base: &str| match lane {
-        Some(i) => format!("{base}.lane{i}"),
-        None => base.to_string(),
-    };
-    let emit = |name: String, samples: &[f64]| {
-        let id = telemetry.wave_register(&name, WaveKind::Real);
+    let emit = |name: &str, samples: &[f64]| {
+        let id = telemetry.wave_register(name, WaveKind::Real);
         for (k, &v) in samples.iter().step_by(stride).enumerate() {
             let t = out.t0 + (k * stride) as f64 * out.dt;
             telemetry.wave_real(id, t, v);
         }
     };
     for (slot, &node) in out.node_slots.iter().enumerate() {
-        let base = match probes.node_label(node) {
-            Some(label) => label.to_string(),
-            None => format!("circuit.n{node}.v"),
-        };
-        emit(suffixed(&base), &out.node_bufs[slot]);
+        match probes.node_label(node) {
+            Some(label) => emit(label, &out.node_bufs[slot]),
+            None => emit(&format!("circuit.n{node}.v"), &out.node_bufs[slot]),
+        }
     }
     for (slot, &ind) in out.ind_slots.iter().enumerate() {
-        let base = match probes.ind_label(ind) {
-            Some(label) => label.to_string(),
-            None => format!("circuit.l{ind}.i"),
-        };
-        emit(suffixed(&base), &out.ind_bufs[slot]);
+        match probes.ind_label(ind) {
+            Some(label) => emit(label, &out.ind_bufs[slot]),
+            None => emit(&format!("circuit.l{ind}.i"), &out.ind_bufs[slot]),
+        }
     }
 }
 
@@ -1414,14 +1375,6 @@ impl BatchTransientScratch {
     /// reused afterwards.
     pub fn new() -> Self {
         BatchTransientScratch::default()
-    }
-
-    /// Attaches a telemetry handle; every batch through this scratch then
-    /// charges solver counters and (for emitting handles) a
-    /// `transient_batch` span — `transient_solve` for a batch of one. The
-    /// default handle is inert.
-    pub fn set_telemetry(&mut self, telemetry: Telemetry) {
-        self.telemetry = telemetry;
     }
 
     /// Frees every lane's buffers (recorded waveforms included); the next
@@ -1447,10 +1400,10 @@ impl BatchTransientScratch {
 
     /// Charges and emits to `telemetry` what lane `i` of the most recent
     /// batch would have charged and emitted run alone: its solver
-    /// counters, a `transient_solve` span and its plain probe waveforms.
-    /// Paired with a batch run on an inert handle, this reports a lane
-    /// group as the sequence of single runs it replaces. `plan` and
-    /// `probes` must be the ones the batch ran with.
+    /// counters, a `transient_solve` span and its probe waveforms. A batch
+    /// reports nothing itself, so this is how a lane group reads as the
+    /// sequence of single runs it replaces. `plan` and `probes` must be
+    /// the ones the batch ran with.
     ///
     /// # Panics
     ///
@@ -1462,13 +1415,7 @@ impl BatchTransientScratch {
         i: usize,
         telemetry: &Telemetry,
     ) {
-        report_runs(
-            telemetry,
-            plan,
-            &self.sched,
-            std::slice::from_ref(&self.lanes[i]),
-            probes,
-        );
+        report_run(telemetry, plan, &self.sched, &self.lanes[i].out, probes);
     }
 }
 
@@ -1849,30 +1796,45 @@ mod tests {
         );
     }
 
-    /// The lane-major batched path reports every lane's probed waveforms
-    /// through the batch handle, suffixed per lane.
+    /// A batch reports nothing itself; `report_lane` reports lane `i` as
+    /// the single run of that stimulus: the same counters, span and
+    /// unsuffixed probe waveforms.
     #[test]
-    fn batched_run_emits_lane_suffixed_waveforms() {
+    fn batch_lanes_report_as_single_runs() {
         use emvolt_obs::{NoopRecorder, WaveDb};
         use std::sync::Arc;
 
-        let (c, _vin, out, l, load) = probe_test_circuit();
+        let (mut c, _vin, out, l, load) = probe_test_circuit();
         let cfg = TransientConfig::new(0.1e-9, 0.05e-6);
         let plan = c.plan_transient(cfg.dt).unwrap();
         let probes = TransientProbes::none()
             .with_node_labeled(out, "pdn.v_die")
-            .with_inductor_labeled(l, "pdn.i_pkg");
-        let db = Arc::new(WaveDb::new());
-        let tel = Telemetry::with_waves(Arc::new(NoopRecorder), db.clone());
-        let mut batch = BatchTransientScratch::new();
-        batch.set_telemetry(tel);
+            .with_inductor(l);
+        let traced = || {
+            let db = Arc::new(WaveDb::new());
+            (
+                Telemetry::with_waves(Arc::new(NoopRecorder), db.clone()),
+                db,
+            )
+        };
         let loads = [Stimulus::Dc(0.1), Stimulus::Dc(0.4), Stimulus::Dc(0.9)];
+        let mut batch = BatchTransientScratch::new();
         c.transient_batch_scoped(&plan, &cfg, &probes, load, &loads, &mut batch)
             .unwrap();
-        assert_eq!(db.signal_count(), 6);
-        let vcd = db.to_vcd_string();
-        for lane in 0..3 {
-            assert!(vcd.contains(&format!("lane{lane}")), "{vcd}");
+        let mut single = TransientScratch::new();
+        for (i, stim) in loads.iter().enumerate() {
+            let (lane_tel, lane_db) = traced();
+            batch.report_lane(&plan, &probes, i, &lane_tel);
+            let (one_tel, one_db) = traced();
+            c.set_current_stimulus(load, stim.clone());
+            single.set_telemetry(one_tel.clone());
+            c.transient_scoped(&plan, &cfg, &probes, &mut single)
+                .unwrap();
+            assert_eq!(lane_db.signal_count(), 2);
+            assert_eq!(lane_db.to_vcd_string(), one_db.to_vcd_string(), "lane {i}");
+            for id in [CounterId::TransientRuns, CounterId::SolverSteps] {
+                assert_eq!(lane_tel.counter(id), one_tel.counter(id), "lane {i}");
+            }
         }
     }
 

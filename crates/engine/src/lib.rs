@@ -407,7 +407,7 @@ impl<'a, B: MeasurementBackend + ?Sized> StepDriver<'a, B> {
                     continue;
                 }
             }
-            self.batches_done += 1;
+            self.batches_done = next_step(self.batches_done)?;
             if writer.is_some() && self.batches_done.is_multiple_of(self.checkpoint_every) {
                 self.enqueue_checkpoint(campaign, writer)?;
             }
@@ -471,7 +471,7 @@ impl<'a, B: MeasurementBackend + ?Sized> StepDriver<'a, B> {
         self.backend
             .measure_serial_batch(&reqs, &tel, &mut |Served { result, rig, .. }| {
                 let step = campaign.absorb(&[outcome_of(result)]).and_then(|()| {
-                    *batches_done += 1;
+                    *batches_done = next_step(*batches_done)?;
                     match writer.as_mut() {
                         Some(w) if batches_done.is_multiple_of(every) => {
                             send_checkpoint(campaign, w, *batches_done, rig)
@@ -516,6 +516,16 @@ impl<'a, B: MeasurementBackend + ?Sized> StepDriver<'a, B> {
             None => Ok(()),
         }
     }
+}
+
+/// The step count after one more step. The count is restored from a
+/// checkpoint header, so one near `u64::MAX` is refused, not wrapped.
+fn next_step(batches: u64) -> Result<u64, DomainError> {
+    batches.checked_add(1).ok_or_else(|| {
+        DomainError::Checkpoint(format!(
+            "step count {batches} cannot advance; the checkpoint's `batches` is corrupt"
+        ))
+    })
 }
 
 /// Hands `writer` a snapshot of `campaign` after `batches` steps, with the

@@ -304,7 +304,8 @@ impl Pdn {
     /// lock-step batch, overriding the load port per lane. Each lane is
     /// bit-identical to a single [`Pdn::transient_scoped`] run under
     /// [`Pdn::set_load`] of the same stimulus, with either kernel. Read
-    /// lanes back with [`Pdn::die_lane`].
+    /// lanes back with [`Pdn::die_lane`]. The batch charges and emits
+    /// nothing; [`Pdn::report_die_lane`] reports a lane.
     ///
     /// # Errors
     ///
@@ -335,8 +336,9 @@ impl Pdn {
     }
 
     /// Reports lane `i` of the most recent [`Pdn::transient_batch`]
-    /// through `batch` to `telemetry` as the single run it stands for
-    /// (see [`BatchTransientScratch::report_lane`]).
+    /// through `batch` to `telemetry` as the single run it stands for:
+    /// its solver counters, a `transient_solve` span and its die probe
+    /// waveforms (see [`BatchTransientScratch::report_lane`]).
     ///
     /// # Panics
     ///

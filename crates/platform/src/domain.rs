@@ -422,10 +422,12 @@ impl<'a> Load<'a> {
 /// bit-identical results (the cached plan holds the same factorization a
 /// fresh run would compute).
 ///
-/// Every run goes through one lane group of
-/// [`DomainRunner::run_batch_into`]; a single run is a batch of one. Each
-/// lane names its own clock: the clock only enters through the core
-/// timing model, so lanes at different DVFS points share the PDN plan.
+/// Every run is a lane group: [`DomainRunner::run_lanes`] runs its
+/// physics and reports nothing, and [`DomainRunner::report_lane`]
+/// reports each lane as the one-entry run it stands for — a single run
+/// is a group of one. Each lane names its own clock: the clock only enters
+/// through the core timing model, so lanes at different DVFS points
+/// share the PDN plan.
 ///
 /// The runner snapshots the domain's voltage and gating at construction;
 /// build a new runner after changing either. The domain's clock is only
@@ -447,8 +449,9 @@ pub struct DomainRunner {
     /// Per-lane issue-slot occupancy from the last traced core sims; only
     /// filled while the telemetry handle has a live wave sink.
     occupancy: Vec<Vec<u32>>,
-    /// What each lane of the most recent batch took from its core sim.
-    lanes: Vec<LaneCore>,
+    /// What each lane of the most recent group left for its report: its
+    /// core sim's figures, or the error the lane would get run alone.
+    lanes: Vec<Result<LaneCore, DomainError>>,
 }
 
 /// What one lane's core sim leaves for its run record.
@@ -457,9 +460,12 @@ struct LaneCore {
     ipc: f64,
     cycles_per_iteration: f64,
     loop_frequency: f64,
-    /// The sim itself, kept only while a later lane of the batch reuses
-    /// it, or, for a traced held batch, until
-    /// [`DomainRunner::report_lane`] emits its core-side waveforms.
+    /// The lane's index in the group's transient, which leaves failed
+    /// lanes out.
+    die: usize,
+    /// The sim itself, kept only while a later lane of the group reuses
+    /// it, or, for a traced group, until [`DomainRunner::report_lane`]
+    /// emits its core-side waveforms.
     sim: Option<emvolt_cpu::SimOutput>,
 }
 
@@ -492,8 +498,6 @@ impl DomainRunner {
             TransientConfig::new(config.pdn_dt, config.pdn_warmup + config.pdn_window)
                 .with_warmup(config.pdn_warmup);
         let cpu = Cpu::new(domain.core_model.clone(), domain.freq_hz);
-        let mut batch = BatchTransientScratch::new();
-        batch.set_telemetry(telemetry.clone());
         Ok(DomainRunner {
             domain: domain.clone(),
             config,
@@ -501,7 +505,7 @@ impl DomainRunner {
             pdn,
             plan,
             transient_cfg,
-            batch,
+            batch: BatchTransientScratch::new(),
             telemetry,
             occupancy: Vec::new(),
             lanes: Vec::new(),
@@ -510,7 +514,6 @@ impl DomainRunner {
 
     /// Swaps the telemetry handle charged by subsequent runs.
     pub fn set_telemetry(&mut self, telemetry: emvolt_obs::Telemetry) {
-        self.batch.set_telemetry(telemetry.clone());
         self.telemetry = telemetry;
     }
 
@@ -570,22 +573,20 @@ impl DomainRunner {
         self.run_batch_into(&[load], &[clock], std::slice::from_mut(out))
     }
 
-    /// Runs every load of `loads` through one batched transient, lane `i`
-    /// with its core clocked at `clocks[i]` (idle lanes ignore their
-    /// clock), filling one [`DomainRun`] per entry. Entry `i` is
-    /// bit-identical whatever the batch size and whatever else is in the
-    /// batch.
-    ///
-    /// A traced batch of one kernel also opens a wave epoch and emits the
-    /// core-side waveforms (per-cycle current and issue-slot occupancy),
-    /// so a single run's digital and analog signals share one time axis.
+    /// Runs every load of `loads` as one lane group, lane `i` with its
+    /// core clocked at `clocks[i]` (idle lanes ignore their clock), then
+    /// reports the lanes in order ([`DomainRunner::report_lane`]), filling
+    /// one [`DomainRun`] per entry. Entry `i` and what it emits are
+    /// bit-identical to a one-entry run of it, whatever else is in the
+    /// group.
     ///
     /// # Errors
     ///
-    /// Returns [`DomainError`] for clocks outside the domain's range,
-    /// invalid core counts, failed simulations, an empty batch, or when
-    /// `outs` or `clocks` is shorter than `loads`; on error `outs` is
-    /// left unchanged.
+    /// Returns the first failing lane's [`DomainError`] (a clock outside
+    /// the domain's range, an invalid core count, a failed simulation or
+    /// transient), or [`DomainError::Backend`] for an empty group or when
+    /// `outs` or `clocks` is shorter than `loads`; on error nothing is
+    /// reported and `outs` is left unchanged.
     pub fn run_batch_into(
         &mut self,
         loads: &[Load<'_>],
@@ -599,185 +600,149 @@ impl DomainRunner {
                 loads.len()
             )));
         }
-        self.run_lanes(loads, clocks, false)?;
+        self.run_lanes(loads, clocks)?;
+        if let Some(e) = self.lanes.iter().find_map(|lane| lane.as_ref().err()) {
+            return Err(e.clone());
+        }
         for (i, out) in outs[..loads.len()].iter_mut().enumerate() {
-            self.fill_run(i, out);
+            self.report_lane(i, out)?;
         }
         Ok(())
     }
 
-    /// [`DomainRunner::run_batch_into`] that emits nothing and fills
-    /// nothing: the physics runs on an inert handle, and
-    /// [`DomainRunner::report_lane`] then charges and emits, lane by lane,
-    /// what a one-entry run of that lane would have, and fills its run.
-    /// This lets a caller interleave each lane's report with its own
-    /// per-lane work (the serial rig draws analyzer noise between points)
-    /// so the trace reads as the sequence of single runs — and one run
-    /// buffer serves the whole group.
+    /// Runs the physics of a lane group and reports nothing: every lane's
+    /// core sim, lane `i` at `clocks[i]`, then one batched transient over
+    /// the lanes whose core sim ran. A lane that fails its clock check,
+    /// core-count check or core sim keeps the error it would get run alone
+    /// and is left out of the transient; a transient error fails every
+    /// lane that reached it.
+    ///
+    /// [`DomainRunner::report_lane`] then reports each lane and hands back
+    /// its outcome, so a caller can interleave each lane's report with its
+    /// own per-lane work (the rig draws analyzer noise between points) and
+    /// one run buffer serves the whole group.
     ///
     /// # Errors
     ///
-    /// As for [`DomainRunner::run_batch_into`].
-    pub fn run_batch_held(
-        &mut self,
-        loads: &[Load<'_>],
-        clocks: &[f64],
-    ) -> Result<(), DomainError> {
-        self.run_lanes(loads, clocks, true)
-    }
-
-    /// Emits what a one-entry run of lane `i` of the last
-    /// [`DomainRunner::run_batch_held`] batch would have emitted — the
-    /// wave epoch and core-side waveforms of a traced kernel lane, then
-    /// the lane's transient counters, `transient_solve` span and probe
-    /// waveforms — and fills `out` with the lane's run.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is outside the most recent batch.
-    pub fn report_lane(&self, i: usize, out: &mut DomainRun) {
-        if let Some(sim) = &self.lanes[i].sim {
-            self.telemetry.wave_epoch();
-            self.emit_cpu_waves(sim, &self.occupancy[i]);
-        }
-        self.pdn
-            .report_die_lane(&self.plan, &self.batch, i, &self.telemetry);
-        self.fill_run(i, out);
-    }
-
-    /// Copies lane `i` of the most recent batch into `out`.
-    fn fill_run(&self, i: usize, out: &mut DomainRun) {
-        let die = self.pdn.die_lane(&self.batch, i);
-        out.v_die.refill(die.dt(), die.start_time(), die.v_die());
-        out.i_die.refill(die.dt(), die.start_time(), die.i_die());
-        let core = &self.lanes[i];
-        out.ipc = core.ipc;
-        out.cycles_per_iteration = core.cycles_per_iteration;
-        out.loop_frequency = core.loop_frequency;
-        out.supply_v = self.domain.supply_v;
-    }
-
-    /// Simulates every lane's core and steps all lanes through one
-    /// batched transient — on an inert handle when `hold` is set.
-    fn run_lanes(
-        &mut self,
-        loads: &[Load<'_>],
-        clocks: &[f64],
-        hold: bool,
-    ) -> Result<(), DomainError> {
-        if clocks.len() < loads.len() {
+    /// [`DomainError::Backend`] for an empty group or when `clocks` is
+    /// shorter than `loads`.
+    pub fn run_lanes(&mut self, loads: &[Load<'_>], clocks: &[f64]) -> Result<(), DomainError> {
+        if loads.is_empty() || clocks.len() < loads.len() {
             return Err(DomainError::Backend(format!(
-                "run_batch_into: {} clocks for {} entries",
+                "run_lanes: {} clocks for {} entries",
                 clocks.len(),
                 loads.len()
             )));
-        }
-        if hold {
-            // The previous group's recorded lanes were all reported; free
-            // them so the core sims below do not stack on top of them.
-            self.batch.release_lanes();
         }
         let traced = self.telemetry.wave_enabled();
         if traced && self.occupancy.len() < loads.len() {
             self.occupancy.resize_with(loads.len(), Vec::new);
         }
-        // Identical-kernel dedupe: the cycle-level core sim depends only
-        // on the kernel and the clock, and GA populations repeat genomes
-        // (elites, clones that mutation left untouched) — a lane reuses
-        // the sim of the first lane with the same kernel at the same
-        // clock instead of re-simulating. Bit-identical: `Cpu::simulate`
-        // is a pure function of the kernel and the clock.
-        let same_core = |j: usize, kernel: &Kernel, clock: f64| {
-            clocks[j].to_bits() == clock.to_bits()
-                && loads[j]
-                    .kernel()
-                    .is_some_and(|k| std::ptr::eq(k, kernel) || k == kernel)
-        };
         self.lanes.clear();
         let mut stimuli = Vec::with_capacity(loads.len());
-        for (i, load) in loads.iter().enumerate() {
-            let (core, stimulus) = match *load {
-                Load::Kernel {
-                    kernel,
-                    loaded_cores,
-                } => {
-                    let clock = clocks[i];
-                    self.domain.check_frequency(clock)?;
-                    let sim = match (0..i).find(|&j| same_core(j, kernel, clock)) {
-                        Some(j) => {
-                            if traced {
-                                let (head, tail) = self.occupancy.split_at_mut(i);
-                                tail[0].clone_from(&head[j]);
-                            }
-                            self.lanes[j]
-                                .sim
-                                .clone()
-                                .expect("a reused lane keeps its sim")
-                        }
-                        None => self.simulate(kernel, loaded_cores, clock, i)?,
-                    };
-                    let stimulus = self.cluster_load(&sim, loaded_cores)?;
-                    let keep = traced || (i + 1..loads.len()).any(|k| same_core(k, kernel, clock));
-                    let core = LaneCore {
-                        ipc: sim.ipc,
-                        cycles_per_iteration: sim.cycles_per_iteration,
-                        loop_frequency: sim.loop_frequency(),
-                        sim: keep.then_some(sim),
-                    };
-                    (core, stimulus)
+        for i in 0..loads.len() {
+            let lane = self.lane(loads, clocks, i).map(|(core, stimulus)| {
+                stimuli.push(stimulus);
+                LaneCore {
+                    die: stimuli.len() - 1,
+                    ..core
                 }
-                Load::Idle => {
-                    let idle =
-                        self.domain.active_cores as f64 * self.domain.core_model.idle_current;
-                    let core = LaneCore {
-                        ipc: 0.0,
-                        cycles_per_iteration: f64::INFINITY,
-                        loop_frequency: 0.0,
-                        sim: None,
-                    };
-                    (core, Stimulus::Dc(idle))
-                }
-            };
-            self.lanes.push(core);
-            stimuli.push(stimulus);
+            });
+            self.lanes.push(lane);
         }
-        if hold {
-            self.batch.set_telemetry(emvolt_obs::Telemetry::noop());
-        } else if let [LaneCore { sim: Some(sim), .. }] = self.lanes.as_slice() {
-            if traced {
-                // One epoch per run keeps the digital (per-cycle) and
-                // analog (per-pdn_dt) signals on a shared, monotonically
-                // advancing time axis; the transient below emits the
-                // pdn.* waves under the same epoch.
-                self.telemetry.wave_epoch();
-                self.emit_cpu_waves(sim, &self.occupancy[0]);
+        if !stimuli.is_empty() {
+            let solved = self.pdn.transient_batch(
+                &self.plan,
+                &self.transient_cfg,
+                &stimuli,
+                &mut self.batch,
+            );
+            if let Err(e) = solved {
+                let e = DomainError::from(e);
+                for lane in self.lanes.iter_mut().filter(|lane| lane.is_ok()) {
+                    *lane = Err(e.clone());
+                }
             }
         }
-        let solved =
-            self.pdn
-                .transient_batch(&self.plan, &self.transient_cfg, &stimuli, &mut self.batch);
-        if hold {
-            self.batch.set_telemetry(self.telemetry.clone());
-        }
-        if !(hold && traced) {
-            for core in &mut self.lanes {
+        if !traced {
+            for core in self.lanes.iter_mut().flatten() {
                 core.sim = None;
             }
         }
-        solved?;
         Ok(())
     }
 
-    /// Simulates `kernel` on one core clocked at `clock`, checking
-    /// `loaded_cores` against the powered cores first; traced runs also
-    /// record lane `lane`'s issue-slot occupancy.
-    fn simulate(
+    /// Reports lane `i` of the most recent group as the one-entry run it
+    /// stands for and hands back its outcome. A lane that ran emits what
+    /// a one-entry run of it would — the wave epoch and core-side
+    /// waveforms of a traced kernel lane, then the lane's transient
+    /// counters, `transient_solve` span and probe waveforms — and fills
+    /// `out`. A failed lane emits nothing and leaves `out` unchanged.
+    ///
+    /// # Errors
+    ///
+    /// The error lane `i` would get run alone (see
+    /// [`DomainRunner::run_lanes`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is outside the most recent group.
+    pub fn report_lane(&self, i: usize, out: &mut DomainRun) -> Result<(), DomainError> {
+        let core = self.lanes[i].as_ref().map_err(DomainError::clone)?;
+        if let Some(sim) = &core.sim {
+            // One epoch per run keeps the digital (per-cycle) and analog
+            // (per-pdn_dt) signals on a shared, monotonically advancing
+            // time axis; the pdn.* waves below go under the same epoch.
+            self.telemetry.wave_epoch();
+            self.emit_cpu_waves(sim, &self.occupancy[i]);
+        }
+        self.pdn
+            .report_die_lane(&self.plan, &self.batch, core.die, &self.telemetry);
+        let die = self.pdn.die_lane(&self.batch, core.die);
+        out.v_die.refill(die.dt(), die.start_time(), die.v_die());
+        out.i_die.refill(die.dt(), die.start_time(), die.i_die());
+        out.ipc = core.ipc;
+        out.cycles_per_iteration = core.cycles_per_iteration;
+        out.loop_frequency = core.loop_frequency;
+        out.supply_v = self.domain.supply_v;
+        Ok(())
+    }
+
+    /// Frees the transient's per-lane buffers, recorded waveforms
+    /// included; the most recent group can no longer be reported. For a
+    /// caller that reports each group before running the next (the rig),
+    /// so the next group's core sims do not stack on the last group's
+    /// lanes.
+    pub fn release_lanes(&mut self) {
+        self.batch.release_lanes();
+        self.lanes.clear();
+    }
+
+    /// Lane `i`'s core figures and cluster load stimulus, or the error
+    /// the lane would get run alone.
+    fn lane(
         &mut self,
-        kernel: &Kernel,
-        loaded_cores: usize,
-        clock: f64,
-        lane: usize,
-    ) -> Result<emvolt_cpu::SimOutput, DomainError> {
+        loads: &[Load<'_>],
+        clocks: &[f64],
+        i: usize,
+    ) -> Result<(LaneCore, Stimulus), DomainError> {
+        let Load::Kernel {
+            kernel,
+            loaded_cores,
+        } = loads[i]
+        else {
+            let idle = self.domain.active_cores as f64 * self.domain.core_model.idle_current;
+            let core = LaneCore {
+                ipc: 0.0,
+                cycles_per_iteration: f64::INFINITY,
+                loop_frequency: 0.0,
+                die: 0,
+                sim: None,
+            };
+            return Ok((core, Stimulus::Dc(idle)));
+        };
+        let clock = clocks[i];
+        self.domain.check_frequency(clock)?;
         let active = self.domain.active_cores;
         if loaded_cores > active {
             return Err(DomainError::TooManyLoadedCores {
@@ -785,6 +750,51 @@ impl DomainRunner {
                 active,
             });
         }
+        // Identical-kernel dedupe: the cycle-level core sim depends only
+        // on the kernel and the clock, and GA populations repeat genomes
+        // (elites, clones that mutation left untouched) — a lane reuses
+        // the sim of an earlier lane with the same kernel at the same
+        // clock instead of re-simulating. Bit-identical: `Cpu::simulate`
+        // is a pure function of the kernel and the clock.
+        let same_core = |j: usize| {
+            clocks[j].to_bits() == clock.to_bits()
+                && loads[j]
+                    .kernel()
+                    .is_some_and(|k| std::ptr::eq(k, kernel) || k == kernel)
+        };
+        let reused = (0..i)
+            .filter(|&j| same_core(j))
+            .find_map(|j| Some((j, self.lanes[j].as_ref().ok()?.sim.clone()?)));
+        let sim = match reused {
+            Some((j, sim)) => {
+                if self.telemetry.wave_enabled() {
+                    let (head, tail) = self.occupancy.split_at_mut(i);
+                    tail[0].clone_from(&head[j]);
+                }
+                sim
+            }
+            None => self.simulate(kernel, clock, i)?,
+        };
+        let stimulus = self.cluster_load(&sim, loaded_cores);
+        let keep = self.telemetry.wave_enabled() || (i + 1..loads.len()).any(same_core);
+        let core = LaneCore {
+            ipc: sim.ipc,
+            cycles_per_iteration: sim.cycles_per_iteration,
+            loop_frequency: sim.loop_frequency(),
+            die: 0,
+            sim: keep.then_some(sim),
+        };
+        Ok((core, stimulus))
+    }
+
+    /// Simulates `kernel` on one core clocked at `clock`; traced runs
+    /// also record lane `lane`'s issue-slot occupancy.
+    fn simulate(
+        &mut self,
+        kernel: &Kernel,
+        clock: f64,
+        lane: usize,
+    ) -> Result<emvolt_cpu::SimOutput, DomainError> {
         if self.cpu.frequency().to_bits() != clock.to_bits() {
             self.cpu = Cpu::new(self.domain.core_model.clone(), clock);
         }
@@ -815,31 +825,21 @@ impl DomainRunner {
     }
 
     /// Scales one core's simulated draw to the whole cluster: loaded
-    /// cores plus the idle remainder.
-    fn cluster_load(
-        &self,
-        sim: &emvolt_cpu::SimOutput,
-        loaded_cores: usize,
-    ) -> Result<Stimulus, DomainError> {
-        let active = self.domain.active_cores;
-        if loaded_cores > active {
-            return Err(DomainError::TooManyLoadedCores {
-                requested: loaded_cores,
-                active,
-            });
-        }
-        let idle_extra = (active - loaded_cores) as f64 * self.domain.core_model.idle_current;
+    /// cores (at most the powered ones) plus the idle remainder.
+    fn cluster_load(&self, sim: &emvolt_cpu::SimOutput, loaded_cores: usize) -> Stimulus {
+        let idle_extra =
+            (self.domain.active_cores - loaded_cores) as f64 * self.domain.core_model.idle_current;
         let total: Arc<[f64]> = sim
             .current
             .samples()
             .iter()
             .map(|&i| i * loaded_cores as f64 + idle_extra)
             .collect();
-        Ok(Stimulus::Samples {
+        Stimulus::Samples {
             dt: sim.current.dt(),
             values: total,
             repeat: true,
-        })
+        }
     }
 
     /// Runs with all powered cores idle; see [`VoltageDomain::run_idle`].
@@ -861,8 +861,11 @@ impl DomainRunner {
     ///
     /// Propagates PDN analysis failures.
     pub fn run_pdn_with_load(&mut self, load: Stimulus) -> Result<(Trace, Trace), DomainError> {
+        self.lanes.clear();
         self.pdn
             .transient_batch(&self.plan, &self.transient_cfg, &[load], &mut self.batch)?;
+        self.pdn
+            .report_die_lane(&self.plan, &self.batch, 0, &self.telemetry);
         let die = self.pdn.die_lane(&self.batch, 0);
         Ok((
             Trace::with_start(die.dt(), die.start_time(), die.v_die().to_vec()),
@@ -1158,16 +1161,15 @@ mod tests {
         );
     }
 
-    /// A held lane group reported lane by lane charges and emits exactly
-    /// what the sequence of one-lane runs does: the same JSONL events,
-    /// waveform database and counters.
-    #[test]
-    fn held_batch_reports_like_one_lane_runs() {
-        use emvolt_obs::{CounterId, JsonlRecorder, Telemetry, WaveDb};
-        use std::sync::Mutex;
-
-        #[derive(Clone, Default)]
-        struct Buf(Arc<Mutex<Vec<u8>>>);
+    /// A telemetry handle that emits JSONL events and waveforms, with the
+    /// JSONL bytes readable.
+    fn traced() -> (
+        emvolt_obs::Telemetry,
+        Arc<std::sync::Mutex<Vec<u8>>>,
+        Arc<emvolt_obs::WaveDb>,
+    ) {
+        use emvolt_obs::{JsonlRecorder, Telemetry, WaveDb};
+        struct Buf(Arc<std::sync::Mutex<Vec<u8>>>);
         impl std::io::Write for Buf {
             fn write(&mut self, b: &[u8]) -> std::io::Result<usize> {
                 self.0.lock().unwrap().extend_from_slice(b);
@@ -1177,56 +1179,179 @@ mod tests {
                 Ok(())
             }
         }
-        let traced = || {
-            let buf = Buf::default();
-            let db = Arc::new(WaveDb::new());
-            let tel = Telemetry::with_waves(Arc::new(JsonlRecorder::new(buf.clone())), db.clone());
-            (tel, buf, db)
-        };
+        let buf = Arc::default();
+        let db = Arc::new(WaveDb::new());
+        let rec = Arc::new(JsonlRecorder::new(Buf(Arc::clone(&buf))));
+        (Telemetry::with_waves(rec, db.clone()), buf, db)
+    }
 
-        let d = domain();
-        let k = sweep_kernel(Isa::ArmV8);
-        let loads = [
-            Load::Kernel {
-                kernel: &k,
-                loaded_cores: 1,
-            },
-            Load::Idle,
-            Load::Kernel {
-                kernel: &k,
-                loaded_cores: 2,
-            },
-        ];
-        let clocks = [1.2e9, 1.2e9, 0.6e9];
+    /// What one-lane calls through a traced runner left: each call's
+    /// outcome, the JSONL bytes, the VCD and the transient counters.
+    struct OneLane {
+        runs: Vec<Result<DomainRun, String>>,
+        jsonl: Vec<u8>,
+        vcd: String,
+        counters: [u64; 2],
+    }
 
-        let (tel_one, buf_one, db_one) = traced();
-        let mut one = DomainRunner::new_with(&d, RunConfig::fast(), tel_one.clone()).unwrap();
-        let (tel_held, buf_held, db_held) = traced();
-        let mut held = DomainRunner::new_with(&d, RunConfig::fast(), tel_held.clone()).unwrap();
-
-        held.run_batch_held(&loads, &clocks).unwrap();
-        assert!(
-            buf_held.0.lock().unwrap().is_empty(),
-            "a held batch emits nothing"
-        );
-        let (mut alone, mut reported) = (DomainRun::empty(), DomainRun::empty());
+    /// Runs `loads` as one-lane calls in order through a traced runner,
+    /// lane `i` at simulated time `t(i)`.
+    fn one_lane_calls(loads: &[Load<'_>], clocks: &[f64], t: impl Fn(usize) -> f64) -> OneLane {
+        use emvolt_obs::CounterId;
+        let (tel, buf, db) = traced();
+        let mut one = DomainRunner::new_with(&domain(), RunConfig::fast(), tel.clone()).unwrap();
+        let mut runs = Vec::new();
         for (i, (load, clock)) in loads.iter().zip(clocks).enumerate() {
-            let t = i as f64 * 3.0;
-            tel_one.set_sim_time(t);
-            tel_held.set_sim_time(t);
-            one.run_batch_into(&[*load], &[clock], std::slice::from_mut(&mut alone))
-                .unwrap();
-            held.report_lane(i, &mut reported);
-            assert_eq!(alone.v_die.samples(), reported.v_die.samples());
-            assert_eq!(
-                alone.loop_frequency.to_bits(),
-                reported.loop_frequency.to_bits()
-            );
+            tel.set_sim_time(t(i));
+            let mut out = DomainRun::empty();
+            let run = one.run_batch_into(&[*load], &[*clock], std::slice::from_mut(&mut out));
+            runs.push(run.map(|()| out).map_err(|e| e.to_string()));
         }
-        assert_eq!(*buf_one.0.lock().unwrap(), *buf_held.0.lock().unwrap());
-        assert_eq!(db_one.to_vcd_string(), db_held.to_vcd_string());
-        for id in [CounterId::TransientRuns, CounterId::SolverSteps] {
-            assert_eq!(tel_one.counter(id), tel_held.counter(id), "{id:?}");
+        let jsonl = buf.lock().unwrap().clone();
+        OneLane {
+            runs,
+            jsonl,
+            vcd: db.to_vcd_string(),
+            counters: [CounterId::TransientRuns, CounterId::SolverSteps].map(|id| tel.counter(id)),
+        }
+    }
+
+    fn same_run(a: &DomainRun, b: &DomainRun, what: &str) {
+        let bits = |t: &Trace| t.samples().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&a.v_die), bits(&b.v_die), "{what}: v_die");
+        assert_eq!(bits(&a.i_die), bits(&b.i_die), "{what}: i_die");
+        assert_eq!(a.ipc.to_bits(), b.ipc.to_bits(), "{what}: ipc");
+        assert_eq!(
+            a.loop_frequency.to_bits(),
+            b.loop_frequency.to_bits(),
+            "{what}: loop frequency"
+        );
+    }
+
+    /// A lane group of 1, 3 or 8 lanes (kernels, idle, mixed clocks, a
+    /// repeated kernel) charges, emits and fills exactly what the same
+    /// loads do as one-lane calls in order — the same JSONL events,
+    /// waveform database, counters and run bits — whether it runs whole
+    /// through `run_batch_into` or through `run_lanes` and a report per
+    /// lane at that lane's own simulated time.
+    #[test]
+    fn lane_groups_report_like_one_lane_runs() {
+        use emvolt_obs::CounterId;
+        let k = sweep_kernel(Isa::ArmV8);
+        let other = emvolt_isa::kernels::padded_sweep_kernel(Isa::ArmV8, 9);
+        let on = |kernel, loaded_cores| Load::Kernel {
+            kernel,
+            loaded_cores,
+        };
+        let loads = [
+            on(&k, 1),
+            Load::Idle,
+            on(&k, 2),
+            on(&other, 2),
+            on(&k, 1),
+            Load::Idle,
+            on(&other, 1),
+            on(&k, 1),
+        ];
+        let clocks = [1.2e9, 1.2e9, 0.6e9, 0.75e9, 1.2e9, 0.9e9, 1.0e9, 0.6e9];
+        for n in [1, 3, 8] {
+            let (loads, clocks) = (&loads[..n], &clocks[..n]);
+            let OneLane {
+                runs: alone,
+                jsonl,
+                vcd,
+                counters,
+            } = one_lane_calls(loads, clocks, |_| 0.0);
+            let (tel, buf, db) = traced();
+            let mut group =
+                DomainRunner::new_with(&domain(), RunConfig::fast(), tel.clone()).unwrap();
+            let mut outs = vec![DomainRun::empty(); n];
+            group.run_batch_into(loads, clocks, &mut outs).unwrap();
+            for (i, (a, b)) in alone.iter().zip(&outs).enumerate() {
+                same_run(a.as_ref().unwrap(), b, &format!("{n} lanes, lane {i}"));
+            }
+            assert_eq!(jsonl, *buf.lock().unwrap(), "{n} lanes: JSONL");
+            assert_eq!(vcd, db.to_vcd_string(), "{n} lanes: VCD");
+            let got = [CounterId::TransientRuns, CounterId::SolverSteps].map(|id| tel.counter(id));
+            assert_eq!(counters, got, "{n} lanes: counters");
+
+            let t = |i: usize| i as f64 * 3.0;
+            let OneLane {
+                runs: alone,
+                jsonl,
+                vcd,
+                ..
+            } = one_lane_calls(loads, clocks, t);
+            let (tel, buf, db) = traced();
+            let mut group =
+                DomainRunner::new_with(&domain(), RunConfig::fast(), tel.clone()).unwrap();
+            group.run_lanes(loads, clocks).unwrap();
+            assert!(buf.lock().unwrap().is_empty(), "the physics emits nothing");
+            let mut reported = DomainRun::empty();
+            for (i, a) in alone.iter().enumerate() {
+                tel.set_sim_time(t(i));
+                group.report_lane(i, &mut reported).unwrap();
+                same_run(
+                    a.as_ref().unwrap(),
+                    &reported,
+                    &format!("reported lane {i}"),
+                );
+            }
+            assert_eq!(jsonl, *buf.lock().unwrap(), "{n} reported lanes: JSONL");
+            assert_eq!(vcd, db.to_vcd_string(), "{n} reported lanes: VCD");
+        }
+    }
+
+    /// A group whose middle lane loads more cores than are powered, or
+    /// runs above the maximum clock: `run_batch_into` fails with that
+    /// lane's one-lane error and fills nothing, and reported lane by lane
+    /// the failing lane gets its one-lane error while the other lanes get
+    /// their one-lane bits and emissions.
+    #[test]
+    fn a_failing_lane_fails_alone() {
+        let k = sweep_kernel(Isa::ArmV8);
+        let on = |loaded_cores| Load::Kernel {
+            kernel: &k,
+            loaded_cores,
+        };
+        for (bad, bad_clock) in [(on(3), 1.2e9), (on(1), 1.3e9)] {
+            let loads = [on(1), Load::Idle, bad, on(2), on(1)];
+            let clocks = [1.2e9, 1.2e9, bad_clock, 0.6e9, 1.2e9];
+            let t = |i: usize| i as f64;
+            let OneLane {
+                runs: alone,
+                jsonl,
+                vcd,
+                ..
+            } = one_lane_calls(&loads, &clocks, t);
+            let want = alone[2].as_ref().unwrap_err();
+
+            let (tel, buf, db) = traced();
+            let mut group =
+                DomainRunner::new_with(&domain(), RunConfig::fast(), tel.clone()).unwrap();
+            let mut outs = vec![DomainRun::empty(); loads.len()];
+            let err = group
+                .run_batch_into(&loads, &clocks, &mut outs)
+                .unwrap_err();
+            assert_eq!(*want, err.to_string());
+            assert!(outs.iter().all(|out| out.v_die.samples().is_empty()));
+            assert!(
+                buf.lock().unwrap().is_empty(),
+                "a failed group reports nothing"
+            );
+
+            group.run_lanes(&loads, &clocks).unwrap();
+            let mut reported = DomainRun::empty();
+            for (i, a) in alone.iter().enumerate() {
+                tel.set_sim_time(t(i));
+                match (a, group.report_lane(i, &mut reported)) {
+                    (Ok(a), Ok(())) => same_run(a, &reported, &format!("lane {i}")),
+                    (Err(a), Err(b)) => assert_eq!(*a, b.to_string(), "lane {i}"),
+                    (a, b) => panic!("lane {i}: one-lane {a:?} vs reported {b:?}"),
+                }
+            }
+            assert_eq!(jsonl, *buf.lock().unwrap(), "JSONL");
+            assert_eq!(vcd, db.to_vcd_string(), "VCD");
         }
     }
 

@@ -7,7 +7,8 @@
 //!
 //! A checkpoint goes to `Checkpoint::from_lines` and then to its
 //! campaign's resume entry point, limited to one step past the
-//! checkpoint; a trace goes to `ReplayBackend::open`.
+//! checkpoint (or, for a step count at the top of its range, not
+//! limited at all); a trace goes to `ReplayBackend::open`.
 
 use emvolt::backend::ReplayBackend;
 use emvolt::core::{fast_resonance_sweep_resumable, generate_em_virus_resumable};
@@ -28,14 +29,22 @@ use std::time::Duration;
 const CASE_BOUND: Duration = Duration::from_secs(60);
 
 /// Numbers no well-formed file holds where they land.
-const HOSTILE: [&str; 6] = [
+const HOSTILE: [&str; 9] = [
     "NaN",
     "1e400",
     "-1",
     "18446744073709551616",
     "18446744073709551615",
     "ffffffffffffffff",
+    NAN_BITS,
+    NEG_INF_BITS,
+    NEG_TWO_BITS,
 ];
+
+/// The bits of NaN, -inf and -2.0: no analyzer time a rig can restore.
+const NAN_BITS: &str = "7ff8000000000000";
+const NEG_INF_BITS: &str = "fff0000000000000";
+const NEG_TWO_BITS: &str = "c000000000000000";
 
 /// Which reader takes an input, and how it resumes.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -172,11 +181,12 @@ fn fixtures() -> &'static Fixtures {
 }
 
 /// Feeds `bytes` to `reader`. Any `Ok` or typed error is an answer.
-fn feed(reader: Reader, path: &Path, bytes: &[u8]) {
+fn feed(reader: Reader, path: &Path, bytes: &[u8]) -> Result<bool, DomainError> {
     let fx = fixtures();
     if reader == Reader::Trace {
-        let _ = ReplayBackend::open(path);
-        return;
+        return ReplayBackend::open(path)
+            .map(|_| true)
+            .map_err(|e| DomainError::Backend(e.to_string()));
     }
     let batches = std::str::from_utf8(bytes)
         .map_err(|e| e.to_string())
@@ -188,19 +198,19 @@ fn feed(reader: Reader, path: &Path, bytes: &[u8]) {
         ..DriveOptions::default()
     };
     let replay = |name: &str| format!("replay:{}", fx.dir.join(name).display());
-    let _ = match reader {
+    match reader {
         Reader::Virus => run_virus("live", &opts),
         Reader::Sweep => run_sweep("live", &opts),
         Reader::Vmin => run_vmin(&opts),
         Reader::ReplaySweep => run_sweep(&replay("sweep.trace"), &opts),
         Reader::ReplayVirus => run_virus(&replay("virus.trace"), &opts),
         Reader::Trace => unreachable!("handled above"),
-    };
+    }
 }
 
-/// Runs one mutated input on its own thread and fails on a panic or on
-/// no answer within [`CASE_BOUND`].
-fn check(reader: Reader, bytes: Vec<u8>, what: &str) {
+/// Runs one mutated input on its own thread and returns its answer;
+/// fails on a panic or on no answer within [`CASE_BOUND`].
+fn check(reader: Reader, bytes: Vec<u8>, what: &str) -> Result<bool, DomainError> {
     static CASE: AtomicUsize = AtomicUsize::new(0);
     let n = CASE.fetch_add(1, Ordering::Relaxed);
     let path = fixtures().dir.join(format!("case_{n}.jsonl"));
@@ -208,18 +218,19 @@ fn check(reader: Reader, bytes: Vec<u8>, what: &str) {
     let (tx, rx) = mpsc::channel();
     let case_path = path.clone();
     let reader_thread = std::thread::spawn(move || {
-        feed(reader, &case_path, &bytes);
-        let _ = tx.send(());
+        let _ = tx.send(feed(reader, &case_path, &bytes));
     });
     // A reader that never answers is left running: joining it would hang
     // the test, and the process ends with the test binary.
-    if let Err(mpsc::RecvTimeoutError::Timeout) = rx.recv_timeout(CASE_BOUND) {
+    let answer = rx.recv_timeout(CASE_BOUND);
+    if let Err(mpsc::RecvTimeoutError::Timeout) = answer {
         panic!("{reader:?} {what}: no answer within {CASE_BOUND:?}");
     }
     if reader_thread.join().is_err() {
         panic!("{reader:?} {what}: the reader panicked");
     }
     std::fs::remove_file(&path).unwrap();
+    answer.expect("a reader that did not panic answered")
 }
 
 /// Byte ranges of the numeric and hex tokens of `text`: maximal runs of
@@ -284,28 +295,76 @@ proptest! {
                 ("hostile token", replace(text, spans[pick(spans.len())].clone(), with))
             }
         };
-        check(*reader, mutated, what);
+        let _ = check(*reader, mutated, what);
     }
 }
 
-/// Every number and bit string of a replay cursor — `served:` counts and
-/// the analyzer time — replaced by every hostile number: the replay
-/// readers resume at once or refuse.
+/// Every number and bit string of a rig line — the live analyzer's RNG
+/// words and time, the replay cursors' `served:` counts and time —
+/// replaced by every hostile number: the readers resume at once or
+/// refuse, and a live analyzer time of NaN, -inf or -2 s is refused as a
+/// checkpoint error.
 #[test]
 fn hostile_replay_cursors_get_an_answer() {
     let fx = fixtures();
+    let mut refused_times = 0;
     for (reader, text) in &fx.inputs {
-        if !matches!(reader, Reader::ReplaySweep | Reader::ReplayVirus) {
+        if matches!(reader, Reader::Vmin | Reader::Trace) {
             continue;
         }
+        let live = matches!(reader, Reader::Virus | Reader::Sweep);
         let text_str = String::from_utf8_lossy(text);
         let rig = text_str.find("{\"k\":\"rig\"").expect("a rig line");
         let rig = rig..rig + text_str[rig..].find('\n').expect("a line after the rig");
+        let elapsed = text_str[rig.clone()]
+            .find("[\"elapsed\",\"")
+            .map(|at| rig.start + at + "[\"elapsed\",\"".len());
+        assert!(elapsed.is_some(), "{reader:?}: no analyzer time");
         for span in tokens(text).into_iter().filter(|s| rig.contains(&s.start)) {
             for with in HOSTILE {
                 let what = format!("rig token {span:?} -> {with}");
-                check(*reader, replace(text, span.clone(), with), &what);
+                let answer = check(*reader, replace(text, span.clone(), with), &what);
+                let unreachable_time = [NAN_BITS, NEG_INF_BITS, NEG_TWO_BITS].contains(&with);
+                if live && unreachable_time && Some(span.start) == elapsed {
+                    assert!(
+                        matches!(answer, Err(DomainError::Checkpoint(_))),
+                        "{reader:?} {what}: {answer:?}"
+                    );
+                    refused_times += 1;
+                }
             }
         }
+    }
+    // Three times each for the live virus and the live sweep.
+    assert_eq!(refused_times, 6);
+}
+
+/// A live checkpoint whose step count is `u64::MAX`, resumed with no step
+/// limit: the next step cannot be counted, which is a checkpoint error —
+/// not an overflow panic, and not a count wrapped to zero.
+#[test]
+fn a_step_count_at_the_top_is_a_checkpoint_error() {
+    let fx = fixtures();
+    for (reader, text) in &fx.inputs {
+        let run: fn(&str, &DriveOptions) -> Result<bool, DomainError> = match reader {
+            Reader::Virus => run_virus,
+            Reader::Sweep => run_sweep,
+            _ => continue,
+        };
+        let text = String::from_utf8_lossy(text);
+        let field = "\"batches\":\"";
+        let at = text.find(field).expect("a step count") + field.len();
+        let top = format!("{}ffffffffffffffff{}", &text[..at], &text[at + 16..]);
+        let path = fx.dir.join(format!("top_{reader:?}.jsonl"));
+        std::fs::write(&path, top).unwrap();
+        let opts = DriveOptions {
+            resume: Some(path),
+            ..DriveOptions::default()
+        };
+        let answer = run("live", &opts);
+        assert!(
+            matches!(answer, Err(DomainError::Checkpoint(_))),
+            "{reader:?}: {answer:?}"
+        );
     }
 }
