@@ -29,11 +29,13 @@
 //!   - each lane of every `full_chain_batched_xN` must cost at most
 //!     [`AMORTIZATION_CEILING`] times `full_chain_baseline`, which is a
 //!     lane group of one;
-//!   - on hosts that detect AVX2, the dispatched lane-major fold must
-//!     beat the scalar-forced one by [`SIMD_SPEEDUP`]; other hosts skip
-//!     this check, whose floor is calibrated to 4-wide FMA;
+//!   - on hosts that detect AVX2, the dispatched transient step kernel
+//!     must beat the scalar-forced one by [`SIMD_SPEEDUP`]; other hosts
+//!     skip this check, whose floor is calibrated to 4-wide FMA;
 //!   - a campaign checkpointing after every batch must cost at most
-//!     [`CHECKPOINT_CEILING`] times the same campaign without one.
+//!     [`CHECKPOINT_CEILING`] times the same campaign without one, by
+//!     the median of at least [`CHECKPOINT_PAIRS`] per-round pair ratios
+//!     (one ratio of two minima flapped across the ceiling).
 //!
 //! `--rebaseline` still runs the same-run ratios and pins nothing when
 //! one fails.
@@ -51,7 +53,7 @@ use emvolt_platform::{
     a72_pdn, DomainRun, DomainRunner, EmBench, KernelChoice, Load, MeasureScratch, RunConfig,
     VoltageDomain,
 };
-use emvolt_simd::SimdLevel;
+use emvolt_simd::{SimdLevel, StepOperands, StepRows};
 use rand::{rngs::StdRng, SeedableRng};
 use serde::{DeError, Deserialize, Value};
 use std::collections::{BTreeMap, BTreeSet};
@@ -68,14 +70,37 @@ const FLOOR_TOLERANCE: f64 = 1.5;
 const FAST_PATH_SPEEDUP: f64 = 1.5;
 /// Upper bound on a batched lane's cost over `full_chain_baseline`.
 const AMORTIZATION_CEILING: f64 = 0.75;
-/// Lower bound on `simd_fold_lanes_scalar / simd_fold_lanes_dispatch`
-/// on AVX2 hosts.
+/// Lower bound on `simd_steps_scalar / simd_steps_dispatch` on AVX2.
 const SIMD_SPEEDUP: f64 = 1.3;
-/// Upper bound on `checkpoint_overhead / ga_campaign_noop_recorder`.
+/// Upper bound on the `checkpoint_overhead` [`median_ratio`].
 const CHECKPOINT_CEILING: f64 = 1.03;
+/// Fewest rounds the `checkpoint_overhead` [`median_ratio`] is taken over.
+const CHECKPOINT_PAIRS: usize = 9;
 
 /// `{record name -> min_ms}`.
 type Floors = BTreeMap<String, f64>;
+
+/// `{record name -> the ms of each timed round}`.
+type Samples = BTreeMap<String, Vec<f64>>;
+
+/// Each record's fastest sample.
+fn floors_of(samples: &Samples) -> Floors {
+    let min = |ms: &Vec<f64>| ms.iter().copied().fold(f64::INFINITY, f64::min);
+    samples
+        .iter()
+        .map(|(name, ms)| (name.clone(), min(ms)))
+        .collect()
+}
+
+/// The median per-round `num / den` of two records timed in the same
+/// rounds (the upper middle one for an even count) and the round count;
+/// `None` when either record was not timed.
+fn median_ratio(samples: &Samples, num: &str, den: &str) -> Option<(f64, usize)> {
+    let num_den = samples.get(num)?.iter().zip(samples.get(den)?);
+    let mut ratios: Vec<f64> = num_den.map(|(n, d)| n / d).collect();
+    ratios.sort_by(f64::total_cmp);
+    Some((*ratios.get(ratios.len() / 2)?, ratios.len()))
+}
 
 /// One `BENCH_history.jsonl` line: the stamp it was pinned under, the
 /// SIMD level the host dispatched, and every record's floor, grouped
@@ -241,9 +266,9 @@ fn floor_checks(pinned: &Floors, fresh: &Floors) -> Vec<Check> {
         .collect()
 }
 
-/// The same-run ratio checks over one run's floors; `level` is the SIMD
-/// level the host detects.
-fn ratio_checks(fresh: &Floors, level: SimdLevel) -> Vec<Check> {
+/// The same-run ratio checks over one run's floors and its checkpoint
+/// [`median_ratio`]; `level` is the SIMD level the host detects.
+fn ratio_checks(fresh: &Floors, checkpoint: Option<(f64, usize)>, level: SimdLevel) -> Vec<Check> {
     let ratio = |num: &str, den: &str| Some(fresh.get(num)? / fresh.get(den)?);
     let mut checks = Vec::new();
 
@@ -282,30 +307,30 @@ fn ratio_checks(fresh: &Floors, level: SimdLevel) -> Vec<Check> {
         Check {
             verdict: Verdict::Skip,
             what: format!(
-                "simd fold speedup floor: host detects {} (calibrated for avx2)",
+                "simd step speedup floor: host detects {} (calibrated for avx2)",
                 level.as_str()
             ),
         }
     } else {
-        match ratio("simd_fold_lanes_scalar", "simd_fold_lanes_dispatch") {
+        match ratio("simd_steps_scalar", "simd_steps_dispatch") {
             Some(r) => Check::new(
                 r >= SIMD_SPEEDUP,
-                format!("simd fold dispatch/scalar speedup {r:.2}x (floor {SIMD_SPEEDUP}x)"),
+                format!("simd step dispatch/scalar speedup {r:.2}x (floor {SIMD_SPEEDUP}x)"),
             ),
-            None => Check::missing("simd_fold_lanes_scalar/simd_fold_lanes_dispatch"),
+            None => Check::missing("simd_steps_scalar/simd_steps_dispatch"),
         }
     });
 
     checks.push(
-        match ratio("checkpoint_overhead", "ga_campaign_noop_recorder") {
-            Some(r) => Check::new(
+        match checkpoint.filter(|&(_, pairs)| pairs >= CHECKPOINT_PAIRS) {
+            Some((r, pairs)) => Check::new(
                 r <= CHECKPOINT_CEILING,
                 format!(
-                    "checkpoint_overhead {r:.3}x ga_campaign_noop_recorder \
-                     (ceiling {CHECKPOINT_CEILING}x)"
+                    "checkpoint_overhead {r:.3}x ga_campaign_noop_recorder, median of {pairs} \
+                 pairs (ceiling {CHECKPOINT_CEILING}x)"
                 ),
             ),
-            None => Check::missing("checkpoint_overhead/ga_campaign_noop_recorder"),
+            None => Check::missing("checkpoint_overhead/ga_campaign_noop_recorder (9+ pairs)"),
         },
     );
     checks
@@ -317,27 +342,27 @@ type Job<'a> = (&'static str, Box<dyn FnMut() + 'a>);
 /// Times every job of `group` in alternating rounds, so each record
 /// samples the same machine conditions and a ratio between two of them
 /// is not skewed by a drifting CPU clock. The first `warmup` rounds
-/// fault in code, warm caches and settle the allocator; each record's
-/// floor is its fastest of the `rounds` timed samples. A shared host's
-/// speed drifts over seconds, so the eval and GA groups each sample for
-/// a few seconds, which gives their floors more chances to catch the
-/// host at its fastest and lets the checkpoint side dodge filesystem
-/// stalls.
-fn time_group(group: &mut [Job<'_>], warmup: usize, rounds: usize) -> Floors {
-    let mut floors = vec![f64::INFINITY; group.len()];
+/// fault in code, warm caches and settle the allocator; each record
+/// keeps its `rounds` timed samples, in round order, and its floor is
+/// the fastest ([`floors_of`]). A shared host's speed drifts over
+/// seconds, so the eval and GA groups each sample for a few seconds,
+/// which gives their floors more chances to catch the host at its
+/// fastest.
+fn time_group(group: &mut [Job<'_>], warmup: usize, rounds: usize) -> Samples {
+    let mut samples = vec![Vec::with_capacity(rounds); group.len()];
     for round in 0..warmup + rounds {
-        for ((_, job), floor) in group.iter_mut().zip(&mut floors) {
+        for ((_, job), ms) in group.iter_mut().zip(&mut samples) {
             let t0 = Instant::now();
             job();
             if round >= warmup {
-                *floor = floor.min(t0.elapsed().as_secs_f64() * 1e3);
+                ms.push(t0.elapsed().as_secs_f64() * 1e3);
             }
         }
     }
     group
         .iter()
         .map(|(name, _)| name.to_string())
-        .zip(floors)
+        .zip(samples)
         .collect()
 }
 
@@ -455,7 +480,7 @@ fn eval_floors() -> Floors {
             chain_job(cfg, &bench, waves, &kernel, 1),
         ),
     ];
-    time_group(&mut group, 50, 120)
+    floors_of(&time_group(&mut group, 50, 120))
 }
 
 /// The cycle-level core sim alone, the top layer of a GA evaluation: a
@@ -481,41 +506,66 @@ fn cpu_floors() -> Floors {
         ("cpu_simulate_ga", sim(ga)),
         ("cpu_simulate_sweep", sim(sweep)),
     ];
-    time_group(&mut group, 50, 300)
+    floors_of(&time_group(&mut group, 50, 300))
 }
 
-/// The lane-major response-column fold, the innermost per-step loop of
-/// a batched transient, at the dispatched level and at the scalar tier.
-/// The two differ only in instruction selection, so their ratio
-/// isolates the SIMD payoff from every other chain cost.
+/// One `state_steps` call, the transient's innermost loop, at the
+/// dispatched level and at the scalar tier: a synthetic 8-lane group of
+/// 64 steps with the A72 PDN's 132-column fold (32 nodes, 64 capacitors,
+/// 64 inductors, 4 sources), restarted from the same rows each sample.
+/// The two differ only in instruction selection, so their ratio isolates
+/// the SIMD payoff from every other chain cost.
 fn simd_floors() -> Floors {
-    const N_NODES: usize = 16;
-    const N_INPUTS: usize = 12;
-    const LANES: usize = 8;
-    // One fold is ~1.5k flops; repeat enough that a sample dwarfs timer
-    // granularity.
-    const REPS: usize = 4000;
-    let cols: Vec<f64> = (0..N_NODES * N_INPUTS)
-        .map(|i| (i as f64 * 0.37).sin())
+    let (lanes, steps, n_nodes, n_elems, n_src) = (8, 64, 32, 64, 4);
+    let wave = |n: usize, f: f64, scale: f64| -> Vec<f64> {
+        (0..n).map(|i| (i as f64 * f).sin() * scale).collect()
+    };
+    let cols = wave((2 * n_elems + n_src) * n_nodes, 0.37, 1e-2);
+    let g = wave(n_elems, 0.11, 1e-3);
+    // Element `k` sits between node rows `k % 32 + 1` and `k % 33`.
+    let between: Vec<[u32; 2]> = (0..n_elems)
+        .map(|k| [(k % n_nodes + 1) as u32, (k % (n_nodes + 1)) as u32])
         .collect();
-    let inputs: Vec<f64> = (0..N_INPUTS * LANES)
-        .map(|i| (i as f64 * 0.73).cos())
-        .collect();
-    let (cols, inputs) = (&cols, &inputs);
-    let fold = |level: SimdLevel| -> Box<dyn FnMut() + '_> {
-        let mut xn = vec![0.0; N_NODES * LANES];
+    let ops = StepOperands {
+        cols: &cols,
+        n_nodes,
+        cap_g: &g,
+        ind_g: &g,
+        cap_rows: &between,
+        ind_rows: &between,
+        probe_nodes: &[1, n_nodes as u32],
+        probe_inds: &[0],
+    };
+    let sources = wave(steps * n_src * lanes, 0.73, 1.0);
+    let state = wave((n_nodes + 1) * lanes, 0.19, 1.0);
+    let elems = wave(n_elems * lanes, 0.29, 1.0);
+    let start = [state, elems.clone(), elems.clone(), elems.clone(), elems];
+    let (ops, sources, start) = (&ops, &sources, &start);
+    let run = |level: SimdLevel| -> Box<dyn FnMut() + '_> {
+        let mut rows = start.clone();
+        let mut hist = vec![0.0; 2 * n_elems * lanes];
+        let mut probes = vec![0.0; steps * 3 * lanes];
         Box::new(move || {
-            for _ in 0..REPS {
-                level.fold_cols_lanes(cols, N_NODES, inputs, LANES, &mut xn);
-            }
-            std::hint::black_box(&mut xn);
+            rows.clone_from(start);
+            let [state, cap_v, cap_i, ind_v, ind_i] = &mut rows;
+            let mut group = StepRows {
+                stride: lanes,
+                state,
+                cap_v,
+                cap_i,
+                ind_v,
+                ind_i,
+                hist: &mut hist,
+            };
+            level.state_steps(ops, &mut group, steps, sources, &mut probes);
+            std::hint::black_box(&mut probes);
         })
     };
     let mut group: Vec<Job<'_>> = vec![
-        ("simd_fold_lanes_dispatch", fold(emvolt_simd::level())),
-        ("simd_fold_lanes_scalar", fold(SimdLevel::Scalar)),
+        ("simd_steps_dispatch", run(emvolt_simd::level())),
+        ("simd_steps_scalar", run(SimdLevel::Scalar)),
     ];
-    time_group(&mut group, 50, 40)
+    floors_of(&time_group(&mut group, 50, 200))
 }
 
 /// One reduced EM GA campaign on the live A72 chain: 6 individuals x 3
@@ -546,7 +596,8 @@ fn ga_job(telemetry: fn() -> Telemetry, opts: DriveOptions) -> Box<dyn FnMut()> 
 /// The GA records: a campaign with telemetry off, with a JSONL recorder
 /// to a sink, and snapshotting its state to disk after every batch (the
 /// price of `--checkpoint PATH:1`, the tightest cadence the CLI takes).
-fn ga_floors() -> Floors {
+/// Every round's sample is kept for the checkpoint pair ratios.
+fn ga_samples() -> Samples {
     let path = std::env::temp_dir().join(format!(
         "emvolt_bench_checkpoint_{}.jsonl",
         std::process::id()
@@ -570,9 +621,9 @@ fn ga_floors() -> Floors {
         ),
         ("checkpoint_overhead", ga_job(Telemetry::noop, checkpoint)),
     ];
-    let floors = time_group(&mut group, 3, 45);
+    let samples = time_group(&mut group, 3, 45);
     std::fs::remove_file(&path).ok();
-    floors
+    samples
 }
 
 fn append_line(path: &Path, snapshot: &Snapshot) -> std::io::Result<()> {
@@ -608,14 +659,16 @@ fn main() -> ExitCode {
     let mut eval_min_ms = eval_floors();
     eval_min_ms.extend(cpu_floors());
     eval_min_ms.extend(simd_floors());
+    let ga = ga_samples();
     let fresh = Snapshot {
         stamp: rebaseline.clone().unwrap_or_default(),
         simd: emvolt_simd::level().as_str().to_owned(),
         eval_min_ms,
-        ga_min_ms: ga_floors(),
+        ga_min_ms: floors_of(&ga),
     };
     let floors = fresh.floors();
-    let mut checks = ratio_checks(&floors, emvolt_simd::detected_level());
+    let checkpoint = median_ratio(&ga, "checkpoint_overhead", "ga_campaign_noop_recorder");
+    let mut checks = ratio_checks(&floors, checkpoint, emvolt_simd::detected_level());
     if let Some(pinned) = &pinned {
         println!("pinned line \"{}\" ({})", pinned.stamp, pinned.simd);
         checks.extend(floor_checks(&pinned.floors(), &floors));
@@ -655,11 +708,14 @@ mod tests {
             ("full_chain_baseline", 1.0),
             ("full_chain_batched_x4", 2.0),
             ("full_chain_batched_x8", 3.0),
-            ("simd_fold_lanes_dispatch", 1.0),
-            ("simd_fold_lanes_scalar", 10.0),
-            ("ga_campaign_noop_recorder", 100.0),
-            ("checkpoint_overhead", 100.0),
+            ("simd_steps_dispatch", 1.0),
+            ("simd_steps_scalar", 10.0),
         ])
+    }
+
+    /// The median of the fewest checkpoint pairs the check takes.
+    fn pairs(r: f64) -> Option<(f64, usize)> {
+        Some((r, CHECKPOINT_PAIRS))
     }
 
     fn verdicts(checks: &[Check]) -> Vec<Verdict> {
@@ -679,12 +735,12 @@ mod tests {
     fn ratios_with(record: &str, ms: f64) -> Vec<Check> {
         let mut run = passing_run();
         run.insert(record.to_owned(), ms);
-        ratio_checks(&run, SimdLevel::Avx2)
+        ratio_checks(&run, pairs(1.0), SimdLevel::Avx2)
     }
 
     #[test]
     fn passing_run_passes_every_ratio() {
-        let checks = ratio_checks(&passing_run(), SimdLevel::Avx2);
+        let checks = ratio_checks(&passing_run(), pairs(1.0), SimdLevel::Avx2);
         assert_eq!(checks.len(), 5);
         assert!(verdicts(&checks).iter().all(|&v| v == Verdict::Ok));
     }
@@ -726,28 +782,103 @@ mod tests {
 
     #[test]
     fn simd_speedup_passes_at_floor_and_fails_below_on_avx2() {
-        let at = ratios_with("simd_fold_lanes_scalar", 1.3);
-        assert_eq!(verdict_of(&at, "simd fold"), Verdict::Ok);
-        let below = ratios_with("simd_fold_lanes_scalar", 1.2999);
-        assert_eq!(verdict_of(&below, "simd fold"), Verdict::Fail);
+        let at = ratios_with("simd_steps_scalar", 1.3);
+        assert_eq!(verdict_of(&at, "simd step"), Verdict::Ok);
+        let below = ratios_with("simd_steps_scalar", 1.2999);
+        assert_eq!(verdict_of(&below, "simd step"), Verdict::Fail);
     }
 
     #[test]
     fn non_avx2_host_skips_the_simd_floor() {
         let mut run = passing_run();
-        run.insert("simd_fold_lanes_scalar".to_owned(), 1.0);
+        run.insert("simd_steps_scalar".to_owned(), 1.0);
         for level in [SimdLevel::Scalar, SimdLevel::Sse2, SimdLevel::Neon] {
-            let checks = ratio_checks(&run, level);
-            assert_eq!(verdict_of(&checks, "simd fold"), Verdict::Skip);
+            let checks = ratio_checks(&run, pairs(1.0), level);
+            assert_eq!(verdict_of(&checks, "simd step"), Verdict::Skip);
         }
     }
 
     #[test]
     fn checkpoint_overhead_passes_at_ceiling_and_fails_above() {
-        let at = ratios_with("checkpoint_overhead", 103.0);
-        assert_eq!(verdict_of(&at, "checkpoint_overhead"), Verdict::Ok);
-        let above = ratios_with("checkpoint_overhead", 103.001);
-        assert_eq!(verdict_of(&above, "checkpoint_overhead"), Verdict::Fail);
+        let checks = |r: f64| ratio_checks(&passing_run(), pairs(r), SimdLevel::Avx2);
+        assert_eq!(
+            verdict_of(&checks(1.03), "checkpoint_overhead"),
+            Verdict::Ok
+        );
+        assert_eq!(
+            verdict_of(&checks(1.03001), "checkpoint_overhead"),
+            Verdict::Fail
+        );
+    }
+
+    /// Nine rounds of a campaign whose speed drifts, with and without
+    /// checkpoints, the checkpoint side costing `overhead` times its
+    /// round's campaign.
+    fn checkpoint_rounds(overhead: f64) -> Samples {
+        let noop = vec![100.0, 104.0, 97.0, 110.0, 99.0, 101.0, 120.0, 98.0, 102.0];
+        let checkpoint = noop.iter().map(|ms| ms * overhead).collect();
+        [
+            ("ga_campaign_noop_recorder".to_owned(), noop),
+            ("checkpoint_overhead".to_owned(), checkpoint),
+        ]
+        .into_iter()
+        .collect()
+    }
+
+    fn checkpoint_verdict(rounds: &Samples) -> Verdict {
+        let median = median_ratio(rounds, "checkpoint_overhead", "ga_campaign_noop_recorder");
+        let checks = ratio_checks(&passing_run(), median, SimdLevel::Avx2);
+        verdict_of(&checks, "checkpoint_overhead")
+    }
+
+    #[test]
+    fn one_outlier_pair_cannot_flip_the_checkpoint_verdict() {
+        // One stalled checkpoint write does not fail a 1% overhead...
+        let mut stalled = checkpoint_rounds(1.01);
+        stalled.get_mut("checkpoint_overhead").unwrap()[3] *= 1.5;
+        assert_eq!(checkpoint_verdict(&stalled), Verdict::Ok);
+        // ...and one lucky checkpoint round does not pass a 4% one, which
+        // the ratio of the two minima would (95 / 97 < 1).
+        let mut lucky = checkpoint_rounds(1.04);
+        lucky.get_mut("checkpoint_overhead").unwrap()[0] = 95.0;
+        let floors = floors_of(&lucky);
+        assert!(floors["checkpoint_overhead"] / floors["ga_campaign_noop_recorder"] < 1.0);
+        assert_eq!(checkpoint_verdict(&lucky), Verdict::Fail);
+    }
+
+    #[test]
+    fn a_uniform_checkpoint_slowdown_fails() {
+        assert_eq!(checkpoint_verdict(&checkpoint_rounds(1.0)), Verdict::Ok);
+        assert_eq!(checkpoint_verdict(&checkpoint_rounds(1.04)), Verdict::Fail);
+    }
+
+    #[test]
+    fn too_few_checkpoint_pairs_fail() {
+        let mut rounds = checkpoint_rounds(1.0);
+        for ms in rounds.values_mut() {
+            ms.truncate(CHECKPOINT_PAIRS - 1);
+        }
+        assert_eq!(checkpoint_verdict(&rounds), Verdict::Fail);
+        rounds.remove("checkpoint_overhead");
+        assert_eq!(checkpoint_verdict(&rounds), Verdict::Fail);
+    }
+
+    #[test]
+    fn median_ratio_takes_the_middle_round() {
+        let rounds = |num: &[f64]| -> Samples {
+            let den = vec![1.0; num.len()];
+            [("n".to_owned(), num.to_vec()), ("d".to_owned(), den)].into()
+        };
+        assert_eq!(median_ratio(&rounds(&[]), "n", "d"), None);
+        assert_eq!(
+            median_ratio(&rounds(&[3.0, 1.0, 2.0]), "n", "d"),
+            Some((2.0, 3))
+        );
+        assert_eq!(
+            median_ratio(&rounds(&[4.0, 1.0, 3.0, 2.0]), "n", "d"),
+            Some((3.0, 4))
+        );
+        assert_eq!(median_ratio(&rounds(&[1.0]), "n", "x"), None);
     }
 
     #[test]
@@ -755,12 +886,11 @@ mod tests {
         for record in [
             "full_chain_lu_fft",
             "full_chain_baseline",
-            "simd_fold_lanes_dispatch",
-            "ga_campaign_noop_recorder",
+            "simd_steps_dispatch",
         ] {
             let mut run = passing_run();
             run.remove(record);
-            let checks = ratio_checks(&run, SimdLevel::Avx2);
+            let checks = ratio_checks(&run, pairs(1.0), SimdLevel::Avx2);
             assert!(
                 verdicts(&checks).contains(&Verdict::Fail),
                 "{record}: {checks:?}"
@@ -768,7 +898,7 @@ mod tests {
         }
         let mut run = passing_run();
         run.retain(|name, _| !name.starts_with("full_chain_batched_x"));
-        let checks = ratio_checks(&run, SimdLevel::Avx2);
+        let checks = ratio_checks(&run, pairs(1.0), SimdLevel::Avx2);
         assert_eq!(verdict_of(&checks, "full_chain_batched_xN"), Verdict::Fail);
     }
 

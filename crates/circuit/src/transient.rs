@@ -913,10 +913,10 @@ impl Circuit {
     /// Steps one lane group through the state-space kernel. The
     /// vectorisation axis follows the group width:
     ///
-    /// * **One lane** steps in place in its own [`TransientScratch`]: its
-    ///   `v`, element-state and history vectors already are the 1-lane SoA
-    ///   rows, so there is no packing and no padding, and the kernel folds
-    ///   node-vectorised.
+    /// * **One lane** steps on its own [`TransientScratch`] rows, swapped
+    ///   into `soa` for the run and back after: its `v`, element-state and
+    ///   history vectors already are the 1-lane SoA rows, so there is no
+    ///   packing and no padding, and the kernel folds node-vectorised.
     /// * **Two or more lanes** are packed into the lane-contiguous rows of
     ///   `soa`, padded to a whole number of vectors, and the kernel folds
     ///   lane-vectorised. Each padding lane replays lane 0 — its state and
@@ -924,7 +924,19 @@ impl Circuit {
     ///   independent, so padding cannot change a real lane's bits.
     ///
     /// Per lane both folds compute the same operation sequence, so a
-    /// lane's bits do not depend on the width of the group it ran in.
+    /// lane's bits do not depend on the width of the group it ran in. The
+    /// SIMD level is read once per group, so the padded stride and the
+    /// dispatch agree even if another thread switches the level mid-run.
+    ///
+    /// The steps run in blocks of [`STEP_BLOCK`]. For each block every
+    /// source is sampled at each step's time `step * dt` into the staged
+    /// `[steps x sources x stride]` rows (the kernel's inputs are the
+    /// capacitor and inductor histories, then current sources, then
+    /// voltage sources), one [`emvolt_simd::SimdLevel::state_steps`] call
+    /// advances the group, and each lane records the probe rows of the
+    /// block's steps inside the recording window. With `swept`, each lane
+    /// drives the swept current source with its own load; every other
+    /// source is lane-invariant, sampled once per step and broadcast.
     fn group_steps(
         &self,
         plan: &TransientPlan,
@@ -934,48 +946,21 @@ impl Circuit {
         lanes: &mut [TransientScratch],
         soa: &mut LaneRows,
     ) {
-        let mut loads = swept.map(|(source, loads)| SweptLoads::new(source, loads));
-        if let [lane] = lanes {
-            let TransientScratch { rows, out, .. } = lane;
-            self.step_rows(plan, kernel, sched, loads.as_mut(), rows, |probes, n| {
-                out.record_rows(probes, n, 1, 0);
-            });
-            return;
-        }
-
+        let lv = emvolt_simd::level();
         let width = lanes.len();
         debug_assert!(width <= MAX_GROUP_LANES);
-        let stride = width.next_multiple_of(emvolt_simd::level().vector_f64s());
-        soa.pack(lanes, stride);
-        self.step_rows(plan, kernel, sched, loads.as_mut(), soa, |probes, n| {
-            for (l, lane) in lanes.iter_mut().enumerate() {
-                lane.out.record_rows(probes, n, stride, l);
+        let stride = match width {
+            1 => {
+                std::mem::swap(&mut lanes[0].rows, soa);
+                1
             }
-        });
-        soa.unpack(lanes, stride);
-    }
-
-    /// The state-space step loop over one group's rows, in blocks of
-    /// [`STEP_BLOCK`] steps. For each block it samples every source at
-    /// each step's time `step * dt` into the staged `[steps x sources x
-    /// stride]` rows (the kernel's inputs are the capacitor and inductor
-    /// histories, then current sources, then voltage sources), makes one
-    /// dispatched [`emvolt_simd::SimdLevel::state_steps`] call, and hands
-    /// `record` the probe rows of the block's steps inside the recording
-    /// window with their count. With `swept`, each lane drives the swept
-    /// current source with its own load; every other source is
-    /// lane-invariant, sampled once per step and broadcast.
-    fn step_rows(
-        &self,
-        plan: &TransientPlan,
-        kernel: &StateKernel,
-        sched: &StepSchedule,
-        mut swept: Option<&mut SweptLoads<'_>>,
-        rows: &mut LaneRows,
-        mut record: impl FnMut(&[f64], usize),
-    ) {
-        // `state` holds one row of `stride` lanes per node, ground included.
-        let stride = rows.state.len() / (plan.n_nodes + 1);
+            _ => {
+                let stride = width.next_multiple_of(lv.vector_f64s());
+                soa.pack(lanes, stride);
+                stride
+            }
+        };
+        let mut swept = swept.map(|(source, loads)| SweptLoads::new(source, loads));
         let LaneRows {
             hist,
             state,
@@ -989,7 +974,7 @@ impl Circuit {
             probe_inds,
             sources,
             probes,
-        } = rows;
+        } = &mut *soa;
         let src_len = (self.isources.len() + self.vsources.len()) * stride;
         let probe_len = (probe_nodes.len() + probe_inds.len()) * stride;
         resize_zeroed(sources, STEP_BLOCK * src_len);
@@ -1005,7 +990,6 @@ impl Circuit {
             probe_inds,
         };
         let swept_source = swept.as_ref().map(|loads| loads.source);
-        let lv = emvolt_simd::level();
         let mut done = 0;
         while done < sched.n_steps {
             let n = STEP_BLOCK.min(sched.n_steps - done);
@@ -1023,7 +1007,7 @@ impl Circuit {
                     out.fill(vs.stimulus.value_at(t_next));
                 }
             }
-            if let Some(loads) = swept.as_deref_mut() {
+            if let Some(loads) = swept.as_mut() {
                 loads.stage(done + 1, n, plan.dt, stride, block);
             }
             let mut step_state = StepRows {
@@ -1045,8 +1029,15 @@ impl Circuit {
             // Steps `done + 1 ..= done + n` ran; those from
             // `record_start_idx` on are recorded.
             let first = sched.record_start_idx.saturating_sub(done + 1).min(n);
-            record(&probes[first * probe_len..n * probe_len], n - first);
+            let recorded = &probes[first * probe_len..n * probe_len];
+            for (l, lane) in lanes.iter_mut().enumerate() {
+                lane.out.record_rows(recorded, n - first, stride, l);
+            }
             done += n;
+        }
+        match width {
+            1 => std::mem::swap(&mut lanes[0].rows, soa),
+            _ => soa.unpack(lanes, stride),
         }
     }
 }

@@ -191,8 +191,9 @@ fn em_campaign_is_bit_identical_across_simd_levels_and_lanes() {
 
     // Campaign results must agree across every (level, lanes) pair; the
     // telemetry byte stream must agree across levels at a fixed lane
-    // width (lane grouping is deterministic trace content — batch spans
-    // record it — so traces are only comparable width against width).
+    // width (lane grouping is deterministic trace content — the
+    // `batch_lane*` counters record it — so traces are only comparable
+    // width against width).
     let (reference, _) = run(Some(emvolt_simd::SimdLevel::Scalar), 1);
     for lanes in [1, 3, 8] {
         let (_, scalar_bytes) = run(Some(emvolt_simd::SimdLevel::Scalar), lanes);

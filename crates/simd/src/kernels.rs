@@ -3,14 +3,17 @@
 //! Each kernel vectorizes only across *independent* elements (nodes,
 //! lanes, bins): a vector of `V::W` elements is advanced with one vector
 //! op per scalar op of the reference sequence. Elements are walked in
-//! blocks of compile-time width ([`for_blocks`]); the sub-`W` remainder
-//! is one block of scalar register chains, the same body instantiated
-//! at `f64` (width 1). No block contains a short loop over independent
-//! elements, so none compiles to masked loads and stores. The folds keep
-//! their accumulators in registers across every response column and
-//! store each once. Instantiated at `f64` the whole kernel *is* the
-//! reference sequence, so the scalar dispatch level and the vector
-//! levels share one definition and cannot drift apart.
+//! blocks of compile-time width. A step group's lanes come padded to
+//! whole vectors (`stride` is 1 or a multiple of `V::W`, asserted) and
+//! are walked in whole vectors only ([`for_vectors`]); node and
+//! array-entry walks take any length, and their sub-`W` remainder is one
+//! block of scalar register chains, the same body instantiated at `f64`
+//! (width 1) ([`for_blocks`]). No block contains a short loop over
+//! independent elements, so none compiles to masked loads and stores.
+//! The folds keep their accumulators in registers across every response
+//! column and store each once. Instantiated at `f64` the whole kernel
+//! *is* the reference sequence, so the scalar dispatch level and the
+//! vector levels share one definition and cannot drift apart.
 //!
 //! All functions are `unsafe` only because [`Vf64::load`]/[`Vf64::store`]
 //! take raw pointers; every pointer passed stays inside the bounds of
@@ -40,23 +43,6 @@ macro_rules! target_kernels {
         ) {
             // SAFETY: forwarded contract.
             unsafe { crate::kernels::state_steps::<$vec>(ops, rows, n_steps, sources, probes) }
-        }
-
-        /// [`crate::SimdLevel::fold_cols_lanes`] at this tier's width.
-        ///
-        /// # Safety
-        ///
-        /// The tier's target features must be present at runtime.
-        #[target_feature(enable = $feat)]
-        pub(crate) unsafe fn fold_cols_lanes(
-            cols: &[f64],
-            n_nodes: usize,
-            inputs: &[f64],
-            lanes: usize,
-            xn: &mut [f64],
-        ) {
-            // SAFETY: forwarded contract.
-            unsafe { crate::kernels::fold_cols_lanes::<$vec>(cols, n_nodes, inputs, lanes, xn) }
         }
 
         /// [`crate::SimdLevel::goertzel`] at this tier's width.
@@ -92,7 +78,7 @@ pub(crate) use target_kernels;
 
 /// One kernel body, run on a block of `LV` vectors of `U::W`
 /// consecutive independent elements starting at element `e0`. The
-/// elements are lanes for the lane-major kernels, and nodes or array
+/// elements are lanes for the multi-lane step walk, and nodes or array
 /// entries for the serial ones.
 trait Block {
     /// # Safety
@@ -102,20 +88,16 @@ trait Block {
     unsafe fn run<U: Vf64, const LV: usize>(&mut self, e0: usize);
 }
 
-/// Walks `n` independent elements with no masked or ragged tail: pairs
-/// of `V` vectors, then at most one single vector, then the
-/// sub-vector remainder as one block of 1–3 scalar register chains
-/// (`f64` is the width-1 [`Vf64`]). Every block is straight-line code of
-/// compile-time width, so the compiler is never handed a short loop over
-/// independent elements that it could fold into masked loads and
-/// stores.
+/// Walks the whole `V` vectors of `n` independent elements: pairs of
+/// vectors, then at most one single vector. Returns the element where
+/// they end, `n` when `n` is a multiple of `V::W`.
 ///
 /// # Safety
 ///
 /// `body` must accept every block inside `0..n`, and `V`'s target
 /// features must be present.
 #[inline(always)]
-unsafe fn for_blocks<V: Vf64, B: Block>(n: usize, body: &mut B) {
+unsafe fn for_vectors<V: Vf64, B: Block>(n: usize, body: &mut B) -> usize {
     let mut e0 = 0;
     while e0 + 2 * V::W <= n {
         // SAFETY: the block ends at `e0 + 2 * V::W <= n`.
@@ -127,8 +109,24 @@ unsafe fn for_blocks<V: Vf64, B: Block>(n: usize, body: &mut B) {
         unsafe { body.run::<V, 1>(e0) };
         e0 += V::W;
     }
-    // SAFETY: each scalar block ends exactly at `n`.
+    e0
+}
+
+/// Walks `n` independent elements with no masked or ragged tail: the
+/// whole vectors ([`for_vectors`]), then the sub-vector remainder as one
+/// block of 1–3 scalar register chains (`f64` is the width-1 [`Vf64`]).
+/// Every block is straight-line code of compile-time width, so the
+/// compiler is never handed a short loop over independent elements that
+/// it could fold into masked loads and stores.
+///
+/// # Safety
+///
+/// As [`for_vectors`].
+#[inline(always)]
+unsafe fn for_blocks<V: Vf64, B: Block>(n: usize, body: &mut B) {
+    // SAFETY: forwarded contract; each scalar block ends exactly at `n`.
     unsafe {
+        let e0 = for_vectors::<V, B>(n, body);
         match n - e0 {
             0 => {}
             1 => body.run::<f64, 1>(e0),
@@ -226,63 +224,6 @@ unsafe fn lane_fold<U: Vf64, const LV: usize>(
     }
 }
 
-/// Lane-major batched fold; see [`crate::SimdLevel::fold_cols_lanes`].
-/// Blocks run across the lane dimension; within a block, [`lane_fold`]
-/// tiles keep `4 x LV` independent accumulator chains in registers over
-/// every column, loading each column's lane weights once per tile.
-#[inline(always)]
-pub(crate) unsafe fn fold_cols_lanes<V: Vf64>(
-    cols: &[f64],
-    n_nodes: usize,
-    inputs: &[f64],
-    lanes: usize,
-    xn: &mut [f64],
-) {
-    assert!(lanes > 0);
-    assert_eq!(Some(xn.len()), n_nodes.checked_mul(lanes));
-    assert_eq!(inputs.len() % lanes, 0);
-    assert_eq!(
-        Some(cols.len()),
-        (inputs.len() / lanes).checked_mul(n_nodes)
-    );
-    struct Lanes<'a> {
-        cols: &'a [f64],
-        n_nodes: usize,
-        inputs: &'a [f64],
-        lanes: usize,
-        xn: &'a mut [f64],
-    }
-    impl Block for Lanes<'_> {
-        #[inline(always)]
-        unsafe fn run<U: Vf64, const LV: usize>(&mut self, l0: usize) {
-            let n_inputs = self.inputs.len() / self.lanes;
-            // SAFETY: input row `j` and node row `i` hold `lanes` entries
-            // and the block covers lanes `l0 .. l0 + LV * U::W <= lanes`.
-            unsafe {
-                lane_fold::<U, LV>(
-                    self.cols,
-                    self.n_nodes,
-                    [
-                        (self.inputs.as_ptr().add(l0), n_inputs),
-                        (std::ptr::null(), 0),
-                    ],
-                    self.lanes,
-                    self.xn.as_mut_ptr().add(l0),
-                )
-            }
-        }
-    }
-    let mut body = Lanes {
-        cols,
-        n_nodes,
-        inputs,
-        lanes,
-        xn,
-    };
-    // SAFETY: forwarded target-feature contract; extents checked above.
-    unsafe { for_blocks::<V, _>(lanes, &mut body) }
-}
-
 /// One trapezoidal companion update: with `vn = sa - sb` and `hist =
 /// g.mul_add(v, i)`, returns `(vn, g.mul_add(vn, -hist))` for a
 /// capacitor (`CAP = true`) or `(vn, g.mul_add(vn, hist))` for an
@@ -303,10 +244,11 @@ fn companion<U: Vf64, const CAP: bool>(g: U, sa: U, sb: U, v: U, i: U) -> (U, U)
 ///
 /// Every extent is checked once per call, up front; the steps then run
 /// on raw pointers. A group of one lane (`stride == 1`) steps with a
-/// node-vectorised fold ([`Steps::serial`]). A wider group runs
-/// lane-major: each lane block takes all `n_steps` on its own
-/// ([`Block::run`] of [`Steps`]), since lanes never mix, so its rows stay
-/// in cache across the block of steps.
+/// node-vectorised fold ([`Steps::serial`]). A wider group must be padded
+/// to whole `V` vectors (asserted) and runs lane-major: each block of one
+/// or two lane vectors takes all `n_steps` on its own ([`Block::run`] of
+/// [`Steps`]), since lanes never mix, so its rows stay in cache across
+/// the block of steps.
 #[inline(always)]
 pub(crate) unsafe fn state_steps<V: Vf64>(
     ops: &StepOperands<'_>,
@@ -317,7 +259,11 @@ pub(crate) unsafe fn state_steps<V: Vf64>(
 ) {
     let ops = *ops;
     let stride = rows.stride;
-    assert!(stride > 0);
+    assert!(
+        stride == 1 || (stride > 0 && stride.is_multiple_of(V::W)),
+        "stride {stride} is neither 1 nor a whole number of {}-lane vectors",
+        V::W
+    );
     let (nc, nl) = (ops.cap_g.len(), ops.ind_g.len());
     let n_rows = ops.n_nodes + 1;
     assert_eq!(ops.cap_rows.len(), nc);
@@ -360,12 +306,13 @@ pub(crate) unsafe fn state_steps<V: Vf64>(
         hist: rows.hist.as_mut_ptr(),
         probes: probes.as_mut_ptr(),
     };
-    // SAFETY: forwarded target-feature contract; extents checked above.
+    // SAFETY: forwarded target-feature contract; extents checked above,
+    // and a wider `stride` is whole vectors, all of them walked.
     unsafe {
         if stride == 1 {
             body.serial::<V>();
         } else {
-            for_blocks::<V, _>(stride, &mut body);
+            for_vectors::<V, _>(stride, &mut body);
         }
     }
 }

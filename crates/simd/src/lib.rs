@@ -2,9 +2,8 @@
 //!
 //! Runtime-dispatched SIMD kernels for the measurement chain's hot
 //! loops: the fused state-space transient step loop (one dispatched call
-//! per block of steps), the lane-major response-column fold, the
-//! Goertzel recurrence and the elementwise products of the band
-//! pipeline.
+//! per block of steps), the Goertzel recurrence and the elementwise
+//! products of the band pipeline.
 //!
 //! ## Dispatch contract
 //!
@@ -329,7 +328,8 @@ macro_rules! dispatch_ops {
             ///
             /// Panics if this level is not supported on the host (levels
             /// resolved through [`level`] always are).
-            #[inline]
+            // Not `#[inline]`: the scalar arm holds the whole kernel, and
+            // inlined into the transient's driver it slowed `vmin_suite`.
             pub fn $name(self, $($arg: $ty),*) {
                 self.assert_supported();
                 match self {
@@ -379,10 +379,13 @@ dispatch_ops! {
     /// `sources` is step-major `[n_steps x n_src x stride]`, so `n_src` is
     /// `sources.len() / (n_steps * stride)`; `probes` is `[n_steps x
     /// n_probes x stride]`. Every extent and row index is checked once
-    /// per call. One lane (`stride == 1`) folds vectorised across nodes;
-    /// wider groups run each block of lane vectors through all the steps
-    /// in turn, lane-major. Lanes never mix, so a lane's bits do not
-    /// depend on the group it ran in.
+    /// per call. One lane (`stride == 1`) folds vectorised across nodes.
+    /// A wider group must be padded to whole vectors: `stride` is 1 or a
+    /// multiple of [`SimdLevel::vector_f64s`], and any other `stride`
+    /// panics. Its lanes run lane-major, each block of lane vectors
+    /// through all the steps in turn. Lanes never mix, so a lane's bits do
+    /// not depend on the group it ran in, and pad lanes may hold anything
+    /// finite (the transient replays lane 0 in them).
     fn state_steps(
         ops: &StepOperands<'_>,
         rows: &mut StepRows<'_>,
@@ -390,16 +393,6 @@ dispatch_ops! {
         sources: &[f64],
         probes: &mut [f64],
     );
-
-    /// Lane-major batched fold: `inputs` is `[n_inputs x lanes]`, `xn`
-    /// `[n_nodes x lanes]`; per lane, zero every node, then accumulate
-    /// `xn[i] = inputs[j].mul_add(cols[j*n_nodes + i], xn[i])` in
-    /// ascending `j` — the fold step of [`SimdLevel::state_steps`].
-    /// Vectorized across the lane dimension in register-resident tiles of
-    /// four nodes, so each response-column entry is broadcast once per
-    /// lane block and each output written once. Any `lanes` is accepted;
-    /// a multiple of [`SimdLevel::vector_f64s`] runs whole vectors only.
-    fn fold_cols_lanes(cols: &[f64], n_nodes: usize, inputs: &[f64], lanes: usize, xn: &mut [f64]);
 
     /// Goertzel recurrence over one sample record for all bins: per bin
     /// `j` and sample `x`, `t = coeff[j].mul_add(s1[j], x - s2[j]);
@@ -483,20 +476,33 @@ mod tests {
     }
 
     /// Every op, every supported level, odd sizes (full blocks plus
-    /// remainders) — `to_bits`-identical to the scalar reference. The
-    /// broader randomized sweep lives in `tests/bit_identity.rs`.
+    /// remainders) — `to_bits`-identical to the scalar reference. A
+    /// multi-lane step group is padded to whole vectors of the level under
+    /// test, the pad lanes replaying lane 0, and both levels run that
+    /// stride. The broader randomized sweep lives in
+    /// `tests/bit_identity.rs`.
     #[test]
     fn all_ops_match_scalar_reference() {
         let (n_nodes, n_inputs) = (7, 5);
         let cols = lcg(0xC0, n_inputs * n_nodes);
         for &lv in supported_levels() {
             for lanes in [1usize, 3, 4, 8] {
-                let inputs = lcg(0xF0 + lanes as u64, n_inputs * lanes);
-                let mut want = vec![0.0; n_nodes * lanes];
-                let mut got = want.clone();
-                SimdLevel::Scalar.fold_cols_lanes(&cols, n_nodes, &inputs, lanes, &mut want);
-                lv.fold_cols_lanes(&cols, n_nodes, &inputs, lanes, &mut got);
-                assert_eq!(bits(&want), bits(&got), "fold_cols_lanes {lanes} @ {lv:?}");
+                let stride = if lanes == 1 {
+                    1
+                } else {
+                    lanes.next_multiple_of(lv.vector_f64s())
+                };
+                // `n` rows of `lanes` values, each row padded to `stride`
+                // with copies of its lane 0.
+                let rows = |seed: u64, n: usize| -> Vec<f64> {
+                    let real = lcg(seed, n * lanes);
+                    real.chunks_exact(lanes)
+                        .flat_map(|row| {
+                            let pad = std::iter::repeat_n(row[0], stride - lanes);
+                            row.iter().copied().chain(pad)
+                        })
+                        .collect()
+                };
 
                 // Two capacitors, two inductors and one source on the
                 // seven nodes above, stepped five times.
@@ -513,16 +519,16 @@ mod tests {
                     probe_nodes: &[0, 7, 2],
                     probe_inds: &[1],
                 };
-                let sources = lcg(0x50 + lanes as u64, n_steps * lanes);
+                let sources = rows(0x50 + lanes as u64, n_steps);
                 let run = |lv: SimdLevel| {
-                    let mut state = lcg(1, (n_nodes + 1) * lanes);
-                    state[..lanes].fill(0.0);
-                    let (mut cap_v, mut cap_i) = (lcg(2, nc * lanes), lcg(3, nc * lanes));
-                    let (mut ind_v, mut ind_i) = (lcg(4, nl * lanes), lcg(5, nl * lanes));
-                    let mut hist = vec![f64::NAN; (nc + nl) * lanes];
-                    let mut probes = vec![f64::NAN; n_steps * 4 * lanes];
+                    let mut state = rows(1, n_nodes + 1);
+                    state[..stride].fill(0.0);
+                    let (mut cap_v, mut cap_i) = (rows(2, nc), rows(3, nc));
+                    let (mut ind_v, mut ind_i) = (rows(4, nl), rows(5, nl));
+                    let mut hist = vec![f64::NAN; (nc + nl) * stride];
+                    let mut probes = vec![f64::NAN; n_steps * 4 * stride];
                     let mut rows = StepRows {
-                        stride: lanes,
+                        stride,
                         state: &mut state,
                         cap_v: &mut cap_v,
                         cap_i: &mut cap_i,
@@ -536,7 +542,7 @@ mod tests {
                 assert_eq!(
                     run(SimdLevel::Scalar),
                     run(lv),
-                    "state_steps {lanes} @ {lv:?}"
+                    "state_steps {lanes} lanes at stride {stride} @ {lv:?}"
                 );
             }
 

@@ -8,9 +8,12 @@
 //! would not do: the scalar level runs the same generic kernel body, so
 //! a change to that body would pass trivially.
 //!
-//! Shapes are swept exhaustively (`lanes` 1..=17, `n_nodes` 1..=20), so
-//! every whole-vector block, every sub-vector remainder and every node
-//! tile shape runs at every level. Values mix well-scaled doubles with
+//! Shapes are swept exhaustively (`lanes` 1..=17, `n_nodes` 1..=20,
+//! 0, 1, 5 or 11 fold inputs), so every lane-vector block, every node
+//! remainder and every node tile shape runs at every level. A group of
+//! two or more lanes runs as the transient runs it: padded to whole
+//! vectors of the level under test, the pad lanes replaying lane 0, with
+//! only the real lanes compared. Values mix well-scaled doubles with
 //! signed zeros and subnormals, which would expose a changed zero
 //! initialization or a lost fused rounding.
 
@@ -54,6 +57,35 @@ impl Values {
 
 fn bits(x: &[f64]) -> Vec<u64> {
     x.iter().map(|v| v.to_bits()).collect()
+}
+
+/// The stride a group of `lanes` runs at on `lv`: one lane as it is, a
+/// wider group padded to whole vectors.
+fn padded(lanes: usize, lv: SimdLevel) -> usize {
+    if lanes == 1 {
+        1
+    } else {
+        lanes.next_multiple_of(lv.vector_f64s())
+    }
+}
+
+/// Rows of `lanes` values, each padded to `stride` with copies of its
+/// lane 0.
+fn pad(x: &[f64], lanes: usize, stride: usize) -> Vec<f64> {
+    x.chunks_exact(lanes)
+        .flat_map(|row| {
+            let fill = std::iter::repeat_n(row[0], stride - lanes);
+            row.iter().copied().chain(fill)
+        })
+        .collect()
+}
+
+/// The first `lanes` values of each `stride`-wide row.
+fn unpad(x: &[f64], lanes: usize, stride: usize) -> Vec<f64> {
+    x.chunks_exact(stride)
+        .flat_map(|row| &row[..lanes])
+        .copied()
+        .collect()
 }
 
 /// Runs `op` at every supported level and asserts its output bits equal
@@ -199,29 +231,10 @@ fn ref_goertzel(samples: &[f64], coeff: &[f64], s1: &mut [f64], s2: &mut [f64]) 
 
 // --- Level sweeps ----------------------------------------------------
 
-#[test]
-fn fold_cols_lanes_matches_reference() {
-    let mut vals = Values::new(2);
-    for lanes in 1..=17 {
-        for n_nodes in 1..=20 {
-            for n_inputs in [0, 1, 5, 11] {
-                let cols = vals.vec(n_nodes * n_inputs);
-                let inputs = vals.vec(n_inputs * lanes);
-                let want = ref_fold_cols_lanes(&cols, n_nodes, &inputs, lanes);
-                let what = format!("fold_cols_lanes {n_nodes}x{n_inputs} lanes {lanes}");
-                assert_levels_match(&what, &[want], |lv| {
-                    let mut xn = vec![f64::NAN; n_nodes * lanes];
-                    lv.fold_cols_lanes(&cols, n_nodes, &inputs, lanes, &mut xn);
-                    vec![xn]
-                });
-            }
-        }
-    }
-}
-
-/// A random state-space step problem: `nc` capacitors and `nl`
-/// inductors between random node rows (ground included), `n_src`
-/// sources, and a probe set mixing node rows (ground too) and inductors.
+/// A random state-space step problem with `n_inputs` fold inputs split
+/// at random between `nc` capacitors and `nl` inductors between random
+/// node rows (ground included) and `n_src` sources, and a probe set
+/// mixing node rows (ground too) and inductors.
 struct StepProblem {
     cols: Vec<f64>,
     n_nodes: usize,
@@ -236,10 +249,10 @@ struct StepProblem {
 }
 
 impl StepProblem {
-    fn new(vals: &mut Values, lanes: usize, n_nodes: usize) -> Self {
-        let nc = (vals.next_u64() % 5) as usize;
-        let nl = (vals.next_u64() % 6) as usize;
-        let n_src = (vals.next_u64() % 3) as usize;
+    fn new(vals: &mut Values, lanes: usize, n_nodes: usize, n_inputs: usize) -> Self {
+        let nc = (vals.next_u64() % (n_inputs as u64 + 1)) as usize;
+        let nl = (vals.next_u64() % ((n_inputs - nc) as u64 + 1)) as usize;
+        let n_src = n_inputs - nc - nl;
         let n_rows = n_nodes as u64 + 1;
         let mut pairs = |n: usize| -> Vec<[u32; 2]> {
             (0..n)
@@ -309,7 +322,8 @@ impl StepProblem {
 
     /// The kernel at `lv`, called once per `block` steps (the last call
     /// takes the rest), each call with its own slices of the staged
-    /// sources and the probe rows.
+    /// sources and the probe rows. The group runs at [`padded`] width and
+    /// only its real lanes are returned.
     fn kernel(
         &self,
         lv: SimdLevel,
@@ -318,15 +332,24 @@ impl StepProblem {
         block: usize,
         sources: &[f64],
     ) -> Vec<Vec<f64>> {
-        let mut g = self.group.clone();
-        let mut hist = vec![f64::NAN; (self.cap_g.len() + self.ind_g.len()) * lanes];
-        let (src_len, probe_len) = (self.n_src * lanes, self.n_probes() * lanes);
+        let stride = padded(lanes, lv);
+        let pad = |x: &[f64]| pad(x, lanes, stride);
+        let mut g = Group {
+            state: pad(&self.group.state),
+            cap_v: pad(&self.group.cap_v),
+            cap_i: pad(&self.group.cap_i),
+            ind_v: pad(&self.group.ind_v),
+            ind_i: pad(&self.group.ind_i),
+        };
+        let sources = &pad(sources);
+        let mut hist = vec![f64::NAN; (self.cap_g.len() + self.ind_g.len()) * stride];
+        let (src_len, probe_len) = (self.n_src * stride, self.n_probes() * stride);
         let mut probes = vec![f64::NAN; n_steps * probe_len];
         let mut done = 0;
         loop {
             let n = block.min(n_steps - done);
             let mut rows = StepRows {
-                stride: lanes,
+                stride,
                 state: &mut g.state,
                 cap_v: &mut g.cap_v,
                 cap_i: &mut g.cap_i,
@@ -346,7 +369,10 @@ impl StepProblem {
                 break;
             }
         }
-        vec![g.state, g.cap_v, g.cap_i, g.ind_v, g.ind_i, probes]
+        [g.state, g.cap_v, g.cap_i, g.ind_v, g.ind_i, probes]
+            .iter()
+            .map(|rows| unpad(rows, lanes, stride))
+            .collect()
     }
 }
 
@@ -354,20 +380,26 @@ impl StepProblem {
 /// this many steps.
 const BLOCK: usize = 64;
 
-/// Every lane count and node count, a few steps, one call.
+/// Every lane count, node count and fold width (no input at all among
+/// them), a few steps, one call.
 #[test]
 fn state_steps_match_reference_step_loop() {
     let mut vals = Values::new(3);
     for lanes in 1..=17 {
         for n_nodes in 1..=20 {
-            let p = StepProblem::new(&mut vals, lanes, n_nodes);
-            for n_steps in [0, 1, 3] {
-                let sources = vals.vec(n_steps * p.n_src * lanes);
-                let want = p.reference(lanes, n_steps, &sources);
-                let what = format!("state_steps {n_nodes} nodes, {lanes} lanes, {n_steps} steps");
-                assert_levels_match(&what, &want, |lv| {
-                    p.kernel(lv, lanes, n_steps, BLOCK, &sources)
-                });
+            for n_inputs in [0, 1, 5, 11] {
+                let p = StepProblem::new(&mut vals, lanes, n_nodes, n_inputs);
+                for n_steps in [0, 1, 3] {
+                    let sources = vals.vec(n_steps * p.n_src * lanes);
+                    let want = p.reference(lanes, n_steps, &sources);
+                    let what = format!(
+                        "state_steps {n_nodes} nodes, {n_inputs} inputs, {lanes} lanes, \
+                         {n_steps} steps"
+                    );
+                    assert_levels_match(&what, &want, |lv| {
+                        p.kernel(lv, lanes, n_steps, BLOCK, &sources)
+                    });
+                }
             }
         }
     }
@@ -380,7 +412,7 @@ fn state_steps_match_reference_step_loop() {
 fn state_steps_match_reference_across_block_boundaries() {
     let mut vals = Values::new(4);
     for (lanes, n_nodes) in [(1, 12), (3, 7), (4, 12), (8, 12), (9, 20)] {
-        let p = StepProblem::new(&mut vals, lanes, n_nodes);
+        let p = StepProblem::new(&mut vals, lanes, n_nodes, 11);
         let n_max = 3 * BLOCK + 1;
         let sources = vals.vec(n_max * p.n_src * lanes);
         for n_steps in [
@@ -403,6 +435,49 @@ fn state_steps_match_reference_across_block_boundaries() {
                     p.kernel(lv, lanes, n_steps, block, sources)
                 });
             }
+        }
+    }
+}
+
+/// A stride of two or more lanes that is not a whole number of vectors
+/// panics at every vector level; the scalar level takes any stride.
+#[test]
+fn state_steps_refuses_a_misaligned_stride() {
+    let mut vals = Values::new(7);
+    let p = StepProblem::new(&mut vals, 1, 6, 5);
+    let ops = p.ops();
+    for &lv in supported_levels() {
+        let w = lv.vector_f64s();
+        if w == 1 {
+            continue;
+        }
+        for stride in [w + 1, 2 * w - 1] {
+            let (nc, nl, n_rows) = (p.cap_g.len(), p.ind_g.len(), p.n_nodes + 1);
+            let row = |n: usize| vec![0.0; n * stride];
+            let (mut state, mut hist) = (row(n_rows), row(nc + nl));
+            let (mut cap_v, mut cap_i) = (row(nc), row(nc));
+            let (mut ind_v, mut ind_i) = (row(nl), row(nl));
+            let sources = vec![0.0; p.n_src * stride];
+            let mut probes = vec![0.0; p.n_probes() * stride];
+            let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let mut rows = StepRows {
+                    stride,
+                    state: &mut state,
+                    cap_v: &mut cap_v,
+                    cap_i: &mut cap_i,
+                    ind_v: &mut ind_v,
+                    ind_i: &mut ind_i,
+                    hist: &mut hist,
+                };
+                lv.state_steps(&ops, &mut rows, 1, &sources, &mut probes);
+            }))
+            .expect_err("a misaligned stride must panic");
+            let msg = refused.downcast_ref::<String>().map_or("", String::as_str);
+            assert!(
+                msg.contains("neither 1 nor a whole number"),
+                "stride {stride} at {}: {msg}",
+                lv.as_str()
+            );
         }
     }
 }
