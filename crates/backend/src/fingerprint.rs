@@ -3,9 +3,7 @@
 //! Trace entries recorded on one machine must resolve on another, so the
 //! keys use FNV-1a-64 over an explicit byte encoding — never
 //! [`std::collections::hash_map::DefaultHasher`], whose output is
-//! unspecified across releases. (The GA's in-process fitness cache keeps
-//! its own `DefaultHasher`-based identity for seed derivation; that one
-//! never leaves the process.)
+//! unspecified across releases.
 
 use emvolt_isa::{Isa, Kernel, RegClass};
 use emvolt_platform::RunConfig;

@@ -24,8 +24,6 @@
 //!   replaying serves the same campaign **without ever invoking the
 //!   transient solver**, reproducing outputs and telemetry traces
 //!   byte-for-byte.
-//! - [`CachingBackend`] — memoizes any inner backend by request key,
-//!   subsuming the fitness-cache logic campaigns previously hand-rolled.
 //!
 //! ## Determinism contract
 //!
@@ -43,7 +41,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-mod cache;
 mod fingerprint;
 mod live;
 mod record;
@@ -52,7 +49,6 @@ mod request;
 mod select;
 mod trace;
 
-pub use cache::CachingBackend;
 pub use fingerprint::{kernel_fingerprint, run_config_fingerprint};
 pub use live::{EvalSlot, LiveBackend};
 pub use record::RecordBackend;
@@ -82,10 +78,6 @@ pub enum BackendError {
     /// Replay found the entry, but the recorded call had failed; the
     /// string is the recorded error.
     RecordedFailure(String),
-    /// A caching backend hit a memoized *failure* for this key (the
-    /// original error is preserved). Callers that score failures at a
-    /// floor treat this as a cache hit, not a fresh measurement.
-    CachedFailure(String),
     /// Trace-store I/O or parse failure.
     Store(String),
 }
@@ -102,7 +94,6 @@ impl fmt::Display for BackendError {
                 write!(f, "no recorded measurement for key `{key}`")
             }
             BackendError::RecordedFailure(err) => write!(f, "recorded call failed: {err}"),
-            BackendError::CachedFailure(err) => write!(f, "cached call had failed: {err}"),
             BackendError::Store(msg) => write!(f, "trace store error: {msg}"),
         }
     }
@@ -159,7 +150,7 @@ pub struct Served {
 /// [`finish`]: MeasurementBackend::finish
 pub trait MeasurementBackend: Send + Sync {
     /// Short tag for logs and trace headers: `"live"`, `"record"`,
-    /// `"replay"`, `"cache"`.
+    /// `"replay"`.
     fn label(&self) -> &'static str;
 
     /// The domains this backend can measure, with the control state a
@@ -322,9 +313,8 @@ pub trait MeasurementBackend: Send + Sync {
     }
 }
 
-/// Mutable references forward, so campaign functions taking
-/// `&mut B where B: MeasurementBackend + ?Sized` compose with wrappers
-/// like [`CachingBackend`] borrowing the same backend.
+/// Mutable references forward, so a wrapper such as [`RecordBackend`]
+/// can borrow a backend its caller keeps using afterwards.
 impl<B: MeasurementBackend + ?Sized> MeasurementBackend for &mut B {
     fn label(&self) -> &'static str {
         (**self).label()

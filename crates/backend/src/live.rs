@@ -333,7 +333,6 @@ impl LiveBackend {
             max_droop_v: run.max_droop(),
             peak_to_peak_v: run.peak_to_peak(),
             band,
-            cached: false,
         }
     }
 }
@@ -633,7 +632,6 @@ mod tests {
         );
         assert_eq!(obs.reading, expect);
         assert_eq!(obs.loop_frequency_hz, run.loop_frequency);
-        assert!(!obs.cached);
     }
 
     #[test]

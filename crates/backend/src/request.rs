@@ -82,8 +82,6 @@ pub struct EmObservation {
     pub peak_to_peak_v: f64,
     /// The concrete band edges the analyzer integrated (Hz).
     pub band: (f64, f64),
-    /// Whether a caching layer served this without a fresh measurement.
-    pub cached: bool,
 }
 
 /// Description of a domain a backend serves — the control state

@@ -225,12 +225,14 @@ fn observation_value(o: &EmObservation) -> Value {
         ("p2p", hex(o.peak_to_peak_v)),
         ("band_lo", hex(o.band.0)),
         ("band_hi", hex(o.band.1)),
-        ("cached", Value::Bool(o.cached)),
+        // Retired: no observation is served from a cache any more, but
+        // the trace format keeps the field until it is versioned.
+        ("cached", Value::Bool(false)),
     ])
 }
 
 fn observation_from(v: &Value) -> Result<EmObservation, DeError> {
-    Ok(EmObservation {
+    let obs = EmObservation {
         reading: EmReading {
             metric_dbm: unhex(field(v, "metric")?)?,
             dominant_hz: unhex(field(v, "dominant")?)?,
@@ -240,8 +242,9 @@ fn observation_from(v: &Value) -> Result<EmObservation, DeError> {
         max_droop_v: unhex(field(v, "droop")?)?,
         peak_to_peak_v: unhex(field(v, "p2p")?)?,
         band: (unhex(field(v, "band_lo")?)?, unhex(field(v, "band_hi")?)?),
-        cached: bool::from_value(field(v, "cached")?)?,
-    })
+    };
+    snap::false_field(v, "cached")?;
+    Ok(obs)
 }
 
 impl TraceEntry {
@@ -395,7 +398,6 @@ mod tests {
             max_droop_v: 0.043,
             peak_to_peak_v: 0.081,
             band: (5e7, 2e8),
-            cached: false,
         }
     }
 
@@ -548,7 +550,6 @@ mod tests {
             #[test]
             fn observation_entries_round_trip_any_f64_bits(
                 bits in proptest::collection::vec(any::<u64>(), 9),
-                cached in any::<bool>(),
                 // Counter deltas use plain JSON numbers; the documented
                 // contract only covers exactly-representable counts.
                 count in 0u64..(1 << 53),
@@ -567,7 +568,6 @@ mod tests {
                         max_droop_v: f(4),
                         peak_to_peak_v: f(5),
                         band: (f(6), f(7)),
-                        cached,
                     }),
                     counters: vec![(CounterId::Measurements, count)],
                     hists: vec![(

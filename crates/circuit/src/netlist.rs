@@ -294,15 +294,6 @@ impl Circuit {
     pub fn set_voltage_stimulus(&mut self, id: VSourceId, stimulus: Stimulus) {
         self.vsources[id.0].stimulus = stimulus;
     }
-
-    /// Total number of elements of all kinds.
-    pub fn element_count(&self) -> usize {
-        self.resistors.len()
-            + self.capacitors.len()
-            + self.inductors.len()
-            + self.vsources.len()
-            + self.isources.len()
-    }
 }
 
 #[cfg(test)]
@@ -338,16 +329,5 @@ mod tests {
             c.resistor(bogus, NodeId::GROUND, 1.0),
             Err(CircuitError::UnknownNode { node: 42 })
         );
-    }
-
-    #[test]
-    fn element_counts() {
-        let mut c = Circuit::new();
-        let a = c.node("a");
-        c.resistor(a, NodeId::GROUND, 1.0).unwrap();
-        c.capacitor(a, NodeId::GROUND, 1e-9).unwrap();
-        c.current_source(a, NodeId::GROUND, Stimulus::Dc(1.0))
-            .unwrap();
-        assert_eq!(c.element_count(), 3);
     }
 }

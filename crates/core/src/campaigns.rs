@@ -18,11 +18,11 @@
 
 use crate::fast_sweep::{FastSweepConfig, FastSweepResult, SweepPoint};
 use crate::ga_virus::{
-    ga_config_error, kernel_identity, resolve_lanes, resolve_threads, GenerationProgress,
-    GenerationRecord, Virus, VirusGenConfig,
+    ga_config_error, resolve_lanes, resolve_threads, GenerationProgress, GenerationRecord, Virus,
+    VirusGenConfig,
 };
 use emvolt_backend::{
-    run_config_fingerprint, BackendError, BandSpec, CachingBackend, EmObservation,
+    kernel_fingerprint, run_config_fingerprint, BackendError, BandSpec, EmObservation,
     MeasurementBackend,
 };
 use emvolt_engine::{
@@ -61,14 +61,16 @@ fn obs_value(o: &EmObservation) -> Value {
         ("p2p_v", snap::hex(o.peak_to_peak_v)),
         ("band_lo", snap::hex(o.band.0)),
         ("band_hi", snap::hex(o.band.1)),
-        ("cached", Value::Bool(o.cached)),
+        // Retired: no observation is served from a cache any more, but
+        // the checkpoint format keeps the field until it is versioned.
+        ("cached", Value::Bool(false)),
     ])
 }
 
 /// Restores an observation written by [`obs_value`].
 fn obs_from_value(v: &Value) -> Result<EmObservation, DeError> {
     let f = |key| snap::unhex(snap::field(v, key)?);
-    Ok(EmObservation {
+    let obs = EmObservation {
         reading: EmReading {
             metric_dbm: f("metric_dbm")?,
             dominant_hz: f("dominant_hz")?,
@@ -78,29 +80,20 @@ fn obs_from_value(v: &Value) -> Result<EmObservation, DeError> {
         max_droop_v: f("droop_v")?,
         peak_to_peak_v: f("p2p_v")?,
         band: (f("band_lo")?, f("band_hi")?),
-        cached: bool::from_value(snap::field(v, "cached")?)?,
-    })
+    };
+    snap::false_field(v, "cached")?;
+    Ok(obs)
 }
 
 /// The first outcome of a single-request batch, or the failure it carried.
 fn sole_observation(outcomes: &[StepOutcome]) -> Result<EmObservation, DomainError> {
     match outcomes.first() {
         Some(StepOutcome::Observation(obs)) => Ok(*obs),
-        Some(StepOutcome::CachedFailure(msg)) | Some(StepOutcome::Failed(msg)) => {
-            Err(DomainError::Backend(msg.clone()))
-        }
+        Some(StepOutcome::Failed(msg)) => Err(DomainError::Backend(msg.clone())),
         None => Err(DomainError::Backend(
             "measurement batch returned no outcome".to_string(),
         )),
     }
-}
-
-/// One worker-side fitness evaluation, logged for deterministic span
-/// emission at the generation barrier.
-struct EvalRecord {
-    index: usize,
-    score: f64,
-    cached: bool,
 }
 
 /// The GA virus search as a resumable step campaign.
@@ -110,9 +103,9 @@ struct EvalRecord {
 /// (lane-dispatched, seeds derived from `(seed, generation, index)`);
 /// then the not-yet-memoized generation champions are re-measured for
 /// their dominant frequency (one serial batch, 5 samples, one request
-/// per kernel identity, absorbed one at a time into the memo); then the
-/// overall best is re-measured once at full sample count; then the
-/// campaign is complete.
+/// per [`kernel_fingerprint`], absorbed one at a time into the memo);
+/// then the overall best is re-measured once at full sample count; then
+/// the campaign is complete.
 struct VirusCampaign<F: FnMut(&GenerationProgress)> {
     name: String,
     domain_name: String,
@@ -124,8 +117,8 @@ struct VirusCampaign<F: FnMut(&GenerationProgress)> {
     clock: SimClock,
     per_individual_s: f64,
     /// `(generation_best index, dominant Hz)` in measurement order — the
-    /// serializable form of `memo` (identities are re-derived on restore
-    /// rather than trusting hasher stability across binaries).
+    /// serializable form of `memo`, which is keyed by
+    /// [`kernel_fingerprint`] and re-derived on restore.
     dominant: Vec<(usize, f64)>,
     memo: HashMap<u64, f64>,
     final_obs: Option<EmObservation>,
@@ -174,7 +167,9 @@ impl<F: FnMut(&GenerationProgress)> VirusCampaign<F> {
             .u64(config.samples_per_individual as u64)
             .f64(config.band.0)
             .f64(config.band.1)
-            .u64(u64::from(config.cache_fitness))
+            // The retired fitness-cache flag, always off: folding its 0
+            // keeps checkpoints taken before its removal resumable.
+            .u64(0)
             .finish();
         Ok(VirusCampaign {
             name: name.to_owned(),
@@ -219,7 +214,7 @@ impl<F: FnMut(&GenerationProgress)> VirusCampaign<F> {
             .generation_best
             .iter()
             .enumerate()
-            .find(|(_, k)| !self.memo.contains_key(&kernel_identity(k)))
+            .find(|(_, k)| !self.memo.contains_key(&kernel_fingerprint(k)))
     }
 
     /// Scores one generation's outcomes and runs the generation barrier:
@@ -227,47 +222,16 @@ impl<F: FnMut(&GenerationProgress)> VirusCampaign<F> {
     /// histograms and the progress observer — all on the coordinator, in
     /// exactly the order the legacy barrier closure used.
     fn absorb_generation(&mut self, outcomes: &[StepOutcome]) -> Result<(), DomainError> {
-        let mut measured = 0usize;
-        let mut hits = 0usize;
-        let mut records: Vec<EvalRecord> = Vec::new();
-        let log_enabled = self.tel.sink_enabled();
-        let log_eval = |records: &mut Vec<EvalRecord>, index: usize, score: f64, cached| {
-            if log_enabled {
-                records.push(EvalRecord {
-                    index,
-                    score,
-                    cached,
-                });
-            }
-        };
+        // An individual that fails to simulate scores at the noise floor.
         let scores: Vec<f64> = outcomes
             .iter()
-            .enumerate()
-            .map(|(index, outcome)| match outcome {
-                StepOutcome::Observation(obs) if obs.cached => {
-                    hits += 1;
-                    log_eval(&mut records, index, obs.reading.metric_dbm, true);
-                    obs.reading.metric_dbm
-                }
-                StepOutcome::Observation(obs) => {
-                    measured += 1;
-                    log_eval(&mut records, index, obs.reading.metric_dbm, false);
-                    obs.reading.metric_dbm
-                }
-                // A kernel that failed once keeps its noise-floor score
-                // without re-simulation, like the old cached -200.0.
-                StepOutcome::CachedFailure(_) => {
-                    hits += 1;
-                    log_eval(&mut records, index, -200.0, true);
-                    -200.0
-                }
-                StepOutcome::Failed(_) => {
-                    measured += 1;
-                    log_eval(&mut records, index, -200.0, false);
-                    -200.0
-                }
+            .map(|outcome| match outcome {
+                StepOutcome::Observation(obs) => obs.reading.metric_dbm,
+                StepOutcome::Failed(_) => -200.0,
             })
             .collect();
+        let evaluated = scores.len();
+        let log_enabled = self.tel.sink_enabled();
 
         let VirusCampaign {
             state,
@@ -281,7 +245,7 @@ impl<F: FnMut(&GenerationProgress)> VirusCampaign<F> {
             ..
         } = self;
         state.absorb_scores(repr, &config.ga, tel, &scores, |stats: &GenerationStats| {
-            clock.advance(measured as f64 * *per_individual_s);
+            clock.advance(evaluated as f64 * *per_individual_s);
             tel.set_sim_time(clock.seconds());
 
             // Lane bookkeeping is charged here on the single-threaded
@@ -291,31 +255,27 @@ impl<F: FnMut(&GenerationProgress)> VirusCampaign<F> {
                 CounterId::BatchLanes,
                 config.ga.population.div_ceil(*lanes) as u64,
             );
-            tel.count(CounterId::BatchLaneOccupancy, (measured + hits) as u64);
+            tel.count(CounterId::BatchLaneOccupancy, evaluated as u64);
 
-            // Emit eval spans in population order — independent of how
-            // threads interleaved during evaluation.
-            let mut records = std::mem::take(&mut records);
-            records.sort_by_key(|r| r.index);
-            let mut worst = f64::INFINITY;
-            for r in &records {
-                worst = worst.min(r.score);
-                tel.record_value(
-                    HistId::EvalSeconds,
-                    if r.cached { 0.0 } else { *per_individual_s },
-                );
+            // Eval spans and their histograms are charged only when a
+            // sink records them, in population order.
+            let worst = scores.iter().copied().fold(f64::INFINITY, f64::min);
+            let logged = if log_enabled { &scores[..] } else { &[] };
+            for (index, &score) in logged.iter().enumerate() {
+                tel.record_value(HistId::EvalSeconds, *per_individual_s);
                 tel.span(
                     "eval",
                     Layer::Core,
                     &[
                         ("generation", stats.index as f64),
-                        ("individual", r.index as f64),
-                        ("fitness_dbm", r.score),
-                        ("cached", if r.cached { 1.0 } else { 0.0 }),
+                        ("individual", index as f64),
+                        ("fitness_dbm", score),
+                        // Always 0; kept until the span format is versioned.
+                        ("cached", 0.0),
                     ],
                 );
             }
-            if !records.is_empty() {
+            if !logged.is_empty() {
                 tel.record_value(HistId::FitnessBest, stats.best_fitness);
                 tel.record_value(HistId::FitnessMean, stats.mean_fitness);
                 tel.record_value(HistId::FitnessWorst, worst);
@@ -333,8 +293,9 @@ impl<F: FnMut(&GenerationProgress)> VirusCampaign<F> {
                     ("best_dbm", stats.best_fitness),
                     ("mean_dbm", stats.mean_fitness),
                     ("worst_dbm", worst_dbm),
-                    ("evaluated", (measured + hits) as f64),
-                    ("cache_hits", hits as f64),
+                    ("evaluated", evaluated as f64),
+                    // Always 0; kept until the span format is versioned.
+                    ("cache_hits", 0.0),
                 ],
             );
             on_generation(&GenerationProgress {
@@ -342,8 +303,7 @@ impl<F: FnMut(&GenerationProgress)> VirusCampaign<F> {
                 best_dbm: stats.best_fitness,
                 mean_dbm: stats.mean_fitness,
                 worst_dbm,
-                evaluated: measured + hits,
-                cache_hits: hits,
+                evaluated,
                 sim_seconds: clock.seconds(),
             });
         });
@@ -385,7 +345,7 @@ impl<F: FnMut(&GenerationProgress)> VirusCampaign<F> {
                 best_fitness: s.best_fitness,
                 mean_fitness: s.mean_fitness,
                 dominant_hz: *memo
-                    .get(&kernel_identity(k))
+                    .get(&kernel_fingerprint(k))
                     .expect("dominant memo covers every generation best"),
                 droop_v: None,
             })
@@ -490,32 +450,20 @@ impl<F: FnMut(&GenerationProgress)> Campaign for VirusCampaign<F> {
 
     fn next_batch(&mut self) -> Option<StepBatch> {
         if !self.state.is_done(&self.config.ga) {
-            // Cache mode derives the measurement seed from the genome so
-            // a duplicated individual reads identically whether or not
-            // its twin was measured first — and so its request key (which
-            // the caching wrapper memoizes on) collapses too.
             let generation = self.state.generation;
             let requests = self
                 .state
                 .population
                 .iter()
                 .enumerate()
-                .map(|(index, kernel)| {
-                    let seed = if self.config.cache_fitness {
-                        derive_eval_seed(self.config.ga.seed ^ kernel_identity(kernel), 0, 0)
-                    } else {
-                        derive_eval_seed(self.config.ga.seed, generation, index)
-                    };
-                    StepRequest {
-                        seed: Some(seed),
-                        samples: self.config.samples_per_individual,
-                        ..self.rig_request(kernel, self.config.samples_per_individual)
-                    }
+                .map(|(index, kernel)| StepRequest {
+                    seed: Some(derive_eval_seed(self.config.ga.seed, generation, index)),
+                    ..self.rig_request(kernel, self.config.samples_per_individual)
                 })
                 .collect();
             return Some(StepBatch::lanes(requests));
         }
-        // Every champion not yet memoized, once per kernel identity: a
+        // Every champion not yet memoized, once per fingerprint: a
         // repeated champion is measured once, since one extra rig draw
         // would shift every later reading.
         let mut seen = HashSet::new();
@@ -524,7 +472,7 @@ impl<F: FnMut(&GenerationProgress)> Campaign for VirusCampaign<F> {
             .generation_best
             .iter()
             .filter(|k| {
-                let key = kernel_identity(k);
+                let key = kernel_fingerprint(k);
                 !self.memo.contains_key(&key) && seen.insert(key)
             })
             .map(|k| self.rig_request(k, 5))
@@ -550,7 +498,7 @@ impl<F: FnMut(&GenerationProgress)> Campaign for VirusCampaign<F> {
             return self.absorb_generation(outcomes);
         }
         if let Some((index, kernel)) = self.next_dominant() {
-            let key = kernel_identity(kernel);
+            let key = kernel_fingerprint(kernel);
             let obs = sole_observation(outcomes)?;
             self.memo.insert(key, obs.reading.dominant_hz);
             self.dominant.push((index, obs.reading.dominant_hz));
@@ -638,8 +586,8 @@ impl<F: FnMut(&GenerationProgress)> Campaign for VirusCampaign<F> {
         self.clock
             .advance(snap::unhex(snap::field(state, "clock_s")?)?);
 
-        // Rebuild the memo by re-deriving each champion's identity: the
-        // snapshot never trusts hash values across binaries.
+        // Rebuild the memo by re-deriving each champion's fingerprint:
+        // the snapshot stores indices, not hash values.
         self.dominant.clear();
         self.memo.clear();
         for pair in snap::arr(snap::field(state, "dominant")?)? {
@@ -651,7 +599,7 @@ impl<F: FnMut(&GenerationProgress)> Campaign for VirusCampaign<F> {
                 .get(index)
                 .ok_or_else(|| DeError::new(format!("dominant index {index} out of range")))?;
             let hz = snap::unhex(hz_v)?;
-            self.memo.insert(kernel_identity(kernel), hz);
+            self.memo.insert(kernel_fingerprint(kernel), hz);
             self.dominant.push((index, hz));
         }
         self.final_obs = match snap::field(state, "final")? {
@@ -703,31 +651,6 @@ pub fn generate_em_virus_resumable<B: MeasurementBackend + ?Sized>(
     if opts.lanes == 0 {
         opts.lanes = resolve_lanes(config.lanes);
     }
-    if config.cache_fitness {
-        let mut caching = CachingBackend::new(&mut *backend);
-        run_virus_engine(
-            name,
-            &mut caching,
-            domain_name,
-            config,
-            &opts,
-            on_generation,
-        )
-    } else {
-        run_virus_engine(name, backend, domain_name, config, &opts, on_generation)
-    }
-}
-
-/// The campaign proper, generic over the (possibly cache-wrapped)
-/// backend.
-fn run_virus_engine<B: MeasurementBackend + ?Sized>(
-    name: &str,
-    backend: &mut B,
-    domain_name: &str,
-    config: &VirusGenConfig,
-    opts: &DriveOptions,
-    on_generation: impl FnMut(&GenerationProgress),
-) -> Result<Option<Virus>, DomainError> {
     let info = backend
         .domain_info(domain_name)
         .ok_or_else(|| DomainError::Backend(format!("unknown domain `{domain_name}`")))?;
@@ -739,7 +662,7 @@ fn run_virus_engine<B: MeasurementBackend + ?Sized>(
         opts.lanes,
         on_generation,
     )?;
-    match drive(backend, &mut campaign, opts)? {
+    match drive(backend, &mut campaign, &opts)? {
         DriveOutcome::Complete => campaign.into_virus(backend).map(Some),
         DriveOutcome::Interrupted => Ok(None),
     }

@@ -42,7 +42,6 @@ fn campaign_config(telemetry: Telemetry, threads: usize, lanes: usize) -> VirusG
         samples_per_individual: 3,
         threads,
         lanes,
-        cache_fitness: true,
         telemetry,
         ..VirusGenConfig::default()
     }

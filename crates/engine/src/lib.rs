@@ -98,9 +98,7 @@ impl StepRequest {
 pub enum StepOutcome {
     /// A successful measurement.
     Observation(EmObservation),
-    /// A failure served from the fitness cache (already scored once).
-    CachedFailure(String),
-    /// Any other backend failure, rendered.
+    /// A backend failure, rendered.
     Failed(String),
 }
 
@@ -247,63 +245,15 @@ pub enum DriveOutcome {
     Interrupted,
 }
 
-/// Executes a [`Campaign`] against a [`MeasurementBackend`]; [`drive`]
-/// configures one from [`DriveOptions`].
+/// Executes a [`Campaign`] against a [`MeasurementBackend`] under the
+/// [`DriveOptions`] [`drive`] was given.
 struct StepDriver<'a, B: MeasurementBackend + ?Sized> {
     backend: &'a mut B,
-    threads: usize,
-    lanes: usize,
-    checkpoint_path: Option<PathBuf>,
-    checkpoint_every: u64,
-    max_batches: Option<u64>,
+    opts: &'a DriveOptions,
     batches_done: u64,
 }
 
-impl<'a, B: MeasurementBackend + ?Sized> StepDriver<'a, B> {
-    /// A serial driver (one thread, one lane, no checkpointing).
-    fn new(backend: &'a mut B) -> Self {
-        StepDriver {
-            backend,
-            threads: 1,
-            lanes: 1,
-            checkpoint_path: None,
-            checkpoint_every: 1,
-            max_batches: None,
-            batches_done: 0,
-        }
-    }
-
-    /// Worker threads for lane batches (`<= 1` = serial dispatch).
-    #[must_use]
-    fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
-    /// Requests per backend call (clamped to at least 1).
-    #[must_use]
-    fn lanes(mut self, lanes: usize) -> Self {
-        self.lanes = lanes.max(1);
-        self
-    }
-
-    /// Checkpoints to `path` after every `every` absorbed batches (and
-    /// always when interrupted by the batch limit).
-    #[must_use]
-    fn checkpoint(mut self, path: impl Into<PathBuf>, every: u64) -> Self {
-        self.checkpoint_path = Some(path.into());
-        self.checkpoint_every = every.max(1);
-        self
-    }
-
-    /// Stops (with a checkpoint) once `max` batches have been absorbed
-    /// and more work remains.
-    #[must_use]
-    fn max_batches(mut self, max: u64) -> Self {
-        self.max_batches = Some(max);
-        self
-    }
-
+impl<B: MeasurementBackend + ?Sized> StepDriver<'_, B> {
     /// Loads `path` and restores `campaign`, the backend rig and the
     /// telemetry totals to the snapshot, after verifying the header:
     /// campaign kind and run-config fingerprint must match, so a
@@ -365,7 +315,7 @@ impl<'a, B: MeasurementBackend + ?Sized> StepDriver<'a, B> {
     ///
     /// [`DomainError`] from a fatal absorb or a failed checkpoint write.
     fn run<C: Campaign + ?Sized>(&mut self, campaign: &mut C) -> Result<DriveOutcome, DomainError> {
-        let mut writer = self.checkpoint_path.clone().map(CheckpointWriter::new);
+        let mut writer = self.opts.checkpoint.clone().map(CheckpointWriter::new);
         match self.run_loop(campaign, &mut writer) {
             Ok(DriveOutcome::Complete) => Ok(DriveOutcome::Complete),
             Ok(DriveOutcome::Interrupted) => {
@@ -390,6 +340,7 @@ impl<'a, B: MeasurementBackend + ?Sized> StepDriver<'a, B> {
     ) -> Result<DriveOutcome, DomainError> {
         while let Some(batch) = campaign.next_batch() {
             if self
+                .opts
                 .max_batches
                 .is_some_and(|limit| self.batches_done >= limit)
             {
@@ -408,7 +359,11 @@ impl<'a, B: MeasurementBackend + ?Sized> StepDriver<'a, B> {
                 }
             }
             self.batches_done = next_step(self.batches_done)?;
-            if writer.is_some() && self.batches_done.is_multiple_of(self.checkpoint_every) {
+            if writer.is_some()
+                && self
+                    .batches_done
+                    .is_multiple_of(self.opts.checkpoint_every.max(1))
+            {
                 self.enqueue_checkpoint(campaign, writer)?;
             }
         }
@@ -425,7 +380,7 @@ impl<'a, B: MeasurementBackend + ?Sized> StepDriver<'a, B> {
         requests: &[StepRequest],
     ) -> Vec<StepOutcome> {
         let quiet = campaign.telemetry().quiet();
-        let groups: Vec<&[StepRequest]> = requests.chunks(self.lanes.max(1)).collect();
+        let groups: Vec<&[StepRequest]> = requests.chunks(self.opts.lanes.max(1)).collect();
         let backend: &B = &*self.backend;
         let eval_group = |chunk: &&[StepRequest]| -> Vec<StepOutcome> {
             let reqs: Vec<MeasureRequest<'_>> = chunk.iter().map(StepRequest::as_measure).collect();
@@ -435,10 +390,10 @@ impl<'a, B: MeasurementBackend + ?Sized> StepDriver<'a, B> {
                 .map(outcome_of)
                 .collect()
         };
-        let grouped: Vec<Vec<StepOutcome>> = if self.threads <= 1 {
+        let grouped: Vec<Vec<StepOutcome>> = if self.opts.threads <= 1 {
             groups.iter().map(eval_group).collect()
         } else {
-            emvolt_ga::map_parallel(&groups, eval_group, self.threads)
+            emvolt_ga::map_parallel(&groups, eval_group, self.opts.threads)
         };
         grouped.into_iter().flatten().collect()
     }
@@ -457,14 +412,14 @@ impl<'a, B: MeasurementBackend + ?Sized> StepDriver<'a, B> {
         requests: &[StepRequest],
         writer: &mut Option<CheckpointWriter>,
     ) -> Result<(), DomainError> {
-        let mut room = self.lanes as u64;
-        if let Some(limit) = self.max_batches {
+        let mut room = self.opts.lanes.max(1) as u64;
+        if let Some(limit) = self.opts.max_batches {
             room = room.min(limit - self.batches_done);
         }
         let chunk = &requests[..requests.len().min(room as usize)];
         let reqs: Vec<MeasureRequest<'_>> = chunk.iter().map(StepRequest::as_measure).collect();
         let tel = campaign.telemetry();
-        let every = self.checkpoint_every;
+        let every = self.opts.checkpoint_every.max(1);
         let before = self.batches_done;
         let batches_done = &mut self.batches_done;
         let mut failed = None;
@@ -688,15 +643,11 @@ where
     B: MeasurementBackend + ?Sized,
     C: Campaign + ?Sized,
 {
-    let mut driver = StepDriver::new(backend)
-        .threads(opts.threads)
-        .lanes(opts.lanes);
-    if let Some(path) = &opts.checkpoint {
-        driver = driver.checkpoint(path, opts.checkpoint_every);
-    }
-    if let Some(max) = opts.max_batches {
-        driver = driver.max_batches(max);
-    }
+    let mut driver = StepDriver {
+        backend,
+        opts,
+        batches_done: 0,
+    };
     match &opts.resume {
         Some(path) => driver.resume(campaign, path)?,
         None => campaign.on_fresh_start(),
@@ -764,7 +715,6 @@ impl MeasurementBackend for NullBackend {
 fn outcome_of(result: Result<EmObservation, BackendError>) -> StepOutcome {
     match result {
         Ok(obs) => StepOutcome::Observation(obs),
-        Err(BackendError::CachedFailure(msg)) => StepOutcome::CachedFailure(msg),
         Err(e) => StepOutcome::Failed(e.to_string()),
     }
 }

@@ -139,11 +139,6 @@ impl SpectrumAnalyzer {
         self.elapsed_s
     }
 
-    /// Resets the measurement-time accounting.
-    pub fn reset_elapsed(&mut self) {
-        self.elapsed_s = 0.0;
-    }
-
     /// Adds externally accounted sweep time — used when sweeps ran on a
     /// detached analyzer clone (e.g. a parallel measurement batch) and
     /// their wall-clock is folded back into this instrument's total.
@@ -503,8 +498,6 @@ mod tests {
             "elapsed {}",
             sa.elapsed()
         );
-        sa.reset_elapsed();
-        assert_eq!(sa.elapsed(), 0.0);
     }
 
     #[test]

@@ -38,10 +38,6 @@ pub enum CounterId {
     ScratchCheckouts,
     /// Checkouts that had to build a fresh slot (core).
     ScratchMisses,
-    /// Fitness-cache hits (core).
-    FitnessCacheHits,
-    /// Fitness-cache misses (core).
-    FitnessCacheMisses,
     /// Evaluation lane groups dispatched through the batched measurement
     /// chain (core). Charged at the single-threaded generation barrier,
     /// so the total is a pure function of the campaign's lane
@@ -82,7 +78,7 @@ pub enum CounterId {
 
 impl CounterId {
     /// Every counter, in emission order.
-    pub const ALL: [CounterId; 21] = [
+    pub const ALL: [CounterId; 19] = [
         CounterId::LuFactorizations,
         CounterId::SolverSteps,
         CounterId::TransientRuns,
@@ -95,8 +91,6 @@ impl CounterId {
         CounterId::Generations,
         CounterId::ScratchCheckouts,
         CounterId::ScratchMisses,
-        CounterId::FitnessCacheHits,
-        CounterId::FitnessCacheMisses,
         CounterId::BatchLanes,
         CounterId::BatchLaneOccupancy,
         CounterId::SimdDispatchLevel,
@@ -126,8 +120,6 @@ impl CounterId {
             CounterId::Generations => "generations",
             CounterId::ScratchCheckouts => "scratch_checkouts",
             CounterId::ScratchMisses => "scratch_misses",
-            CounterId::FitnessCacheHits => "fitness_cache_hits",
-            CounterId::FitnessCacheMisses => "fitness_cache_misses",
             CounterId::BatchLanes => "batch_lanes",
             CounterId::BatchLaneOccupancy => "batch_lane_occupancy",
             CounterId::SimdDispatchLevel => "simd_dispatch_level",
@@ -150,8 +142,6 @@ impl CounterId {
             CounterId::Evaluations | CounterId::Generations => Layer::Ga,
             CounterId::ScratchCheckouts
             | CounterId::ScratchMisses
-            | CounterId::FitnessCacheHits
-            | CounterId::FitnessCacheMisses
             | CounterId::BatchLanes
             | CounterId::BatchLaneOccupancy
             | CounterId::SimdDispatchLevel => Layer::Core,
@@ -371,7 +361,7 @@ mod tests {
         names.dedup();
         assert_eq!(names.len(), CounterId::ALL.len());
         assert_eq!(CounterId::SolverSteps.layer(), Layer::Circuit);
-        assert_eq!(CounterId::FitnessCacheHits.layer(), Layer::Core);
+        assert_eq!(CounterId::BatchLanes.layer(), Layer::Core);
         assert_eq!(CounterId::WavetraceSignals.layer(), Layer::Cli);
     }
 

@@ -159,6 +159,23 @@ pub fn usize_field(v: &Value, key: &str) -> Result<usize, DeError> {
     Ok(n as usize)
 }
 
+/// Reads a required boolean field that must be `false`: a retired flag
+/// that files still carry so their bytes do not change, such as an
+/// observation's `cached`. A `true` would mean something this build no
+/// longer does, so it is refused rather than reinterpreted.
+///
+/// # Errors
+///
+/// [`DeError`] when the field is absent, not a boolean, or `true`.
+pub fn false_field(v: &Value, key: &str) -> Result<(), DeError> {
+    if bool::from_value(field(v, key)?)? {
+        return Err(DeError::new(format!(
+            "field `{key}`: `true` is no longer supported; only `false` is accepted"
+        )));
+    }
+    Ok(())
+}
+
 /// Serializes a raw [`Value`] tree to one JSON line.
 pub fn to_line(v: &Value) -> String {
     serde_json::value_to_string(v)

@@ -4,7 +4,7 @@ use crate::params::PdnParams;
 use emvolt_circuit::{
     BatchTransientScratch, Circuit, Complex, ISourceId, InductorId, KernelChoice, NodeId, Result,
     Stimulus, Trace, TransientConfig, TransientPlan, TransientProbes, TransientResult,
-    TransientScratch, VSourceId,
+    TransientScratch,
 };
 
 /// Borrowed view of one probe-scoped PDN transient: the die-node voltage
@@ -62,7 +62,6 @@ pub struct Pdn {
     /// Optional second current source for external stimuli (the SCL block
     /// injects here so workload and SCL excitations can coexist).
     aux: ISourceId,
-    vrm_source: VSourceId,
     l_pkg_id: InductorId,
     /// Cached die-scoped probe selection so the hot path never rebuilds it.
     die_probes: TransientProbes,
@@ -84,8 +83,7 @@ impl Pdn {
         let n_vrm = c.node("vrm");
 
         // Regulator: ideal source behind its output impedance.
-        let vrm_source = c
-            .voltage_source(n_vrm, NodeId::GROUND, Stimulus::Dc(params.v_nominal))
+        c.voltage_source(n_vrm, NodeId::GROUND, Stimulus::Dc(params.v_nominal))
             .expect("valid nodes");
         let vrm_mid = c.node("vrm_mid");
         c.resistor(n_vrm, vrm_mid, params.r_vrm)
@@ -149,7 +147,6 @@ impl Pdn {
             die_node: n_die,
             load,
             aux,
-            vrm_source,
             l_pkg_id,
             die_probes: TransientProbes::none()
                 .with_node_labeled(n_die, "pdn.v_die")
@@ -182,13 +179,6 @@ impl Pdn {
         self.circuit.set_current_stimulus(self.aux, stimulus);
     }
 
-    /// Sets the regulator voltage (undervolting for V_MIN tests).
-    pub fn set_supply_voltage(&mut self, volts: f64) {
-        self.params.v_nominal = volts;
-        self.circuit
-            .set_voltage_stimulus(self.vrm_source, Stimulus::Dc(volts));
-    }
-
     /// Impedance seen by the die across `freqs` (Fig. 1(b)).
     ///
     /// # Errors
@@ -214,9 +204,9 @@ impl Pdn {
 
     /// Builds a reusable [`TransientPlan`] for this network at step `dt`.
     ///
-    /// The plan stays valid across [`Pdn::set_load`], [`Pdn::set_aux`] and
-    /// [`Pdn::set_supply_voltage`] — those only change stimulus waveforms,
-    /// which enter through the right-hand side, not the system matrix.
+    /// The plan stays valid across [`Pdn::set_load`] and [`Pdn::set_aux`]
+    /// — those only change stimulus waveforms, which enter through the
+    /// right-hand side, not the system matrix.
     ///
     /// # Errors
     ///
@@ -269,12 +259,6 @@ impl Pdn {
             res.voltage(self.die_node),
             res.inductor_current(self.l_pkg_id),
         ))
-    }
-
-    /// Probe selection covering exactly the die node and the package
-    /// inductor — the two waveforms the measurement chain consumes.
-    pub fn die_probes(&self) -> &TransientProbes {
-        &self.die_probes
     }
 
     /// Allocation-free transient: reuses a prebuilt plan and a
@@ -404,15 +388,6 @@ mod tests {
             v_res.peak_to_peak(),
             v_off.peak_to_peak()
         );
-    }
-
-    #[test]
-    fn supply_voltage_change_shifts_dc_level() {
-        let mut pdn = Pdn::new(PdnParams::generic_mobile(), 2);
-        pdn.set_supply_voltage(0.9);
-        let cfg = TransientConfig::new(1e-9, 200e-9);
-        let (v, _) = pdn.transient(&cfg).unwrap();
-        assert!((v.mean() - 0.9).abs() < 1e-3);
     }
 
     #[test]

@@ -165,14 +165,6 @@ impl JunoBoard {
             JunoCluster::A53 => &self.a53,
         }
     }
-
-    /// Mutable access to a cluster by id (the SCP control path).
-    pub fn cluster_mut(&mut self, id: JunoCluster) -> &mut VoltageDomain {
-        match id {
-            JunoCluster::A72 => &mut self.a72,
-            JunoCluster::A53 => &mut self.a53,
-        }
-    }
 }
 
 impl Default for JunoBoard {
@@ -243,10 +235,7 @@ mod tests {
     #[test]
     fn juno_has_independent_domains() {
         let mut board = JunoBoard::new();
-        board
-            .cluster_mut(JunoCluster::A53)
-            .try_power_gate(1)
-            .unwrap();
+        board.a53.try_power_gate(1).unwrap();
         assert_eq!(board.a53.active_cores(), 1);
         assert_eq!(board.a72.active_cores(), 2);
         assert_eq!(board.cluster(JunoCluster::A72).name(), "A72");

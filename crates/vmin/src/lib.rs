@@ -173,25 +173,6 @@ pub fn vmin_test(
     model: &FailureModel,
     config: &VminConfig,
 ) -> Result<VminResult, DomainError> {
-    vmin_test_with(domain, kernel, model, config, Telemetry::noop())
-}
-
-/// Like [`vmin_test`], charging the single physical domain run to
-/// `telemetry` — counters, spans and (when a wave sink is attached) the
-/// `cpu.*` / `pdn.*` waveform traces of the droop measurement that anchors
-/// the whole ladder. The ladder itself is pure arithmetic on that run and
-/// emits nothing.
-///
-/// # Errors
-///
-/// As for [`vmin_test`].
-pub fn vmin_test_with(
-    domain: &VoltageDomain,
-    kernel: &Kernel,
-    model: &FailureModel,
-    config: &VminConfig,
-    telemetry: Telemetry,
-) -> Result<VminResult, DomainError> {
     // No batch limit in the default options, so the drive always runs to
     // completion.
     let result = vmin_test_resumable(
@@ -199,7 +180,7 @@ pub fn vmin_test_with(
         kernel,
         model,
         config,
-        telemetry,
+        Telemetry::noop(),
         &DriveOptions::default(),
     )?;
     Ok(result.expect("campaign without a batch limit always completes"))

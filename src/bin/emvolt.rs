@@ -624,11 +624,10 @@ fn cmd_virus(flags: &HashMap<String, String>, out: &mut dyn Write) -> Result<(),
         generate_em_virus_resumable("cli", &mut *backend, domain.name(), &cfg, &opts, |p| {
             if progress {
                 diag!(
-                    "gen {:>3}  best {:>8.2} dBm  mean {:>8.2} dBm  cache {:>3.0}%",
+                    "gen {:>3}  best {:>8.2} dBm  mean {:>8.2} dBm",
                     p.index,
                     p.best_dbm,
-                    p.mean_dbm,
-                    p.cache_hit_pct()
+                    p.mean_dbm
                 );
             }
         })?;

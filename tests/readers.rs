@@ -368,3 +368,59 @@ fn a_step_count_at_the_top_is_a_checkpoint_error() {
         );
     }
 }
+
+/// The retired `cached` flag of a recorded observation and of a virus
+/// checkpoint's final observation is still written, always `false`; a
+/// `true` is refused with a typed error naming the field, while the same
+/// file with `false` is accepted.
+#[test]
+fn a_cached_observation_is_a_typed_error() {
+    let fx = fixtures();
+    let text = |reader| {
+        let (_, bytes) = fx.inputs.iter().find(|(r, _)| *r == reader).unwrap();
+        String::from_utf8(bytes.clone()).unwrap()
+    };
+    let refused = |answer: Result<bool, DomainError>, what: &str| match answer {
+        Err(e) => assert!(e.to_string().contains("`cached`"), "{what}: {e}"),
+        Ok(_) => panic!("{what}: a cached observation was accepted"),
+    };
+
+    let trace = text(Reader::Trace);
+    assert!(trace.contains("\"cached\":false"));
+    let cached_trace = trace.replacen("\"cached\":false", "\"cached\":true", 1);
+    refused(
+        check(
+            Reader::Trace,
+            cached_trace.into_bytes(),
+            "cached trace entry",
+        ),
+        "trace entry",
+    );
+
+    let checkpoint = text(Reader::Virus);
+    assert!(checkpoint.contains("\"final\":null"));
+    let with_final = |cached: bool| {
+        let hex = |v: f64| format!("\"{:016x}\"", v.to_bits());
+        let fields = [
+            ("metric_dbm", -40.0),
+            ("dominant_hz", 7.2e7),
+            ("loop_hz", 7.2e7),
+            ("ipc", 1.5),
+            ("droop_v", 0.04),
+            ("p2p_v", 0.08),
+            ("band_lo", 5e7),
+            ("band_hi", 2e8),
+        ]
+        .map(|(key, v)| format!("\"{key}\":{}", hex(v)))
+        .join(",");
+        let obs = format!("{{{fields},\"cached\":{cached}}}");
+        checkpoint
+            .replacen("\"final\":null", &format!("\"final\":{obs}"), 1)
+            .into_bytes()
+    };
+    assert!(check(Reader::Virus, with_final(false), "final observation").is_ok());
+    refused(
+        check(Reader::Virus, with_final(true), "cached final observation"),
+        "checkpoint final observation",
+    );
+}

@@ -9,7 +9,7 @@ use emvolt::core::{
     fast_resonance_sweep_resumable, generate_em_virus_resumable, FastSweepConfig, FastSweepResult,
     VirusGenConfig,
 };
-use emvolt::engine::DriveOptions;
+use emvolt::engine::{Checkpoint, DriveOptions};
 use emvolt::ga::GaConfig;
 use emvolt::isa::kernels::resonant_stress_kernel;
 use emvolt::obs::{JsonlRecorder, Telemetry};
@@ -86,6 +86,25 @@ fn virus_resume_is_identical_at_any_thread_count() {
         assert_same_virus(&baseline, &resumed);
         std::fs::remove_file(&path).ok();
     }
+}
+
+/// The header fingerprint of a virus checkpoint is pinned to the value
+/// builds with the fitness-cache flag wrote for it unset (the flag's slot
+/// now folds a constant 0), so their checkpoints still resume.
+#[test]
+fn virus_checkpoint_fingerprint_is_pinned() {
+    let path = scratch("virus_fingerprint");
+    let interrupted = run_virus(&DriveOptions {
+        checkpoint: Some(path.clone()),
+        checkpoint_every: 1,
+        max_batches: Some(1),
+        ..DriveOptions::default()
+    });
+    assert!(interrupted.is_none());
+    let cp = Checkpoint::read(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+    assert_eq!(cp.campaign, "virus");
+    assert_eq!(cp.fingerprint, 0xa69a_e775_18b9_761c);
 }
 
 /// In-memory JSONL sink, so event streams compare byte for byte.
